@@ -478,9 +478,10 @@ def equivalence_report(pspace: ProductSpace, corpus, p: float, q: float) -> dict
     construction, lower ratio its reciprocal certified through the converse
     uniform bound max ||S(a)||_p over the produced atoms.
     """
-    rows = []
-    if not list(corpus):
+    corpus = list(corpus)          # a generator would be used up by the emptiness test
+    if not corpus:
         raise ValueError("empty corpus")
+    rows = []
     for f in corpus:
         dec = atomic_decompose(pspace, f, p, q)
         hp_p = hp_seminorm(pspace, f, p) ** p

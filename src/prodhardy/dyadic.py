@@ -8,6 +8,10 @@ exactly by construction.  Inner/outer ball containment is certified with
 c1 = (3 a0^2)^-1 c0 and C1 = 2 a0 C0 whenever the base side length satisfies
 the cube test condition 12 a0^3 C0 delta <= c0; desk mode permits any delta
 in (0,1) and records non-conformance instead of failing.
+
+Each system also offers one array view of its cubes (``CubeGeometry``:
+incidence matrix, sizes, centers, sides, parent indices), built on first
+use, from which all dyadic-rectangle geometry is computed.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +54,37 @@ class Cube:
     @property
     def id(self) -> tuple[int, int]:
         return (self.level, self.index)
+
+
+@dataclass(frozen=True)
+class CubeGeometry:
+    """Array view of a system's cubes, flattened in ``all_cubes()`` order
+    (level, then index): row ``a`` of every array describes ``cubes[a]``."""
+
+    cubes: list[Cube]
+    incidence: np.ndarray        # (n_cubes, n) 0/1 floats: incidence[a, x] = x in cubes[a]
+    sizes: np.ndarray            # (n_cubes,) member counts, as floats
+    centers: np.ndarray          # (n_cubes,) center point ids
+    sides: np.ndarray            # (n_cubes,) delta^level
+    parent: np.ndarray           # (n_cubes,) flat index of the parent, -1 at k_min
+
+    @classmethod
+    def of(cls, system: "DyadicSystem") -> "CubeGeometry":
+        cubes = list(system.all_cubes())
+        first: dict[int, int] = {}               # level -> flat index of its first cube
+        incidence = np.zeros((len(cubes), system.space.n))
+        for a, c in enumerate(cubes):
+            first.setdefault(c.level, a)
+            incidence[a, c.members] = 1.0
+        parent = [-1 if c.level == system.k_min or c.parent is None
+                  else first[c.level - 1] + c.parent for c in cubes]
+        geom = cls(cubes=cubes, incidence=incidence, sizes=incidence.sum(axis=1),
+                   centers=np.array([c.center for c in cubes], dtype=int),
+                   sides=np.array([c.side for c in cubes]),
+                   parent=np.array(parent, dtype=int))
+        for arr in (geom.incidence, geom.sizes, geom.centers, geom.sides, geom.parent):
+            arr.flags.writeable = False          # shared by every caller of the system
+        return geom
 
 
 @dataclass(frozen=True)
@@ -110,6 +146,17 @@ class DyadicSystem:
 
     def n_cubes(self) -> int:
         return sum(len(v) for v in self.cubes.values())
+
+    @cached_property
+    def geometry(self) -> CubeGeometry:
+        """Array view of the cubes, built on first use: building a system
+        alone never needs it.  The view is published only once complete."""
+        return CubeGeometry.of(self)
+
+    def dilate_matrix(self, lam: float) -> np.ndarray:
+        """Row ``a`` is ``dilate_mask(self, geometry.cubes[a], lam)``, bit for bit."""
+        g = self.geometry
+        return self.space.dist[g.centers] < (lam * self.outer_eff * g.sides)[:, None]
 
     def member_mask(self, k: int, alpha: int) -> np.ndarray:
         key = (k, alpha)

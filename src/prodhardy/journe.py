@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maximal import OpenSet, rectangles_inside
+from .maximal import OpenSet, containment_matrix
 from .product import DyadicRectangle, ProductSpace
 
 
@@ -35,16 +35,6 @@ class MaximalRectangleFamily:
     stretch1: dict = field(default_factory=dict)   # R in m2 -> Q1^ cube id
 
 
-def _rect_measure(pspace: ProductSpace, c1, c2) -> float:
-    return c1.measure * c2.measure
-
-
-def _contained(pspace: ProductSpace, omega: OpenSet, c1, c2) -> bool:
-    sub = omega.mask[np.ix_(pspace.systems[0].member_mask(*c1.id),
-                            pspace.systems[1].member_mask(*c2.id))]
-    return bool(sub.all())
-
-
 def _parent(system, cube):
     if cube.level == system.k_min or cube.parent is None:
         return None
@@ -53,7 +43,9 @@ def _parent(system, cube):
 
 def maximal_rectangles(pspace: ProductSpace, omega: OpenSet,
                        direction: str = "both") -> MaximalRectangleFamily:
-    """Maximal rectangle families by exhaustive containment filtering.
+    """Maximal rectangle families from the containment matrix: a contained
+    Q1 x Q2 is maximal when neither parent(Q1) x Q2 nor Q1 x parent(Q2) is
+    contained (the root has no parent).
 
     Deterministic level-then-index ordering.  Families may overlap; none of
     them is a disjoint collection.
@@ -61,22 +53,14 @@ def maximal_rectangles(pspace: ProductSpace, omega: OpenSet,
     fam = MaximalRectangleFamily(omega_ref=omega)
     if omega.is_empty():
         return fam
-    s1, s2 = pspace.systems
-    inside = rectangles_inside(pspace, omega)
-    inside_keys = {(c1.id, c2.id) for c1, c2 in inside}
-    inside.sort(key=lambda rc: (rc[0].level, rc[0].index, rc[1].level, rc[1].index))
-
-    def extends(c1, c2, axis: int) -> bool:
-        par = _parent(s1, c1) if axis == 0 else _parent(s2, c2)
-        if par is None:
-            return False
-        key = (par.id, c2.id) if axis == 0 else (c1.id, par.id)
-        return key in inside_keys
-
-    for c1, c2 in inside:
-        if extends(c1, c2, 0) or extends(c1, c2, 1):
-            continue
-        ref = DyadicRectangle(q1=c1.id, q2=c2.id, measure=_rect_measure(pspace, c1, c2))
+    g1, g2 = pspace.systems[0].geometry, pspace.systems[1].geometry
+    inside = containment_matrix(pspace, omega)
+    # inside[-1] (the root's parent) reads the last row; parent >= 0 masks it out
+    grows1 = (g1.parent >= 0)[:, None] & inside[g1.parent, :]
+    grows2 = (g2.parent >= 0)[None, :] & inside[:, g2.parent]
+    for a, b in np.argwhere(inside & ~grows1 & ~grows2):   # row-major: level then index
+        c1, c2 = g1.cubes[a], g2.cubes[b]
+        ref = DyadicRectangle(q1=c1.id, q2=c2.id, measure=c1.measure * c2.measure)
         fam.m_all.append(ref)
         if direction in ("1", "both"):
             fam.m1.append(ref)

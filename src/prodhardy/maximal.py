@@ -7,6 +7,13 @@ superlevel sets of the strong maximal function of an indicator; the
 (ell1, ell2)-enlargement is a union of dilated rectangles with per-call
 dilation multipliers, since the atom machinery needs both the plain 2^ell
 dilates and the 2 a0^2 2^ell variants.
+
+Dyadic-rectangle geometry runs on each system's cube x point incidence
+matrix and dilate matrix (``DyadicSystem.geometry``, ``dilate_matrix``):
+containment of every cube pair is one matrix product, and the enlargement
+another.  The per-pair loops they replace are kept beside them as oracles
+(``rectangles_inside_exhaustive``, ``ell_enlarge_exhaustive``,
+``strong_maximal_exhaustive``) and are not called by the fast paths.
 """
 
 from __future__ import annotations
@@ -16,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dyadic import dilate_mask
 from .product import ProductSpace, all_rectangles
-from .space import FiniteSpace
+from .space import realized_ball_masks  # re-exported: the balls M_s ranges over
 
 
 @dataclass
@@ -44,57 +52,19 @@ class OpenSet:
         return not self.mask.any()
 
 
-def realized_ball_masks(space: FiniteSpace) -> np.ndarray:
-    """Deduplicated member masks of every realized ball, one row per ball."""
-    seen = set()
-    rows = []
-    for c in range(space.n):
-        d = space.dist[c]
-        radii = np.unique(d)           # B(c, r) changes membership at these
-        for t in radii:
-            mask = d <= t              # equals B(c, r) for r just above t
-            key = mask.tobytes()
-            if key not in seen:
-                seen.add(key)
-                rows.append(mask)
-    return np.asarray(rows)
-
-
-class _BallCache:
-    """Per-factor realized balls, measures, and point-membership lists."""
-
-    def __init__(self, space: FiniteSpace):
-        self.masks = realized_ball_masks(space)
-        self.measures = self.masks @ space.weight
-        self.contains = [np.flatnonzero(self.masks[:, x]) for x in range(space.n)]
-
-
-# keyed by id(); the space itself is kept alive so ids are never reused
-_caches: dict[int, tuple[FiniteSpace, _BallCache]] = {}
-
-
-def _cache(space: FiniteSpace) -> _BallCache:
-    key = id(space)
-    if key not in _caches:
-        _caches[key] = (space, _BallCache(space))
-    return _caches[key][1]
-
-
 def strong_maximal(pspace: ProductSpace, g: np.ndarray) -> np.ndarray:
     """M_s g(x1,x2) = max over ball pairs B1 x B2 containing (x1,x2) of the
     average of |g| over B1 x B2, exhaustively over realized balls."""
     g = np.abs(np.asarray(g, dtype=float))
-    c1, c2 = _cache(pspace.x1), _cache(pspace.x2)
-    # sums[b1, b2] = integral of |g| over B1 x B2
-    partial = (c1.masks * pspace.x1.weight) @ g          # (balls1, n2)
-    sums = partial @ (c2.masks * pspace.x2.weight).T     # (balls1, balls2)
-    avg = sums / np.outer(c1.measures, c2.measures)
-    out = np.empty(pspace.shape)
-    for x1 in range(pspace.x1.n):
-        rows = avg[c1.contains[x1]]
-        for x2 in range(pspace.x2.n):
-            out[x1, x2] = rows[:, c2.contains[x2]].max()
-    return out
+    x1, x2 = pspace.x1, pspace.x2
+    b1, b2 = x1.realized_balls, x2.realized_balls
+    # avg[b1, b2] = average of |g| over B1 x B2
+    sums = ((b1 * x1.weight) @ g) @ (b2 * x2.weight).T
+    avg = sums / np.outer(b1 @ x1.weight, b2 @ x2.weight)
+    # the max over ball pairs splits: first over the balls containing x1,
+    # then over the balls containing x2; max picks values, so nothing rounds
+    rows = np.stack([avg[b1[:, p]].max(axis=0) for p in range(x1.n)])
+    return np.stack([rows[:, b2[:, p]].max(axis=1) for p in range(x2.n)], axis=1)
 
 
 def strong_maximal_exhaustive(pspace: ProductSpace, g: np.ndarray) -> np.ndarray:
@@ -150,8 +120,28 @@ def enlarge(pspace: ProductSpace, omega_set: OpenSet, eps: float) -> OpenSet:
     return OpenSet.from_mask(pspace, ms > eps)
 
 
+def containment_matrix(pspace: ProductSpace, omega_set: OpenSet) -> np.ndarray:
+    """inside[a, b] is True when cubes1[a] x cubes2[b] lies in the set, for
+    every cube pair at once (flat indices of each system's ``geometry``).
+
+    (M1 chi M2^T)[a, b] counts the grid points of the rectangle that lie in
+    the set, which is |Q1||Q2| exactly when the rectangle is contained.  The
+    counts are small integers, so float64 holds them exactly.
+    """
+    g1, g2 = pspace.systems[0].geometry, pspace.systems[1].geometry
+    counts = g1.incidence @ omega_set.mask.astype(float) @ g2.incidence.T
+    return counts == np.outer(g1.sizes, g2.sizes)
+
+
 def rectangles_inside(pspace: ProductSpace, omega_set: OpenSet):
-    """All dyadic rectangles (cube pairs) contained in the set."""
+    """All dyadic rectangles (cube pairs) contained in the set, level then index."""
+    cubes1, cubes2 = pspace.systems[0].geometry.cubes, pspace.systems[1].geometry.cubes
+    return [(cubes1[a], cubes2[b])
+            for a, b in np.argwhere(containment_matrix(pspace, omega_set))]
+
+
+def rectangles_inside_exhaustive(pspace: ProductSpace, omega_set: OpenSet):
+    """Oracle for rectangles_inside: one membership test per cube pair."""
     out = []
     for c1, c2 in all_rectangles(pspace):
         sub = omega_set.mask[np.ix_(pspace.systems[0].member_mask(*c1.id),
@@ -170,15 +160,15 @@ def ell_enlarge(pspace: ProductSpace, omega_tilde: OpenSet, ell1: int, ell2: int
     carries).  The report records the multipliers used and the measured
     constant in mu(result) <= C (1 + l1 w1 + l2 w2) 2^(l1 w1 + l2 w2) mu(input).
     """
-    from .dyadic import dilate_mask
     if ell1 < 0 or ell2 < 0:
         raise ValueError("enlargement parameters must be nonnegative")
     lam1 = 2.0 ** ell1 if lam1 is None else lam1
     lam2 = 2.0 ** ell2 if lam2 is None else lam2
-    mask = np.zeros(pspace.shape, dtype=bool)
-    for c1, c2 in rectangles_inside(pspace, omega_tilde):
-        mask |= np.outer(dilate_mask(pspace.systems[0], c1, lam1),
-                         dilate_mask(pspace.systems[1], c2, lam2))
+    s1, s2 = pspace.systems
+    # (x1, x2) is covered when some contained Q1 x Q2 has x1 in lam1 Q1 and
+    # x2 in lam2 Q2: a boolean product D1^T [inside] D2
+    mask = (s1.dilate_matrix(lam1).T @ containment_matrix(pspace, omega_tilde)
+            @ s2.dilate_matrix(lam2))
     result = OpenSet.from_mask(pspace, mask)
     w1, w2 = pspace.x1.omega, pspace.x2.omega
     growth = (1.0 + ell1 * w1 + ell2 * w2) * 2.0 ** (ell1 * w1 + ell2 * w2)
@@ -187,6 +177,17 @@ def ell_enlarge(pspace: ProductSpace, omega_tilde: OpenSet, ell1: int, ell2: int
     report = {"lam1": lam1, "lam2": lam2, "growth_factor": growth,
               "measured_constant": measured_c}
     return result, report
+
+
+def ell_enlarge_exhaustive(pspace: ProductSpace, omega_tilde: OpenSet,
+                           lam1: float, lam2: float) -> OpenSet:
+    """Oracle for ell_enlarge's set: one dilated rectangle at a time over
+    rectangles_inside_exhaustive."""
+    mask = np.zeros(pspace.shape, dtype=bool)
+    for c1, c2 in rectangles_inside_exhaustive(pspace, omega_tilde):
+        mask |= np.outer(dilate_mask(pspace.systems[0], c1, lam1),
+                         dilate_mask(pspace.systems[1], c2, lam2))
+    return OpenSet.from_mask(pspace, mask)
 
 
 @dataclass

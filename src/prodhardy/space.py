@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,30 @@ class FiniteSpace:
 
     def ball_mask(self, center: int, radius: float) -> np.ndarray:
         return self.dist[center] < radius
+
+    @cached_property
+    def realized_balls(self) -> np.ndarray:
+        """``realized_ball_masks(self)``, built on first use and kept with the
+        space, so it lives exactly as long as the space does."""
+        masks = realized_ball_masks(self)
+        masks.flags.writeable = False
+        return masks
+
+
+def realized_ball_masks(space: FiniteSpace) -> np.ndarray:
+    """Deduplicated member masks of every realized ball, one row per ball."""
+    seen = set()
+    rows = []
+    for c in range(space.n):
+        d = space.dist[c]
+        radii = np.unique(d)           # B(c, r) changes membership at these
+        for t in radii:
+            mask = d <= t              # equals B(c, r) for r just above t
+            key = mask.tobytes()
+            if key not in seen:
+                seen.add(key)
+                rows.append(mask)
+    return np.asarray(rows)
 
 
 def _quasi_triangle_constant(dist: np.ndarray) -> float:

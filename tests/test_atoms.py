@@ -286,6 +286,16 @@ def test_equivalence_report(pspace8):
         equivalence_report(pspace8, [], 1.0, 2.0)
 
 
+def test_equivalence_report_accepts_a_generator(pspace8):
+    rng = np.random.default_rng(9)
+    corpus = [pspace8.random_function(rng) for _ in range(2)]
+    rep = equivalence_report(pspace8, (f for f in corpus), 1.0, 2.0)
+    assert len(rep["per_function"]) == 2
+    assert rep == equivalence_report(pspace8, corpus, 1.0, 2.0)
+    with pytest.raises(ValueError, match="empty corpus"):
+        equivalence_report(pspace8, iter([]), 1.0, 2.0)
+
+
 def test_atoms_on_alternate_grid_verify_against_their_own_grids(pspace8):
     rng = np.random.default_rng(10)
     alt1 = build_system(pspace8.x1, 0.5, order_seed=1)

@@ -125,6 +125,38 @@ def test_dilate_singleton_stays_singleton(canon):
         dilate_cube(system, leaf, 0.5)
 
 
+def test_geometry_is_built_on_first_use(canon):
+    system = build_system(canon, 0.25)
+    verify_system(system)
+    export_system(system)
+    assert "geometry" not in vars(system)       # building a system never needs it
+    g = system.geometry
+    assert g is system.geometry
+    assert g.incidence.shape == (system.n_cubes(), canon.n)
+    assert g.parent[0] == -1 and (g.parent[1:] >= 0).all()
+    assert not g.incidence.flags.writeable
+
+
+def test_geometry_first_use_from_threads(line8):
+    # threads racing on the first use each get a complete view
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    expect = build_system(line8, 0.25).geometry
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(5):
+                system = build_system(line8, 0.25)
+                views = list(pool.map(lambda _: system.geometry, range(8), timeout=60))
+                for g in views:
+                    np.testing.assert_array_equal(g.incidence, expect.incidence)
+                    np.testing.assert_array_equal(g.parent, expect.parent)
+                    np.testing.assert_array_equal(g.sides, expect.sides)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_doubling_of_dilates(canon):
     rng = np.random.default_rng(19)
     pts = np.sort(rng.random(30)) * 40

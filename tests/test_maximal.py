@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from prodhardy import (OpenSet, ProductSpace, ell_enlarge, enlarge, epsilon0,
                        level_sets, strong_maximal, strong_maximal_exhaustive)
 from prodhardy.dyadic import dilate_mask
-from prodhardy.maximal import rectangles_inside
+from prodhardy.maximal import rectangles_inside_exhaustive
 
 from conftest import line_space
 
@@ -64,6 +66,17 @@ def test_indicator_maximal_in_unit_interval(pspace8):
     mask[2:4, 1:5] = True
     ms = strong_maximal(pspace8, mask.astype(float))
     assert (ms >= 0).all() and (ms <= 1 + 1e-14).all()
+
+
+def test_ball_cache_dies_with_its_space():
+    # the realized balls are stored on the space, not in a module-level table
+    space = line_space([0.0, 1.0, 3.0])
+    ps = ProductSpace(space, space, delta=0.5)
+    strong_maximal(ps, np.ones(ps.shape))
+    ref = weakref.ref(space)
+    del space, ps
+    gc.collect()
+    assert ref() is None
 
 
 def test_epsilon0_formula(micro22):
@@ -127,7 +140,7 @@ def test_ell_enlarge_zero_is_outer_ball_union(pspace8):
     assert (om.mask <= out.mask).all()
     # oracle: union of outer-ball products over contained rectangles
     expect = np.zeros(pspace8.shape, dtype=bool)
-    for c1, c2 in rectangles_inside(pspace8, om):
+    for c1, c2 in rectangles_inside_exhaustive(pspace8, om):
         expect |= np.outer(dilate_mask(pspace8.systems[0], c1, 1.0),
                            dilate_mask(pspace8.systems[1], c2, 1.0))
     np.testing.assert_array_equal(out.mask, expect)
@@ -148,7 +161,7 @@ def test_ell_enlarge_one_rectangle_dilate_oracle(pspace8):
     # membership oracle for the widest contributing dilate
     s1, s2 = pspace8.systems
     expect = np.zeros(pspace8.shape, dtype=bool)
-    for d1, d2 in rectangles_inside(pspace8, om):
+    for d1, d2 in rectangles_inside_exhaustive(pspace8, om):
         r1 = 2.0 * s1.outer_eff * d1.side
         r2 = 1.0 * s2.outer_eff * d2.side
         expect |= np.outer(pspace8.x1.dist[d1.center] < r1,
