@@ -134,11 +134,17 @@ def _basis_export(basis) -> dict:
                 "cube": list(w.cube),
                 "center": w.center,
                 "scale": w.scale,
-                "values": [[int(i), float(v)] for i, v in enumerate(w.values) if v != 0.0],
+                "values": _nonzero_entries(w.values),
             }
             for w in basis.wavelets
         ],
     }
+
+
+def _nonzero_entries(values: np.ndarray) -> list[list]:
+    """[[i, values[i]], ...] for every entry that is not 0.0 (or -0.0)."""
+    idx = np.flatnonzero(values)
+    return [[i, v] for i, v in zip(idx.tolist(), values[idx].tolist())]
 
 
 def cmd_build(cfg: RunConfig) -> int:

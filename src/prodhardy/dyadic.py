@@ -208,12 +208,14 @@ def build_net(space: FiniteSpace, delta: float, k: int, seed_net=(), order=None)
         if len(seed) > 1 and d[off].min() < r:
             raise ValueError(f"seed net is not {r}-separated")
     net = list(seed)
+    in_net = set(net)
     mind = np.full(space.n, np.inf) if not net else space.dist[:, net].min(axis=1)
     for x in (range(space.n) if order is None else order):
-        if x in set(net):
+        if x in in_net:
             continue
         if mind[x] >= r:
             net.append(x)
+            in_net.add(x)
             mind = np.minimum(mind, space.dist[:, x])
     return net
 
@@ -266,9 +268,10 @@ def build_system(space: FiniteSpace, delta: float | None = None, mode: str = "de
         level = [Cube(level=k, index=a, center=z, members=np.asarray([], dtype=int),
                       measure=0.0, side=delta ** k) for a, z in enumerate(net)]
         groups: dict[int, list[int]] = {a: [] for a in range(len(net))}
-        for child in cubes[k + 1]:
-            d = space.dist[child.center, net]
-            a = int(np.argmin(d))      # argmin takes the first minimum: net-order ties
+        centers = [child.center for child in cubes[k + 1]]
+        # argmin takes the first minimum of each row: net-order ties
+        parents = np.argmin(space.dist[np.ix_(centers, net)], axis=1).tolist()
+        for child, a in zip(cubes[k + 1], parents):
             groups[a].append(child.index)
             child.parent = a
         for a, kids in groups.items():
@@ -322,8 +325,8 @@ def verify_system(system: DyadicSystem, policy: RegularFamilyPolicy | None = Non
     for c in system.all_cubes():
         d = space.dist[c.center]
         inside = d < system.inner_cert * c.side
-        mask = system.member_mask(c.level, c.index)
-        if (inside & ~mask).any():
+        inside[c.members] = False
+        if inside.any():
             inner_cert_ok = False
         if not (d[c.members] < system.outer_cert * c.side).all():
             outer_cert_ok = False

@@ -3,8 +3,14 @@
 A space is a point set {0..n-1}, a symmetric positive off-diagonal distance
 matrix, and positive per-point weights (the measure of each singleton).  The
 quasi-triangle constant a0, the ball-doubling constant cmu and the upper
-dimension omega = log2(cmu) are computed exactly by exhaustive enumeration --
-they feed every downstream certified constant, so they are never estimated.
+dimension omega = log2(cmu) are computed exactly -- they feed every downstream
+certified constant, so they are never estimated.  a0 comes from a min-plus
+product taken over one triangle of the symmetric distance matrix, block by
+block; cmu from per-center prefix measures (each ball is a prefix of the
+points sorted by distance to its center), with the few centers within
+rounding of the maximum rescanned in the exhaustive scan's own arithmetic.
+Both equal the exhaustive scans kept beside them (``*_exhaustive``) bit for
+bit.
 
 Borel regularity of the measure has no finite-space content; it is noted here
 and not modeled.
@@ -96,12 +102,36 @@ def realized_ball_masks(space: FiniteSpace) -> np.ndarray:
     return np.asarray(rows)
 
 
+# Rows of x per block in the blocked a0 scan: a 64 x n tile of the min-plus
+# product stays in cache while every z streams past it.
+_A0_BLOCK = 64
+
+
 def _quasi_triangle_constant(dist: np.ndarray) -> float:
     """Minimal a0 with d(x,y) <= a0 (d(x,z)+d(z,y)) over all triples.
 
-    Exhaustive over z; equality is attained at the maximizing triple by
-    construction.  Degenerate (n = 1) spaces get a0 = 1.
+    best(x,y) = min_z d(x,z)+d(z,y) is symmetric for a symmetric matrix, and
+    min, max and each single sum are exact in any order, so computing best
+    only for y >= the first row of each block of x gives the exhaustive
+    value bit for bit.  Degenerate (n = 1) spaces get a0 = 1.
     """
+    n = dist.shape[0]
+    worst = 1.0
+    for i0 in range(0, n, _A0_BLOCK):
+        rows = dist[i0:i0 + _A0_BLOCK]
+        best = np.full((rows.shape[0], n - i0), np.inf)
+        tmp = np.empty_like(best)
+        for z in range(n):
+            np.add(rows[:, z, None], dist[z, None, i0:], out=tmp)
+            np.minimum(best, tmp, out=best)
+        diag = np.arange(rows.shape[0])
+        best[diag, diag] = np.inf          # x = y: ratio 0, below every a0
+        worst = max(worst, float((rows[:, i0:] / best).max()))
+    return worst
+
+
+def _quasi_triangle_constant_exhaustive(dist: np.ndarray) -> float:
+    """Specification of ``_quasi_triangle_constant``: the full scan over z."""
     n = dist.shape[0]
     if n == 1:
         return 1.0
@@ -125,7 +155,80 @@ def _ball_radius_candidates(drow: np.ndarray, extra_scale: float = 2.0) -> np.nd
     return np.unique(np.concatenate([pos, pos / extra_scale]))
 
 
+def _ball_measures(drow: np.ndarray, weight: np.ndarray):
+    """Measure of every ball around one center, as a lookup by radius.
+
+    Each ball {d(x,.) < r} is a prefix of the points sorted by distance to
+    x, so its measure is a prefix sum of their weights.  The returned
+    function maps radii to measures.
+    """
+    order = np.argsort(drow, kind="stable")
+    nearest = drow[order]
+    prefix = np.concatenate([[0.0], np.cumsum(weight[order])])
+    return lambda radii: prefix[np.searchsorted(nearest, radii, side="left")]
+
+
+def _growth(small: np.ndarray, big: np.ndarray) -> float:
+    ok = small > 0
+    return float((big[ok] / small[ok]).max()) if ok.any() else 1.0
+
+
+def _growth_by_masks(drow: np.ndarray, weight: np.ndarray, lam: float) -> float:
+    """max mu(B(x, lam r)) / mu(B(x, r)) at one center, with one mask row per
+    candidate radius: the exhaustive scans' own arithmetic."""
+    radii = _ball_radius_candidates(drow, extra_scale=max(lam, 2.0))
+    small = (drow[None, :] < radii[:, None]) @ weight
+    big = (drow[None, :] < lam * radii[:, None]) @ weight
+    return _growth(small, big)
+
+
+def _exact_sums(weight: np.ndarray) -> bool:
+    """True when every partial sum of the weights, in any order, is exact:
+    integer weights whose total is below 2**53."""
+    return bool((weight == np.round(weight)).all()) and float(weight.sum()) < 2.0 ** 53
+
+
+def _max_growth(dist: np.ndarray, weight: np.ndarray, lambdas) -> list[float]:
+    """For each lam >= 1, max mu(B(x, lam r)) / mu(B(x, r)) over all centers
+    and realized radii, equal bit for bit to ``_growth_by_masks`` maximized
+    over every center (and 1.0).
+
+    The prefix sums add the weights in another order than the masked BLAS
+    products, which themselves round a row differently depending on where
+    it sits in the matrix, so the two may differ in the last bits.  Any
+    order of adding n nonnegative terms stays within about n u of the exact
+    sum (u = eps/2), so a center's prefix-sum growth is within a factor
+    1 +- (2n+1) eps of its masked growth, and the center holding the masked
+    maximum lies within 1 - (4n+2) eps of the largest prefix-sum growth.
+    Rescanning every center within 1 - 8n eps of it with masks makes the
+    result exact; usually that is one center.  No rescan is needed when the
+    sums are exact, nor for lam = 1, where each ball is divided by itself.
+    """
+    n = dist.shape[0]
+    fast = np.ones((len(lambdas), n))
+    for x, drow in enumerate(dist):
+        measure = _ball_measures(drow, weight)
+        for i, lam in enumerate(lambdas):
+            radii = _ball_radius_candidates(drow, extra_scale=max(lam, 2.0))
+            fast[i, x] = _growth(measure(radii), measure(lam * radii))
+    exact = _exact_sums(weight)
+    margin = 1.0 - 8.0 * n * np.finfo(float).eps
+    worst = []
+    for lam, row in zip(lambdas, fast):
+        if exact or lam == 1.0:
+            worst.append(max(1.0, float(row.max())))
+        else:
+            near = np.flatnonzero(row >= row.max() * margin)
+            worst.append(max([1.0] + [_growth_by_masks(dist[x], weight, lam) for x in near]))
+    return worst
+
+
 def _doubling_constant(dist: np.ndarray, weight: np.ndarray) -> float:
+    return _max_growth(dist, weight, [2.0])[0]
+
+
+def _doubling_constant_exhaustive(dist: np.ndarray, weight: np.ndarray) -> float:
+    """Specification of ``_doubling_constant``: two 2n x n masks per center."""
     n = dist.shape[0]
     worst = 1.0
     for x in range(n):
@@ -151,9 +254,19 @@ def make_space(dist, weight=None, meta=None) -> FiniteSpace:
     weight = np.asarray(weight, dtype=float)
     if weight.shape != (n,):
         raise SpaceValidationError(f"weights: expected {n} entries, got {weight.shape}")
+    if not np.isfinite(weight).all():
+        bad = int(np.flatnonzero(~np.isfinite(weight))[0])
+        raise SpaceValidationError(f"weights[{bad}] = {weight[bad]} is not finite")
     if not (weight > 0).all():
         bad = int(np.argmin(weight))
         raise SpaceValidationError(f"weights[{bad}] = {weight[bad]} is not positive")
+    with np.errstate(over="ignore"):
+        total = float(weight.sum())
+    if not math.isfinite(total):
+        raise SpaceValidationError(f"weights: total measure {total} is not finite")
+    if not np.isfinite(dist).all():
+        i, j = np.argwhere(~np.isfinite(dist))[0]
+        raise SpaceValidationError(f"matrix[{i}][{j}] = {dist[i, j]} is not finite")
     if (dist < 0).any():
         raise SpaceValidationError("negative distance entry")
     if not np.array_equal(dist, dist.T):
@@ -272,25 +385,17 @@ def doubling_profile(space: FiniteSpace, lambdas=(1.0, 2.0, 4.0, 8.0)) -> list[d
     Each row certifies the exhaustive maximum against cmu * lam^omega, which
     is a theorem for omega = log2(cmu) (iterate doubling ceil(log2 lam) times).
     """
+    lambdas = [float(lam) for lam in lambdas]
+    if any(lam < 1 for lam in lambdas):
+        raise ValueError("dilation factor must be >= 1")
+    worst = _max_growth(space.dist, space.weight, lambdas)
     rows = []
-    for lam in lambdas:
-        lam = float(lam)
-        if lam < 1:
-            raise ValueError("dilation factor must be >= 1")
-        worst = 1.0
-        for x in range(space.n):
-            drow = space.dist[x]
-            radii = _ball_radius_candidates(drow, extra_scale=max(lam, 2.0))
-            small = (drow[None, :] < radii[:, None]) @ space.weight
-            big = (drow[None, :] < lam * radii[:, None]) @ space.weight
-            ok = small > 0
-            if ok.any():
-                worst = max(worst, float((big[ok] / small[ok]).max()))
+    for lam, growth in zip(lambdas, worst):
         bound = space.cmu * lam ** space.omega
         rows.append({
             "lambda": lam,
-            "max_ratio": worst,
+            "max_ratio": growth,
             "bound": bound,
-            "certified": worst <= bound * (1 + 1e-12),
+            "certified": growth <= bound * (1 + 1e-12),
         })
     return rows

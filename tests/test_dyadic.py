@@ -36,6 +36,14 @@ def test_single_point_system():
     verify_system(system)
 
 
+def test_verify_system_caches_no_member_masks(canon):
+    # the inner certificate reads cube members directly, so verifying a
+    # system does not leave one cached mask per cube behind
+    system = build_system(canon, 0.25)
+    verify_system(system)
+    assert system._masks == {}
+
+
 def test_line_system_hand_trace(canon):
     system = build_system(canon, 0.25)
     # delta^k first drops below 8 at k = -1 (4 < 8 <= 16), splitting {0,1,2} | {10}

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -137,10 +138,26 @@ def test_load_space_matrix_document(tmp_path):
     ({"matrix": [[0, 1, 2], [1, 0, 1]]}, "square"),
     ({"points": [{"coords": [0]}], "metric": "hyperbolic"}, "unknown metric"),
     ({"wrong": 1}, "'matrix' or 'points'"),
+    ('{"matrix": [[0, Infinity], [Infinity, 0]]}', r"matrix\[0\]\[1\] = inf is not finite"),
 ])
 def test_load_space_rejects(doc, msg):
     with pytest.raises(SpaceValidationError, match=msg):
         load_space(doc)
+
+
+@pytest.mark.parametrize("dist,weight,msg", [
+    ([[0.0, math.inf], [math.inf, 0.0]], None, r"matrix\[0\]\[1\] = inf is not finite"),
+    ([[0.0, 1.0], [1.0, 0.0]], [1.0, math.inf], r"weights\[1\] = inf is not finite"),
+    ([[0.0, 1.0, 2.0], [1.0, 0.0, math.nan], [2.0, math.nan, 0.0]], None,
+     r"matrix\[1\]\[2\] = nan is not finite"),
+    ([[0.0, 1.0], [1.0, 0.0]], [math.nan, 1.0], r"weights\[0\] = nan is not finite"),
+    # finite weights whose total overflows: no ball measure is usable
+    ([[0.0, 1.0], [1.0, 0.0]], [1e308, 1e308], r"total measure inf is not finite"),
+])
+def test_make_space_rejects_non_finite(dist, weight, msg):
+    # rejected before any constant is computed from the entry
+    with pytest.raises(SpaceValidationError, match=msg):
+        make_space(dist, weight)
 
 
 def test_load_space_invalid_json_is_line_precise():
