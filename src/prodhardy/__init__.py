@@ -5,9 +5,9 @@ covering check, and a fully constructive atomic decomposition -- every step
 verifiable by brute force."""
 
 from .space import Ball, FiniteSpace, SpaceValidationError, ball, doubling_profile, load_space, make_space
-from .dyadic import (Cube, DyadicSystem, RegularFamilyPolicy, adjacent_systems,
-                     build_net, build_system, dilate_cube, export_system,
-                     import_system, verify_system)
+from .dyadic import (Cube, DyadicSystem, RegularFamilyPolicy, build_net,
+                     build_system, dilate_cube, export_system, import_system,
+                     verify_system)
 from .wavelet import (BuildingBlockSet, CutoffFunction, Wavelet, WaveletBasis,
                       build_haar, building_blocks, block_certificates, cutoff,
                       inverse_transform, transform)

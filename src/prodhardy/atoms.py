@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicSystem, dilate_mask
-from .journe import maximal_rectangles
-from .maximal import OpenSet, ell_enlarge, enlarge, epsilon0, level_sets
+from .dyadic import DyadicSystem
+from .journe import maximal_rectangles, tau
+from .maximal import OpenSet, ell_enlarge, enlarge, epsilon0, growth_factor, level_sets
 from .product import (ProductSpace, hp_seminorm, product_transform,
                       square_function)
-from .wavelet import build_haar, building_blocks
+from .wavelet import building_blocks
 
 
 class ChannelError(ValueError):
@@ -181,20 +181,9 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
     eps0 = epsilon0(pspace)
     blocks1 = [building_blocks(pspace.x1, w, gamma1, cbar=1.0) for w in b1.wavelets]
     blocks2 = [building_blocks(pspace.x2, w, gamma2, cbar=1.0) for w in b2.wavelets]
-    kphi1 = {}   # (i, ell) -> kappa_i * phi_ell, zeros row if series ended
-    kphi2 = {}
-
-    def kphi(blocks, cache, i, ell, n):
-        if (i, ell) not in cache:
-            bs = blocks[i]
-            cache[(i, ell)] = (bs.kappa * bs.blocks[ell] if ell < bs.n_blocks
-                               else np.zeros(n))
-        return cache[(i, ell)]
-
     w1o, w2o = pspace.x1.omega, pspace.x2.omega
     sf_p = float(((sf ** p) * pspace.weights).sum())
     recon = np.zeros(pspace.shape)
-    tau_map: dict = {}
 
     for jj in sorted(pairs_by_j):
         pairs = pairs_by_j[jj]
@@ -209,27 +198,7 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
                 raise AssertionError(f"classified rectangle {key} escapes the enlargement")
 
         family = maximal_rectangles(pspace, omega_t, "both")
-        if q >= 2:
-            pool = family.m_all
-        else:
-            m1keys = {r.key for r in family.m1}
-            pool = family.m1 + [r for r in family.m2 if r.key not in m1keys]
-        pool_sorted = sorted(pool, key=lambda r: r.key)
-
-        def tau(key):
-            # lexicographically smallest maximal rectangle containing the key
-            if key not in tau_map:
-                q1m = pspace.systems[0].member_mask(*key[:2])
-                q2m = pspace.systems[1].member_mask(*key[2:])
-                for cand in pool_sorted:
-                    c1m = pspace.systems[0].member_mask(*cand.q1)
-                    c2m = pspace.systems[1].member_mask(*cand.q2)
-                    if not (q1m & ~c1m).any() and not (q2m & ~c2m).any():
-                        tau_map[key] = cand.key
-                        break
-                else:
-                    raise AssertionError(f"no maximal rectangle contains {key}")
-            return tau_map[key]
+        tau_of = dict(zip(rects, tau(pspace, family, list(rects))))
 
         sfb = _sf_restricted(pspace, pairs, cw, rect_masks)
         r = q if q >= 2 else 2.0
@@ -244,17 +213,16 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
                         if blocks1[i].n_blocks > ell1 and blocks2[j].n_blocks > ell2]
                 if not cell:
                     continue
-                growth = ((1.0 + ell1 * w1o + ell2 * w2o)
-                          * 2.0 ** (ell1 * w1o + ell2 * w2o) * omega_t.measure)
+                growth = growth_factor(pspace, ell1, ell2) * omega_t.measure
                 lam_raw = (2.0 ** (ell1 * w1o + ell2 * w2o) * sfb_norm
                            * growth ** (1.0 / p - 1.0 / r))
                 weight = 2.0 ** (-ell1 * gamma1 - ell2 * gamma2)
                 rect_atoms: dict = {}
                 for (i, j) in cell:
                     c1, c2 = rect_of_pair[(i, j)]
-                    tkey = tau(c1.id + c2.id)
-                    contrib = np.outer(kphi(blocks1, kphi1, i, ell1, pspace.x1.n),
-                                       kphi(blocks2, kphi2, j, ell2, pspace.x2.n))
+                    tkey = tau_of[c1.id + c2.id]
+                    bs1, bs2 = blocks1[i], blocks2[j]     # kappa * phi_ell per factor
+                    contrib = np.outer(bs1.kappa * bs1.blocks[ell1], bs2.kappa * bs2.blocks[ell2])
                     contrib = cw[i, j] / lam_raw * contrib
                     if tkey in rect_atoms:
                         rect_atoms[tkey] = rect_atoms[tkey] + contrib
@@ -291,13 +259,11 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
     return dec
 
 
-def _atom_view(pspace: ProductSpace, atom: ProductAtom) -> ProductSpace:
-    """Product view whose systems are the atom's own grids."""
-    if atom.grids == pspace.systems:
+def _view_on(pspace: ProductSpace, grids) -> ProductSpace:
+    """The product space on other grids (None or the space's own: itself)."""
+    if grids is None or grids == pspace.systems:
         return pspace
-    s1, s2 = atom.grids
-    return ProductSpace(pspace.x1, pspace.x2, system1=s1, system2=s2,
-                        basis1=build_haar(s1), basis2=build_haar(s2))
+    return ProductSpace(pspace.x1, pspace.x2, system1=grids[0], system2=grids[1])
 
 
 def verify_atom(pspace: ProductSpace, atom: ProductAtom,
@@ -310,7 +276,7 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom,
     constants.  Stretch ratios for the 1 < q < 2 branch are certified at the
     default delta = q/(2p) and at the supplied extra deltas.
     """
-    view = _atom_view(pspace, atom)
+    view = _view_on(pspace, atom.grids)
     p, q = atom.p, atom.q
     failures: list[str] = []
     eps0 = epsilon0(view)
@@ -322,31 +288,26 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom,
     if scale > 0 and (np.abs(atom.values) > 1e-14 * scale)[~support.mask].any():
         failures.append("condition (1): support escapes the enlarged open set")
 
-    w1o, w2o = view.x1.omega, view.x2.omega
-    growth = ((1.0 + atom.ell1 * w1o + atom.ell2 * w2o)
-              * 2.0 ** (atom.ell1 * w1o + atom.ell2 * w2o) * omega_t.measure)
+    growth = growth_factor(view, atom.ell1, atom.ell2) * omega_t.measure
     budget = growth ** (1.0 / q - 1.0 / p)
     a_q = view.lq_norm(atom.values, q)
     c_q_size = a_q / budget if budget > 0 else math.inf
 
     family = maximal_rectangles(view, omega_t, "both")
     keys_all = {r.key for r in family.m_all}
-    keys_m1 = {r.key for r in family.m1}
-    keys_m2 = {r.key for r in family.m2}
-    allowed = keys_all if q >= 2 else keys_m1 | (keys_m2 - keys_m1)
+    g1, g2 = view.systems[0].geometry, view.systems[1].geometry
+    dil1, dil2 = view.systems[0].dilate_matrix(lam1), view.systems[1].dilate_matrix(lam2)
+    w1, w2 = view.x1.weight, view.x2.weight
 
     total = np.zeros(view.shape)
     sum_q = 0.0
     for key, vals in atom.rectangle_atoms.items():
         total += vals
         sum_q += view.lq_norm(vals, q) ** q
-        if key not in allowed:
+        if key not in keys_all:
             failures.append(f"condition (3): rectangle {key} is not in the maximal family")
             continue
-        c1 = view.systems[0].cube(*key[:2])
-        c2 = view.systems[1].cube(*key[2:])
-        box = np.outer(dilate_mask(view.systems[0], c1, lam1),
-                       dilate_mask(view.systems[1], c2, lam2))
+        box = np.outer(dil1[g1.flat(*key[:2])], dil2[g2.flat(*key[2:])])
         vscale = float(np.abs(vals).max())
         if vscale == 0:
             continue
@@ -355,9 +316,9 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom,
             failures.append(f"condition (3)(i): rectangle atom {key} escapes its dilated box")
         if (livemask & ~support.mask).any():
             failures.append(f"condition (3)(i): rectangle atom {key} escapes the enlargement")
-        col = np.abs(view.x1.weight @ vals).max()
-        row = np.abs(vals @ view.x2.weight).max()
-        if max(col, row) > cancel_tol * vscale:
+        # each column's and row's integral against its own integral of |a|
+        if ((np.abs(w1 @ vals) > cancel_tol * (w1 @ np.abs(vals))).any()
+                or (np.abs(vals @ w2) > cancel_tol * (np.abs(vals) @ w2)).any()):
             failures.append(f"condition (3)(ii): cancellation fails on rectangle {key}")
 
     if scale > 0 and np.abs(total - atom.values).max() > 1e-12 * scale:
@@ -378,14 +339,9 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom,
         for d in sorted(set(deltas) | {delta_default}):
             s = 0.0
             for key in atom.rectangle_atoms:
-                if key in keys_m1:
-                    jhat = family.stretch2[key]
-                    rho = view.systems[1].delta ** (key[2] - jhat[0])
-                elif key in keys_m2:
-                    jhat = family.stretch1[key]
-                    rho = view.systems[0].delta ** (key[0] - jhat[0])
-                else:
+                if key not in keys_all:
                     continue
+                rho = view.systems[1].delta ** (key[2] - family.stretch2[key][0])
                 s += rho ** d * view.lq_norm(atom.rectangle_atoms[key], q) ** q
             ratios[d] = (s ** (1.0 / q)) / budget if budget > 0 else math.inf
         cert["C_q_delta_iii_b"] = ratios
@@ -409,13 +365,11 @@ def generate_atom(pspace: ProductSpace, rng, p: float, q: float,
     Returns None when the random draw degenerates (single-point boxes cannot
     carry cancellation); callers redraw.
     """
-    view = pspace if grids is None else ProductSpace(
-        pspace.x1, pspace.x2, system1=grids[0], system2=grids[1],
-        basis1=build_haar(grids[0]), basis2=build_haar(grids[1]))
+    view = _view_on(pspace, grids)
     s1, s2 = view.systems
+    g1, g2 = s1.geometry, s2.geometry
 
-    cubes1 = [c for c in s1.all_cubes()]
-    cubes2 = [c for c in s2.all_cubes()]
+    cubes1, cubes2 = g1.cubes, g2.cubes
     mask = np.zeros(view.shape, dtype=bool)
     for _ in range(int(rng.integers(1, 4))):
         c1 = cubes1[int(rng.integers(len(cubes1)))]
@@ -424,25 +378,18 @@ def generate_atom(pspace: ProductSpace, rng, p: float, q: float,
     omega = OpenSet.from_mask(view, mask)
     omega_t = enlarge(view, omega, epsilon0(view))
 
-    family = maximal_rectangles(view, omega_t, "both")
-    if q >= 2:
-        pool = list(family.m_all)
-    else:
-        m1keys = {r.key for r in family.m1}
-        pool = family.m1 + [r for r in family.m2 if r.key not in m1keys]
+    pool = maximal_rectangles(view, omega_t, "both").m_all
     if not pool:
         return None
     order = rng.permutation(len(pool))
     pool = [pool[int(i)] for i in order[:max_rects]]
 
     lam1, lam2 = _support_multipliers(view, ell1, ell2)
+    dil1, dil2 = s1.dilate_matrix(lam1), s2.dilate_matrix(lam2)
     rect_atoms = {}
     values = np.zeros(view.shape)
     for ref in pool:
-        c1 = s1.cube(*ref.q1)
-        c2 = s2.cube(*ref.q2)
-        u = dilate_mask(s1, c1, lam1)
-        v = dilate_mask(s2, c2, lam2)
+        u, v = dil1[g1.flat(*ref.q1)], dil2[g2.flat(*ref.q2)]
         if u.sum() < 2 or v.sum() < 2:
             continue
         block = rng.standard_normal((int(u.sum()), int(v.sum())))
@@ -457,9 +404,7 @@ def generate_atom(pspace: ProductSpace, rng, p: float, q: float,
     if not rect_atoms or np.abs(values).max() == 0.0:
         return None
 
-    w1o, w2o = view.x1.omega, view.x2.omega
-    growth = ((1.0 + ell1 * w1o + ell2 * w2o)
-              * 2.0 ** (ell1 * w1o + ell2 * w2o) * omega_t.measure)
+    growth = growth_factor(view, ell1, ell2) * omega_t.measure
     budget = growth ** (1.0 / q - 1.0 / p)
     norm = view.lq_norm(values, q)
     scale = budget / norm

@@ -7,8 +7,7 @@ Three subcommands:
     certify    run the full property suite with measured constants
 
 Reports are JSON with sorted keys, so identical seeds give byte-identical
-output.  Exit code 0 means every exact invariant passed.  HARDY_THREADS caps
-the worker count of the corpus runners (default 1, sequential).
+output.  Exit code 0 means every exact invariant passed.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,23 +55,6 @@ class RunConfig:
             raise ValueError("q must exceed 1")
         if self.delta is not None and not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("HARDY_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def map_capped(fn, items):
-    """Order-preserving map, parallel when HARDY_THREADS > 1."""
-    cap = worker_count()
-    items = list(items)
-    if cap == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
 
 
 def _json_default(o):
@@ -167,7 +147,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
     pspace = ProductSpace(x1, x2, delta=cfg.delta, mode=cfg.mode)
     f = double_center(pspace, _load_function(pspace, cfg))
     dec = atoms_mod.atomic_decompose(pspace, f, cfg.p, cfg.q, cfg.gamma1, cfg.gamma2)
-    certs = map_capped(lambda t: atoms_mod.verify_atom(pspace, t.atom), dec.terms)
+    certs = [atoms_mod.verify_atom(pspace, t.atom) for t in dec.terms]
     all_pass = dec.residual <= 1e-8 and all(c["passed"] for c in certs)
     report = {
         "command": "decompose",

@@ -59,32 +59,48 @@ class Cube:
 @dataclass(frozen=True)
 class CubeGeometry:
     """Array view of a system's cubes, flattened in ``all_cubes()`` order
-    (level, then index): row ``a`` of every array describes ``cubes[a]``."""
+    (level, then index): row ``a`` of every array describes ``cubes[a]``.
+    Ancestors precede their descendants, so the coarsest cube of any set of
+    ancestors has the smallest flat index."""
 
     cubes: list[Cube]
+    first: dict[int, int]        # level -> flat index of its first cube
     incidence: np.ndarray        # (n_cubes, n) 0/1 floats: incidence[a, x] = x in cubes[a]
     sizes: np.ndarray            # (n_cubes,) member counts, as floats
+    measures: np.ndarray         # (n_cubes,) cube measures
     centers: np.ndarray          # (n_cubes,) center point ids
     sides: np.ndarray            # (n_cubes,) delta^level
     parent: np.ndarray           # (n_cubes,) flat index of the parent, -1 at k_min
+    ancestors: np.ndarray        # (n_cubes, n_cubes) bool: cubes[b] is cubes[a] or an ancestor
 
     @classmethod
     def of(cls, system: "DyadicSystem") -> "CubeGeometry":
         cubes = list(system.all_cubes())
-        first: dict[int, int] = {}               # level -> flat index of its first cube
+        first: dict[int, int] = {}
         incidence = np.zeros((len(cubes), system.space.n))
         for a, c in enumerate(cubes):
             first.setdefault(c.level, a)
             incidence[a, c.members] = 1.0
         parent = [-1 if c.level == system.k_min or c.parent is None
                   else first[c.level - 1] + c.parent for c in cubes]
-        geom = cls(cubes=cubes, incidence=incidence, sizes=incidence.sum(axis=1),
+        ancestors = np.eye(len(cubes), dtype=bool)
+        for a, b in enumerate(parent):           # parents come first: their rows are done
+            if b >= 0:
+                ancestors[a] |= ancestors[b]
+        geom = cls(cubes=cubes, first=first, incidence=incidence,
+                   sizes=incidence.sum(axis=1),
+                   measures=np.array([c.measure for c in cubes]),
                    centers=np.array([c.center for c in cubes], dtype=int),
                    sides=np.array([c.side for c in cubes]),
-                   parent=np.array(parent, dtype=int))
-        for arr in (geom.incidence, geom.sizes, geom.centers, geom.sides, geom.parent):
+                   parent=np.array(parent, dtype=int), ancestors=ancestors)
+        for arr in (geom.incidence, geom.sizes, geom.measures, geom.centers, geom.sides,
+                    geom.parent, geom.ancestors):
             arr.flags.writeable = False          # shared by every caller of the system
         return geom
+
+    def flat(self, k: int, alpha: int) -> int:
+        """Flat index of cube (k, alpha)."""
+        return self.first[k] + alpha
 
 
 @dataclass(frozen=True)
@@ -127,7 +143,6 @@ class DyadicSystem:
         # Effective outer constant for dilates: the lambda = 1 dilate must
         # contain its cube even when the certified constant fails (desk mode).
         self.outer_eff = max(self.outer_cert, self.outer_tight * (1.0 + 1e-9))
-        self._masks = {}
 
     # -- construction ------------------------------------------------------
 
@@ -159,12 +174,9 @@ class DyadicSystem:
         return self.space.dist[g.centers] < (lam * self.outer_eff * g.sides)[:, None]
 
     def member_mask(self, k: int, alpha: int) -> np.ndarray:
-        key = (k, alpha)
-        if key not in self._masks:
-            m = np.zeros(self.space.n, dtype=bool)
-            m[self.cube(k, alpha).members] = True
-            self._masks[key] = m
-        return self._masks[key]
+        """Points of cube (k, alpha), read off the incidence matrix."""
+        g = self.geometry
+        return g.incidence[g.flat(k, alpha)] > 0.0
 
     # -- measured constants --------------------------------------------------
 
@@ -220,6 +232,28 @@ def build_net(space: FiniteSpace, delta: float, k: int, seed_net=(), order=None)
     return net
 
 
+def _assemble_cubes(space: FiniteSpace, delta: float, k_min: int, k_max: int,
+                    nets: dict[int, list[int]],
+                    parents: dict[int, list[int]]) -> dict[int, list[Cube]]:
+    """The cube tree, bottom-up: singletons at k_max, then every level-k cube
+    holds the level-(k+1) cubes whose entry in ``parents[k + 1]`` names it."""
+    cubes = {k_max: [Cube(level=k_max, index=a, center=z, members=np.asarray([z]),
+                          measure=float(space.weight[z]), side=delta ** k_max)
+                     for a, z in enumerate(nets[k_max])]}
+    for k in range(k_max - 1, k_min - 1, -1):
+        level = [Cube(level=k, index=a, center=z, members=np.asarray([], dtype=int),
+                      measure=0.0, side=delta ** k) for a, z in enumerate(nets[k])]
+        for child, a in zip(cubes[k + 1], parents[k + 1]):
+            child.parent = a
+            level[a].children.append(child.index)
+        for c in level:
+            if c.children:
+                c.members = np.sort(np.concatenate([cubes[k + 1][b].members for b in c.children]))
+            c.measure = float(space.weight[c.members].sum())
+        cubes[k] = level
+    return cubes
+
+
 def build_system(space: FiniteSpace, delta: float | None = None, mode: str = "desk",
                  order_seed: int | None = None) -> DyadicSystem:
     """Construct the full cube system; see module docstring for the rules."""
@@ -257,33 +291,10 @@ def build_system(space: FiniteSpace, delta: float | None = None, mode: str = "de
         k_min -= 1
         nets[k_min] = build_net(space, delta, k_min, seed_net=[], order=order)
 
-    cubes: dict[int, list[Cube]] = {}
-    k = k_max
-    cubes[k] = [Cube(level=k, index=a, center=z, members=np.asarray([z]),
-                     measure=float(space.weight[z]), side=delta ** k)
-                for a, z in enumerate(nets[k])]
-    for k in range(k_max - 1, k_min - 1, -1):
-        net = nets[k]
-        pos = {z: a for a, z in enumerate(net)}
-        level = [Cube(level=k, index=a, center=z, members=np.asarray([], dtype=int),
-                      measure=0.0, side=delta ** k) for a, z in enumerate(net)]
-        groups: dict[int, list[int]] = {a: [] for a in range(len(net))}
-        centers = [child.center for child in cubes[k + 1]]
-        # argmin takes the first minimum of each row: net-order ties
-        parents = np.argmin(space.dist[np.ix_(centers, net)], axis=1).tolist()
-        for child, a in zip(cubes[k + 1], parents):
-            groups[a].append(child.index)
-            child.parent = a
-        for a, kids in groups.items():
-            level[a].children = kids
-            if kids:
-                mem = np.sort(np.concatenate([cubes[k + 1][b].members for b in kids]))
-            else:
-                mem = np.asarray([], dtype=int)
-            level[a].members = mem
-            level[a].measure = float(space.weight[mem].sum())
-        assert all(pos[c.center] == c.index for c in level)
-        cubes[k] = level
+    # argmin takes the first minimum of each row: net-order ties
+    parents = {k: np.argmin(space.dist[np.ix_(nets[k], nets[k - 1])], axis=1).tolist()
+               for k in range(k_min + 1, k_max + 1)}
+    cubes = _assemble_cubes(space, delta, k_min, k_max, nets, parents)
     return DyadicSystem(space, delta, k_min, k_max, nets, cubes, mode, order_seed)
 
 
@@ -368,15 +379,6 @@ def dilate_mask(system: DyadicSystem, cube: Cube, lam: float) -> np.ndarray:
     return system.space.ball_mask(cube.center, lam * system.outer_eff * cube.side)
 
 
-def adjacent_systems(system: DyadicSystem) -> list[DyadicSystem]:
-    """Adjacent-systems cover stub: the single built system.
-
-    The 1/3-trick style covers are out of scope; the strong maximal function
-    is computed by brute force over true balls instead.
-    """
-    return [system]
-
-
 def export_system(system: DyadicSystem) -> str:
     doc = {
         "delta": system.delta,
@@ -403,22 +405,6 @@ def import_system(space: FiniteSpace, text: str | Path) -> DyadicSystem:
     doc = json.loads(Path(text).read_text() if isinstance(text, Path) else text)
     delta, k_min, k_max = doc["delta"], doc["k_min"], doc["k_max"]
     nets = {int(k): list(v) for k, v in doc["nets"].items()}
-    cubes: dict[int, list[Cube]] = {}
-    k = k_max
-    cubes[k] = [Cube(level=k, index=a, center=z, members=np.asarray([z]),
-                     measure=float(space.weight[z]), side=delta ** k)
-                for a, z in enumerate(nets[k])]
-    for k in range(k_max - 1, k_min - 1, -1):
-        net = nets[k]
-        level = [Cube(level=k, index=a, center=z, members=np.asarray([], dtype=int),
-                      measure=0.0, side=delta ** k) for a, z in enumerate(net)]
-        parents = doc["parents"][str(k + 1)]
-        for child, a in zip(cubes[k + 1], parents):
-            child.parent = a
-            level[a].children.append(child.index)
-        for c in level:
-            if c.children:
-                c.members = np.sort(np.concatenate([cubes[k + 1][b].members for b in c.children]))
-            c.measure = float(space.weight[c.members].sum())
-        cubes[k] = level
+    parents = {int(k): list(v) for k, v in doc["parents"].items()}
+    cubes = _assemble_cubes(space, delta, k_min, k_max, nets, parents)
     return DyadicSystem(space, delta, k_min, k_max, nets, cubes, doc.get("mode", "desk"))

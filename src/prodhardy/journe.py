@@ -23,6 +23,7 @@ import numpy as np
 
 from .maximal import OpenSet, containment_matrix
 from .product import DyadicRectangle, ProductSpace
+from .space import _exact_sums
 
 
 @dataclass
@@ -35,12 +36,6 @@ class MaximalRectangleFamily:
     stretch1: dict = field(default_factory=dict)   # R in m2 -> Q1^ cube id
 
 
-def _parent(system, cube):
-    if cube.level == system.k_min or cube.parent is None:
-        return None
-    return system.cube(cube.level - 1, cube.parent)
-
-
 def maximal_rectangles(pspace: ProductSpace, omega: OpenSet,
                        direction: str = "both") -> MaximalRectangleFamily:
     """Maximal rectangle families from the containment matrix: a contained
@@ -48,8 +43,11 @@ def maximal_rectangles(pspace: ProductSpace, omega: OpenSet,
     contained (the root has no parent).
 
     Deterministic level-then-index ordering.  Families may overlap; none of
-    them is a disjoint collection.
+    them is a disjoint collection.  m1 and m2 are m_all itself, each with
+    its own stretch map; ``direction`` accepts only "both".
     """
+    if direction != "both":
+        raise ValueError(f"direction must be 'both', got {direction!r}")
     fam = MaximalRectangleFamily(omega_ref=omega)
     if omega.is_empty():
         return fam
@@ -58,34 +56,68 @@ def maximal_rectangles(pspace: ProductSpace, omega: OpenSet,
     # inside[-1] (the root's parent) reads the last row; parent >= 0 masks it out
     grows1 = (g1.parent >= 0)[:, None] & inside[g1.parent, :]
     grows2 = (g2.parent >= 0)[None, :] & inside[:, g2.parent]
-    for a, b in np.argwhere(inside & ~grows1 & ~grows2):   # row-major: level then index
+    rects = np.argwhere(inside & ~grows1 & ~grows2)      # row-major: level then index
+    for a, b in rects:
         c1, c2 = g1.cubes[a], g2.cubes[b]
-        ref = DyadicRectangle(q1=c1.id, q2=c2.id, measure=c1.measure * c2.measure)
-        fam.m_all.append(ref)
-        if direction in ("1", "both"):
-            fam.m1.append(ref)
-        if direction in ("2", "both"):
-            fam.m2.append(ref)
-
-    for ref in fam.m1:
-        fam.stretch2[ref.key] = _stretch(pspace, omega, ref, direction=1).id
-    for ref in fam.m2:
-        fam.stretch1[ref.key] = _stretch(pspace, omega, ref, direction=2).id
+        fam.m_all.append(DyadicRectangle(q1=c1.id, q2=c2.id, measure=c1.measure * c2.measure))
+    fam.m1 = fam.m2 = fam.m_all
+    hat2, hat1 = _stretches(pspace, omega, rects)
+    for ref, b, a in zip(fam.m_all, hat2, hat1):
+        fam.stretch2[ref.key] = g2.cubes[b].id
+        fam.stretch1[ref.key] = g1.cubes[a].id
     return fam
+
+
+def _stretches(pspace: ProductSpace, omega: OpenSet, rects: np.ndarray):
+    """Flat indices of Q2^ and Q1^ for every rectangle (rows of flat index
+    pairs), with each half test decided as ``stretch_exhaustive`` decides it.
+
+    One matrix product gives mu((Q1 x Q2) cap Omega) for every cube pair.
+    It adds the per-rectangle sum's nonnegative terms in another order, so
+    with k = n1 n2 + n1 + n2 terms and roundings the two differ by at most
+    k eps of the value, plus k underflows of at most the smallest normal
+    each; the margin below is twice that.  Pairs that close to their half
+    are recomputed with the per-rectangle sum; integer weights with a
+    product total below 2^53 make both sums exact, so none are.
+    """
+    g1, g2 = pspace.systems[0].geometry, pspace.systems[1].geometry
+    w1, w2 = pspace.x1.weight, pspace.x2.weight
+    meas = (g1.incidence * w1) @ omega.mask.astype(float) @ (g2.incidence * w2).T
+    half = np.outer(g1.measures, g2.measures) / 2.0
+    passes = meas > half
+    if not _exact_sums(pspace.weights.ravel()):
+        k = w1.size * w2.size + w1.size + w2.size
+        margin = 2.0 * k * (np.finfo(float).eps * meas + np.finfo(float).tiny)
+        for a, b in np.argwhere(np.abs(meas - half) <= margin):
+            passes[a, b] = _measure_in(pspace, omega, g1.incidence[a] > 0,
+                                       g2.incidence[b] > 0) > half[a, b]
+    # coarsest passing ancestor-or-self; the rectangle itself, inside Omega, passes
+    rows, cols = rects[:, 0], rects[:, 1]
+    return ((g2.ancestors[cols] & passes[rows]).argmax(axis=1),
+            (g1.ancestors[rows] & passes[:, cols].T).argmax(axis=1))
+
+
+def _measure_in(pspace: ProductSpace, omega: OpenSet, mask1, mask2) -> float:
+    """mu((Q1 x Q2) cap Omega) for member masks of Q1 and Q2, one rectangle at a time."""
+    w = np.outer(pspace.x1.weight[mask1], pspace.x2.weight[mask2])
+    return float(w[omega.mask[np.ix_(mask1, mask2)]].sum())
 
 
 def stretch(pspace: ProductSpace, family: MaximalRectangleFamily,
             ref: DyadicRectangle, direction: int = 1):
     """Public stretch map; the rectangle must belong to the family's m_i."""
-    members = family.m1 if direction == 1 else family.m2
-    if ref.key not in {r.key for r in members}:
+    table, system = ((family.stretch2, pspace.systems[1]) if direction == 1
+                     else (family.stretch1, pspace.systems[0]))
+    if ref.key not in table:
         raise ValueError(f"rectangle {ref.key} is not in m{direction} of this family")
-    return _stretch(pspace, family.omega_ref, ref, direction)
+    return system.cube(*table[ref.key])
 
 
-def _stretch(pspace: ProductSpace, omega: OpenSet, ref: DyadicRectangle, direction: int):
-    """For R = Q1 x Q2 in m_i(Omega), the coarsest ancestor Q^ of the other
-    factor keeping mu((stretched R) cap Omega) > mu(stretched R)/2.
+def stretch_exhaustive(pspace: ProductSpace, omega: OpenSet, ref: DyadicRectangle,
+                       direction: int):
+    """Specification of the stretch maps: for R = Q1 x Q2 in m_i(Omega), the
+    coarsest ancestor Q^ of the other factor keeping
+    mu((stretched R) cap Omega) > mu(stretched R)/2.
 
     The rectangle itself satisfies the condition (it lies inside Omega), so
     the chain scan from the root down returns the first ancestor that does.
@@ -94,33 +126,44 @@ def _stretch(pspace: ProductSpace, omega: OpenSet, ref: DyadicRectangle, directi
     c1 = s1.cube(*ref.q1)
     c2 = s2.cube(*ref.q2)
     if direction == 1:
-        fixed_mask = pspace.systems[0].member_mask(*c1.id)
+        fixed_mask = s1.member_mask(*c1.id)
         fixed_measure = c1.measure
         moving, system, axis = c2, s2, 1
     else:
-        fixed_mask = pspace.systems[1].member_mask(*c2.id)
+        fixed_mask = s2.member_mask(*c2.id)
         fixed_measure = c2.measure
         moving, system, axis = c1, s1, 0
 
     chain = [moving]
-    while True:
-        par = _parent(system, chain[-1])
-        if par is None:
-            break
-        chain.append(par)
+    while chain[-1].level > system.k_min and chain[-1].parent is not None:
+        chain.append(system.cube(chain[-1].level - 1, chain[-1].parent))
     for cand in reversed(chain):         # coarsest first
         cand_mask = system.member_mask(*cand.id)
-        if axis == 1:
-            inter = omega.mask[np.ix_(fixed_mask, cand_mask)]
-        else:
-            inter = omega.mask[np.ix_(cand_mask, fixed_mask)]
-        w = (np.outer(pspace.x1.weight[fixed_mask], pspace.x2.weight[cand_mask])
-             if axis == 1 else
-             np.outer(pspace.x1.weight[cand_mask], pspace.x2.weight[fixed_mask]))
-        inter_measure = float(w[inter].sum())
+        inter_measure = (_measure_in(pspace, omega, fixed_mask, cand_mask) if axis == 1
+                         else _measure_in(pspace, omega, cand_mask, fixed_mask))
         if inter_measure > fixed_measure * cand.measure / 2.0:
             return cand
     raise AssertionError("rectangle inside Omega must satisfy its own half test")
+
+
+def tau(pspace: ProductSpace, family: MaximalRectangleFamily, keys) -> list:
+    """For each rectangle key, the first rectangle of ``family.m_all`` (key
+    order) whose factors are ancestors-or-self of the key's factors.
+
+    A maximal rectangle's factors are the coarsest cubes of their
+    single-child chains, so for them ancestry and member containment agree:
+    this is the lexicographically smallest maximal rectangle containing the
+    key's rectangle.
+    """
+    g1, g2 = pspace.systems[0].geometry, pspace.systems[1].geometry
+    rows = [g1.flat(*r.q1) for r in family.m_all]
+    cols = [g2.flat(*r.q2) for r in family.m_all]
+    covers = (g1.ancestors[np.ix_([g1.flat(*k[:2]) for k in keys], rows)]
+              & g2.ancestors[np.ix_([g2.flat(*k[2:]) for k in keys], cols)])
+    found = covers.any(axis=1)
+    if not found.all():
+        raise AssertionError(f"no maximal rectangle contains {keys[int(np.argmin(found))]}")
+    return [family.m_all[h].key for h in covers.argmax(axis=1)] if keys else []
 
 
 def journe_check(pspace: ProductSpace, omega: OpenSet, delta_exp: float) -> dict:

@@ -170,13 +170,19 @@ def ell_enlarge(pspace: ProductSpace, omega_tilde: OpenSet, ell1: int, ell2: int
     mask = (s1.dilate_matrix(lam1).T @ containment_matrix(pspace, omega_tilde)
             @ s2.dilate_matrix(lam2))
     result = OpenSet.from_mask(pspace, mask)
-    w1, w2 = pspace.x1.omega, pspace.x2.omega
-    growth = (1.0 + ell1 * w1 + ell2 * w2) * 2.0 ** (ell1 * w1 + ell2 * w2)
+    growth = growth_factor(pspace, ell1, ell2)
     measured_c = (result.measure / (growth * omega_tilde.measure)
                   if omega_tilde.measure > 0 else 0.0)
     report = {"lam1": lam1, "lam2": lam2, "growth_factor": growth,
               "measured_constant": measured_c}
     return result, report
+
+
+def growth_factor(pspace: ProductSpace, ell1: int, ell2: int) -> float:
+    """(1 + l1 w1 + l2 w2) 2^(l1 w1 + l2 w2): the factor by which the
+    (l1, l2)-enlargement may grow a set's measure, and the atom budget's."""
+    w1, w2 = pspace.x1.omega, pspace.x2.omega
+    return (1.0 + ell1 * w1 + ell2 * w2) * 2.0 ** (ell1 * w1 + ell2 * w2)
 
 
 def ell_enlarge_exhaustive(pspace: ProductSpace, omega_tilde: OpenSet,

@@ -17,30 +17,23 @@ import numpy as np
 
 from .dyadic import DyadicSystem, build_system
 from .space import FiniteSpace
-from .wavelet import BuildingBlockSet, WaveletBasis, build_haar
+from .wavelet import BuildingBlockSet, build_haar
 
 
 class ProductSpace:
     def __init__(self, x1: FiniteSpace, x2: FiniteSpace,
                  system1: DyadicSystem | None = None, system2: DyadicSystem | None = None,
-                 basis1: WaveletBasis | None = None, basis2: WaveletBasis | None = None,
                  delta: float | None = None, mode: str = "desk"):
         self.x1, self.x2 = x1, x2
         self.systems = (
             system1 if system1 is not None else build_system(x1, delta, mode),
             system2 if system2 is not None else build_system(x2, delta, mode),
         )
-        self.bases = (
-            basis1 if basis1 is not None else build_haar(self.systems[0]),
-            basis2 if basis2 is not None else build_haar(self.systems[1]),
-        )
+        self.bases = (build_haar(self.systems[0]), build_haar(self.systems[1]))
         # eta enters only through p0; the ramp cut-offs are Lipschitz (eta = 1)
         self.eta = (1.0, 1.0)
         self.p0 = max(x1.omega / (x1.omega + self.eta[0]),
                       x2.omega / (x2.omega + self.eta[1]))
-        # beta', gamma' test-function parameters: metadata only on finite spaces
-        self.test_function_params = {"beta_prime": (0.5, 0.5), "gamma_prime": (0.5, 0.5)}
-        self._rect_masks: dict = {}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -60,12 +53,8 @@ class ProductSpace:
         return float(((np.abs(f) ** q) * self.weights).sum() ** (1.0 / q))
 
     def rectangle_mask(self, cube1, cube2) -> np.ndarray:
-        key = (cube1.id, cube2.id)
-        if key not in self._rect_masks:
-            m1 = self.systems[0].member_mask(*cube1.id)
-            m2 = self.systems[1].member_mask(*cube2.id)
-            self._rect_masks[key] = np.outer(m1, m2)
-        return self._rect_masks[key]
+        return np.outer(self.systems[0].member_mask(*cube1.id),
+                        self.systems[1].member_mask(*cube2.id))
 
     def wavelet_rectangle(self, i: int, j: int):
         """Supporting dyadic rectangle of the (i, j) product wavelet pair."""

@@ -35,10 +35,9 @@ class Wavelet:
 
 
 class WaveletBasis:
-    def __init__(self, system: DyadicSystem, wavelets: list[Wavelet], decay_a: float):
+    def __init__(self, system: DyadicSystem, wavelets: list[Wavelet]):
         self.system = system
         self.wavelets = wavelets
-        self.decay_a = decay_a          # a = (1 + 2 log2 a0)^-1, metadata only
         self.scaling = np.full(system.space.n, system.space.total_measure ** -0.5)
         rows = [w.values for w in wavelets] + [self.scaling]
         self.matrix = np.vstack(rows)   # (n, n): wavelet rows then scaling
@@ -50,16 +49,6 @@ class WaveletBasis:
 
     def gram(self) -> np.ndarray:
         return (self.matrix * self.space.weight) @ self.matrix.T
-
-    def support_measure(self, i: int) -> float:
-        c = self.wavelets[i].cube
-        return self.system.cube(*c).measure
-
-    def kappa(self, i: int) -> float:
-        """sqrt(mu(B(y, delta^k))) for wavelet i; normalizes psi to a test function."""
-        w = self.wavelets[i]
-        mask = self.space.ball_mask(w.center, w.scale)
-        return float(np.sqrt(self.space.weight[mask].sum()))
 
 
 def build_haar(system: DyadicSystem) -> WaveletBasis:
@@ -90,8 +79,7 @@ def build_haar(system: DyadicSystem) -> WaveletBasis:
                 vals[kids[i].members] = -r
                 wavelets.append(Wavelet(level=k, index=len(wavelets), cube=c.id,
                                         center=y, scale=c.side, values=vals))
-    decay_a = 1.0 / (1.0 + 2.0 * math.log2(space.a0)) if space.a0 > 1 else 1.0
-    return WaveletBasis(system, wavelets, decay_a)
+    return WaveletBasis(system, wavelets)
 
 
 def transform(basis: WaveletBasis, f: np.ndarray) -> np.ndarray:

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from prodhardy import (ChannelError, OpenSet, atom_hp_bound, atomic_decompose,
-                       enlarge, epsilon0, equivalence_report, generate_atom,
-                       hp_seminorm, level_sets, product_transform,
-                       square_function, verify_atom)
+from prodhardy import (ChannelError, OpenSet, ProductSpace, atom_hp_bound,
+                       atomic_decompose, enlarge, epsilon0, equivalence_report,
+                       generate_atom, hp_seminorm, level_sets, make_space,
+                       product_transform, square_function, verify_atom)
 from prodhardy.atoms import ProductAtom, _support_multipliers
 from prodhardy.dyadic import build_system
 
@@ -185,6 +185,23 @@ def test_verify_detects_broken_cancellation(pspace8):
     cert = verify_atom(pspace8, atom)
     assert not cert["passed"]
     assert any("(3)(ii)" in f for f in cert["failures"])
+
+
+def test_cancellation_check_is_scale_invariant():
+    # weights near 1e6: a row's integral of the atom carries round-off near
+    # 1e-16 of its integral of |a|, far above 1e-10 max|a|, so the check must
+    # scale with the weights, not with the values
+    pts = np.arange(6.0)
+    dist = np.abs(pts[:, None] - pts[None, :])
+    for seed in range(8):
+        rng = np.random.default_rng([seed, 6])
+        ps = ProductSpace(make_space(dist, np.exp(rng.uniform(-2.0, 2.0, 6)) * 1e6),
+                          make_space(dist, np.exp(rng.uniform(-2.0, 2.0, 6)) * 1e6),
+                          delta=0.25)
+        atom = generate_atom(ps, rng, 1.0, 2.0, 0, 0)
+        assert atom is not None
+        cert = verify_atom(ps, atom)
+        assert cert["passed"], cert["failures"]
 
 
 def test_atom_hp_bound_zero(pspace8):

@@ -159,15 +159,3 @@ def test_bad_space_document(tmp_path, capsys):
 
 def test_invalid_p_rejected(space_file, capsys):
     assert run(["decompose", "--space", space_file, "--p", "1.5"]) == 2
-
-
-def test_hardy_threads_env(space_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("HARDY_THREADS", "2")
-    out = tmp_path / "dec.json"
-    assert run(["decompose", "--space", space_file, "--delta", "0.25",
-                "--seed", "1", "--out", str(out)]) == 0
-    base = tmp_path / "dec1.json"
-    monkeypatch.setenv("HARDY_THREADS", "1")
-    assert run(["decompose", "--space", space_file, "--delta", "0.25",
-                "--seed", "1", "--out", str(base)]) == 0
-    assert out.read_bytes() == base.read_bytes()   # cap never changes results

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from prodhardy import (RegularFamilyPolicy, adjacent_systems, build_net,
-                       build_system, dilate_cube, export_system, import_system,
-                       verify_system)
+from prodhardy import (RegularFamilyPolicy, build_net, build_system, dilate_cube,
+                       export_system, import_system, verify_system)
 
 from conftest import line_space
 
@@ -38,10 +37,10 @@ def test_single_point_system():
 
 def test_verify_system_caches_no_member_masks(canon):
     # the inner certificate reads cube members directly, so verifying a
-    # system does not leave one cached mask per cube behind
+    # system never builds the geometry whose incidence rows are the masks
     system = build_system(canon, 0.25)
     verify_system(system)
-    assert system._masks == {}
+    assert "geometry" not in system.__dict__
 
 
 def test_line_system_hand_trace(canon):
@@ -195,11 +194,6 @@ def test_randomized_family_members_verify(line8):
         system = build_system(line8, 0.25, order_seed=seed)
         rep = verify_system(system, policy)
         assert rep["regular_family_ok"]
-
-
-def test_adjacent_systems_stub(canon):
-    system = build_system(canon, 0.25)
-    assert adjacent_systems(system) == [system]
 
 
 def test_top_level_single_cube_on_exact_diameter():

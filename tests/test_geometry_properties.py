@@ -119,7 +119,15 @@ def test_geometry_rows_are_the_cubes(space, delta, lam):
     assert [c.id for c in g.cubes] == [c.id for c in system.all_cubes()]
     dil = system.dilate_matrix(lam)
     for a, c in enumerate(g.cubes):
-        np.testing.assert_array_equal(g.incidence[a] == 1.0, system.member_mask(*c.id))
+        members = np.isin(np.arange(space.n), c.members)
+        np.testing.assert_array_equal(g.incidence[a] == 1.0, members)
+        np.testing.assert_array_equal(system.member_mask(*c.id), members)
         np.testing.assert_array_equal(dil[a], dilate_mask(system, c, lam))
+        assert g.flat(*c.id) == a and g.measures[a] == c.measure
         par = g.cubes[g.parent[a]].id if g.parent[a] >= 0 else None
         assert par == (None if c.level == system.k_min else (c.level - 1, c.parent))
+        chain, up = {a}, a
+        while g.parent[up] >= 0:
+            up = g.parent[up]
+            chain.add(up)
+        assert set(np.flatnonzero(g.ancestors[a])) == chain

@@ -1,9 +1,12 @@
 """Golden CLI reports: a refactor must leave each report byte-identical.
 
 Each digest is the SHA-256 of the report bytes that ``prodhardy`` writes
-for a fixed input, recorded before the space constants were rewritten
-(symmetric blocked a0, prefix-measure cmu).  A change that moves any of
-them changes a number some user sees, so it needs a deliberate update.
+for a fixed input.  The first three were recorded before the space
+constants were rewritten (symmetric blocked a0, prefix-measure cmu); the
+deep pair and the snowflake pair, the two cases with 1 < q < 2 (where
+``verify_atom`` weighs rectangle atoms by the stretch ratio), before stretch
+and tau moved onto the cube geometry.  A change that moves any of them
+changes a number some user sees, so it needs a deliberate update.
 """
 
 import hashlib
@@ -15,21 +18,33 @@ import pytest
 from prodhardy.cli import main
 
 
-def _points_doc(coords, weights):
+def _points_doc(coords, weights, **extra):
     return {"metric": "euclidean",
             "points": [{"id": i, "coords": [float(c) for c in np.atleast_1d(x)],
                         "weight": float(w)}
-                       for i, (x, w) in enumerate(zip(coords, weights))]}
+                       for i, (x, w) in enumerate(zip(coords, weights))], **extra}
 
 
 def _weighted_cloud():
     rng = np.random.default_rng([7, 150])
-    return _points_doc(rng.uniform(0.0, 1.0, (150, 2)), np.exp(rng.uniform(-3.0, 3.0, 150)))
+    return (_points_doc(rng.uniform(0.0, 1.0, (150, 2)), np.exp(rng.uniform(-3.0, 3.0, 150))),)
 
 
 def _weighted_line():
     rng = np.random.default_rng([7, 12])
-    return _points_doc(np.arange(12.0), np.exp(rng.uniform(-2.0, 2.0, 12)))
+    return (_points_doc(np.arange(12.0), np.exp(rng.uniform(-2.0, 2.0, 12))),)
+
+
+def _deep_pair():
+    # few points over wide distance ranges: long chains of single-child cubes
+    return (_points_doc([1.0, 4.0, 16.0], np.ones(3)),
+            _points_doc([3.0 ** k for k in range(5)], np.ones(5)))
+
+
+def _snowflake_pair():
+    rng = np.random.default_rng([7, 25])
+    return (_points_doc(np.arange(6.0), np.exp(rng.uniform(-2.0, 2.0, 6)), snowflake=2.5),
+            _points_doc(np.arange(5.0), np.exp(rng.uniform(-2.0, 2.0, 5)), snowflake=2.5))
 
 
 CASES = {
@@ -39,16 +54,22 @@ CASES = {
                          "d3d304a0df123c850205c338582d00e819c0bd332f4be7657e512c795c0427d8"),
     "certify-corpus5": (["certify", "--delta", "0.25", "--corpus", "5", "--seed", "1"], None,
                         "021c1752bf3983a1b4ff88fb162cc96fc6c043a36cdeb4c1c25ebac0219aefe0"),
+    "decompose-deep-pair": (
+        ["decompose", "--delta", "0.9", "--p", "0.8", "--q", "1.5", "--seed", "0"], _deep_pair,
+        "8605118042bbab1ff57904f90000f1c3db833b5eddf2e0d224e7275032d54b95"),
+    "decompose-snowflake-pair": (
+        ["decompose", "--delta", "0.5", "--p", "0.9", "--q", "1.5", "--seed", "2"],
+        _snowflake_pair, "faa1430eb000d60dbfd4cde147ef667fc51a50e095c93165996f0b8606c1f2fe"),
 }
 
 
 def report_digest(name, tmp_path):
-    argv, space, _ = CASES[name]
+    argv, spaces, _ = CASES[name]
     argv = [*argv, "--out", str(tmp_path / "report.json")]
-    if space is not None:
-        path = tmp_path / "space.json"
-        path.write_text(json.dumps(space()))
-        argv += ["--space", str(path)]
+    for flag, doc in zip(("--space", "--space2"), spaces() if spaces else ()):
+        path = tmp_path / f"{flag.strip('-')}.json"
+        path.write_text(json.dumps(doc))
+        argv += [flag, str(path)]
     assert main(argv) == 0
     return hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
 

@@ -1,0 +1,117 @@
+"""Property tests: stretch maps and tau on the cube geometry against the
+per-rectangle scans they replace.
+
+The stretch half test compares mu((Q1 x Q2^) cap Omega) with mu(Q1 x Q2^)/2.
+Decimal weights such as 0.1, 0.2, 0.3, 0.7 make the two sides equal in exact
+arithmetic and leave the float comparison to rounding, so the spaces here
+mix such weights with integer (exactly summed) and decade weights.
+"""
+
+import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from prodhardy import (OpenSet, ProductSpace, enlarge, generate_atom, journe_check,
+                       make_space, maximal_rectangles, verify_atom)
+from prodhardy import dyadic, journe, maximal
+from prodhardy.journe import stretch_exhaustive, tau
+from prodhardy.maximal import rectangles_inside
+
+from test_geometry_properties import CHECK, spaces
+from test_golden_reports import CASES, report_digest
+
+WEIGHTS = {"integer": [1.0, 2.0, 3.0], "decimal": [0.1, 0.2, 0.3, 0.7],
+           "decades": [1e-3, 1.0, 1e3]}
+
+
+@st.composite
+def weighted_spaces(draw):
+    base = draw(spaces())
+    kind = draw(st.sampled_from(sorted(WEIGHTS)))
+    w = draw(st.lists(st.sampled_from(WEIGHTS[kind]), min_size=base.n, max_size=base.n))
+    return make_space(base.dist, np.asarray(w))
+
+
+@st.composite
+def instances(draw):
+    ps = ProductSpace(draw(weighted_spaces()), draw(weighted_spaces()),
+                      delta=draw(st.sampled_from([0.25, 0.5, 0.9])))
+    n1, n2 = ps.shape
+    bits = draw(st.lists(st.booleans(), min_size=n1 * n2, max_size=n1 * n2))
+    om = OpenSet.from_mask(ps, np.reshape(bits, ps.shape))
+    if not om.is_empty() and draw(st.booleans()):
+        om = enlarge(ps, om, draw(st.sampled_from([0.3, 0.6])))
+    return ps, om
+
+
+def line(points, weights):
+    pts = np.asarray(points, dtype=float)
+    return make_space(np.abs(pts[:, None] - pts[None, :]), np.asarray(weights))
+
+
+def near_tie(x1, x2, delta, mask):
+    ps = ProductSpace(x1, x2, delta=delta)
+    return ps, OpenSet.from_mask(ps, np.asarray(mask, dtype=bool))
+
+
+# Half tests that tie in exact arithmetic: the batched intersect measure and
+# the per-rectangle sum round them to opposite sides of the half.
+NEAR_TIES = [
+    near_tie(line([0, 1, 4], [0.3, 0.2, 0.1]), line([0], [0.7]), 0.25, [[0], [1], [1]]),
+    near_tie(line([0, 3], [0.3, 0.3]), line([0, 5], [0.2, 0.7]), 0.5, [[0, 0], [1, 1]]),
+]
+
+
+@CHECK
+@given(instances())
+@example(NEAR_TIES[0])
+@example(NEAR_TIES[1])
+def test_stretches_match_oracle(inst):
+    ps, om = inst
+    fam = maximal_rectangles(ps, om, "both")
+    for ref in fam.m_all:
+        assert fam.stretch2[ref.key] == stretch_exhaustive(ps, om, ref, 1).id
+        assert fam.stretch1[ref.key] == stretch_exhaustive(ps, om, ref, 2).id
+
+
+def tau_scan(pspace, family, key):
+    """The member-mask scan tau ran before: the smallest maximal rectangle,
+    in key order, whose factors contain the key's factors as point sets."""
+    s1, s2 = pspace.systems
+    q1m, q2m = s1.member_mask(*key[:2]), s2.member_mask(*key[2:])
+    for cand in sorted(family.m_all, key=lambda r: r.key):
+        if (not (q1m & ~s1.member_mask(*cand.q1)).any()
+                and not (q2m & ~s2.member_mask(*cand.q2)).any()):
+            return cand.key
+    raise AssertionError(f"no maximal rectangle contains {key}")
+
+
+@CHECK
+@given(instances(), st.integers(0, 2 ** 32 - 1))
+def test_tau_matches_member_scan(inst, seed):
+    ps, om = inst
+    fam = maximal_rectangles(ps, om, "both")
+    inside = [c1.id + c2.id for c1, c2 in rectangles_inside(ps, om)]
+    rng = np.random.default_rng(seed)
+    keys = [inside[int(i)] for i in rng.permutation(len(inside))[:6]]
+    assert tau(ps, fam, keys) == [tau_scan(ps, fam, k) for k in keys]
+
+
+def test_fast_paths_never_call_the_oracles(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("fast path called an oracle")
+
+    monkeypatch.setattr(journe, "stretch_exhaustive", refuse)
+    monkeypatch.setattr(dyadic, "dilate_mask", refuse)
+    monkeypatch.setattr(maximal, "dilate_mask", refuse)
+    for name in ("decompose-deep-pair", "decompose-snowflake-pair"):   # q = 1.5
+        assert report_digest(name, tmp_path) == CASES[name][2]
+
+    ps = ProductSpace(line(range(6), [0.1, 0.2, 0.3, 0.7, 0.2, 0.1]),
+                      line(range(5), [0.3, 0.7, 0.1, 0.2, 0.3]), delta=0.5)
+    om = OpenSet.from_mask(ps, np.random.default_rng(0).random(ps.shape) < 0.5)
+    journe_check(ps, om, 1.0)
+    grids = (dyadic.build_system(ps.x1, 0.25), dyadic.build_system(ps.x2, 0.25))
+    rng = np.random.default_rng(1)
+    atoms = [generate_atom(ps, rng, 0.8, 1.5, 1, 0, grids=grids) for _ in range(4)]
+    assert all(verify_atom(ps, a)["passed"] for a in atoms if a is not None)
