@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .journe import maximal_rectangles, tau
-from .maximal import OpenSet, ell_enlarge, enlarge, epsilon0, growth_factor, level_sets
+from .journe import majority_matrix, maximal_rectangles, tau
+from .maximal import (OpenSet, containment_matrix, ell_enlarge, enlarge, epsilon0,
+                      growth_factor, level_sets)
 from .product import (ProductSpace, hp_seminorm, product_transform,
                       square_function)
 from .wavelet import building_blocks
@@ -51,8 +52,6 @@ class ProductAtom:
     q: float
     grids: tuple[DyadicSystem, DyadicSystem]
     rectangle_atoms: dict = field(default_factory=dict)   # (q1,q2) key -> values
-    support_set: OpenSet | None = None
-    support_lams: tuple[float, float] | None = None
 
 
 @dataclass
@@ -83,25 +82,38 @@ class AtomicDecomposition:
         return out
 
 
-def default_gammas(pspace: ProductSpace, p: float, q: float) -> tuple[float, float]:
-    """gamma_i = omega_i (1/p + 1/q') + 1: unit slack over the constraint."""
-    qprime = q / (q - 1.0)
-    return (pspace.x1.omega * (1.0 / p + 1.0 / qprime) + 1.0,
-            pspace.x2.omega * (1.0 / p + 1.0 / qprime) + 1.0)
+def _cancels(w1: np.ndarray, w2: np.ndarray, vals: np.ndarray, tol: float) -> bool:
+    """Each column's |int a dmu1| and each row's |int a dmu2| is at most
+    ``tol`` times that column's or row's own int |a|."""
+    return not ((np.abs(w1 @ vals) > tol * (w1 @ np.abs(vals))).any()
+                or (np.abs(vals @ w2) > tol * (np.abs(vals) @ w2)).any())
+
+
+def _recancelled(pspace: ProductSpace, vals: np.ndarray) -> np.ndarray:
+    """``vals``, or, when a column's or row's integral keeps more than 1e-12
+    of its mass, ``vals`` with each column's and then each row's integral
+    taken out in proportion to |vals|, twice over.
+
+    Building blocks vanish in the mean only up to their rounding, and pair
+    contributions that nearly cancel can lift that past verify_atom's 1e-10.
+    Proportional corrections keep zeros at zero, so supports stay, and give
+    a line of tiny entries tiny corrections.
+    """
+    w1, w2 = pspace.x1.weight, pspace.x2.weight
+    if _cancels(w1, w2, vals, 1e-12):
+        return vals
+    mag = np.abs(vals)
+    m1, m2 = w1 @ mag, mag @ w2
+    for _ in range(2):
+        vals = vals - mag * np.divide(w1 @ vals, m1, out=np.zeros_like(m1), where=m1 > 0)
+        vals = vals - mag * np.divide(vals @ w2, m2, out=np.zeros_like(m2), where=m2 > 0)[:, None]
+    return vals
 
 
 def _support_multipliers(pspace: ProductSpace, ell1: int, ell2: int) -> tuple[float, float]:
     # rectangle-atom support constants C_i = 2 a0_i^2, scaled by the cell
     return (2.0 * pspace.x1.a0 ** 2 * 2.0 ** ell1,
             2.0 * pspace.x2.a0 ** 2 * 2.0 ** ell2)
-
-
-def _sf_restricted(pspace: ProductSpace, pairs, coeff, rect_masks) -> np.ndarray:
-    s2 = np.zeros(pspace.shape)
-    for (i, j) in pairs:
-        rm, mu = rect_masks[(i, j)]
-        s2 += coeff[i, j] ** 2 / mu * rm
-    return np.sqrt(s2)
 
 
 def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
@@ -124,11 +136,9 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
     if q <= 1:
         raise ValueError("q must exceed 1")
     qprime = q / (q - 1.0)
-    g1, g2 = default_gammas(pspace, p, q)
-    gamma1 = g1 if gamma1 is None else gamma1
-    gamma2 = g2 if gamma2 is None else gamma2
-    lo1 = pspace.x1.omega * (1.0 / p + 1.0 / qprime)
-    lo2 = pspace.x2.omega * (1.0 / p + 1.0 / qprime)
+    lo1, lo2 = (x.omega * (1.0 / p + 1.0 / qprime) for x in (pspace.x1, pspace.x2))
+    gamma1 = lo1 + 1.0 if gamma1 is None else gamma1     # default: unit slack
+    gamma2 = lo2 + 1.0 if gamma2 is None else gamma2
     if gamma1 <= lo1 or gamma2 <= lo2:
         raise ValueError(
             f"gamma constraint violated: need gamma1 > {lo1:.6g} and gamma2 > {lo2:.6g}, "
@@ -144,39 +154,27 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
     dec = AtomicDecomposition(terms=[], p=p, q=q, gammas=(gamma1, gamma2),
                               residual=0.0)
     cw = coeffs.ww
-    live = np.argwhere(np.abs(cw) > coeff_tol * max(1.0, np.abs(cw).max()))
-    if live.size == 0:
+    cmax = float(np.abs(cw).max(initial=0.0))
+    if cmax == 0.0 and not f.any():
         dec.report = {"n_terms": 0, "lam_sum": 0.0, "sf_p_norm": 0.0}
         return dec
+    if not np.finfo(float).tiny <= cmax * cmax < math.inf:
+        raise ValueError(f"largest wavelet coefficient {cmax!r} has no finite normal "
+                         "square; rescale the function or the weights")
+    live = np.argwhere(np.abs(cw) > coeff_tol * cmax)
 
     sf = square_function(pspace, coeffs)
     fam, _ = level_sets(pspace, sf)
     b1, b2 = pspace.bases
+    g1, g2 = pspace.systems[0].geometry, pspace.systems[1].geometry
+    rows, cols = b1.cube_rows[live[:, 0]], b2.cube_rows[live[:, 1]]
 
-    rect_masks = {}
-    rect_of_pair = {}
-    for i, j in live:
-        c1, c2 = pspace.wavelet_rectangle(i, j)
-        rect_masks[(i, j)] = (pspace.rectangle_mask(c1, c2), c1.measure * c2.measure)
-        rect_of_pair[(i, j)] = (c1, c2)
-
-    # classify each distinct rectangle into its unique B_j
-    j_of_rect: dict = {}
-    js = fam.js()
-    for (i, j), (c1, c2) in rect_of_pair.items():
-        key = c1.id + c2.id
-        if key in j_of_rect:
-            continue
-        rm, mu = rect_masks[(i, j)]
-        w_in = pspace.weights[rm]
-        o_in = [float(w_in[fam.sets[jj].mask[rm]].sum()) for jj in js]
-        hits = [jj for jj, m in zip(js, o_in) if m > mu / 2.0]
-        if not hits:
-            raise AssertionError("nonzero-coefficient rectangle escaped classification")
-        j_of_rect[key] = max(hits)
-    pairs_by_j: dict[int, list] = {}
-    for (i, j), (c1, c2) in rect_of_pair.items():
-        pairs_by_j.setdefault(j_of_rect[c1.id + c2.id], []).append((i, j))
+    # B_j: the last level set on which the pair's rectangle keeps its majority
+    j_of = np.full(len(live), fam.j_lo - 1)
+    for jj in fam.js():
+        j_of[majority_matrix(pspace, fam.sets[jj])[rows, cols]] = jj
+    if (j_of < fam.j_lo).any():
+        raise AssertionError("nonzero-coefficient rectangle escaped classification")
 
     eps0 = epsilon0(pspace)
     blocks1 = [building_blocks(pspace.x1, w, gamma1, cbar=1.0) for w in b1.wavelets]
@@ -185,31 +183,36 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
     sf_p = float(((sf ** p) * pspace.weights).sum())
     recon = np.zeros(pspace.shape)
 
-    for jj in sorted(pairs_by_j):
-        pairs = pairs_by_j[jj]
+    for jj in sorted(set(j_of.tolist())):
+        sel = j_of == jj
+        pairs = np.column_stack([live, rows, cols])[sel].tolist()     # rows [i, j, a, b]
         omega_j = fam.sets[jj]
         omega_t = enlarge(pspace, omega_j, eps0)
-        rects = {}
-        for (i, j) in pairs:
-            c1, c2 = rect_of_pair[(i, j)]
-            rects[c1.id + c2.id] = (c1, c2)
-        for key, (c1, c2) in rects.items():
-            if (pspace.rectangle_mask(c1, c2) & ~omega_t.mask).any():
-                raise AssertionError(f"classified rectangle {key} escapes the enlargement")
+        escaped = ~containment_matrix(pspace, omega_t)[rows[sel], cols[sel]]
+        if escaped.any():
+            _, _, a, b = pairs[int(escaped.argmax())]
+            raise AssertionError(f"classified rectangle {g1.cubes[a].id + g2.cubes[b].id} "
+                                 "escapes the enlargement")
 
         family = maximal_rectangles(pspace, omega_t, "both")
-        tau_of = dict(zip(rects, tau(pspace, family, list(rects))))
+        rects = list(dict.fromkeys((a, b) for _, _, a, b in pairs))
+        tau_of = dict(zip(rects, tau(pspace, family,
+                                     [g1.cubes[a].id + g2.cubes[b].id for a, b in rects])))
 
-        sfb = _sf_restricted(pspace, pairs, cw, rect_masks)
+        s2 = np.zeros(pspace.shape)
+        for i, j, a, b in pairs:
+            s2 += (cw[i, j] ** 2 / (g1.measures[a] * g2.measures[b])
+                   * np.outer(g1.incidence[a], g2.incidence[b]))
+        sfb = np.sqrt(s2)
         r = q if q >= 2 else 2.0
         sfb_norm = pspace.lq_norm(sfb, r)
         if sfb_norm == 0.0:
             continue
-        Lmax1 = max(blocks1[i].n_blocks for i, _ in pairs)
-        Lmax2 = max(blocks2[j].n_blocks for _, j in pairs)
+        Lmax1 = max(blocks1[i].n_blocks for i, _, _, _ in pairs)
+        Lmax2 = max(blocks2[j].n_blocks for _, j, _, _ in pairs)
         for ell1 in range(Lmax1):
             for ell2 in range(Lmax2):
-                cell = [(i, j) for (i, j) in pairs
+                cell = [(i, j, a, b) for (i, j, a, b) in pairs
                         if blocks1[i].n_blocks > ell1 and blocks2[j].n_blocks > ell2]
                 if not cell:
                     continue
@@ -218,9 +221,8 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
                            * growth ** (1.0 / p - 1.0 / r))
                 weight = 2.0 ** (-ell1 * gamma1 - ell2 * gamma2)
                 rect_atoms: dict = {}
-                for (i, j) in cell:
-                    c1, c2 = rect_of_pair[(i, j)]
-                    tkey = tau_of[c1.id + c2.id]
+                for i, j, a, b in cell:
+                    tkey = tau_of[a, b]
                     bs1, bs2 = blocks1[i], blocks2[j]     # kappa * phi_ell per factor
                     contrib = np.outer(bs1.kappa * bs1.blocks[ell1], bs2.kappa * bs2.blocks[ell2])
                     contrib = cw[i, j] / lam_raw * contrib
@@ -228,17 +230,15 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
                         rect_atoms[tkey] = rect_atoms[tkey] + contrib
                     else:
                         rect_atoms[tkey] = contrib
+                rect_atoms = {k: _recancelled(pspace, v) for k, v in rect_atoms.items()}
                 avals = np.zeros(pspace.shape)
                 for v in rect_atoms.values():
                     avals += v
                 if np.abs(avals).max() == 0.0:
                     continue
-                lam1, lam2 = _support_multipliers(pspace, ell1, ell2)
-                support, _ = ell_enlarge(pspace, omega_t, ell1, ell2, lam1, lam2)
                 atom = ProductAtom(values=avals, omega=omega_j, ell1=ell1, ell2=ell2,
                                    p=p, q=q, grids=pspace.systems,
-                                   rectangle_atoms=rect_atoms,
-                                   support_set=support, support_lams=(lam1, lam2))
+                                   rectangle_atoms=rect_atoms)
                 term = DecompositionTerm(lam=weight * lam_raw, lam_raw=lam_raw,
                                          weight=weight, atom=atom,
                                          provenance=(jj, ell1, ell2))
@@ -281,7 +281,7 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom,
     failures: list[str] = []
     eps0 = epsilon0(view)
     omega_t = enlarge(view, atom.omega, eps0)
-    lam1, lam2 = atom.support_lams or _support_multipliers(view, atom.ell1, atom.ell2)
+    lam1, lam2 = _support_multipliers(view, atom.ell1, atom.ell2)
     support, _ = ell_enlarge(view, omega_t, atom.ell1, atom.ell2, lam1, lam2)
 
     scale = float(np.abs(atom.values).max())
@@ -316,9 +316,7 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom,
             failures.append(f"condition (3)(i): rectangle atom {key} escapes its dilated box")
         if (livemask & ~support.mask).any():
             failures.append(f"condition (3)(i): rectangle atom {key} escapes the enlargement")
-        # each column's and row's integral against its own integral of |a|
-        if ((np.abs(w1 @ vals) > cancel_tol * (w1 @ np.abs(vals))).any()
-                or (np.abs(vals @ w2) > cancel_tol * (np.abs(vals) @ w2)).any()):
+        if not _cancels(w1, w2, vals, cancel_tol):
             failures.append(f"condition (3)(ii): cancellation fails on rectangle {key}")
 
     if scale > 0 and np.abs(total - atom.values).max() > 1e-12 * scale:
@@ -369,12 +367,11 @@ def generate_atom(pspace: ProductSpace, rng, p: float, q: float,
     s1, s2 = view.systems
     g1, g2 = s1.geometry, s2.geometry
 
-    cubes1, cubes2 = g1.cubes, g2.cubes
     mask = np.zeros(view.shape, dtype=bool)
     for _ in range(int(rng.integers(1, 4))):
-        c1 = cubes1[int(rng.integers(len(cubes1)))]
-        c2 = cubes2[int(rng.integers(len(cubes2)))]
-        mask |= view.rectangle_mask(c1, c2)
+        a = int(rng.integers(len(g1.cubes)))
+        b = int(rng.integers(len(g2.cubes)))
+        mask |= np.outer(g1.incidence[a] > 0, g2.incidence[b] > 0)
     omega = OpenSet.from_mask(view, mask)
     omega_t = enlarge(view, omega, epsilon0(view))
 
@@ -410,10 +407,8 @@ def generate_atom(pspace: ProductSpace, rng, p: float, q: float,
     scale = budget / norm
     values = values * scale
     rect_atoms = {k: v * scale for k, v in rect_atoms.items()}
-    support, _ = ell_enlarge(view, omega_t, ell1, ell2, lam1, lam2)
     return ProductAtom(values=values, omega=omega, ell1=ell1, ell2=ell2, p=p, q=q,
-                       grids=view.systems, rectangle_atoms=rect_atoms,
-                       support_set=support, support_lams=(lam1, lam2))
+                       grids=view.systems, rectangle_atoms=rect_atoms)
 
 
 def equivalence_report(pspace: ProductSpace, corpus, p: float, q: float) -> dict:

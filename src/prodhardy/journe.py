@@ -28,7 +28,6 @@ from .space import _exact_sums
 
 @dataclass
 class MaximalRectangleFamily:
-    omega_ref: OpenSet
     m_all: list[DyadicRectangle] = field(default_factory=list)
     m1: list[DyadicRectangle] = field(default_factory=list)
     m2: list[DyadicRectangle] = field(default_factory=list)
@@ -48,7 +47,7 @@ def maximal_rectangles(pspace: ProductSpace, omega: OpenSet,
     """
     if direction != "both":
         raise ValueError(f"direction must be 'both', got {direction!r}")
-    fam = MaximalRectangleFamily(omega_ref=omega)
+    fam = MaximalRectangleFamily()
     if omega.is_empty():
         return fam
     g1, g2 = pspace.systems[0].geometry, pspace.systems[1].geometry
@@ -61,40 +60,45 @@ def maximal_rectangles(pspace: ProductSpace, omega: OpenSet,
         c1, c2 = g1.cubes[a], g2.cubes[b]
         fam.m_all.append(DyadicRectangle(q1=c1.id, q2=c2.id, measure=c1.measure * c2.measure))
     fam.m1 = fam.m2 = fam.m_all
-    hat2, hat1 = _stretches(pspace, omega, rects)
+    # stretches: the coarsest ancestor-or-self along each rectangle's row or
+    # column that keeps the majority; the rectangle itself, inside Omega, does
+    passes = majority_matrix(pspace, omega)
+    rows, cols = rects[:, 0], rects[:, 1]
+    hat2 = (g2.ancestors[cols] & passes[rows]).argmax(axis=1)
+    hat1 = (g1.ancestors[rows] & passes[:, cols].T).argmax(axis=1)
     for ref, b, a in zip(fam.m_all, hat2, hat1):
         fam.stretch2[ref.key] = g2.cubes[b].id
         fam.stretch1[ref.key] = g1.cubes[a].id
     return fam
 
 
-def _stretches(pspace: ProductSpace, omega: OpenSet, rects: np.ndarray):
-    """Flat indices of Q2^ and Q1^ for every rectangle (rows of flat index
-    pairs), with each half test decided as ``stretch_exhaustive`` decides it.
+def majority_matrix(pspace: ProductSpace, omega: OpenSet) -> np.ndarray:
+    """The half test passes[a, b] = mu((Q1 x Q2) cap Omega) > mu(Q1 x Q2)/2
+    for every cube pair (flat indices), as the per-rectangle sum decides it:
+    it gives the stretch maps and each coefficient rectangle's B_j.
 
     One matrix product gives mu((Q1 x Q2) cap Omega) for every cube pair.
-    It adds the per-rectangle sum's nonnegative terms in another order, so
-    with k = n1 n2 + n1 + n2 terms and roundings the two differ by at most
-    k eps of the value, plus k underflows of at most the smallest normal
-    each; the margin below is twice that.  Pairs that close to their half
-    are recomputed with the per-rectangle sum; integer weights with a
-    product total below 2^53 make both sums exact, so none are.
+    It adds the per-rectangle sum's nonnegative terms, the products
+    w1[i] w2[j], in another order, so with k = n1 n2 + n1 + n2 terms and
+    roundings the two differ by at most k eps of the value, plus k
+    underflows of at most the smallest normal each; the margin below is
+    twice that.  Pairs that close to their half are recomputed with the
+    per-rectangle sum; integer products with a total below 2^53 make both
+    sums exact, so none are.  (Summing the factor weights first would not
+    do: 1e-3 and 1e3 have integer products but inexact factor sums.)
     """
     g1, g2 = pspace.systems[0].geometry, pspace.systems[1].geometry
-    w1, w2 = pspace.x1.weight, pspace.x2.weight
-    meas = (g1.incidence * w1) @ omega.mask.astype(float) @ (g2.incidence * w2).T
+    weights = pspace.weights
+    meas = g1.incidence @ np.where(omega.mask, weights, 0.0) @ g2.incidence.T
     half = np.outer(g1.measures, g2.measures) / 2.0
     passes = meas > half
-    if not _exact_sums(pspace.weights.ravel()):
-        k = w1.size * w2.size + w1.size + w2.size
+    if not _exact_sums(weights.ravel()):
+        k = weights.size + sum(weights.shape)
         margin = 2.0 * k * (np.finfo(float).eps * meas + np.finfo(float).tiny)
         for a, b in np.argwhere(np.abs(meas - half) <= margin):
             passes[a, b] = _measure_in(pspace, omega, g1.incidence[a] > 0,
                                        g2.incidence[b] > 0) > half[a, b]
-    # coarsest passing ancestor-or-self; the rectangle itself, inside Omega, passes
-    rows, cols = rects[:, 0], rects[:, 1]
-    return ((g2.ancestors[cols] & passes[rows]).argmax(axis=1),
-            (g1.ancestors[rows] & passes[:, cols].T).argmax(axis=1))
+    return passes
 
 
 def _measure_in(pspace: ProductSpace, omega: OpenSet, mask1, mask2) -> float:

@@ -18,13 +18,14 @@ another.  The per-pair loops they replace are kept beside them as oracles
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dyadic import dilate_mask
-from .product import ProductSpace, all_rectangles
+from .product import ProductSpace
 from .space import realized_ball_masks  # re-exported: the balls M_s ranges over
 
 
@@ -44,9 +45,6 @@ class OpenSet:
         for i, j in pairs:
             mask[i, j] = True
         return cls.from_mask(pspace, mask)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(int(i), int(j)) for i, j in np.argwhere(self.mask)]
 
     def is_empty(self) -> bool:
         return not self.mask.any()
@@ -143,7 +141,7 @@ def rectangles_inside(pspace: ProductSpace, omega_set: OpenSet):
 def rectangles_inside_exhaustive(pspace: ProductSpace, omega_set: OpenSet):
     """Oracle for rectangles_inside: one membership test per cube pair."""
     out = []
-    for c1, c2 in all_rectangles(pspace):
+    for c1, c2 in itertools.product(*(s.all_cubes() for s in pspace.systems)):
         sub = omega_set.mask[np.ix_(pspace.systems[0].member_mask(*c1.id),
                                     pspace.systems[1].member_mask(*c2.id))]
         if sub.all():
@@ -199,11 +197,7 @@ def ell_enlarge_exhaustive(pspace: ProductSpace, omega_tilde: OpenSet,
 @dataclass
 class LevelSetFamily:
     j_lo: int
-    j_hi: int
     sets: dict[int, OpenSet] = field(default_factory=dict)
-
-    def omega(self, j: int) -> OpenSet:
-        return self.sets[j]
 
     def js(self) -> list[int]:
         return sorted(self.sets)
@@ -222,15 +216,14 @@ def level_sets(pspace: ProductSpace, sf: np.ndarray, p: float = 1.0) -> tuple[Le
         raise ValueError("square function values must be nonnegative")
     pos = sf[sf > 0]
     if pos.size == 0:
-        fam = LevelSetFamily(j_lo=0, j_hi=-1)
+        fam = LevelSetFamily(j_lo=0)
         return fam, {"dyadic_sum": 0.0, "exact_integral": 0.0, "ratio": 1.0}
     j_lo = math.floor(math.log2(pos.min())) - 1
     j_hi = math.ceil(math.log2(sf.max()))
-    fam = LevelSetFamily(j_lo=j_lo, j_hi=j_hi)
+    fam = LevelSetFamily(j_lo=j_lo)
     for j in range(j_lo, j_hi + 1):
         s = OpenSet.from_mask(pspace, sf > 2.0 ** j)
         if s.is_empty() and j > j_lo:
-            fam.j_hi = j - 1
             break
         fam.sets[j] = s
     dyadic = sum(2.0 ** (p * j) * fam.sets[j].measure for j in fam.sets)

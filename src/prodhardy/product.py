@@ -1,5 +1,5 @@
 """Product-space structure on X1 x X2: transforms, the product square
-function, H^p seminorms, CMO^p/BMO quantities and the block square function.
+function, H^p seminorms, CMO^p candidate suprema and the block square function.
 
 Functions on the product grid are (n1, n2) matrices; the product measure is
 the weight outer product.  Coefficients carry four channels: wavelet x
@@ -17,7 +17,7 @@ import numpy as np
 
 from .dyadic import DyadicSystem, build_system
 from .space import FiniteSpace
-from .wavelet import BuildingBlockSet, build_haar
+from .wavelet import BuildingBlockSet, WaveletBasis, build_haar
 
 
 class ProductSpace:
@@ -55,6 +55,13 @@ class ProductSpace:
     def rectangle_mask(self, cube1, cube2) -> np.ndarray:
         return np.outer(self.systems[0].member_mask(*cube1.id),
                         self.systems[1].member_mask(*cube2.id))
+
+    def rectangle_indicators(self, rows, cols) -> np.ndarray:
+        """0/1 indicators of the rectangles cubes1[rows[k]] x cubes2[cols[k]]
+        (flat indices of each system's ``geometry``), one flattened grid per row."""
+        g1, g2 = self.systems[0].geometry, self.systems[1].geometry
+        return (g1.incidence[rows][:, :, None]
+                * g2.incidence[cols][:, None, :]).reshape(len(rows), self.x1.n * self.x2.n)
 
     def wavelet_rectangle(self, i: int, j: int):
         """Supporting dyadic rectangle of the (i, j) product wavelet pair."""
@@ -143,20 +150,15 @@ def square_function(pspace: ProductSpace, coeffs: ProductCoefficients) -> np.nda
     S(f)^2(x1,x2) = sum |<f, psi1 psi2>|^2 chi_Q1(x1) chi_Q2(x2) / (mu(Q1) mu(Q2)),
     the rectangle indicator normalized in L^2 of the product measure.
     """
-    u1 = _indicator_over_measure(pspace, 0)
-    u2 = _indicator_over_measure(pspace, 1)
+    u1, u2 = (_indicator_over_measure(b) for b in pspace.bases)
     s2 = u1.T @ (coeffs.ww ** 2) @ u2
     return np.sqrt(np.maximum(s2, 0.0))
 
 
-def _indicator_over_measure(pspace: ProductSpace, axis: int) -> np.ndarray:
-    basis = pspace.bases[axis]
-    system = pspace.systems[axis]
-    out = np.zeros((basis.n_wavelets, basis.space.n))
-    for i, w in enumerate(basis.wavelets):
-        c = system.cube(*w.cube)
-        out[i, c.members] = 1.0 / c.measure
-    return out
+def _indicator_over_measure(basis: WaveletBasis) -> np.ndarray:
+    """Row i: the indicator of wavelet i's cube divided by the cube's measure."""
+    g, rows = basis.system.geometry, basis.cube_rows
+    return g.incidence[rows] / g.measures[rows, None]
 
 
 def hp_seminorm(pspace: ProductSpace, f: np.ndarray, p: float,
@@ -168,12 +170,6 @@ def hp_seminorm(pspace: ProductSpace, f: np.ndarray, p: float,
         warn.append(f"p = {p} is at or below p0 = {pspace.p0:.6g}; outside the theory's range")
     sf = square_function(pspace, product_transform(pspace, f))
     return float(((sf ** p) * pspace.weights).sum() ** (1.0 / p))
-
-
-def all_rectangles(pspace: ProductSpace):
-    """Every dyadic rectangle (cube pair) of the two systems."""
-    s1, s2 = pspace.systems
-    return itertools.product(s1.all_cubes(), s2.all_cubes())
 
 
 def cmo_p(pspace: ProductSpace, coeffs: ProductCoefficients, p: float,
@@ -192,60 +188,45 @@ def cmo_p(pspace: ProductSpace, coeffs: ProductCoefficients, p: float,
     from .journe import maximal_rectangles   # local import to avoid a cycle
     from .maximal import OpenSet
 
-    c2 = coeffs.ww ** 2
-    rect_of = {}
-    for i in range(coeffs.n_wav[0]):
-        for j in range(coeffs.n_wav[1]):
-            if c2[i, j] > 0:
-                key = tuple(pspace.wavelet_rectangle(i, j)[m].id for m in (0, 1))
-                rect_of.setdefault(key, 0.0)
-                rect_of[key] += c2[i, j]
-    masks = {key: pspace.rectangle_mask(pspace.systems[0].cube(*key[0]),
-                                        pspace.systems[1].cube(*key[1]))
-             for key in rect_of}
-
-    def value(mask: np.ndarray) -> float:
-        mu = pspace.set_measure(mask)
-        if mu <= 0:
-            return 0.0
-        energy = sum(e for key, e in rect_of.items()
-                     if (masks[key] & ~mask).sum() == 0)
-        return math.sqrt(mu ** (1.0 - 2.0 / p) * energy)
+    g1, g2 = pspace.systems[0].geometry, pspace.systems[1].geometry
+    b1, b2 = pspace.bases
+    energy = np.zeros((len(g1.cubes), len(g2.cubes)))    # sum of |<f,psi psi>|^2 per cube pair
+    np.add.at(energy, (b1.cube_rows[:, None], b2.cube_rows[None, :]), coeffs.ww ** 2)
+    ra, rb = np.nonzero(energy > 0)
+    rects = pspace.rectangle_indicators(ra, rb)           # the rectangles carrying energy
 
     if candidates is None:
-        candidates = []
-        for c1, c2_ in all_rectangles(pspace):
-            candidates.append(pspace.rectangle_mask(c1, c2_))
-        if rect_of:
-            support = np.zeros(pspace.shape, dtype=bool)
-            for key in rect_of:
-                support |= masks[key]
-            fam = maximal_rectangles(pspace, OpenSet.from_mask(pspace, support), "both").m_all
-            fam_masks = [pspace.rectangle_mask(pspace.systems[0].cube(*r.q1),
-                                               pspace.systems[1].cube(*r.q2)) for r in fam]
-            for r in range(1, min(max_union, len(fam_masks)) + 1):
-                for combo in itertools.combinations(range(len(fam_masks)), r):
-                    u = np.zeros(pspace.shape, dtype=bool)
-                    for c in combo:
-                        u |= fam_masks[c]
-                    candidates.append(u)
-            if len(rect_of) <= micro_limit:
-                keys = list(rect_of)
-                for r in range(1, len(keys) + 1):
-                    for combo in itertools.combinations(keys, r):
-                        u = np.zeros(pspace.shape, dtype=bool)
-                        for key in combo:
-                            u |= masks[key]
-                        candidates.append(u)
+        stacks = [pspace.rectangle_indicators(*np.indices(energy.shape).reshape(2, -1)) > 0]
+        if len(ra):
+            support = OpenSet.from_mask(pspace, rects.any(axis=0).reshape(pspace.shape))
+            fam = maximal_rectangles(pspace, support, "both").m_all
+            stacks.append(_unions(pspace.rectangle_indicators(
+                [g1.flat(*r.q1) for r in fam], [g2.flat(*r.q2) for r in fam]), max_union))
+            if len(ra) <= micro_limit:
+                stacks.append(_unions(rects, len(ra)))
+        cands = np.concatenate(stacks).astype(float)
     else:
-        candidates = [np.asarray(c, dtype=bool) for c in candidates]
-        for c in candidates:
-            if pspace.set_measure(c) <= 0:
-                raise ValueError("empty candidate set")
+        candidates = list(candidates)
+        cands = (np.array(candidates, dtype=bool)
+                 .reshape(len(candidates), pspace.x1.n * pspace.x2.n).astype(float))
+    mu = cands @ pspace.weights.ravel()
+    if candidates is not None and (mu <= 0).any():
+        raise ValueError("empty candidate set")
+    # a rectangle lies in a candidate when all of its points do
+    inside = cands @ rects.T == rects.sum(axis=1)
+    keep = mu > 0
+    vals = np.sqrt(mu[keep] ** (1.0 - 2.0 / p) * (inside[keep] @ energy[ra, rb]))
+    return float(vals.max(initial=0.0))
 
-    if not candidates:
-        return 0.0
-    return max(value(c) for c in candidates)
+
+def _unions(rects: np.ndarray, max_size: int) -> np.ndarray:
+    """Every union of one to ``max_size`` of the indicator rows."""
+    combos = [list(c) for r in range(1, min(max_size, len(rects)) + 1)
+              for c in itertools.combinations(range(len(rects)), r)]
+    pick = np.zeros((len(combos), len(rects)))
+    for row, combo in enumerate(combos):
+        pick[row, combo] = 1.0
+    return pick @ rects > 0
 
 
 def cmo_p_exhaustive(pspace: ProductSpace, coeffs: ProductCoefficients, p: float) -> float:
@@ -287,16 +268,14 @@ def block_square_function(pspace: ProductSpace, g: np.ndarray,
         raise ValueError("building blocks missing for one factor")
     g = np.asarray(g, dtype=float)
     w1, w2 = pspace.x1.weight, pspace.x2.weight
-    if rectangles is None:
-        rectangles = [(i, j) for i in range(len(blocks1)) for j in range(len(blocks2))]
-    s2 = np.zeros(pspace.shape)
-    for i, j in rectangles:
-        b1, b2 = blocks1[i], blocks2[j]
-        if ell1 >= b1.n_blocks or ell2 >= b2.n_blocks:
-            continue
-        inner = float((b1.blocks[ell1] * w1) @ g @ (b2.blocks[ell2] * w2))
-        c1, c2 = pspace.wavelet_rectangle(i, j)
-        s2 += inner ** 2 / (c1.measure * c2.measure) * pspace.rectangle_mask(c1, c2)
+    phi1 = np.array([b.blocks[ell1] if ell1 < b.n_blocks else 0.0 * w1 for b in blocks1])
+    phi2 = np.array([b.blocks[ell2] if ell2 < b.n_blocks else 0.0 * w2 for b in blocks2])
+    inner = (phi1 * w1) @ g @ (phi2 * w2).T            # <phi_ell1 phi_ell2, g> per pair
+    picked = np.ones(inner.shape) if rectangles is None else np.zeros(inner.shape)
+    for i, j in [] if rectangles is None else rectangles:
+        picked[i, j] += 1.0
+    u1, u2 = (_indicator_over_measure(b) for b in pspace.bases)
+    s2 = u1.T @ (picked * inner ** 2) @ u2
     vals = np.sqrt(s2)
     norm = pspace.lq_norm(vals, qprime)
     gnorm = pspace.lq_norm(g, qprime)

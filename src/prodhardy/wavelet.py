@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,13 @@ class WaveletBasis:
     @property
     def space(self) -> FiniteSpace:
         return self.system.space
+
+    @cached_property
+    def cube_rows(self) -> np.ndarray:
+        """Flat row of each wavelet's supporting cube in ``system.geometry``;
+        built on first use, so building a basis never builds the geometry."""
+        g = self.system.geometry
+        return np.array([g.flat(*w.cube) for w in self.wavelets], dtype=int)
 
     def gram(self) -> np.ndarray:
         return (self.matrix * self.space.weight) @ self.matrix.T
@@ -111,14 +119,8 @@ def coefficient_triples(basis: WaveletBasis, coeffs, tol: float = 0.0):
 
 @dataclass
 class CutoffFunction:
-    center: int
-    r0: float
-    eta: float
     values: np.ndarray
     holder_constant: float       # measured over all pairs
-
-    def __call__(self):
-        return self.values
 
 
 def cutoff(space: FiniteSpace, x0: int, r0: float, eta: float = 1.0) -> CutoffFunction:
@@ -140,7 +142,7 @@ def cutoff(space: FiniteSpace, x0: int, r0: float, eta: float = 1.0) -> CutoffFu
         off = ~np.eye(space.n, dtype=bool)
         diffs = np.abs(vals[:, None] - vals[None, :])[off]
         cst = float((diffs / (space.dist[off] / r0) ** eta).max())
-    return CutoffFunction(center=x0, r0=r0, eta=eta, values=vals, holder_constant=cst)
+    return CutoffFunction(values=vals, holder_constant=cst)
 
 
 @dataclass
@@ -149,7 +151,7 @@ class BuildingBlockSet:
 
     psi / kappa = sum_l (cbar 2^l)^(-gamma) phi_l exactly (finite telescoping),
     each phi_l mean-zero with supp phi_l inside B(y, 2 a0^2 cbar 2^l delta^k).
-    The intermediates (Lambda_l, a_l, s_l, xi_l) are retained for audit.
+    The integrals a_l of the Lambda_l are retained for audit.
     """
 
     gamma: float
@@ -159,10 +161,7 @@ class BuildingBlockSet:
     scale: float
     kappa: float
     blocks: list[np.ndarray]
-    lambdas: list[np.ndarray] = field(repr=False, default_factory=list)
     a_ell: list[float] = field(default_factory=list)
-    s_ell: list[float] = field(default_factory=list)
-    xis: list[np.ndarray] = field(repr=False, default_factory=list)
     support_radii: list[float] = field(default_factory=list)
 
     @property
@@ -193,8 +192,10 @@ def building_blocks(space: FiniteSpace, wavelet: Wavelet, gamma: float,
 
     The series stops at the first L with h_L identically 1 on the wavelet's
     support: there s_L = 0 (it equals the integral of h_L psi~ = 0) and the
-    trailing xi_{L+1} term is dropped, which keeps the telescoping and the
-    per-block cancellation exact in floating point.
+    trailing xi_{L+1} term is dropped, which keeps the telescoping exact.
+    A block that is a small difference of large pieces (weights over many
+    decades on few points) keeps their rounding in its mean: up to ~1e-10
+    of its L1 mass, where a directly rounded block would keep ~1e-16.
     """
     if gamma <= space.omega:
         raise ValueError(f"gamma = {gamma} must exceed the upper dimension {space.omega}")
@@ -236,8 +237,7 @@ def building_blocks(space: FiniteSpace, wavelet: Wavelet, gamma: float,
     radii = [2.0 * space.a0 ** 2 * cbar * 2.0 ** ell * wavelet.scale for ell in range(L + 1)]
     return BuildingBlockSet(gamma=gamma, cbar=cbar, eta=eta, center=wavelet.center,
                             scale=wavelet.scale, kappa=kappa, blocks=blocks,
-                            lambdas=lambdas, a_ell=a_ell, s_ell=s_ell, xis=xis,
-                            support_radii=radii)
+                            a_ell=a_ell, support_radii=radii)
 
 
 def block_certificates(space: FiniteSpace, bset: BuildingBlockSet) -> dict:

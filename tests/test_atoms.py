@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from prodhardy import (ChannelError, OpenSet, ProductSpace, atom_hp_bound,
-                       atomic_decompose, enlarge, epsilon0, equivalence_report,
-                       generate_atom, hp_seminorm, level_sets, make_space,
-                       product_transform, square_function, verify_atom)
+                       atomic_decompose, double_center, enlarge, epsilon0,
+                       equivalence_report, generate_atom, hp_seminorm, level_sets,
+                       make_space, product_transform, square_function, verify_atom)
 from prodhardy.atoms import ProductAtom, _support_multipliers
 from prodhardy.dyadic import build_system
 
@@ -20,6 +20,70 @@ def test_zero_function_empty_decomposition(pspace8):
     dec = atomic_decompose(pspace8, np.zeros(pspace8.shape), 1.0, 2.0)
     assert not dec.terms and dec.residual == 0.0
     assert dec.lam_sum() == 0.0
+
+
+def assert_exact_verified(pspace, f, dec, q):
+    assert dec.terms
+    recon = sum(t.lam * t.atom.values for t in dec.terms)
+    assert pspace.lq_norm(recon - f, q) / pspace.lq_norm(f, q) <= 1e-8
+    assert all(verify_atom(pspace, t.atom)["passed"] for t in dec.terms)
+
+
+def test_small_functions_decompose(pspace8):
+    # coefficients below 1e-14 are selected relative to the largest one
+    rng = np.random.default_rng(20)
+    f = 1e-15 * pspace8.random_function(rng)
+    assert_exact_verified(pspace8, f, atomic_decompose(pspace8, f, 1.0, 2.0), 2.0)
+
+
+def test_tiny_weights_decompose(line8):
+    x = make_space(line8.dist, line8.weight * 1e-30)
+    ps = ProductSpace(x, x, delta=0.25)
+    f = ps.random_function(np.random.default_rng(21))
+    assert_exact_verified(ps, f, atomic_decompose(ps, f, 1.0, 2.0), 2.0)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-320])
+def test_coefficients_without_normal_square_rejected(pspace8, scale):
+    f = double_center(pspace8, np.random.default_rng(22).standard_normal(pspace8.shape))
+    with pytest.raises(ValueError, match="largest wavelet coefficient"):
+        atomic_decompose(pspace8, scale * f, 1.0, 2.0)
+
+
+def rounding_case(name):
+    if name == "block":
+        # six decades of weight on three points (omega ~ 20): a building block
+        # is a small difference of large pieces and keeps 1e-10 of its mass
+        # in its mean
+        d = np.array([[0.0, 1.0, 2.0 ** 1.5], [1.0, 0.0, 1.0], [2.0 ** 1.5, 1.0, 0.0]])
+        x1 = make_space(np.array([[0.0, 1.0], [1.0, 0.0]]), np.full(2, 1e3))
+        x2 = make_space(d, 1e3 * np.array([1e-2, 1e-3, 1e3]))
+        return ProductSpace(x1, x2, delta=0.25), 1.0, 2.0, 0
+    if name == "contributions":
+        # blocks within ~1e-12 of mean zero whose pair contributions to one
+        # rectangle atom nearly cancel, leaving 2e-10 of its mass
+        d1 = np.array([[0, 2, 1, 1, 1], [2, 0, 1, 3, 1], [1, 1, 0, 2, 3],
+                       [1, 3, 2, 0, 1], [1, 1, 3, 1, 0]], dtype=float)
+        d2 = np.ones((4, 4)) - np.eye(4)
+        d2[0, 1] = d2[1, 0] = 2.0
+        x1 = make_space(d1, 1e3 * np.array([0.01, 0.01, 10.0, 10.0, 1.0]))
+        x2 = make_space(d2, 1e3 * np.array([1000.0, 1000.0, 1000.0, 10.0]))
+        return ProductSpace(x1, x2, delta=0.25), 1.0, 2.0, 1
+    # a heavy point where the wavelet is tiny: a column of rounding-level
+    # entries, whose integral is noise of its own size
+    pts = np.array([0.0, 1.0, 7.0, 6.0, -2.0])
+    x1 = make_space(np.abs(pts[:, None] - pts[None, :]) ** 1.5,
+                    np.array([1e-3, 1e-2, 1e-2, 10.0, 10.0]))
+    x2 = make_space(np.array([[0.0, 5.0, 6.0], [5.0, 0.0, 1.0], [6.0, 1.0, 0.0]]),
+                    np.array([1e-2, 1e3, 1e-2]))
+    return ProductSpace(x1, x2, delta=0.5), 0.8, 1.5, 28029
+
+
+@pytest.mark.parametrize("name", ["block", "contributions", "noise-column"])
+def test_atoms_cancel_despite_rounding(name):
+    ps, p, q, seed = rounding_case(name)
+    f = ps.random_function(np.random.default_rng(seed))
+    assert_exact_verified(ps, f, atomic_decompose(ps, f, p, q), q)
 
 
 def test_single_wavelet_hand_trace(pspace8):

@@ -53,6 +53,31 @@ def test_decompose_zero_function(space_file, tmp_path):
     assert doc["terms"] == [] and doc["residual"] == 0.0
 
 
+def _scaled_function(tmp_path, scale):
+    rng = np.random.default_rng(0)
+    f = rng.standard_normal((8, 8))
+    f -= f.mean(axis=0)
+    f -= f.mean(axis=1, keepdims=True)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"dense": (scale * f).tolist()}))
+    return str(path)
+
+
+def test_decompose_small_function(tmp_path):
+    out = tmp_path / "dec.json"
+    assert run(["decompose", "--delta", "0.25", "--function", _scaled_function(tmp_path, 1e-15),
+                "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["summary"]["n_terms"] > 0 and doc["terms"]
+    assert doc["residual"] <= 1e-8 and doc["all_certificates_pass"]
+
+
+def test_decompose_huge_function_rejected(tmp_path, capsys):
+    assert run(["decompose", "--delta", "0.25",
+                "--function", _scaled_function(tmp_path, 1e160)]) == 2
+    assert "largest wavelet coefficient" in capsys.readouterr().err
+
+
 def test_decompose_seeded_random(space_file, tmp_path):
     out = tmp_path / "dec.json"
     assert run(["decompose", "--space", space_file, "--delta", "0.25",

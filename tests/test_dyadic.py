@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from prodhardy import (RegularFamilyPolicy, build_net, build_system, dilate_cube,
-                       export_system, import_system, verify_system)
+from prodhardy import (RegularFamilyPolicy, build_haar, build_net, build_system,
+                       dilate_cube, export_system, import_system, verify_system)
 
 from conftest import line_space
 
@@ -136,8 +136,12 @@ def test_geometry_is_built_on_first_use(canon):
     system = build_system(canon, 0.25)
     verify_system(system)
     export_system(system)
+    basis = build_haar(system)
     assert "geometry" not in vars(system)       # building a system never needs it
+    assert "cube_rows" not in vars(basis)
     g = system.geometry
+    np.testing.assert_array_equal(g.incidence[basis.cube_rows[0]] > 0,
+                                  system.member_mask(*basis.wavelets[0].cube))
     assert g is system.geometry
     assert g.incidence.shape == (system.n_cubes(), canon.n)
     assert g.parent[0] == -1 and (g.parent[1:] >= 0).all()

@@ -1,58 +1,18 @@
-"""Property tests: the matrix geometry paths against their loop oracles.
-
-Spaces are small and random: lines with tied distances, snowflakes with
-s > 1, random symmetric matrices with few distinct entries, weights over
-several decades, and factors of one to five points, drawn independently so
-the two factors usually differ in size.
+"""Property tests: the matrix geometry paths against their loop oracles,
+on the small random spaces and open sets of ``strategies``.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from prodhardy import (OpenSet, ProductSpace, build_system, ell_enlarge, enlarge,
-                       make_space, maximal_rectangles, strong_maximal)
+from prodhardy import build_system, ell_enlarge, maximal_rectangles, strong_maximal
 from prodhardy.dyadic import dilate_mask
 from prodhardy.maximal import (ell_enlarge_exhaustive, realized_ball_masks,
                                rectangles_inside, rectangles_inside_exhaustive)
 
+from strategies import CHECK, instances, spaces
 from test_journe import maximal_oracle
-
-CHECK = settings(max_examples=40, deadline=None,
-                 suppress_health_check=[HealthCheck.too_slow])
-
-
-@st.composite
-def spaces(draw):
-    n = draw(st.integers(1, 5))
-    kind = draw(st.sampled_from(["line", "snowflake", "matrix"]))
-    if kind == "matrix":
-        upper = draw(st.lists(st.integers(1, 3), min_size=n * n, max_size=n * n))
-        d = np.triu(np.reshape(np.asarray(upper, dtype=float), (n, n)), 1)
-        dist = d + d.T
-    else:
-        # integer coordinates: equal gaps give tied distances
-        pts = np.asarray(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n,
-                                       unique=True)), dtype=float)
-        dist = np.abs(pts[:, None] - pts[None, :])
-        if kind == "snowflake":
-            dist = dist ** draw(st.sampled_from([1.5, 2.5]))
-    logw = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    return make_space(dist, 10.0 ** np.asarray(logw, dtype=float))
-
-
-@st.composite
-def instances(draw):
-    """A product space and an open set on it, sometimes enlarged."""
-    ps = ProductSpace(draw(spaces()), draw(spaces()),
-                      delta=draw(st.sampled_from([0.25, 0.5, 0.9])))
-    n1, n2 = ps.shape
-    bits = draw(st.lists(st.booleans(), min_size=n1 * n2, max_size=n1 * n2))
-    om = OpenSet.from_mask(ps, np.reshape(bits, ps.shape))
-    if not om.is_empty() and draw(st.booleans()):
-        om = enlarge(ps, om, draw(st.sampled_from([0.3, 0.6])))
-    return ps, om
-
 
 def keys(rects):
     return [c1.id + c2.id for c1, c2 in rects]

@@ -15,6 +15,8 @@ import json
 import numpy as np
 import pytest
 
+from prodhardy import (ProductSpace, block_square_function, building_blocks, cmo_p,
+                       generate_atom, make_space, product_transform, verify_atom)
 from prodhardy.cli import main
 
 
@@ -77,3 +79,28 @@ def report_digest(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(name, tmp_path):
     assert report_digest(name, tmp_path) == CASES[name][2]
+
+
+def test_reports_need_no_rectangle_masks(monkeypatch, tmp_path):
+    """Wavelet rectangles are rows of the cube geometry: the pipeline never
+    asks the product space for a rectangle mask or a wavelet's cube pair."""
+    def refuse(*args):
+        raise AssertionError("built a rectangle from cube objects")
+
+    monkeypatch.setattr(ProductSpace, "rectangle_mask", refuse)
+    monkeypatch.setattr(ProductSpace, "wavelet_rectangle", refuse)
+    for name in sorted(CASES):
+        assert report_digest(name, tmp_path) == CASES[name][2]
+
+    pts = np.arange(6.0)
+    x = make_space(np.abs(pts[:, None] - pts[None, :]), np.array([1, 2, 3, 2, 1, 2.0]))
+    ps = ProductSpace(x, x, delta=0.5)
+    rng = np.random.default_rng(0)
+    f = ps.random_function(rng)
+    assert cmo_p(ps, product_transform(ps, f), 1.0) > 0
+    gamma = x.omega + 1.0
+    blocks = [building_blocks(x, w, gamma, 1.0) for w in ps.bases[0].wavelets]
+    vals, _ = block_square_function(ps, f, blocks, blocks, 0, 0)
+    assert vals.any()
+    atoms = [generate_atom(ps, rng, 1.0, 2.0, 1, 0) for _ in range(4)]
+    assert all(verify_atom(ps, a)["passed"] for a in atoms if a is not None)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from prodhardy import (ProductSpace, block_square_function, building_blocks,
                        cmo_p, cmo_p_exhaustive, double_center, hp_seminorm,
@@ -9,6 +11,7 @@ from prodhardy import (ProductSpace, block_square_function, building_blocks,
                        square_function)
 
 from conftest import line_space
+from strategies import CHECK, spaces
 
 
 def product_pair(pspace, i, j):
@@ -163,6 +166,16 @@ def test_cmo_candidate_vs_exhaustive_micro():
             for c1 in ps.systems[0].all_cubes() for c2 in ps.systems[1].all_cubes())
         assert single_best <= cand + 1e-12
         assert cand == pytest.approx(exact, rel=1e-10)
+
+
+@CHECK
+@given(spaces(), spaces(), st.sampled_from([0.25, 0.5, 0.9]), st.sampled_from([0.6, 1.0]),
+       st.integers(0, 2 ** 32 - 1))
+def test_cmo_matches_exhaustive_on_micro_products(x1, x2, delta, p, seed):
+    assume(x1.n * x2.n <= 12)
+    ps = ProductSpace(x1, x2, delta=delta)
+    co = product_transform(ps, ps.random_function(np.random.default_rng(seed)))
+    assert cmo_p(ps, co, p) == pytest.approx(cmo_p_exhaustive(ps, co, p), rel=1e-10)
 
 
 def test_cmo_rejects_empty_candidate(pspace8):

@@ -11,7 +11,7 @@ scan.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from prodhardy import doubling_profile, make_space
@@ -19,8 +19,7 @@ from prodhardy import space as space_mod
 from prodhardy.space import (_ball_radius_candidates, _doubling_constant_exhaustive,
                              _quasi_triangle_constant_exhaustive)
 
-CHECK = settings(max_examples=40, deadline=None,
-                 suppress_health_check=[HealthCheck.too_slow])
+from strategies import CHECK
 
 LAMBDAS = (1.0, 1.5, 2.0, 3.0, 4.0, 8.0)
 

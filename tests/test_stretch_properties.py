@@ -11,37 +11,14 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from prodhardy import (OpenSet, ProductSpace, enlarge, generate_atom, journe_check,
-                       make_space, maximal_rectangles, verify_atom)
+from prodhardy import (OpenSet, ProductSpace, generate_atom, journe_check, make_space,
+                       maximal_rectangles, verify_atom)
 from prodhardy import dyadic, journe, maximal
-from prodhardy.journe import stretch_exhaustive, tau
+from prodhardy.journe import _measure_in, majority_matrix, stretch_exhaustive, tau
 from prodhardy.maximal import rectangles_inside
 
-from test_geometry_properties import CHECK, spaces
+from strategies import CHECK, instances, weighted_spaces
 from test_golden_reports import CASES, report_digest
-
-WEIGHTS = {"integer": [1.0, 2.0, 3.0], "decimal": [0.1, 0.2, 0.3, 0.7],
-           "decades": [1e-3, 1.0, 1e3]}
-
-
-@st.composite
-def weighted_spaces(draw):
-    base = draw(spaces())
-    kind = draw(st.sampled_from(sorted(WEIGHTS)))
-    w = draw(st.lists(st.sampled_from(WEIGHTS[kind]), min_size=base.n, max_size=base.n))
-    return make_space(base.dist, np.asarray(w))
-
-
-@st.composite
-def instances(draw):
-    ps = ProductSpace(draw(weighted_spaces()), draw(weighted_spaces()),
-                      delta=draw(st.sampled_from([0.25, 0.5, 0.9])))
-    n1, n2 = ps.shape
-    bits = draw(st.lists(st.booleans(), min_size=n1 * n2, max_size=n1 * n2))
-    om = OpenSet.from_mask(ps, np.reshape(bits, ps.shape))
-    if not om.is_empty() and draw(st.booleans()):
-        om = enlarge(ps, om, draw(st.sampled_from([0.3, 0.6])))
-    return ps, om
 
 
 def line(points, weights):
@@ -59,13 +36,34 @@ def near_tie(x1, x2, delta, mask):
 NEAR_TIES = [
     near_tie(line([0, 1, 4], [0.3, 0.2, 0.1]), line([0], [0.7]), 0.25, [[0], [1], [1]]),
     near_tie(line([0, 3], [0.3, 0.3]), line([0, 5], [0.2, 0.7]), 0.5, [[0, 0], [1, 1]]),
+    # integer products w1[i] w2[j] whose factor weights do not sum exactly:
+    # the whole space ties, mu(Omega) = 1000004 = mu(X)/2 in exact arithmetic
+    near_tie(line(range(5), [1e-3, 1e-3, 1e3, 1e-3, 1e-3]), line([0, 1], [1e3, 1e3]), 0.25,
+             [[1, 1], [1, 0], [1, 0], [0, 0], [1, 0]]),
 ]
 
 
 @CHECK
-@given(instances())
+@given(instances(weighted_spaces()))
 @example(NEAR_TIES[0])
 @example(NEAR_TIES[1])
+@example(NEAR_TIES[2])
+def test_majority_matrix_is_the_per_rectangle_half_test(inst):
+    ps, om = inst
+    passes = majority_matrix(ps, om)
+    for a, c1 in enumerate(ps.systems[0].geometry.cubes):
+        m1 = np.isin(np.arange(ps.x1.n), c1.members)
+        for b, c2 in enumerate(ps.systems[1].geometry.cubes):
+            m2 = np.isin(np.arange(ps.x2.n), c2.members)
+            mu = c1.measure * c2.measure
+            assert passes[a, b] == (_measure_in(ps, om, m1, m2) > mu / 2.0)
+
+
+@CHECK
+@given(instances(weighted_spaces()))
+@example(NEAR_TIES[0])
+@example(NEAR_TIES[1])
+@example(NEAR_TIES[2])
 def test_stretches_match_oracle(inst):
     ps, om = inst
     fam = maximal_rectangles(ps, om, "both")
@@ -87,7 +85,7 @@ def tau_scan(pspace, family, key):
 
 
 @CHECK
-@given(instances(), st.integers(0, 2 ** 32 - 1))
+@given(instances(weighted_spaces()), st.integers(0, 2 ** 32 - 1))
 def test_tau_matches_member_scan(inst, seed):
     ps, om = inst
     fam = maximal_rectangles(ps, om, "both")
