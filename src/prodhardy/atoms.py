@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .journe import majority_matrix, maximal_rectangles, tau
+from .journe import MaximalRectangleFamily, majority_matrix, maximal_rectangles, tau
 from .maximal import (OpenSet, containment_matrix, ell_enlarge, enlarge, epsilon0,
                       growth_factor, level_sets)
-from .product import (ProductSpace, hp_seminorm, product_transform,
+from .product import (ProductSpace, _mean_zero, hp_seminorm, product_transform,
                       square_function)
 from .wavelet import building_blocks
 
@@ -92,7 +92,7 @@ def _cancels(w1: np.ndarray, w2: np.ndarray, vals: np.ndarray, tol: float) -> bo
 def _recancelled(pspace: ProductSpace, vals: np.ndarray) -> np.ndarray:
     """``vals``, or, when a column's or row's integral keeps more than 1e-12
     of its mass, ``vals`` with each column's and then each row's integral
-    taken out in proportion to |vals|, twice over.
+    taken out in proportion to |vals|, pass after pass until none does.
 
     Building blocks vanish in the mean only up to their rounding, and pair
     contributions that nearly cancel can lift that past verify_atom's 1e-10.
@@ -104,10 +104,31 @@ def _recancelled(pspace: ProductSpace, vals: np.ndarray) -> np.ndarray:
         return vals
     mag = np.abs(vals)
     m1, m2 = w1 @ mag, mag @ w2
-    for _ in range(2):
+    for _ in range(50):     # row passes disturb columns: a pass may shrink the share only ~6x
         vals = vals - mag * np.divide(w1 @ vals, m1, out=np.zeros_like(m1), where=m1 > 0)
         vals = vals - mag * np.divide(vals @ w2, m2, out=np.zeros_like(m2), where=m2 > 0)[:, None]
+        if _cancels(w1, w2, vals, 1e-12):
+            break
     return vals
+
+
+COEFF_TOL = 1e-14            # coefficients below this share of the largest are dropped
+CANCEL_TOL = 1e-10           # condition (3)(ii): allowed share of a line's int |a|
+STRETCH_DELTAS = (0.5, 1.0, 2.0)   # extra deltas of the 1 < q < 2 stretch ratios
+MAX_RECTS = 4                # rectangle atoms drawn per generated atom
+
+
+def _pool(view: ProductSpace, omega: OpenSet) -> tuple[float, OpenSet, MaximalRectangleFamily]:
+    """The Chang-Fefferman pool of ``omega``: epsilon_0, the enlargement
+    Omega~ = {M_s chi_Omega > epsilon_0} and Omega~'s maximal rectangles."""
+    eps0 = epsilon0(view)
+    omega_t = enlarge(view, omega, eps0)
+    return eps0, omega_t, maximal_rectangles(view, omega_t, "both")
+
+
+def _budget_measure(view: ProductSpace, omega_t: OpenSet, ell1: int, ell2: int) -> float:
+    """(1 + l1 w1 + l2 w2) 2^(l1 w1 + l2 w2) mu(Omega~), the (l1, l2) atom budget's measure."""
+    return growth_factor(view, ell1, ell2) * omega_t.measure
 
 
 def _support_multipliers(pspace: ProductSpace, ell1: int, ell2: int) -> tuple[float, float]:
@@ -116,9 +137,16 @@ def _support_multipliers(pspace: ProductSpace, ell1: int, ell2: int) -> tuple[fl
             2.0 * pspace.x2.a0 ** 2 * 2.0 ** ell2)
 
 
+def _boxes(view: ProductSpace, ell1: int, ell2: int):
+    """The cell's support multipliers and each factor's dilate matrix at
+    them: row a of factor i's matrix is the box lam_i Q of cube a."""
+    lams = _support_multipliers(view, ell1, ell2)
+    return lams, tuple(s.dilate_matrix(lam) for s, lam in zip(view.systems, lams))
+
+
 def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
-                     gamma1: float | None = None, gamma2: float | None = None,
-                     coeff_tol: float = 1e-14) -> AtomicDecomposition:
+                     gamma1: float | None = None, gamma2: float | None = None
+                     ) -> AtomicDecomposition:
     """Decompose f into (p,q)-atoms with explicit coefficients.
 
     Requires f doubly mean-zero (no mixed channels), p in (0,1], q > 1 and
@@ -161,7 +189,7 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
     if not np.finfo(float).tiny <= cmax * cmax < math.inf:
         raise ValueError(f"largest wavelet coefficient {cmax!r} has no finite normal "
                          "square; rescale the function or the weights")
-    live = np.argwhere(np.abs(cw) > coeff_tol * cmax)
+    live = np.argwhere(np.abs(cw) > COEFF_TOL * cmax)
 
     sf = square_function(pspace, coeffs)
     fam, _ = level_sets(pspace, sf)
@@ -176,7 +204,6 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
     if (j_of < fam.j_lo).any():
         raise AssertionError("nonzero-coefficient rectangle escaped classification")
 
-    eps0 = epsilon0(pspace)
     blocks1 = [building_blocks(pspace.x1, w, gamma1, cbar=1.0) for w in b1.wavelets]
     blocks2 = [building_blocks(pspace.x2, w, gamma2, cbar=1.0) for w in b2.wavelets]
     w1o, w2o = pspace.x1.omega, pspace.x2.omega
@@ -187,14 +214,13 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
         sel = j_of == jj
         pairs = np.column_stack([live, rows, cols])[sel].tolist()     # rows [i, j, a, b]
         omega_j = fam.sets[jj]
-        omega_t = enlarge(pspace, omega_j, eps0)
+        eps0, omega_t, family = _pool(pspace, omega_j)
         escaped = ~containment_matrix(pspace, omega_t)[rows[sel], cols[sel]]
         if escaped.any():
             _, _, a, b = pairs[int(escaped.argmax())]
             raise AssertionError(f"classified rectangle {g1.cubes[a].id + g2.cubes[b].id} "
                                  "escapes the enlargement")
 
-        family = maximal_rectangles(pspace, omega_t, "both")
         rects = list(dict.fromkeys((a, b) for _, _, a, b in pairs))
         tau_of = dict(zip(rects, tau(pspace, family,
                                      [g1.cubes[a].id + g2.cubes[b].id for a, b in rects])))
@@ -216,9 +242,8 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
                         if blocks1[i].n_blocks > ell1 and blocks2[j].n_blocks > ell2]
                 if not cell:
                     continue
-                growth = growth_factor(pspace, ell1, ell2) * omega_t.measure
                 lam_raw = (2.0 ** (ell1 * w1o + ell2 * w2o) * sfb_norm
-                           * growth ** (1.0 / p - 1.0 / r))
+                           * _budget_measure(pspace, omega_t, ell1, ell2) ** (1.0 / p - 1.0 / r))
                 weight = 2.0 ** (-ell1 * gamma1 - ell2 * gamma2)
                 rect_atoms: dict = {}
                 for i, j, a, b in cell:
@@ -266,37 +291,32 @@ def _view_on(pspace: ProductSpace, grids) -> ProductSpace:
     return ProductSpace(pspace.x1, pspace.x2, system1=grids[0], system2=grids[1])
 
 
-def verify_atom(pspace: ProductSpace, atom: ProductAtom,
-                deltas=(0.5, 1.0, 2.0), cancel_tol: float = 1e-10) -> dict:
+def verify_atom(pspace: ProductSpace, atom: ProductAtom) -> dict:
     """Check every (p,q)-atom condition numerically.
 
     Exact checks (support containments, rectangle-atom indexing, per-variable
     cancellation, decomposition into rectangle atoms) either pass or name the
     failing condition and rectangle; size-type conditions report measured
     constants.  Stretch ratios for the 1 < q < 2 branch are certified at the
-    default delta = q/(2p) and at the supplied extra deltas.
+    default delta = q/(2p) and at STRETCH_DELTAS.
     """
     view = _view_on(pspace, atom.grids)
     p, q = atom.p, atom.q
     failures: list[str] = []
-    eps0 = epsilon0(view)
-    omega_t = enlarge(view, atom.omega, eps0)
-    lam1, lam2 = _support_multipliers(view, atom.ell1, atom.ell2)
+    eps0, omega_t, family = _pool(view, atom.omega)
+    (lam1, lam2), (dil1, dil2) = _boxes(view, atom.ell1, atom.ell2)
     support, _ = ell_enlarge(view, omega_t, atom.ell1, atom.ell2, lam1, lam2)
 
     scale = float(np.abs(atom.values).max())
     if scale > 0 and (np.abs(atom.values) > 1e-14 * scale)[~support.mask].any():
         failures.append("condition (1): support escapes the enlarged open set")
 
-    growth = growth_factor(view, atom.ell1, atom.ell2) * omega_t.measure
-    budget = growth ** (1.0 / q - 1.0 / p)
+    budget = _budget_measure(view, omega_t, atom.ell1, atom.ell2) ** (1.0 / q - 1.0 / p)
     a_q = view.lq_norm(atom.values, q)
     c_q_size = a_q / budget if budget > 0 else math.inf
 
-    family = maximal_rectangles(view, omega_t, "both")
     keys_all = {r.key for r in family.m_all}
     g1, g2 = view.systems[0].geometry, view.systems[1].geometry
-    dil1, dil2 = view.systems[0].dilate_matrix(lam1), view.systems[1].dilate_matrix(lam2)
     w1, w2 = view.x1.weight, view.x2.weight
 
     total = np.zeros(view.shape)
@@ -316,7 +336,7 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom,
             failures.append(f"condition (3)(i): rectangle atom {key} escapes its dilated box")
         if (livemask & ~support.mask).any():
             failures.append(f"condition (3)(i): rectangle atom {key} escapes the enlargement")
-        if not _cancels(w1, w2, vals, cancel_tol):
+        if not _cancels(w1, w2, vals, CANCEL_TOL):
             failures.append(f"condition (3)(ii): cancellation fails on rectangle {key}")
 
     if scale > 0 and np.abs(total - atom.values).max() > 1e-12 * scale:
@@ -334,7 +354,7 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom,
     else:
         ratios = {}
         delta_default = q / (2.0 * p)
-        for d in sorted(set(deltas) | {delta_default}):
+        for d in sorted(set(STRETCH_DELTAS) | {delta_default}):
             s = 0.0
             for key in atom.rectangle_atoms:
                 if key not in keys_all:
@@ -354,8 +374,8 @@ def atom_hp_bound(pspace: ProductSpace, atom: ProductAtom, p: float) -> float:
 
 def generate_atom(pspace: ProductSpace, rng, p: float, q: float,
                   ell1: int, ell2: int,
-                  grids: tuple[DyadicSystem, DyadicSystem] | None = None,
-                  max_rects: int = 4) -> ProductAtom | None:
+                  grids: tuple[DyadicSystem, DyadicSystem] | None = None
+                  ) -> ProductAtom | None:
     """Random (p,q)-atom: rectangle atoms on the maximal rectangles of a
     random open set's enlargement, per-variable mean-zeroed by projection,
     normalized to the condition-(2) budget (C_q = 1).
@@ -364,8 +384,7 @@ def generate_atom(pspace: ProductSpace, rng, p: float, q: float,
     carry cancellation); callers redraw.
     """
     view = _view_on(pspace, grids)
-    s1, s2 = view.systems
-    g1, g2 = s1.geometry, s2.geometry
+    g1, g2 = view.systems[0].geometry, view.systems[1].geometry
 
     mask = np.zeros(view.shape, dtype=bool)
     for _ in range(int(rng.integers(1, 4))):
@@ -373,26 +392,20 @@ def generate_atom(pspace: ProductSpace, rng, p: float, q: float,
         b = int(rng.integers(len(g2.cubes)))
         mask |= np.outer(g1.incidence[a] > 0, g2.incidence[b] > 0)
     omega = OpenSet.from_mask(view, mask)
-    omega_t = enlarge(view, omega, epsilon0(view))
-
-    pool = maximal_rectangles(view, omega_t, "both").m_all
-    if not pool:
+    _, omega_t, family = _pool(view, omega)
+    if not family.m_all:
         return None
-    order = rng.permutation(len(pool))
-    pool = [pool[int(i)] for i in order[:max_rects]]
+    pool = [family.m_all[int(i)] for i in rng.permutation(len(family.m_all))[:MAX_RECTS]]
 
-    lam1, lam2 = _support_multipliers(view, ell1, ell2)
-    dil1, dil2 = s1.dilate_matrix(lam1), s2.dilate_matrix(lam2)
+    _, (dil1, dil2) = _boxes(view, ell1, ell2)
     rect_atoms = {}
     values = np.zeros(view.shape)
     for ref in pool:
         u, v = dil1[g1.flat(*ref.q1)], dil2[g2.flat(*ref.q2)]
         if u.sum() < 2 or v.sum() < 2:
             continue
-        block = rng.standard_normal((int(u.sum()), int(v.sum())))
-        wu, wv = view.x1.weight[u], view.x2.weight[v]
-        block = block - np.outer(np.ones(len(wu)), wu @ block) / wu.sum()
-        block = block - np.outer(block @ wv, np.ones(len(wv))) / wv.sum()
+        block = _mean_zero(rng.standard_normal((int(u.sum()), int(v.sum()))),
+                           view.x1.weight[u], view.x2.weight[v])
         vals = np.zeros(view.shape)
         vals[np.ix_(u, v)] = block
         key = ref.key
@@ -401,8 +414,7 @@ def generate_atom(pspace: ProductSpace, rng, p: float, q: float,
     if not rect_atoms or np.abs(values).max() == 0.0:
         return None
 
-    growth = growth_factor(view, ell1, ell2) * omega_t.measure
-    budget = growth ** (1.0 / q - 1.0 / p)
+    budget = _budget_measure(view, omega_t, ell1, ell2) ** (1.0 / q - 1.0 / p)
     norm = view.lq_norm(values, q)
     scale = budget / norm
     values = values * scale

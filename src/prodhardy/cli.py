@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,33 +27,17 @@ from .maximal import OpenSet
 from .product import (ProductSpace, double_center, hp_seminorm,
                       inverse_product_transform, product_transform,
                       square_function)
-from .space import FiniteSpace, SpaceValidationError, load_space, make_space
+from .space import FiniteSpace, load_space, make_space
 from .wavelet import build_haar
 
 
-@dataclass
-class RunConfig:
-    command: str
-    space: str | None = None
-    space2: str | None = None
-    p: float = 1.0
-    q: float = 2.0
-    delta: float | None = None
-    gamma1: float | None = None
-    gamma2: float | None = None
-    seed: int = 0
-    mode: str = "desk"
-    out: str | None = None
-    function: str | None = None
-    corpus: int = 50
-
-    def validate(self):
-        if not 0 < self.p <= 1:
-            raise ValueError("p must lie in (0, 1]")
-        if self.q <= 1:
-            raise ValueError("q must exceed 1")
-        if self.delta is not None and not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
+def _validate(args: argparse.Namespace):
+    if not 0 < args.p <= 1:
+        raise ValueError("p must lie in (0, 1]")
+    if args.q <= 1:
+        raise ValueError("q must exceed 1")
+    if args.delta is not None and not 0 < args.delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
 
 
 def _json_default(o):
@@ -62,8 +45,6 @@ def _json_default(o):
         return o.item()
     if isinstance(o, np.ndarray):
         return o.tolist()
-    if isinstance(o, float) and not math.isfinite(o):
-        return repr(o)
     raise TypeError(f"not serializable: {type(o)}")
 
 
@@ -80,15 +61,15 @@ def _default_space() -> FiniteSpace:
     return make_space(np.abs(pts[:, None] - pts[None, :]), meta={"source": "builtin-line-8"})
 
 
-def _load(cfg: RunConfig) -> tuple[FiniteSpace, FiniteSpace]:
-    x1 = load_space(Path(cfg.space)) if cfg.space else _default_space()
-    x2 = load_space(Path(cfg.space2)) if cfg.space2 else x1
+def _load(args: argparse.Namespace) -> tuple[FiniteSpace, FiniteSpace]:
+    x1 = load_space(Path(args.space)) if args.space else _default_space()
+    x2 = load_space(Path(args.space2)) if args.space2 else x1
     return x1, x2
 
 
-def _load_function(pspace: ProductSpace, cfg: RunConfig) -> np.ndarray:
-    if cfg.function:
-        doc = json.loads(Path(cfg.function).read_text())
+def _load_function(pspace: ProductSpace, args: argparse.Namespace) -> np.ndarray:
+    if args.function:
+        doc = json.loads(Path(args.function).read_text())
         if "dense" in doc:
             f = np.asarray(doc["dense"], dtype=float)
         elif "triples" in doc:
@@ -100,7 +81,7 @@ def _load_function(pspace: ProductSpace, cfg: RunConfig) -> np.ndarray:
         if f.shape != pspace.shape:
             raise ValueError(f"function shape {f.shape} does not match grid {pspace.shape}")
         return f
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     return pspace.random_function(rng)
 
 
@@ -122,38 +103,37 @@ def _basis_export(basis) -> dict:
 
 
 def _nonzero_entries(values: np.ndarray) -> list[list]:
-    """[[i, values[i]], ...] for every entry that is not 0.0 (or -0.0)."""
-    idx = np.flatnonzero(values)
-    return [[i, v] for i, v in zip(idx.tolist(), values[idx].tolist())]
+    """[[*index, value], ...] in row-major order for every entry that is not
+    0.0 (or -0.0): [[i, v], ...] for a vector, [[i, j, v], ...] for a grid."""
+    idx = np.nonzero(values)
+    return [[*ix, v] for ix, v in zip(np.transpose(idx).tolist(), values[idx].tolist())]
 
 
-def cmd_build(cfg: RunConfig) -> int:
-    x1, x2 = _load(cfg)
-    report = {"command": "build", "seed": cfg.seed, "mode": cfg.mode, "factors": []}
-    for x in (x1, x2) if cfg.space2 else (x1,):
-        system = build_system(x, cfg.delta, cfg.mode)
-        basis = build_haar(system)
-        report["factors"].append({
-            "system": json.loads(export_system(system)),
-            "verification": verify_system(system),
-            "basis": _basis_export(basis),
-        })
-    emit(report, cfg.out)
+def cmd_build(args: argparse.Namespace) -> int:
+    x1, x2 = _load(args)
+    systems = [build_system(x, args.delta) for x in ((x1, x2) if args.space2 else (x1,))]
+    report = {"command": "build", "seed": args.seed,
+              "mode": systems[0].mode,     # which rule chose delta
+              "factors": [{"system": json.loads(export_system(system)),
+                           "verification": verify_system(system),
+                           "basis": _basis_export(build_haar(system))}
+                          for system in systems]}
+    emit(report, args.out)
     return 0
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
-    x1, x2 = _load(cfg)
-    pspace = ProductSpace(x1, x2, delta=cfg.delta, mode=cfg.mode)
-    f = double_center(pspace, _load_function(pspace, cfg))
-    dec = atoms_mod.atomic_decompose(pspace, f, cfg.p, cfg.q, cfg.gamma1, cfg.gamma2)
+def cmd_decompose(args: argparse.Namespace) -> int:
+    x1, x2 = _load(args)
+    pspace = ProductSpace(x1, x2, delta=args.delta)
+    f = double_center(pspace, _load_function(pspace, args))
+    dec = atoms_mod.atomic_decompose(pspace, f, args.p, args.q, args.gamma1, args.gamma2)
     certs = [atoms_mod.verify_atom(pspace, t.atom) for t in dec.terms]
     all_pass = dec.residual <= 1e-8 and all(c["passed"] for c in certs)
     report = {
         "command": "decompose",
-        "p": cfg.p,
-        "q": cfg.q,
-        "seed": cfg.seed,
+        "p": args.p,
+        "q": args.q,
+        "seed": args.seed,
         "residual": dec.residual,
         "summary": dec.report,
         "terms": [
@@ -163,8 +143,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
                 "j": t.provenance[0],
                 "ell1": t.provenance[1],
                 "ell2": t.provenance[2],
-                "atom_values": [[int(i), int(j), float(v)]
-                                for (i, j), v in np.ndenumerate(t.atom.values) if v != 0.0],
+                "atom_values": _nonzero_entries(t.atom.values),
                 "rectangle_atoms": sorted(list(k) for k in t.atom.rectangle_atoms),
                 "certificate": c,
             }
@@ -172,16 +151,16 @@ def cmd_decompose(cfg: RunConfig) -> int:
         ],
         "all_certificates_pass": all_pass,
     }
-    emit(report, cfg.out)
+    emit(report, args.out)
     return 0 if all_pass else 1
 
 
-def cmd_certify(cfg: RunConfig) -> int:
-    if cfg.corpus <= 0:
+def cmd_certify(args: argparse.Namespace) -> int:
+    if args.corpus <= 0:
         raise ValueError("corpus size must be positive")
-    x1, x2 = _load(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    pspace = ProductSpace(x1, x2, delta=cfg.delta, mode=cfg.mode)
+    x1, x2 = _load(args)
+    rng = np.random.default_rng(args.seed)
+    pspace = ProductSpace(x1, x2, delta=args.delta)
     checks: dict[str, dict] = {}
 
     v1 = verify_system(pspace.systems[0])
@@ -194,7 +173,7 @@ def cmd_certify(cfg: RunConfig) -> int:
     recon_err = 0.0
     parseval_err = 0.0
     snorm_err = 0.0
-    for _ in range(cfg.corpus):
+    for _ in range(args.corpus):
         f = pspace.random_function(rng)
         coeffs = product_transform(pspace, f)
         back = inverse_product_transform(pspace, coeffs)
@@ -215,7 +194,7 @@ def cmd_certify(cfg: RunConfig) -> int:
     cps = {}
     for p in (0.8, 1.0):
         worst = 0.0
-        for _ in range(cfg.corpus):
+        for _ in range(args.corpus):
             f = pspace.random_function(rng)
             lp = float(((np.abs(f) ** p) * pspace.weights).sum() ** (1 / p))
             hp = hp_seminorm(pspace, f, p)
@@ -225,7 +204,7 @@ def cmd_certify(cfg: RunConfig) -> int:
                           "exact_pass": all(math.isfinite(v) for v in cps.values())}
 
     jc = {"0.5": 0.0, "1": 0.0, "2": 0.0}
-    for _ in range(cfg.corpus):
+    for _ in range(args.corpus):
         mask = rng.random(pspace.shape) < 0.35
         if not mask.any():
             continue
@@ -237,8 +216,8 @@ def cmd_certify(cfg: RunConfig) -> int:
                         "exact_pass": all(math.isfinite(v) for v in jc.values())}
 
     eq = atoms_mod.equivalence_report(
-        pspace, [pspace.random_function(rng) for _ in range(min(cfg.corpus, 20))],
-        cfg.p, cfg.q)
+        pspace, [pspace.random_function(rng) for _ in range(min(args.corpus, 20))],
+        args.p, args.q)
     max_resid = max(r["residual"] for r in eq["per_function"])
     checks["equivalence"] = {
         "upper_ratio_range": eq["upper_ratio_range"],
@@ -261,10 +240,10 @@ def cmd_certify(cfg: RunConfig) -> int:
         f"max_Sa_Lp\t{eq['max_sa_p']:.6f}",
         f"max_residual\t{max_resid:.6e}",
     ]
-    report = {"command": "certify", "seed": cfg.seed, "p": cfg.p, "q": cfg.q,
-              "corpus": cfg.corpus, "checks": checks,
+    report = {"command": "certify", "seed": args.seed, "p": args.p, "q": args.q,
+              "corpus": args.corpus, "checks": checks,
               "constants_table": table, "all_exact_pass": ok}
-    emit(report, cfg.out)
+    emit(report, args.out)
     return 0 if ok else 1
 
 
@@ -287,7 +266,6 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--gamma1", type=float, default=None)
         sp.add_argument("--gamma2", type=float, default=None)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--mode", choices=("desk", "reference"), default="desk")
         sp.add_argument("--out", default=None)
         if name == "decompose":
             sp.add_argument("--function", default=None,
@@ -299,22 +277,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command,
-                    space=args.space, space2=args.space2, p=args.p, q=args.q,
-                    delta=args.delta, gamma1=args.gamma1, gamma2=args.gamma2,
-                    seed=args.seed, mode=args.mode, out=args.out,
-                    function=getattr(args, "function", None),
-                    corpus=getattr(args, "corpus", 50))
     try:
-        cfg.validate()
-        return args.fn(cfg)
-    except (ValueError, SpaceValidationError, atoms_mod.ChannelError) as e:
+        _validate(args)
+        return args.fn(args)
+    except (ValueError, FileNotFoundError) as e:   # space and channel errors are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -6,8 +6,9 @@ level-(k+1) cube is attached to the level-k net point nearest its center and
 member sets are inherited bottom-up, so nestedness and disjoint union hold
 exactly by construction.  Inner/outer ball containment is certified with
 c1 = (3 a0^2)^-1 c0 and C1 = 2 a0 C0 whenever the base side length satisfies
-the cube test condition 12 a0^3 C0 delta <= c0; desk mode permits any delta
-in (0,1) and records non-conformance instead of failing.
+the cube test condition 12 a0^3 C0 delta <= c0.  Without a given delta the
+reference rule chooses it ("reference" mode); a given delta may be any value
+in (0,1) ("desk" mode), and non-conformance is recorded instead of failing.
 
 Each system also offers one array view of its cubes (``CubeGeometry``:
 incidence matrix, sizes, centers, sides, parent indices), built on first
@@ -124,15 +125,14 @@ class DyadicSystem:
 
     def __init__(self, space: FiniteSpace, delta: float, k_min: int, k_max: int,
                  nets: dict[int, list[int]], cubes: dict[int, list[Cube]],
-                 mode: str, order_seed=None):
+                 mode: str):
         self.space = space
         self.delta = delta
         self.k_min = k_min
         self.k_max = k_max
         self.nets = nets
         self.cubes = cubes
-        self.mode = mode
-        self.order_seed = order_seed
+        self.mode = mode                      # "reference" when the reference rule chose delta
         self.c0 = 1.0                         # greedy guarantees delta^k separation
         self.C0_measured = self._covering_constant()
         self.C0_cert = 2.0 * space.a0
@@ -254,12 +254,13 @@ def _assemble_cubes(space: FiniteSpace, delta: float, k_min: int, k_max: int,
     return cubes
 
 
-def build_system(space: FiniteSpace, delta: float | None = None, mode: str = "desk",
+def build_system(space: FiniteSpace, delta: float | None = None,
                  order_seed: int | None = None) -> DyadicSystem:
-    """Construct the full cube system; see module docstring for the rules."""
+    """Construct the full cube system; see module docstring for the rules.
+    ``mode`` is "reference" when the reference rule chose delta, else "desk"."""
+    mode = "desk" if delta is not None else "reference"
     if delta is None:
         delta = min(0.5, 1e-3 * space.a0 ** -10)
-        mode = "reference"
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
 
@@ -295,7 +296,7 @@ def build_system(space: FiniteSpace, delta: float | None = None, mode: str = "de
     parents = {k: np.argmin(space.dist[np.ix_(nets[k], nets[k - 1])], axis=1).tolist()
                for k in range(k_min + 1, k_max + 1)}
     cubes = _assemble_cubes(space, delta, k_min, k_max, nets, parents)
-    return DyadicSystem(space, delta, k_min, k_max, nets, cubes, mode, order_seed)
+    return DyadicSystem(space, delta, k_min, k_max, nets, cubes, mode)
 
 
 def verify_system(system: DyadicSystem, policy: RegularFamilyPolicy | None = None) -> dict:

@@ -1,16 +1,16 @@
 """Maximal dyadic rectangle families and the Journe-type covering check.
 
 A rectangle R = Q1 x Q2 inside an open set is maximal when neither
-single-factor parent extension stays inside the set.  The families m1 and m2
-coincide with m(Omega) as rectangle sets and differ in the direction their
-stretch map extends: for R in m1(Omega) the stretch Q2^ is the coarsest
-ancestor of Q2 with mu((Q1 x Q2^) cap Omega) > mu(Q1 x Q2^)/2 (a chain
-maximum, by dyadic nesting), symmetrically for m2.  This is the restricted
-(Chang-Fefferman style) convention: a single-rectangle set has exactly one
-maximal rectangle and covering constant at most 1.  The covering check
-certifies
+single-factor parent extension stays inside the set.  The maximal rectangles
+form one family m(Omega) with two stretch maps, one per direction: stretch2
+takes R to the coarsest ancestor Q2^ of Q2 with
+mu((Q1 x Q2^) cap Omega) > mu(Q1 x Q2^)/2 (a chain maximum, by dyadic
+nesting), and stretch1 takes it to Q1^, symmetrically.  This is the
+restricted (Chang-Fefferman style) convention: a single-rectangle set has
+exactly one maximal rectangle and covering constant at most 1.  The
+covering check certifies, for each direction,
 
-    sum_{R in m_i} mu(R) (l(Q_j)/l(Q_j^))^delta  <=  C mu(Omega)
+    sum_{R in m(Omega)} mu(R) (l(Q)/l(Q^))^delta  <=  C mu(Omega)
 
 with a measured C, for power weights w(t) = t^delta.
 """
@@ -29,21 +29,19 @@ from .space import _exact_sums
 @dataclass
 class MaximalRectangleFamily:
     m_all: list[DyadicRectangle] = field(default_factory=list)
-    m1: list[DyadicRectangle] = field(default_factory=list)
-    m2: list[DyadicRectangle] = field(default_factory=list)
-    stretch2: dict = field(default_factory=dict)   # R in m1 -> Q2^ cube id
-    stretch1: dict = field(default_factory=dict)   # R in m2 -> Q1^ cube id
+    stretch2: dict = field(default_factory=dict)   # R -> Q2^ cube id
+    stretch1: dict = field(default_factory=dict)   # R -> Q1^ cube id
 
 
 def maximal_rectangles(pspace: ProductSpace, omega: OpenSet,
                        direction: str = "both") -> MaximalRectangleFamily:
-    """Maximal rectangle families from the containment matrix: a contained
+    """The maximal rectangle family from the containment matrix: a contained
     Q1 x Q2 is maximal when neither parent(Q1) x Q2 nor Q1 x parent(Q2) is
     contained (the root has no parent).
 
-    Deterministic level-then-index ordering.  Families may overlap; none of
-    them is a disjoint collection.  m1 and m2 are m_all itself, each with
-    its own stretch map; ``direction`` accepts only "both".
+    One family ``m_all`` in deterministic level-then-index order, with both
+    stretch maps; its rectangles may overlap.  ``direction`` accepts only
+    "both".
     """
     if direction != "both":
         raise ValueError(f"direction must be 'both', got {direction!r}")
@@ -59,7 +57,6 @@ def maximal_rectangles(pspace: ProductSpace, omega: OpenSet,
     for a, b in rects:
         c1, c2 = g1.cubes[a], g2.cubes[b]
         fam.m_all.append(DyadicRectangle(q1=c1.id, q2=c2.id, measure=c1.measure * c2.measure))
-    fam.m1 = fam.m2 = fam.m_all
     # stretches: the coarsest ancestor-or-self along each rectangle's row or
     # column that keeps the majority; the rectangle itself, inside Omega, does
     passes = majority_matrix(pspace, omega)
@@ -109,17 +106,18 @@ def _measure_in(pspace: ProductSpace, omega: OpenSet, mask1, mask2) -> float:
 
 def stretch(pspace: ProductSpace, family: MaximalRectangleFamily,
             ref: DyadicRectangle, direction: int = 1):
-    """Public stretch map; the rectangle must belong to the family's m_i."""
+    """Public stretch map (direction 1: Q2^, else Q1^); the rectangle must
+    belong to the family."""
     table, system = ((family.stretch2, pspace.systems[1]) if direction == 1
                      else (family.stretch1, pspace.systems[0]))
     if ref.key not in table:
-        raise ValueError(f"rectangle {ref.key} is not in m{direction} of this family")
+        raise ValueError(f"rectangle {ref.key} is not in this family")
     return system.cube(*table[ref.key])
 
 
 def stretch_exhaustive(pspace: ProductSpace, omega: OpenSet, ref: DyadicRectangle,
                        direction: int):
-    """Specification of the stretch maps: for R = Q1 x Q2 in m_i(Omega), the
+    """Specification of the stretch maps: for R = Q1 x Q2 in m(Omega), the
     coarsest ancestor Q^ of the other factor keeping
     mu((stretched R) cap Omega) > mu(stretched R)/2.
 
@@ -178,23 +176,17 @@ def journe_check(pspace: ProductSpace, omega: OpenSet, delta_exp: float) -> dict
         raise ValueError("omega must have positive measure")
     fam = maximal_rectangles(pspace, omega, "both")
     s1, s2 = pspace.systems
-    d1, d2 = s1.delta, s2.delta
-
-    def ratio(level_from: int, level_to: int, base: float) -> float:
-        # l(Q)/l(Q^) = base^(level_Q - level_Q^) <= 1
-        return base ** (level_from - level_to)
-
-    l1 = sum(ref.measure * ratio(ref.q2[0], fam.stretch2[ref.key][0], d2) ** delta_exp
-             for ref in fam.m1)
-    l2 = sum(ref.measure * ratio(ref.q1[0], fam.stretch1[ref.key][0], d1) ** delta_exp
-             for ref in fam.m2)
+    # l(Q)/l(Q^) = delta^(level_Q - level_Q^) <= 1, one stretch map per direction
+    l1 = sum(ref.measure * (s2.delta ** (ref.q2[0] - fam.stretch2[ref.key][0])) ** delta_exp
+             for ref in fam.m_all)
+    l2 = sum(ref.measure * (s1.delta ** (ref.q1[0] - fam.stretch1[ref.key][0])) ** delta_exp
+             for ref in fam.m_all)
     return {
         "delta": delta_exp,
         "L1": l1,
         "L2": l2,
         "C1": l1 / omega.measure,
         "C2": l2 / omega.measure,
-        "n_m1": len(fam.m1),
-        "n_m2": len(fam.m2),
+        "n_rectangles": len(fam.m_all),
         "dilation_ratios": (s1.outer_eff / s1.inner_cert, s2.outer_eff / s2.inner_cert),
     }

@@ -98,13 +98,22 @@ def epsilon0(pspace: ProductSpace) -> float:
 
     Uses the measured doubling constants and upper dimensions together with
     the reference dilation ratio 36 a0^9; realized grids have smaller ratios,
-    so classified rectangles land strictly inside the enlargement.
+    so classified rectangles land strictly inside the enlargement.  A
+    threshold that is no positive normal float is a ValueError naming its
+    log10 (summed in logs) and each factor's constants.
     """
     x1, x2 = pspace.x1, pspace.x2
-    val = 1.0 / (2.0 * x1.cmu * x2.cmu
-                 * (36.0 * x1.a0 ** 9) ** x1.omega
-                 * (36.0 * x2.a0 ** 9) ** x2.omega)
-    assert 0.0 < val < 1.0
+    log10_eps = -math.log10(2.0) - sum(math.log10(x.cmu) + x.omega * math.log10(36.0)
+                                       + 9.0 * x.omega * math.log10(x.a0) for x in (x1, x2))
+    # the denominator's factors are >= 1: none overflows unless the threshold underflows
+    val = (1.0 / (2.0 * x1.cmu * x2.cmu
+                  * (36.0 * x1.a0 ** 9) ** x1.omega
+                  * (36.0 * x2.a0 ** 9) ** x2.omega)
+           if log10_eps >= math.log10(np.finfo(float).tiny) else 0.0)
+    if val < np.finfo(float).tiny:
+        raise ValueError(f"epsilon0 = 10^{log10_eps:.6g} is not a positive normal float ("
+                         + "; ".join(f"factor {k}: a0 = {x.a0!r}, cmu = {x.cmu!r}, "
+                                     f"omega = {x.omega!r}" for k, x in ((1, x1), (2, x2))) + ")")
     return val
 
 

@@ -23,17 +23,16 @@ from .wavelet import BuildingBlockSet, WaveletBasis, build_haar
 class ProductSpace:
     def __init__(self, x1: FiniteSpace, x2: FiniteSpace,
                  system1: DyadicSystem | None = None, system2: DyadicSystem | None = None,
-                 delta: float | None = None, mode: str = "desk"):
+                 delta: float | None = None):
         self.x1, self.x2 = x1, x2
         self.systems = (
-            system1 if system1 is not None else build_system(x1, delta, mode),
-            system2 if system2 is not None else build_system(x2, delta, mode),
+            system1 if system1 is not None else build_system(x1, delta),
+            system2 if system2 is not None else build_system(x2, delta),
         )
         self.bases = (build_haar(self.systems[0]), build_haar(self.systems[1]))
-        # eta enters only through p0; the ramp cut-offs are Lipschitz (eta = 1)
-        self.eta = (1.0, 1.0)
-        self.p0 = max(x1.omega / (x1.omega + self.eta[0]),
-                      x2.omega / (x2.omega + self.eta[1]))
+        # p0 = max omega_i / (omega_i + eta) with Holder exponent eta = 1:
+        # the ramp cut-offs are Lipschitz
+        self.p0 = max(x1.omega / (x1.omega + 1.0), x2.omega / (x2.omega + 1.0))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -76,10 +75,13 @@ class ProductSpace:
 
 def double_center(pspace: ProductSpace, f: np.ndarray) -> np.ndarray:
     """Project onto doubly mean-zero functions (kills all non-ww channels)."""
-    w1, w2 = pspace.x1.weight, pspace.x2.weight
+    return _mean_zero(f, pspace.x1.weight, pspace.x2.weight)
+
+
+def _mean_zero(f: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """f minus its w1-mean down each column, then minus its w2-mean along each row."""
     f = f - (w1 @ f)[None, :] / w1.sum()
-    f = f - (f @ w2)[:, None] / w2.sum()
-    return f
+    return f - (f @ w2)[:, None] / w2.sum()
 
 
 @dataclass
@@ -117,8 +119,18 @@ class ProductCoefficients:
         return self.matrix[self.n_wav[0]:, self.n_wav[1]:]
 
     def channel_norms(self) -> dict[str, float]:
-        return {c: float(np.sqrt((getattr(self, c) ** 2).sum()))
-                for c in ("ww", "ws", "sw", "ss")}
+        """L2 norm of each channel; squares that overflow are scaled down first."""
+        norms = {}
+        for c in ("ww", "ws", "sw", "ss"):
+            m = getattr(self, c)
+            with np.errstate(over="ignore"):
+                sq = (m ** 2).sum()
+            if sq == math.inf and np.isfinite(m).all():
+                big = float(np.abs(m).max())
+                norms[c] = big * math.sqrt(float(((m / big) ** 2).sum()))
+            else:
+                norms[c] = float(np.sqrt(sq))
+        return norms
 
     def entries(self, pspace: ProductSpace, tol: float = 0.0):
         """Sparse view of the ww channel: ((k1, a1, k2, a2), value) tuples."""
@@ -163,7 +175,8 @@ def _indicator_over_measure(basis: WaveletBasis) -> np.ndarray:
 
 def hp_seminorm(pspace: ProductSpace, f: np.ndarray, p: float,
                 warn: list | None = None) -> float:
-    """||S(f)||_{L^p} for p in (0, 1]; defined for p > p0, desk mode warns below."""
+    """||S(f)||_{L^p} for p in (0, 1]; defined for p > p0; below it a
+    note is appended to ``warn`` when a list is given."""
     if not 0 < p <= 1:
         raise ValueError("p must lie in (0, 1]")
     if p <= pspace.p0 and warn is not None:
@@ -172,14 +185,18 @@ def hp_seminorm(pspace: ProductSpace, f: np.ndarray, p: float,
     return float(((sf ** p) * pspace.weights).sum() ** (1.0 / p))
 
 
+CMO_MAX_UNION = 3      # unions of up to this many maximal rectangles are candidates
+CMO_MICRO_LIMIT = 15   # up to this many energy rectangles, every union of them is one
+
+
 def cmo_p(pspace: ProductSpace, coeffs: ProductCoefficients, p: float,
-          candidates=None, max_union: int = 3, micro_limit: int = 15) -> float:
+          candidates=None) -> float:
     """Lower bound for the CMO^p supremum over a structured candidate family.
 
     Candidate value: (mu(Omega)^(1-2/p) * sum_{R in Omega} |<f,psi psi>|^2)^(1/2),
     the sum over wavelet rectangles contained in Omega.  Default candidates:
-    every single dyadic rectangle, unions of <= max_union maximal rectangles
-    of the coefficient support, and -- when at most micro_limit rectangles
+    every single dyadic rectangle, unions of <= CMO_MAX_UNION maximal rectangles
+    of the coefficient support, and -- when at most CMO_MICRO_LIMIT rectangles
     carry nonzero coefficients -- all unions of those rectangles, which makes
     the candidate supremum equal to the exhaustive all-subsets supremum (the
     optimum is always attained at such a union: dropping points outside the
@@ -201,8 +218,8 @@ def cmo_p(pspace: ProductSpace, coeffs: ProductCoefficients, p: float,
             support = OpenSet.from_mask(pspace, rects.any(axis=0).reshape(pspace.shape))
             fam = maximal_rectangles(pspace, support, "both").m_all
             stacks.append(_unions(pspace.rectangle_indicators(
-                [g1.flat(*r.q1) for r in fam], [g2.flat(*r.q2) for r in fam]), max_union))
-            if len(ra) <= micro_limit:
+                [g1.flat(*r.q1) for r in fam], [g2.flat(*r.q2) for r in fam]), CMO_MAX_UNION))
+            if len(ra) <= CMO_MICRO_LIMIT:
                 stacks.append(_unions(rects, len(ra)))
         cands = np.concatenate(stacks).astype(float)
     else:

@@ -35,3 +35,19 @@ def pspace8(line8):
 def micro22(two_pt):
     """2 x 2 product of 2-point spaces (the 9-ball-pair micro instance)."""
     return ProductSpace(two_pt, two_pt, delta=0.5)
+
+
+def epsilon0_underflow_docs():
+    """Space documents of two s = 2.5 snowflakes of 5 random plane points
+    with weights over 12 decades: epsilon0's denominator overflows, so
+    epsilon0 (about 10^-348) is no positive normal float."""
+    rng = np.random.default_rng(6)
+    docs = []
+    for _ in range(2):
+        n = int(rng.integers(2, 9))
+        coords = rng.uniform(0, 1, (n, 2))
+        weights = 10.0 ** rng.uniform(-6, 6, n)
+        docs.append({"metric": "euclidean", "snowflake": 2.5,
+                     "points": [{"id": i, "coords": c.tolist(), "weight": float(w)}
+                                for i, (c, w) in enumerate(zip(coords, weights))]})
+    return docs

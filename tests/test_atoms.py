@@ -69,6 +69,15 @@ def rounding_case(name):
         x1 = make_space(d1, 1e3 * np.array([0.01, 0.01, 10.0, 10.0, 1.0]))
         x2 = make_space(d2, 1e3 * np.array([1000.0, 1000.0, 1000.0, 10.0]))
         return ProductSpace(x1, x2, delta=0.25), 1.0, 2.0, 1
+    if name == "slow-passes":
+        # weights over four decades: each column-then-row pass shrinks the
+        # worst line's share only about sixfold, and two passes left 1.3e-10
+        pts = np.array([0.0, 5.0, 7.0, 4.0])
+        x1 = make_space(np.abs(pts[:, None] - pts[None, :]) ** 1.5,
+                        1e-30 * np.array([1.0, 0.1, 1e-3, 1e3]))
+        x2 = make_space(np.abs(np.arange(5.0)[:, None] - np.arange(5.0)[None, :]),
+                        np.full(5, 1e-30))
+        return ProductSpace(x1, x2, delta=0.5), 1.0, 2.0, 0
     # a heavy point where the wavelet is tiny: a column of rounding-level
     # entries, whose integral is noise of its own size
     pts = np.array([0.0, 1.0, 7.0, 6.0, -2.0])
@@ -79,7 +88,8 @@ def rounding_case(name):
     return ProductSpace(x1, x2, delta=0.5), 0.8, 1.5, 28029
 
 
-@pytest.mark.parametrize("name", ["block", "contributions", "noise-column"])
+@pytest.mark.parametrize("name", ["block", "contributions", "slow-passes",
+                                  "noise-column"])
 def test_atoms_cancel_despite_rounding(name):
     ps, p, q, seed = rounding_case(name)
     f = ps.random_function(np.random.default_rng(seed))

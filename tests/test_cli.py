@@ -43,6 +43,18 @@ def test_build_one_point_space(tmp_path):
     assert doc["factors"][0]["basis"]["wavelets"] == []
 
 
+def test_build_mode_label_follows_delta(space_file, tmp_path):
+    # the label says which rule chose delta, at the top as in every factor
+    for flags, label in (([], "reference"), (["--delta", "0.25"], "desk")):
+        out = tmp_path / "build.json"
+        assert run(["build", "--space", space_file, "--space2", space_file, *flags,
+                    "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["mode"] == label
+        assert [f["verification"]["mode"] for f in doc["factors"]] == [label, label]
+        assert [f["system"]["mode"] for f in doc["factors"]] == [label, label]
+
+
 def test_decompose_zero_function(space_file, tmp_path):
     fpath = tmp_path / "zero.json"
     fpath.write_text(json.dumps({"dense": [[0.0] * 8 for _ in range(8)]}))
@@ -76,6 +88,19 @@ def test_decompose_huge_function_rejected(tmp_path, capsys):
     assert run(["decompose", "--delta", "0.25",
                 "--function", _scaled_function(tmp_path, 1e160)]) == 2
     assert "largest wavelet coefficient" in capsys.readouterr().err
+
+
+def test_decompose_epsilon0_underflow_rejected(tmp_path, capsys):
+    from conftest import epsilon0_underflow_docs
+    paths = []
+    for k, doc in enumerate(epsilon0_underflow_docs()):
+        paths.append(tmp_path / f"snowflake{k}.json")
+        paths[-1].write_text(json.dumps(doc))
+    assert run(["decompose", "--space", str(paths[0]), "--space2", str(paths[1]),
+                "--delta", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "epsilon0 = 10^-347.8" in err and "not a positive normal float" in err
+    assert err.count("cmu = ") == 2
 
 
 def test_decompose_seeded_random(space_file, tmp_path):

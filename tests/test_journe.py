@@ -42,14 +42,13 @@ def test_single_rectangle_families(pspace8):
     fam = maximal_rectangles(pspace8, om, "both")
     key = c1.id + c2.id
     assert [r.key for r in fam.m_all] == [key]
-    assert [r.key for r in fam.m1] == [key]
-    assert [r.key for r in fam.m2] == [key]
+    assert list(fam.stretch1) == list(fam.stretch2) == [key]
 
 
 def test_empty_omega(pspace8):
     om = OpenSet.from_mask(pspace8, np.zeros(pspace8.shape, dtype=bool))
     fam = maximal_rectangles(pspace8, om, "both")
-    assert not fam.m_all and not fam.m1 and not fam.m2
+    assert not fam.m_all and not fam.stretch1 and not fam.stretch2
 
 
 def test_crossing_rectangles_match_oracle(canon):
@@ -77,7 +76,7 @@ def test_every_contained_rectangle_is_covered(pspace8):
     for _ in range(3):
         om = OpenSet.from_mask(pspace8, rng.random(pspace8.shape) < 0.4)
         fam = maximal_rectangles(pspace8, om, "both")
-        members = [(s1.member_mask(*r.q1), s2.member_mask(*r.q2)) for r in fam.m1]
+        members = [(s1.member_mask(*r.q1), s2.member_mask(*r.q2)) for r in fam.m_all]
         for c1 in s1.all_cubes():
             for c2 in s2.all_cubes():
                 m1 = s1.member_mask(*c1.id)
@@ -115,7 +114,7 @@ def test_stretch_ratio_range(pspace8):
         if om.is_empty():
             continue
         fam = maximal_rectangles(pspace8, om, "both")
-        for ref in fam.m1:
+        for ref in fam.m_all:
             k2 = ref.q2[0]
             khat = fam.stretch2[ref.key][0]
             assert khat <= k2                      # l(Q2) <= l(Q2^)
@@ -128,11 +127,11 @@ def test_public_stretch_membership(pspace8):
     c2 = pspace8.systems[1].cube(-1, 1)
     om = OpenSet.from_mask(pspace8, pspace8.rectangle_mask(c1, c2))
     fam = maximal_rectangles(pspace8, om, "both")
-    ref = fam.m1[0]
+    ref = fam.m_all[0]
     assert stretch(pspace8, fam, ref, 1).id == fam.stretch2[ref.key]
     from prodhardy import DyadicRectangle
     alien = DyadicRectangle(q1=(0, 0), q2=(0, 0), measure=1.0)
-    with pytest.raises(ValueError, match="not in m1"):
+    with pytest.raises(ValueError, match="not in this family"):
         stretch(pspace8, fam, alien, 1)
 
 

@@ -1,5 +1,7 @@
 import gc
+import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -91,6 +93,24 @@ def test_epsilon0_monotone_in_cmu(micro22, two_pt):
     ps2 = ProductSpace(two_pt, heavier, delta=0.5)
     assert epsilon0(ps2) < epsilon0(micro22)
     assert 0 < epsilon0(ps2) < 1
+
+
+def test_epsilon0_underflow_named(tmp_path):
+    from conftest import epsilon0_underflow_docs
+    from prodhardy import load_space
+    spaces = []
+    for k, doc in enumerate(epsilon0_underflow_docs()):
+        (tmp_path / f"{k}.json").write_text(json.dumps(doc))
+        spaces.append(load_space(tmp_path / f"{k}.json"))
+    ps = ProductSpace(*spaces, delta=0.5)
+    expect = -math.log10(2.0) - sum(math.log10(x.cmu) + x.omega * math.log10(36.0 * x.a0 ** 9)
+                                    for x in spaces)
+    with pytest.raises(ValueError, match="not a positive normal float") as err:
+        epsilon0(ps)
+    got = float(re.search(r"epsilon0 = 10\^(\S+) ", str(err.value)).group(1))
+    assert got == pytest.approx(expect, abs=1e-3) and got < math.log10(np.finfo(float).tiny)
+    for x in spaces:
+        assert f"a0 = {x.a0!r}, cmu = {x.cmu!r}, omega = {x.omega!r}" in str(err.value)
 
 
 def test_enlarge_full_and_empty(pspace8):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,21 @@ def test_double_center_kills_mixed_channels(pspace8):
     assert norms["ws"] <= 1e-12 * norms["ww"]
     assert norms["sw"] <= 1e-12 * norms["ww"]
     assert norms["ss"] <= 1e-12 * norms["ww"]
+
+
+def test_channel_norms_without_overflow(pspace8):
+    rng = np.random.default_rng(11)
+    co = product_transform(pspace8, rng.standard_normal(pspace8.shape))
+    norms = co.channel_norms()
+    for c in ("ww", "ws", "sw", "ss"):          # finite sums of squares: the plain formula
+        assert norms[c] == float(np.sqrt((getattr(co, c) ** 2).sum()))
+    huge = product_transform(pspace8, 1e160 * rng.standard_normal(pspace8.shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")             # squares past 1.8e308 must not warn
+        big = huge.channel_norms()
+    for c in ("ww", "ws", "sw", "ss"):
+        expect = 1e160 * float(np.sqrt(((getattr(huge, c) / 1e160) ** 2).sum()))
+        assert big[c] == pytest.approx(expect, rel=1e-12)
 
 
 def test_coefficient_entries_export(pspace8):
