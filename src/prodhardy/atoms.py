@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .journe import MaximalRectangleFamily, majority_matrix, maximal_rectangles, tau
+from .journe import MaximalRectangleFamily, _family, majority_matrix, tau
 from .maximal import (OpenSet, containment_matrix, ell_enlarge, enlarge, epsilon0,
                       growth_factor, level_sets)
 from .product import (ProductSpace, _mean_zero, hp_seminorm, product_transform,
@@ -116,14 +116,57 @@ COEFF_TOL = 1e-14            # coefficients below this share of the largest are 
 CANCEL_TOL = 1e-10           # condition (3)(ii): allowed share of a line's int |a|
 STRETCH_DELTAS = (0.5, 1.0, 2.0)   # extra deltas of the 1 < q < 2 stretch ratios
 MAX_RECTS = 4                # rectangle atoms drawn per generated atom
+SUM_BATCH = 1 << 16          # entries per stacked batch of _outer_sum
 
 
 def _pool(view: ProductSpace, omega: OpenSet) -> tuple[float, OpenSet, MaximalRectangleFamily]:
     """The Chang-Fefferman pool of ``omega``: epsilon_0, the enlargement
-    Omega~ = {M_s chi_Omega > epsilon_0} and Omega~'s maximal rectangles."""
-    eps0 = epsilon0(view)
-    omega_t = enlarge(view, omega, eps0)
-    return eps0, omega_t, maximal_rectangles(view, omega_t, "both")
+    Omega~ = {M_s chi_Omega > epsilon_0} and Omega~'s maximal rectangles,
+    kept on ``view`` per level set, so verify_atom reads what
+    atomic_decompose built.  The pool is shared: callers must not mutate it."""
+    def build():
+        eps0 = epsilon0(view)
+        omega_t = enlarge(view, omega, eps0)
+        return eps0, omega_t, _family(view, omega_t)
+    return view.memoized(("pool", omega.key()), build)
+
+
+def _block_stack(pspace: ProductSpace, factor: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each wavelet's building-block count on factor 0 or 1 at ``gamma``, and
+    the stack kphi[i, l] = kappa_i phi_{i,l} (zero past the count), kept on
+    the space: the corpus runs of ``certify`` decompose on one space."""
+    def build():
+        space, basis = (pspace.x1, pspace.x2)[factor], pspace.bases[factor]
+        sets = [building_blocks(space, w, gamma, cbar=1.0) for w in basis.wavelets]
+        counts = np.array([b.n_blocks for b in sets], dtype=int)
+        kphi = np.zeros((len(sets), counts.max(initial=0), space.n))
+        for i, b in enumerate(sets):
+            kphi[i, :b.n_blocks] = b.kappa * np.asarray(b.blocks)
+        return counts, kphi
+    return pspace.memoized(("blocks", factor, gamma), build)
+
+
+def _outer_sum(s: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_k s[k] outer(u[k], v[k]), added in k order from zero: the same
+    floats as the loop acc = acc + s[k] * np.outer(u[k], v[k]).
+
+    The terms are stacked at most SUM_BATCH entries at a time, slice 0 of
+    each stack holding the running sum.  Reducing over the leading axis of
+    a C-ordered stack adds its slices one after another: NumPy sums pairwise
+    only along the inner loop, which here runs over the grid's entries (a
+    grid that carries terms has at least two points per factor).
+    """
+    n1, n2 = u.shape[1], v.shape[1]
+    step = max(1, SUM_BATCH // (n1 * n2) - 1)
+    acc = np.zeros((n1, n2))
+    for lo in range(0, len(s), step):
+        hi = min(lo + step, len(s))
+        stack = np.empty((hi - lo + 1, n1, n2))
+        stack[0] = acc
+        np.multiply(u[lo:hi, :, None], v[lo:hi, None, :], out=stack[1:])
+        stack[1:] *= s[lo:hi, None, None]
+        acc = np.add.reduce(stack, axis=0)
+    return acc
 
 
 def _budget_measure(view: ProductSpace, omega_t: OpenSet, ell1: int, ell2: int) -> float:
@@ -204,58 +247,55 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
     if (j_of < fam.j_lo).any():
         raise AssertionError("nonzero-coefficient rectangle escaped classification")
 
-    blocks1 = [building_blocks(pspace.x1, w, gamma1, cbar=1.0) for w in b1.wavelets]
-    blocks2 = [building_blocks(pspace.x2, w, gamma2, cbar=1.0) for w in b2.wavelets]
+    nb1, kphi1 = _block_stack(pspace, 0, gamma1)
+    nb2, kphi2 = _block_stack(pspace, 1, gamma2)
     w1o, w2o = pspace.x1.omega, pspace.x2.omega
     sf_p = float(((sf ** p) * pspace.weights).sum())
     recon = np.zeros(pspace.shape)
+    r = q if q >= 2 else 2.0
 
     for jj in sorted(set(j_of.tolist())):
         sel = j_of == jj
-        pairs = np.column_stack([live, rows, cols])[sel].tolist()     # rows [i, j, a, b]
+        ii, jw, ra, rb = live[sel, 0], live[sel, 1], rows[sel], cols[sel]
+        cs = cw[ii, jw]
         omega_j = fam.sets[jj]
         eps0, omega_t, family = _pool(pspace, omega_j)
-        escaped = ~containment_matrix(pspace, omega_t)[rows[sel], cols[sel]]
+        escaped = ~containment_matrix(pspace, omega_t)[ra, rb]
         if escaped.any():
-            _, _, a, b = pairs[int(escaped.argmax())]
+            at = escaped.argmax()
+            a, b = ra[at], rb[at]
             raise AssertionError(f"classified rectangle {g1.cubes[a].id + g2.cubes[b].id} "
                                  "escapes the enlargement")
 
-        rects = list(dict.fromkeys((a, b) for _, _, a, b in pairs))
+        pair_rects = list(zip(ra.tolist(), rb.tolist()))
+        rects = list(dict.fromkeys(pair_rects))
         tau_of = dict(zip(rects, tau(pspace, family,
                                      [g1.cubes[a].id + g2.cubes[b].id for a, b in rects])))
+        tkeys = list(dict.fromkeys(tau_of.values()))
+        index = {t: n for n, t in enumerate(tkeys)}
+        group = np.array([index[tau_of[ab]] for ab in pair_rects])    # each pair's tau key
 
-        s2 = np.zeros(pspace.shape)
-        for i, j, a, b in pairs:
-            s2 += (cw[i, j] ** 2 / (g1.measures[a] * g2.measures[b])
-                   * np.outer(g1.incidence[a], g2.incidence[b]))
-        sfb = np.sqrt(s2)
-        r = q if q >= 2 else 2.0
-        sfb_norm = pspace.lq_norm(sfb, r)
+        # c ** 2 on scalars is C pow, as before; an array's ** 2 is c * c,
+        # which can differ in the last bit
+        sq = np.array([c ** 2 for c in cs.tolist()])
+        s2 = _outer_sum(sq / (g1.measures[ra] * g2.measures[rb]), g1.incidence[ra],
+                        g2.incidence[rb])
+        sfb_norm = pspace.lq_norm(np.sqrt(s2), r)
         if sfb_norm == 0.0:
             continue
-        Lmax1 = max(blocks1[i].n_blocks for i, _, _, _ in pairs)
-        Lmax2 = max(blocks2[j].n_blocks for _, j, _, _ in pairs)
-        for ell1 in range(Lmax1):
-            for ell2 in range(Lmax2):
-                cell = [(i, j, a, b) for (i, j, a, b) in pairs
-                        if blocks1[i].n_blocks > ell1 and blocks2[j].n_blocks > ell2]
-                if not cell:
+        for ell1 in range(nb1[ii].max()):
+            for ell2 in range(nb2[jw].max()):
+                cell = np.flatnonzero((nb1[ii] > ell1) & (nb2[jw] > ell2))
+                if not len(cell):
                     continue
                 lam_raw = (2.0 ** (ell1 * w1o + ell2 * w2o) * sfb_norm
                            * _budget_measure(pspace, omega_t, ell1, ell2) ** (1.0 / p - 1.0 / r))
                 weight = 2.0 ** (-ell1 * gamma1 - ell2 * gamma2)
                 rect_atoms: dict = {}
-                for i, j, a, b in cell:
-                    tkey = tau_of[a, b]
-                    bs1, bs2 = blocks1[i], blocks2[j]     # kappa * phi_ell per factor
-                    contrib = np.outer(bs1.kappa * bs1.blocks[ell1], bs2.kappa * bs2.blocks[ell2])
-                    contrib = cw[i, j] / lam_raw * contrib
-                    if tkey in rect_atoms:
-                        rect_atoms[tkey] = rect_atoms[tkey] + contrib
-                    else:
-                        rect_atoms[tkey] = contrib
-                rect_atoms = {k: _recancelled(pspace, v) for k, v in rect_atoms.items()}
+                for g in dict.fromkeys(group[cell].tolist()):     # tau keys, first seen first
+                    k = cell[group[cell] == g]
+                    vals = _outer_sum(cs[k] / lam_raw, kphi1[ii[k], ell1], kphi2[jw[k], ell2])
+                    rect_atoms[tkeys[g]] = _recancelled(pspace, vals)
                 avals = np.zeros(pspace.shape)
                 for v in rect_atoms.values():
                     avals += v

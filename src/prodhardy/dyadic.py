@@ -30,7 +30,7 @@ from .space import Ball, FiniteSpace, ball
 # Auscher-Hytonen reference dilation constants, recorded for comparison:
 # C1 = 6 a0^4, c1 = a0^-5 / 6, ratio C1/c1 = 36 a0^9.
 def AH_OUTER(a0):
-    return 6.0 * a0 ** 4
+    return _reference_power(6.0, a0, 4)
 
 
 def AH_INNER(a0):
@@ -38,7 +38,19 @@ def AH_INNER(a0):
 
 
 def AH_RATIO(a0):
-    return 36.0 * a0 ** 9
+    return _reference_power(36.0, a0, 9)
+
+
+def _reference_power(c: float, a0: float, k: int) -> float:
+    """c a0^k, or a ValueError naming a0 when that is no finite float."""
+    try:
+        val = c * a0 ** k
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        raise ValueError(f"a0 = {a0!r} is too large: the reference constant {c:g} a0^{k} "
+                         "overflows")
+    return val
 
 
 @dataclass

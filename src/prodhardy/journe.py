@@ -69,6 +69,14 @@ def maximal_rectangles(pspace: ProductSpace, omega: OpenSet,
     return fam
 
 
+def _family(pspace: ProductSpace, omega: OpenSet) -> MaximalRectangleFamily:
+    """``maximal_rectangles(pspace, omega)``, kept on the space per set: the
+    journe_check calls of one set and the atom pools share it, so no caller
+    may mutate it."""
+    return pspace.memoized(("family", omega.key()),
+                           lambda: maximal_rectangles(pspace, omega, "both"))
+
+
 def majority_matrix(pspace: ProductSpace, omega: OpenSet) -> np.ndarray:
     """The half test passes[a, b] = mu((Q1 x Q2) cap Omega) > mu(Q1 x Q2)/2
     for every cube pair (flat indices), as the per-rectangle sum decides it:
@@ -174,7 +182,7 @@ def journe_check(pspace: ProductSpace, omega: OpenSet, delta_exp: float) -> dict
         raise ValueError("delta exponent must be positive")
     if omega.measure <= 0:
         raise ValueError("omega must have positive measure")
-    fam = maximal_rectangles(pspace, omega, "both")
+    fam = _family(pspace, omega)
     s1, s2 = pspace.systems
     # l(Q)/l(Q^) = delta^(level_Q - level_Q^) <= 1, one stretch map per direction
     l1 = sum(ref.measure * (s2.delta ** (ref.q2[0] - fam.stretch2[ref.key][0])) ** delta_exp

@@ -49,6 +49,10 @@ class OpenSet:
     def is_empty(self) -> bool:
         return not self.mask.any()
 
+    def key(self) -> bytes:
+        """The mask's bytes: the key of values kept per set on a ProductSpace."""
+        return np.asarray(self.mask, dtype=bool).tobytes()
+
 
 def strong_maximal(pspace: ProductSpace, g: np.ndarray) -> np.ndarray:
     """M_s g(x1,x2) = max over ball pairs B1 x B2 containing (x1,x2) of the
@@ -118,13 +122,42 @@ def epsilon0(pspace: ProductSpace) -> float:
 
 
 def enlarge(pspace: ProductSpace, omega_set: OpenSet, eps: float) -> OpenSet:
-    """Superlevel set {M_s(chi_Omega) > eps}; contains Omega for eps < 1."""
+    """Superlevel set {M_s(chi_Omega) > eps}; contains Omega for eps < 1.
+
+    Each factor's whole space is a realized ball, so M_s chi_Omega >=
+    mu(Omega)/mu(X) everywhere, and the set is the whole grid once that
+    ratio clears eps by the rounding margin of ``_clears_everywhere``;
+    otherwise ``strong_maximal`` decides point by point.
+    """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     if omega_set.is_empty():
         return OpenSet.from_mask(pspace, omega_set.mask.copy())
+    if _clears_everywhere(pspace, omega_set.mask, eps):
+        return OpenSet.from_mask(pspace, np.ones(pspace.shape, dtype=bool))
     ms = strong_maximal(pspace, omega_set.mask.astype(float))
     return OpenSet.from_mask(pspace, ms > eps)
+
+
+def _clears_everywhere(pspace: ProductSpace, mask: np.ndarray, eps: float) -> bool:
+    """True only when strong_maximal's whole-space average of chi_Omega,
+    a lower bound of M_s chi_Omega at every point, is sure to exceed eps.
+
+    That average's numerator and denominator, and mu(Omega) and mu(X) here,
+    are sums of the same nonnegative terms (the products w1[i] w2[j] over
+    Omega, each factor's weights) in other orders.  With k = n1 n2 + n1 + n2
+    terms and roundings, each is within a factor 1 +- k u/2 of its exact
+    value (u the machine epsilon), plus k underflows below the smallest
+    normal.  The margin is at least twice what the four sums, the products
+    here and the average's division can move the comparison.  A subnormal
+    eps has no relative rounding bound, so it never takes the shortcut.
+    """
+    u, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    if eps < tiny:
+        return False
+    k = mask.size + sum(mask.shape)
+    return (pspace.set_measure(mask)
+            > eps * pspace.total_measure() * (1.0 + 8.0 * k * u) + 4.0 * k * tiny)
 
 
 def containment_matrix(pspace: ProductSpace, omega_set: OpenSet) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ import numpy as np
 from .dyadic import DyadicSystem, build_system
 from .space import FiniteSpace
 from .wavelet import BuildingBlockSet, WaveletBasis, build_haar
+
+MEMO_ENTRIES = 64            # values a ProductSpace keeps; the least recently used go first
 
 
 class ProductSpace:
@@ -33,6 +36,20 @@ class ProductSpace:
         # p0 = max omega_i / (omega_i + eta) with Holder exponent eta = 1:
         # the ramp cut-offs are Lipschitz
         self.p0 = max(x1.omega / (x1.omega + 1.0), x2.omega / (x2.omega + 1.0))
+        self._memo: OrderedDict = OrderedDict()
+
+    def memoized(self, key, compute):
+        """``compute()`` once per key while it stays among this space's last
+        MEMO_ENTRIES keys used.  The value is shared with every later caller
+        of the key, so no caller may mutate it."""
+        memo = self._memo
+        if key in memo:
+            memo.move_to_end(key)
+            return memo[key]
+        value = memo[key] = compute()
+        if len(memo) > MEMO_ENTRIES:
+            memo.popitem(last=False)
+        return value
 
     @property
     def shape(self) -> tuple[int, int]:

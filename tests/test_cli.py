@@ -209,3 +209,12 @@ def test_bad_space_document(tmp_path, capsys):
 
 def test_invalid_p_rejected(space_file, capsys):
     assert run(["decompose", "--space", space_file, "--p", "1.5"]) == 2
+
+
+def test_build_reference_constant_overflow_named(tmp_path, capsys):
+    # a0 = 5e39: 36 a0^9 is past the largest float
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"matrix": [[0, 1, 1e40], [1, 0, 1], [1e40, 1, 0]]}))
+    assert run(["build", "--delta", "0.5", "--space", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "a0 = 5e+39" in err and "overflows" in err

@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prodhardy import build_system, ell_enlarge, maximal_rectangles, strong_maximal
+from prodhardy import (build_system, ell_enlarge, enlarge, maximal_rectangles,
+                       strong_maximal, strong_maximal_exhaustive)
 from prodhardy.dyadic import dilate_mask
 from prodhardy.maximal import (ell_enlarge_exhaustive, realized_ball_masks,
                                rectangles_inside, rectangles_inside_exhaustive)
@@ -90,3 +91,19 @@ def test_geometry_rows_are_the_cubes(space, delta, lam):
             up = g.parent[up]
             chain.add(up)
         assert set(np.flatnonzero(g.ancestors[a])) == chain
+
+
+@CHECK
+@given(instances(), st.sampled_from([1e-9, 0.25, 0.5, 1.0 - 1e-15, 1.0 + 1e-15, 2.0]))
+def test_enlarge_matches_the_maximal_function(inst, factor):
+    # eps on both sides of mu(Omega)/mu(X), the bound the whole-grid test reads
+    ps, om = inst
+    eps = om.measure / ps.total_measure() * factor
+    if om.is_empty() or not 0 < eps < 1:
+        return
+    chi = om.mask.astype(float)
+    got = enlarge(ps, om, eps).mask
+    np.testing.assert_array_equal(got, strong_maximal(ps, chi) > eps)
+    if factor <= 0.5:         # far from the threshold the independent loops agree too
+        assert got.all()
+        np.testing.assert_array_equal(got, strong_maximal_exhaustive(ps, chi) > eps)

@@ -9,6 +9,7 @@ import pytest
 
 from prodhardy import (OpenSet, ProductSpace, ell_enlarge, enlarge, epsilon0,
                        level_sets, strong_maximal, strong_maximal_exhaustive)
+import prodhardy.maximal as maximal_mod
 from prodhardy.dyadic import dilate_mask
 from prodhardy.maximal import rectangles_inside_exhaustive
 
@@ -138,6 +139,36 @@ def test_enlarge_single_point_via_oracle(micro22):
     got = enlarge(micro22, om, eps)
     np.testing.assert_array_equal(got.mask, expect)
     assert got.mask.all()      # tiny eps0 swallows the whole 2x2 grid
+
+
+@pytest.mark.parametrize("weights", ["unit", "decimal"])
+def test_enlarge_equals_the_maximal_function_on_both_sides_of_the_ratio(monkeypatch, weights):
+    # mu(Omega)/mu(X) bounds M_s chi_Omega below: eps under it (past the
+    # rounding margin) gives the whole grid without strong_maximal; eps
+    # within 1e-15 of it, or above it, is decided by strong_maximal
+    w = None if weights == "unit" else [0.1, 0.2, 0.3, 0.7, 0.1, 0.3, 0.2, 0.7]
+    space = line_space(np.arange(8.0), w)
+    ps = ProductSpace(space, space, delta=0.25)
+    oracle = maximal_mod.strong_maximal
+    calls = []
+    monkeypatch.setattr(maximal_mod, "strong_maximal",
+                        lambda *a: calls.append(1) or oracle(*a))
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        om = OpenSet.from_mask(ps, rng.random(ps.shape) < rng.uniform(0.05, 0.6))
+        if om.is_empty():
+            continue
+        ratio = om.measure / ps.total_measure()
+        ms = oracle(ps, om.mask.astype(float))
+        for factor in (1e-6, 0.5, 1.0 - 1e-15, 1.0 + 1e-15, 1.5, rng.uniform(0.1, 3.0)):
+            eps = ratio * factor
+            if not 0 < eps < 1:
+                continue
+            calls.clear()
+            got = enlarge(ps, om, eps)
+            np.testing.assert_array_equal(got.mask, ms > eps)
+            assert got.measure == OpenSet.from_mask(ps, ms > eps).measure
+            assert len(calls) == (0 if factor < 1.0 - 1e-12 else 1), factor
 
 
 def test_weak_type_certificate(pspace8):

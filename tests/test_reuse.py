@@ -1,0 +1,159 @@
+"""What a ProductSpace keeps between calls, and the ordered outer-product sum.
+
+The Chang-Fefferman pool of a level set, each maximal family and the
+building-block stacks are kept on the space they were computed on, a bounded
+number of them; atom cells are summed with ``atoms._outer_sum``, which must
+add its terms in the order of the plain loop so reports stay byte-identical.
+"""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+import prodhardy.journe as journe_mod
+import prodhardy.maximal as maximal_mod
+from prodhardy import (OpenSet, ProductSpace, atomic_decompose, build_system,
+                       building_blocks, enlarge, epsilon0, maximal_rectangles, verify_atom)
+from prodhardy.atoms import SUM_BATCH, _block_stack, _outer_sum, _pool, _view_on
+from prodhardy.product import MEMO_ENTRIES
+
+from conftest import line_space
+
+
+def weighted_line24(seed=1):
+    rng = np.random.default_rng([seed, 1])
+    return line_space(np.arange(24.0), np.exp(rng.uniform(-2.0, 2.0, 24)))
+
+
+def loop_sum(s, u, v):
+    acc = np.zeros((u.shape[1], v.shape[1]))
+    for k in range(len(s)):
+        acc = acc + s[k] * np.outer(u[k], v[k])
+    return acc
+
+
+@pytest.mark.parametrize("shape", [(24, 24), (2, 3)])
+def test_outer_sum_is_the_loop_bit_for_bit(shape):
+    n1, n2 = shape
+    step = max(1, SUM_BATCH // (n1 * n2) - 1)
+    rng = np.random.default_rng(11)
+    for k in (1, step - 1, step, step + 1, 3 * step + 2):
+        if k < 1:
+            continue
+        s = rng.standard_normal(k) * np.exp(rng.uniform(-20.0, 20.0, k))   # mixed signs
+        u = rng.standard_normal((k, n1)) * np.exp(rng.uniform(-5.0, 5.0, (k, n1)))
+        v = rng.standard_normal((k, n2))
+        assert _outer_sum(s, u, v).tobytes() == loop_sum(s, u, v).tobytes(), k
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (24, 24)])
+def test_add_reduce_over_the_leading_axis_is_sequential(shape):
+    # _outer_sum relies on this: NumPy sums pairwise only along its inner loop
+    rng = np.random.default_rng(5)
+    for k in (9, 17, 200):
+        stack = (rng.standard_normal((k,) + shape)
+                 * np.exp(rng.uniform(-30.0, 30.0, (k,) + shape)))
+        seq = stack[0]
+        for t in stack[1:]:
+            seq = seq + t
+        assert np.add.reduce(stack, axis=0).tobytes() == seq.tobytes()
+    # the data tells the orders apart: along a contiguous axis the sum differs
+    flat = np.ascontiguousarray(stack.reshape(k, -1).T)
+    assert np.add.reduce(flat, axis=1).tobytes() != seq.ravel().tobytes()
+
+
+def test_memo_stays_within_its_bound(pspace8):
+    ps = ProductSpace(pspace8.x1, pspace8.x2, *pspace8.systems)
+    rng = np.random.default_rng(2)
+    masks = []
+    while len(masks) < MEMO_ENTRIES + 5:
+        m = rng.random(ps.shape) < 0.3
+        if m.any() and not any((m == old).all() for old in masks):
+            masks.append(m)
+    for m in masks:
+        _pool(ps, OpenSet.from_mask(ps, m))
+        assert len(ps._memo) <= MEMO_ENTRIES
+    keys = [k for k in ps._memo if k[0] == "pool"]
+    assert ("pool", masks[-1].tobytes()) in keys
+    assert ("pool", masks[0].tobytes()) not in keys       # least recently used went first
+
+
+def test_memo_dies_with_its_space():
+    space = line_space([0.0, 1.0, 3.0, 4.0])
+    ps = ProductSpace(space, space, delta=0.5)
+    dec = atomic_decompose(ps, ps.random_function(np.random.default_rng(0)), 1.0, 2.0)
+    assert dec.terms and ps._memo
+    refs = weakref.ref(ps), weakref.ref(space)
+    del space, ps, dec
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_view_keeps_its_own_entries(pspace8):
+    ps = ProductSpace(pspace8.x1, pspace8.x2, *pspace8.systems)
+    om = OpenSet.from_mask(ps, np.random.default_rng(4).random(ps.shape) < 0.3)
+    _pool(ps, om)
+    parent_keys = list(ps._memo)
+    grids = tuple(build_system(x, 0.5) for x in (ps.x1, ps.x2))
+    view = _view_on(ps, grids)
+    assert view is not ps and not view._memo
+    eps0, omega_t, family = _pool(view, om)
+    assert list(ps._memo) == parent_keys and view._memo
+    fresh = maximal_rectangles(view, omega_t, "both")
+    assert [r.key for r in family.m_all] == [r.key for r in fresh.m_all]
+    assert family is not _pool(ps, om)[2]
+    assert _view_on(ps, ps.systems) is ps
+
+
+def test_memo_hit_equals_a_fresh_computation(pspace8):
+    ps = ProductSpace(pspace8.x1, pspace8.x2, *pspace8.systems)
+    om = OpenSet.from_mask(ps, np.random.default_rng(6).random(ps.shape) < 0.2)
+    first = _pool(ps, om)
+    hit = _pool(ps, OpenSet.from_mask(ps, om.mask.copy()))
+    assert hit is first
+    eps0 = epsilon0(ps)
+    omega_t = enlarge(ps, om, eps0)
+    fam = maximal_rectangles(ps, omega_t, "both")
+    assert hit[0] == eps0
+    np.testing.assert_array_equal(hit[1].mask, omega_t.mask)
+    assert hit[1].measure == omega_t.measure
+    assert [r.key for r in hit[2].m_all] == [r.key for r in fam.m_all]
+    assert (hit[2].stretch1, hit[2].stretch2) == (fam.stretch1, fam.stretch2)
+
+    gamma = ps.x1.omega * 2.0 + 1.0
+    counts, kphi = _block_stack(ps, 0, gamma)
+    assert _block_stack(ps, 0, gamma)[1] is kphi
+    for i, w in enumerate(ps.bases[0].wavelets):
+        bs = building_blocks(ps.x1, w, gamma, cbar=1.0)
+        assert counts[i] == bs.n_blocks
+        for ell, phi in enumerate(bs.blocks):
+            assert kphi[i, ell].tobytes() == (bs.kappa * phi).tobytes()
+        assert not kphi[i, bs.n_blocks:].any()
+
+
+def test_decompose_enlarges_without_the_maximal_function(monkeypatch):
+    space = weighted_line24()
+    ps = ProductSpace(space, space, delta=0.25)
+    calls = {"strong_maximal": 0, "maximal_rectangles": []}
+
+    def counted_strong_maximal(*args, **kwargs):
+        calls["strong_maximal"] += 1
+        return strong_maximal(*args, **kwargs)
+
+    def counted_family(pspace, omega, direction="both"):
+        calls["maximal_rectangles"].append(omega.key())
+        return maximal_rectangles(pspace, omega, direction)
+
+    strong_maximal = maximal_mod.strong_maximal
+    monkeypatch.setattr(maximal_mod, "strong_maximal", counted_strong_maximal)
+    monkeypatch.setattr(journe_mod, "maximal_rectangles", counted_family)
+    dec = atomic_decompose(ps, ps.random_function(np.random.default_rng(3)), 1.0, 2.0)
+    assert all(verify_atom(ps, t.atom)["passed"] for t in dec.terms)
+    pools = [v for k, v in ps._memo.items() if k[0] == "pool"]     # one per level set
+    enlarged = {omega_t.key() for _, omega_t, _ in pools}
+    assert dec.terms and calls["strong_maximal"] == 0
+    # one family per distinct enlargement, so at most one per level set
+    assert sorted(calls["maximal_rectangles"]) == sorted(enlarged)
+    assert len(enlarged) <= len(pools)
