@@ -134,7 +134,11 @@ def _pool(view: ProductSpace, omega: OpenSet) -> tuple[float, OpenSet, MaximalRe
 def _block_stack(pspace: ProductSpace, factor: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Each wavelet's building-block count on factor 0 or 1 at ``gamma``, and
     the stack kphi[i, l] = kappa_i phi_{i,l} (zero past the count), kept on
-    the space: the corpus runs of ``certify`` decompose on one space."""
+    the space: the corpus runs of ``certify`` decompose on one space.  A
+    factor that repeats factor 0 (same space, same basis) shares its stacks."""
+    if factor == 1 and pspace.bases[1] is pspace.bases[0] and pspace.x2 is pspace.x1:
+        factor = 0
+
     def build():
         space, basis = (pspace.x1, pspace.x2)[factor], pspace.bases[factor]
         sets = [building_blocks(space, w, gamma, cbar=1.0) for w in basis.wavelets]
@@ -345,7 +349,9 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom) -> dict:
     failures: list[str] = []
     eps0, omega_t, family = _pool(view, atom.omega)
     (lam1, lam2), (dil1, dil2) = _boxes(view, atom.ell1, atom.ell2)
-    support, _ = ell_enlarge(view, omega_t, atom.ell1, atom.ell2, lam1, lam2)
+    support, _ = view.memoized(
+        ("ell", omega_t.key(), atom.ell1, atom.ell2),
+        lambda: ell_enlarge(view, omega_t, atom.ell1, atom.ell2, lam1, lam2))
 
     scale = float(np.abs(atom.values).max())
     if scale > 0 and (np.abs(atom.values) > 1e-14 * scale)[~support.mask].any():

@@ -41,15 +41,80 @@ def _validate(args: argparse.Namespace):
 
 
 def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
+    if isinstance(o, (np.floating, np.integer, np.bool_)):
         return o.item()
     if isinstance(o, np.ndarray):
         return o.tolist()
     raise TypeError(f"not serializable: {type(o)}")
 
 
+# json.dumps runs its C encoder only without indent; this one writes a list
+# of numbers compactly, and _encode re-indents the text
+_COMPACT = json.JSONEncoder(separators=(",", ":"), default=_json_default)
+_string = json.encoder.encode_basestring_ascii
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _encode(k, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _encode(o, pad: str) -> str:
+    """``json.dumps(o, sort_keys=True, indent=1, default=_json_default)``
+    for a value whose lines are indented by ``pad``, byte for byte."""
+    if isinstance(o, str):
+        return _string(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    inner = pad + " "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_string(_key(k)) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if not isinstance(o, (list, tuple)):
+        return _encode(_json_default(o), pad)
+    if not o:
+        return "[]"
+    if type(o) in (list, tuple) and not isinstance(o[0], (dict, str)):
+        # without strings (a dict with keys has one) the compact text's
+        # brackets and commas are its structure; a flat list or a table of
+        # non-empty rows re-indents by replacement
+        text = _COMPACT.encode(o)
+        if '"' not in text:
+            brackets = text.count("[")
+            if brackets == 1:
+                return "[\n" + inner + text[1:-1].replace(",", ",\n" + inner) + "\n" + pad + "]"
+            if (brackets == len(o) + 1 and "[]" not in text
+                    and all(type(v) in (list, tuple) for v in o)):
+                cell = inner + " "
+                body = (text[2:-2].replace(",", ",\n" + cell)
+                        .replace("],\n" + cell + "[", "\n" + inner + "],\n" + inner + "[\n" + cell))
+                return ("[\n" + inner + "[\n" + cell + body
+                        + "\n" + inner + "]\n" + pad + "]")
+    return "[\n" + inner + (",\n" + inner).join([_encode(v, inner) for v in o]) + "\n" + pad + "]"
+
+
 def emit(report: dict, out: str | None):
-    text = json.dumps(report, sort_keys=True, indent=1, default=_json_default)
+    """Write ``report`` as JSON with sorted keys and one space of indent per level."""
+    text = _encode(report, "")
     if out:
         Path(out).write_text(text + "\n")
     else:

@@ -28,11 +28,15 @@ class ProductSpace:
                  system1: DyadicSystem | None = None, system2: DyadicSystem | None = None,
                  delta: float | None = None):
         self.x1, self.x2 = x1, x2
+        if x2 is x1 and system1 is None and system2 is None:
+            system1 = system2 = build_system(x1, delta)    # a repeated factor: one system
         self.systems = (
             system1 if system1 is not None else build_system(x1, delta),
             system2 if system2 is not None else build_system(x2, delta),
         )
-        self.bases = (build_haar(self.systems[0]), build_haar(self.systems[1]))
+        basis1 = build_haar(self.systems[0])
+        self.bases = (basis1, basis1 if self.systems[1] is self.systems[0]
+                      else build_haar(self.systems[1]))
         # p0 = max omega_i / (omega_i + eta) with Holder exponent eta = 1:
         # the ramp cut-offs are Lipschitz
         self.p0 = max(x1.omega / (x1.omega + 1.0), x2.omega / (x2.omega + 1.0))

@@ -6,6 +6,7 @@ import inspect
 
 import pytest
 
+from prodhardy.cli import emit
 from prodhardy.journe import maximal_rectangles
 from prodhardy.maximal import ell_enlarge, rectangles_inside
 from prodhardy.wavelet import building_blocks
@@ -19,3 +20,11 @@ from prodhardy.wavelet import building_blocks
 ])
 def test_traced_parameter_names(fn, names):
     assert set(names) <= set(inspect.signature(fn).parameters), fn.__name__
+
+
+def test_emit_is_the_traced_report_writer():
+    # cli.emit.self_s times the report writer: the tracer wraps emit, a public
+    # function of prodhardy.cli, by name
+    assert inspect.isfunction(emit) and emit.__module__ == "prodhardy.cli"
+    assert not emit.__name__.startswith("_")
+    assert list(inspect.signature(emit).parameters) == ["report", "out"]

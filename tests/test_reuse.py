@@ -12,11 +12,15 @@ import weakref
 import numpy as np
 import pytest
 
+import prodhardy.atoms as atoms_mod
 import prodhardy.journe as journe_mod
 import prodhardy.maximal as maximal_mod
+import prodhardy.product as product_mod
 from prodhardy import (OpenSet, ProductSpace, atomic_decompose, build_system,
-                       building_blocks, enlarge, epsilon0, maximal_rectangles, verify_atom)
-from prodhardy.atoms import SUM_BATCH, _block_stack, _outer_sum, _pool, _view_on
+                       building_blocks, ell_enlarge, enlarge, epsilon0, maximal_rectangles,
+                       verify_atom)
+from prodhardy.atoms import (SUM_BATCH, _block_stack, _outer_sum, _pool,
+                             _support_multipliers, _view_on)
 from prodhardy.product import MEMO_ENTRIES
 
 from conftest import line_space
@@ -157,3 +161,66 @@ def test_decompose_enlarges_without_the_maximal_function(monkeypatch):
     # one family per distinct enlargement, so at most one per level set
     assert sorted(calls["maximal_rectangles"]) == sorted(enlarged)
     assert len(enlarged) <= len(pools)
+
+
+def test_a_repeated_factor_has_one_system_and_one_basis():
+    space = line_space([0.0, 1.0, 3.0, 4.0])
+    ps = ProductSpace(space, space, delta=0.5)
+    assert ps.systems[0] is ps.systems[1] and ps.bases[0] is ps.bases[1]
+    assert _view_on(ps, ps.systems) is ps
+    gamma = space.omega * 2.0 + 1.0
+    assert _block_stack(ps, 1, gamma) is _block_stack(ps, 0, gamma)
+    assert _block_stack(ps, 1, gamma + 1.0) is not _block_stack(ps, 0, gamma)
+    # an equal space that is another object, and systems passed in, stay apart
+    apart = ProductSpace(space, line_space([0.0, 1.0, 3.0, 4.0]), delta=0.5)
+    assert apart.systems[0] is not apart.systems[1] and apart.bases[0] is not apart.bases[1]
+    s1, s2 = build_system(space, 0.5), build_system(space, 0.5)
+    given = ProductSpace(space, space, s1, s2)
+    assert given.systems[0] is s1 and given.systems[1] is s2
+    assert _block_stack(given, 1, gamma) is not _block_stack(given, 0, gamma)
+
+
+def test_decompose_and_verify_build_one_system_and_each_block_set_once(monkeypatch):
+    calls = {"build_system": 0, "building_blocks": []}
+
+    def counted_system(*args, **kwargs):
+        calls["build_system"] += 1
+        return build_system(*args, **kwargs)
+
+    def counted_blocks(space, wavelet, gamma, cbar, eta=1.0):
+        calls["building_blocks"].append((wavelet.id, gamma))
+        return building_blocks(space, wavelet, gamma, cbar, eta)
+
+    monkeypatch.setattr(product_mod, "build_system", counted_system)
+    monkeypatch.setattr(atoms_mod, "building_blocks", counted_blocks)
+    space = weighted_line24()
+    ps = ProductSpace(space, space, delta=0.25)
+    dec = atomic_decompose(ps, ps.random_function(np.random.default_rng(3)), 1.0, 2.0)
+    assert dec.terms and all(verify_atom(ps, t.atom)["passed"] for t in dec.terms)
+    assert calls["build_system"] == 1
+    gamma = dec.gammas[0]
+    assert sorted(calls["building_blocks"]) == sorted((w.id, gamma) for w in ps.bases[0].wavelets)
+
+
+def test_verify_reuses_each_ell_enlargement(monkeypatch):
+    calls = []
+
+    def counted_ell_enlarge(pspace, omega_tilde, ell1, ell2, lam1=None, lam2=None):
+        calls.append((omega_tilde.key(), ell1, ell2))
+        return ell_enlarge(pspace, omega_tilde, ell1, ell2, lam1, lam2)
+
+    monkeypatch.setattr(atoms_mod, "ell_enlarge", counted_ell_enlarge)
+    space = weighted_line24()
+    ps = ProductSpace(space, space, delta=0.25)
+    dec = atomic_decompose(ps, ps.random_function(np.random.default_rng(3)), 1.0, 2.0)
+    assert all(verify_atom(ps, t.atom)["passed"] for t in dec.terms)
+    assert len(calls) == len(set(calls)) < len(dec.terms)
+    assert len(ps._memo) <= MEMO_ENTRIES
+    enlarged = {v[1].key(): v[1] for k, v in ps._memo.items() if k[0] == "pool"}
+    hits = [(k, v) for k, v in ps._memo.items() if k[0] == "ell"]
+    assert len(hits) == len(calls)
+    for (_, key, ell1, ell2), (support, _) in hits:
+        fresh, _ = ell_enlarge(ps, enlarged[key], ell1, ell2,
+                               *_support_multipliers(ps, ell1, ell2))
+        np.testing.assert_array_equal(support.mask, fresh.mask)
+        assert support.measure == fresh.measure
