@@ -10,6 +10,17 @@ the cube test condition 12 a0^3 C0 delta <= c0.  Without a given delta the
 reference rule chooses it ("reference" mode); a given delta may be any value
 in (0,1) ("desk" mode), and non-conformance is recorded instead of failing.
 
+The measured constants come from one pass over the distance rows of the
+cube centers, 64 at a time, against point -> cube labels of every level
+built from the cube members.  It gives each cube its largest
+center-member and smallest center-non-member distance, and each point its
+distance to the nearest center of each level.  C0_measured, the tight c1
+and C1 and both ball certificates of ``verify_system`` read these extremes;
+per-cube loops are kept as their oracles (``_*_by_cube``,
+``_covering_constant_by_net``).  The same labels serve ``verify_system``'s
+partition and children checks, so deep chains of small levels cost a few
+array operations, not a few per level.
+
 Each system also offers one array view of its cubes (``CubeGeometry``:
 incidence matrix, sizes, centers, sides, parent indices), built on first
 use, from which all dyadic-rectangle geometry is computed.
@@ -146,12 +157,11 @@ class DyadicSystem:
         self.cubes = cubes
         self.mode = mode                      # "reference" when the reference rule chose delta
         self.c0 = 1.0                         # greedy guarantees delta^k separation
-        self.C0_measured = self._covering_constant()
+        self._measure()
         self.C0_cert = 2.0 * space.a0
         self.inner_cert = (1.0 / (3.0 * space.a0 ** 2)) * self.c0
         self.outer_cert = 2.0 * space.a0 * max(self.C0_measured, 1.0)
         self.conformant = 12.0 * space.a0 ** 3 * max(self.C0_measured, 1.0) * delta <= self.c0
-        self._measure_tight_constants()
         # Effective outer constant for dilates: the lambda = 1 dilate must
         # contain its cube even when the certified constant fails (desk mode).
         self.outer_eff = max(self.outer_cert, self.outer_tight * (1.0 + 1e-9))
@@ -192,27 +202,112 @@ class DyadicSystem:
 
     # -- measured constants --------------------------------------------------
 
-    def _covering_constant(self) -> float:
-        worst = 0.0
-        for k in self.levels():
-            d = self.space.dist[:, self.nets[k]]
-            worst = max(worst, float(d.min(axis=1).max()) / self.side(k))
-        return worst
+    def _measure(self):
+        """C0_measured and the tightest c1, C1 making inner/outer ball
+        containment true, from one ``_center_pass`` over every cube.  The
+        per-cube extremes are kept, in ``all_cubes()`` order, for
+        ``verify_system``'s certificates."""
+        cubes = list(self.all_cubes())
+        labels, _ = _labels(self, cubes)
+        row = np.repeat(np.arange(len(labels)), [len(self.cubes[k]) for k in self.levels()])
+        self._far, self._near, cover = _center_pass(
+            self.space.dist, np.array([c.center for c in cubes]), row, labels)
+        level_sides = np.array([self.side(k) for k in self.levels()])
+        self._sides = level_sides[row]
+        self.C0_measured = float((cover.max(axis=1) / level_sides).max())
+        # B(z, r) subset cube for all r <= inner_tight*side
+        self.inner_tight = float((self._near / self._sides).min())
+        # cube subset B(z, r) for all r > outer_tight*side
+        self.outer_tight = float((self._far / self._sides).max())
 
-    def _measure_tight_constants(self):
-        """Tightest c1, C1 making inner/outer ball containment true."""
-        inner, outer = math.inf, 0.0
-        n = self.space.n
-        for c in self.all_cubes():
-            d = self.space.dist[c.center]
-            if len(c.members) < n:
-                non = np.ones(n, dtype=bool)
-                non[c.members] = False
-                inner = min(inner, float(d[non].min()) / c.side)
-            if len(c.members) > 1:
-                outer = max(outer, float(d[c.members].max()) / c.side)
-        self.inner_tight = inner      # B(z, r) subset cube for all r <= inner_tight*side
-        self.outer_tight = outer      # cube subset B(z, r) for all r > outer_tight*side
+
+# Rows per block of the passes over cube centers and net points: a 64 x n
+# slice of the distance matrix, whatever the number of cubes.
+_BLOCK = 64
+
+
+def _labels(system: "DyadicSystem", cubes: list[Cube]) -> tuple[np.ndarray, np.ndarray]:
+    """Point -> cube labels of every level, from the cube members.
+
+    ``labels[l, y]`` is the flat index (in ``cubes``, the ``all_cubes()``
+    order) of the cube of level k_min + l that holds point y, and
+    ``partitions[l]`` tells whether that level's cubes hold every point
+    0..n-1 exactly once; rows where it is False hold no usable labels.
+    """
+    n, depth = system.space.n, len(system.levels())
+    sizes = [len(c.members) for c in cubes]
+    pts = np.concatenate([c.members for c in cubes])
+    rows = np.repeat([c.level - system.k_min for c in cubes], sizes)
+    cols = np.where((pts >= 0) & (pts < n), pts, n)        # column n: no point
+    count = np.bincount(rows * (n + 1) + cols, minlength=depth * (n + 1)).reshape(depth, n + 1)
+    count[:, n] += 1
+    labels = np.zeros((depth, n + 1), dtype=int)
+    labels[rows, cols] = np.repeat(np.arange(len(cubes)), sizes)
+    return labels[:, :n], (count == 1).all(axis=1)
+
+
+def _center_pass(dist: np.ndarray, centers: np.ndarray, row: np.ndarray,
+                 labels: np.ndarray):
+    """One pass over the distance rows of every cube center (flat order;
+    ``row`` is each cube's level row of ``labels``), 64 at a time.
+
+    Per cube: ``far``, the largest center-member distance (0 for a
+    singleton), and ``near``, the smallest center-non-member distance (inf
+    for a cube holding every point); per level and point: ``cover``, the
+    distance to the level's nearest center.  All three are minima or maxima
+    of distances, so they are exact in any order.
+    """
+    far, near = np.empty(len(centers)), np.empty(len(centers))
+    cover = np.full(labels.shape, np.inf)
+    for a0 in range(0, len(centers), _BLOCK):
+        d = dist[centers[a0:a0 + _BLOCK]]
+        r = row[a0:a0 + _BLOCK]
+        inside = labels[r] == np.arange(a0, a0 + len(d))[:, None]
+        np.max(d, axis=1, where=inside, initial=0.0, out=far[a0:a0 + len(d)])
+        np.min(d, axis=1, where=~inside, initial=np.inf, out=near[a0:a0 + len(d)])
+        cuts = [0, *(np.flatnonzero(np.diff(r)) + 1), len(d)]   # the block's levels
+        for lo, hi in zip(cuts, cuts[1:]):
+            np.minimum(cover[r[lo]], d[lo:hi].min(axis=0), out=cover[r[lo]])
+    return far, near, cover
+
+
+def _covering_constant_by_net(system: "DyadicSystem") -> float:
+    """Specification of ``C0_measured``: every point's distance to each net."""
+    worst = 0.0
+    for k in system.levels():
+        d = system.space.dist[:, system.nets[k]]
+        worst = max(worst, float(d.min(axis=1).max()) / system.side(k))
+    return worst
+
+
+def _tight_constants_by_cube(system: "DyadicSystem") -> tuple[float, float]:
+    """Specification of ``inner_tight``, ``outer_tight``: one cube at a time."""
+    inner, outer = math.inf, 0.0
+    n = system.space.n
+    for c in system.all_cubes():
+        d = system.space.dist[c.center]
+        if len(c.members) < n:
+            non = np.ones(n, dtype=bool)
+            non[c.members] = False
+            inner = min(inner, float(d[non].min()) / c.side)
+        if len(c.members) > 1:
+            outer = max(outer, float(d[c.members].max()) / c.side)
+    return inner, outer
+
+
+def _certificates_by_cube(system: "DyadicSystem") -> tuple[bool, bool]:
+    """Specification of the inner and outer certificates of ``verify_system``:
+    no non-member in B(z, c1 side), every member in B(z, C1 side)."""
+    inner_ok = outer_ok = True
+    for c in system.all_cubes():
+        d = system.space.dist[c.center]
+        inside = d < system.inner_cert * c.side
+        inside[c.members] = False
+        if inside.any():
+            inner_ok = False
+        if not (d[c.members] < system.outer_cert * c.side).all():
+            outer_ok = False
+    return inner_ok, outer_ok
 
 
 def build_net(space: FiniteSpace, delta: float, k: int, seed_net=(), order=None) -> list[int]:
@@ -321,39 +416,52 @@ def verify_system(system: DyadicSystem, policy: RegularFamilyPolicy | None = Non
     """
     space = system.space
     n = space.n
-    for k in system.levels():
-        seen = np.concatenate([c.members for c in system.cubes[k]])
-        if len(seen) != n or not np.array_equal(np.sort(seen), np.arange(n)):
-            raise AssertionError(f"level {k}: cubes do not partition the space")
-    for k in range(system.k_min, system.k_max):
-        for c in system.cubes[k]:
-            kid_members = [system.cubes[k + 1][b].members for b in c.children]
-            merged = np.sort(np.concatenate(kid_members)) if kid_members else np.asarray([], dtype=int)
-            if not np.array_equal(merged, c.members):
-                raise AssertionError(f"cube {c.id}: children do not partition the parent")
-        net_k, net_k1 = system.nets[k], system.nets[k + 1]
-        if not set(net_k) <= set(net_k1):
-            raise AssertionError(f"nets not nested between levels {k} and {k + 1}")
+    cubes = list(system.all_cubes())
+    labels, partitions = _labels(system, cubes)
+    if not partitions.all():
+        k = system.k_min + int(np.argmin(partitions))
+        raise AssertionError(f"level {k}: cubes do not partition the space")
 
-    # separation (greedy guarantee, re-checked) and covering
-    for k in system.levels():
-        net = system.nets[k]
-        if len(net) > 1:
-            d = space.dist[np.ix_(net, net)]
-            off = ~np.eye(len(net), dtype=bool)
-            if d[off].min() < system.c0 * system.side(k):
-                raise AssertionError(f"net at level {k} is not separated")
+    # every cube below the top is listed as a child exactly once, and each
+    # point's cube is the parent of the point's cube one level down
+    first = np.cumsum([0] + [len(system.cubes[k]) for k in system.levels()])
+    upper = cubes[:first[-2]]                               # all but the finest level
+    kids = np.asarray([first[c.level - system.k_min + 1] + b for c in upper
+                       for b in c.children], dtype=int)
+    parent_of = np.full(len(cubes), -1)
+    parent_of[kids] = np.repeat(np.arange(len(upper)), [len(c.children) for c in upper])
+    listed = np.bincount(kids, minlength=len(cubes))[first[1]:] != 1
+    wrong = (parent_of[labels[1:]] != labels[:-1]).any(axis=1)
+    if listed.any() or wrong.any():
+        k = (cubes[first[1] + int(np.argmax(listed))].level - 1 if listed.any()
+             else system.k_min + int(np.argmax(wrong)))
+        raise AssertionError(f"level {k}: children do not partition their parents")
 
-    inner_cert_ok = True
-    outer_cert_ok = True
-    for c in system.all_cubes():
-        d = space.dist[c.center]
-        inside = d < system.inner_cert * c.side
-        inside[c.members] = False
-        if inside.any():
-            inner_cert_ok = False
-        if not (d[c.members] < system.outer_cert * c.side).all():
-            outer_cert_ok = False
+    # nets nested and separated (the greedy guarantee, re-checked); their
+    # covering is C0_measured
+    nets = [np.asarray(system.nets[k], dtype=int) for k in system.levels()]
+    net_rows = np.repeat(np.arange(len(nets)), [len(net) for net in nets])
+    points = np.concatenate(nets)
+    in_net = np.zeros(labels.shape, dtype=int)
+    np.add.at(in_net, (net_rows, points), 1)
+    nested = ((in_net[:-1] > 0) <= (in_net[1:] > 0)).all(axis=1)
+    if not nested.all():
+        k = system.k_min + int(np.argmin(nested))
+        raise AssertionError(f"nets not nested between levels {k} and {k + 1}")
+    level_sides = np.array([system.side(k) for k in system.levels()])
+    for a0 in range(0, len(points), _BLOCK):
+        z, r = points[a0:a0 + _BLOCK], net_rows[a0:a0 + _BLOCK]
+        others = in_net[r] > 0
+        others[np.arange(len(z)), z] = in_net[r, z] > 1      # a point listed twice
+        closest = np.min(space.dist[z], axis=1, where=others, initial=np.inf)
+        crowded = closest < system.c0 * level_sides[r]
+        if crowded.any():
+            k = system.k_min + int(r[np.argmax(crowded)])
+            raise AssertionError(f"net at level {k} is not separated")
+
+    # no non-member within c1 side of a center; every member within C1 side
+    inner_cert_ok = not (system._near < system.inner_cert * system._sides).any()
+    outer_cert_ok = bool((system._far < system.outer_cert * system._sides).all())
 
     policy = policy or RegularFamilyPolicy.auscher_hytonen(space.a0)
     report = {

@@ -245,13 +245,13 @@ class LevelSetFamily:
         return sorted(self.sets)
 
 
-def level_sets(pspace: ProductSpace, sf: np.ndarray, p: float = 1.0) -> tuple[LevelSetFamily, dict]:
+def level_sets(pspace: ProductSpace, sf: np.ndarray) -> tuple[LevelSetFamily, dict]:
     """Nested level sets Omega_j = {S > 2^j} over the realized dynamic range.
 
     j runs from floor(log2 min positive S) - 1 to ceil(log2 max S); empty top
-    sets are dropped.  The report compares sum_j 2^(pj) mu(Omega_j) with the
-    exact sorted-integral layer-cake value of ||S||_p^p; for p = 1 the ratio
-    is provably within [1/2, 2].
+    sets are dropped.  The report compares the layer-cake sum
+    sum_j 2^j mu(Omega_j) with the exact integral ||S||_1; the ratio is
+    provably within [1/2, 2].
     """
     sf = np.asarray(sf, dtype=float)
     if (sf < 0).any():
@@ -268,10 +268,10 @@ def level_sets(pspace: ProductSpace, sf: np.ndarray, p: float = 1.0) -> tuple[Le
         if s.is_empty() and j > j_lo:
             break
         fam.sets[j] = s
-    dyadic = sum(2.0 ** (p * j) * fam.sets[j].measure for j in fam.sets)
-    # exact integral of S^p by sorting values (layer-cake without shells)
+    dyadic = sum(2.0 ** j * fam.sets[j].measure for j in fam.sets)
+    # exact integral of S (layer-cake without shells)
     w = pspace.weights.ravel()
-    exact = float(((sf.ravel() ** p) * w).sum())
+    exact = float((sf.ravel() * w).sum())
     report = {"dyadic_sum": dyadic, "exact_integral": exact,
               "ratio": dyadic / exact if exact > 0 else 1.0}
     return fam, report

@@ -5,12 +5,15 @@ matrix, and positive per-point weights (the measure of each singleton).  The
 quasi-triangle constant a0, the ball-doubling constant cmu and the upper
 dimension omega = log2(cmu) are computed exactly -- they feed every downstream
 certified constant, so they are never estimated.  a0 comes from a min-plus
-product taken over one triangle of the symmetric distance matrix, block by
-block; cmu from per-center prefix measures (each ball is a prefix of the
-points sorted by distance to its center), with the few centers within
-rounding of the maximum rescanned in the exhaustive scan's own arithmetic.
-Both equal the exhaustive scans kept beside them (``*_exhaustive``) bit for
-bit.
+product taken over one triangle of the symmetric distance matrix, 64 rows at
+a time (on a 512-point cloud, 16-, 32- and 256-row tiles, a reduce over
+chunks of z and a per-row form all ran slower, 128 rows no faster).  cmu
+comes from per-center prefix measures, 64 centers per row block: each ball
+is a prefix of the points sorted by distance to its center, and the
+positive distances are the only radii needed.  The few centers within
+rounding of the maximum are rescanned in the exhaustive scan's own
+arithmetic.  Both equal the exhaustive scans kept beside them
+(``*_exhaustive``) bit for bit.
 
 Borel regularity of the measure has no finite-space content; it is noted here
 and not modeled.
@@ -155,31 +158,14 @@ def _ball_radius_candidates(drow: np.ndarray, extra_scale: float = 2.0) -> np.nd
     return np.unique(np.concatenate([pos, pos / extra_scale]))
 
 
-def _ball_measures(drow: np.ndarray, weight: np.ndarray):
-    """Measure of every ball around one center, as a lookup by radius.
-
-    Each ball {d(x,.) < r} is a prefix of the points sorted by distance to
-    x, so its measure is a prefix sum of their weights.  The returned
-    function maps radii to measures.
-    """
-    order = np.argsort(drow, kind="stable")
-    nearest = drow[order]
-    prefix = np.concatenate([[0.0], np.cumsum(weight[order])])
-    return lambda radii: prefix[np.searchsorted(nearest, radii, side="left")]
-
-
-def _growth(small: np.ndarray, big: np.ndarray) -> float:
-    ok = small > 0
-    return float((big[ok] / small[ok]).max()) if ok.any() else 1.0
-
-
 def _growth_by_masks(drow: np.ndarray, weight: np.ndarray, lam: float) -> float:
     """max mu(B(x, lam r)) / mu(B(x, r)) at one center, with one mask row per
     candidate radius: the exhaustive scans' own arithmetic."""
     radii = _ball_radius_candidates(drow, extra_scale=max(lam, 2.0))
     small = (drow[None, :] < radii[:, None]) @ weight
     big = (drow[None, :] < lam * radii[:, None]) @ weight
-    return _growth(small, big)
+    ok = small > 0
+    return float((big[ok] / small[ok]).max()) if ok.any() else 1.0
 
 
 def _exact_sums(weight: np.ndarray) -> bool:
@@ -188,33 +174,80 @@ def _exact_sums(weight: np.ndarray) -> bool:
     return bool((weight == np.round(weight)).all()) and float(weight.sum()) < 2.0 ** 53
 
 
+# Centers per block of the growth scan: the block's sorted distances, prefix
+# measures and indices are a few 64 x n arrays, whatever n is.
+_GROWTH_BLOCK = 64
+
+
+def _prefix_growth(dist: np.ndarray, weight: np.ndarray, lambdas) -> np.ndarray:
+    """Row i, column x: max mu(B(x, lam_i r)) / mu(B(x, r)) over the realized
+    radii r, from prefix sums of x's weights taken in ascending distance
+    (ties by point id).  Needs n >= 2.
+
+    Centers go in row blocks of at most 64.  Sorting a block's rows makes
+    every ball {d(x,.) < r} a prefix of its row, so its measure is a prefix
+    sum of one row ``cumsum``.  Only the positive distances p_1 < p_2 < ...
+    of a row are needed as radii: for r in (p_i, p_i+1] the small ball is
+    one set (for r <= p_1, the center alone) and the big ball can only grow
+    with r, and prefix sums of positive weights never decrease, so r = p_i+1
+    gives the interval's largest ratio, as the same float.  The small ball
+    at p_j is the prefix before p_j's tie run, found by
+    ``np.maximum.accumulate`` over the run starts; the big ball takes one
+    ``searchsorted`` per row.  The sort is NumPy's unstable one; a block
+    with tied distances is re-sorted by (tie run, point id), the order a
+    stable sort gives, so the sums are always added in the same order.
+    """
+    n = dist.shape[0]
+    fast = np.empty((len(lambdas), n))
+    cols = np.arange(n)
+    for x0 in range(0, n, _GROWTH_BLOCK):
+        rows = dist[x0:x0 + _GROWTH_BLOCK]
+        b = rows.shape[0]
+        order = np.argsort(rows, axis=1)
+        nearest = rows.ravel()[order + n * np.arange(b)[:, None]]
+        starts = np.ones((b, n), dtype=bool)
+        np.not_equal(nearest[:, 1:], nearest[:, :-1], out=starts[:, 1:])
+        if not starts.all():
+            key = np.cumsum(starts, axis=1) * n + order
+            order = np.take_along_axis(order, np.argsort(key, axis=1), axis=1)
+        prefix = np.zeros((b, n + 1))
+        np.cumsum(weight[order], axis=1, out=prefix[:, 1:])
+        flat = prefix.ravel()
+        base = (n + 1) * np.arange(b)[:, None]
+        # column 0 is the center itself, the only zero distance of its row
+        left = np.maximum.accumulate(np.where(starts, cols, 0), axis=1)
+        small = flat[left[:, 1:] + base]
+        for i, lam in enumerate(lambdas):
+            ends = np.stack([np.searchsorted(row, big)
+                             for row, big in zip(nearest, lam * nearest[:, 1:])])
+            fast[i, x0:x0 + b] = (flat[ends + base] / small).max(axis=1)
+    return fast
+
+
 def _max_growth(dist: np.ndarray, weight: np.ndarray, lambdas) -> list[float]:
     """For each lam >= 1, max mu(B(x, lam r)) / mu(B(x, r)) over all centers
     and realized radii, equal bit for bit to ``_growth_by_masks`` maximized
     over every center (and 1.0).
 
-    The prefix sums add the weights in another order than the masked BLAS
-    products, which themselves round a row differently depending on where
-    it sits in the matrix, so the two may differ in the last bits.  Any
-    order of adding n nonnegative terms stays within about n u of the exact
-    sum (u = eps/2), so a center's prefix-sum growth is within a factor
-    1 +- (2n+1) eps of its masked growth, and the center holding the masked
-    maximum lies within 1 - (4n+2) eps of the largest prefix-sum growth.
-    Rescanning every center within 1 - 8n eps of it with masks makes the
-    result exact; usually that is one center.  No rescan is needed when the
-    sums are exact, nor for lam = 1, where each ball is divided by itself.
+    ``_prefix_growth`` adds the weights in another order than the masked
+    BLAS products, which themselves round a row differently depending on
+    where it sits in the matrix, so the two may differ in the last bits.
+    Any order of adding n nonnegative terms stays within about n u of the
+    exact sum (u = eps/2), so a center's prefix-sum growth is within a
+    factor 1 +- (2n+1) eps of its masked growth, and the center holding the
+    masked maximum lies within 1 - (4n+2) eps of the largest prefix-sum
+    growth.  Rescanning every center within 1 - 8n eps of it with masks
+    makes the result exact; usually that is one center, but on a symmetric
+    space with inexact weights it is every center.  No rescan is needed when
+    the sums are exact, nor for lam = 1, where each ball is divided by itself.
     """
     n = dist.shape[0]
-    fast = np.ones((len(lambdas), n))
-    for x, drow in enumerate(dist):
-        measure = _ball_measures(drow, weight)
-        for i, lam in enumerate(lambdas):
-            radii = _ball_radius_candidates(drow, extra_scale=max(lam, 2.0))
-            fast[i, x] = _growth(measure(radii), measure(lam * radii))
+    if n == 1:
+        return [1.0] * len(lambdas)          # every ball is the one point
     exact = _exact_sums(weight)
     margin = 1.0 - 8.0 * n * np.finfo(float).eps
     worst = []
-    for lam, row in zip(lambdas, fast):
+    for lam, row in zip(lambdas, _prefix_growth(dist, weight, lambdas)):
         if exact or lam == 1.0:
             worst.append(max(1.0, float(row.max())))
         else:

@@ -179,7 +179,7 @@ class BuildingBlockSet:
 
 
 def building_blocks(space: FiniteSpace, wavelet: Wavelet, gamma: float,
-                    cbar: float, eta: float = 1.0) -> BuildingBlockSet:
+                    cbar: float) -> BuildingBlockSet:
     """Split a wavelet into blocks via nested cut-offs (telescoping construction).
 
     With h_l the ramp cut-off at radius cbar 2^l delta^k centered at the
@@ -208,7 +208,7 @@ def building_blocks(space: FiniteSpace, wavelet: Wavelet, gamma: float,
     hs = []
     L = 0
     while True:
-        h = cutoff(space, wavelet.center, cbar * 2.0 ** L * wavelet.scale, eta).values
+        h = cutoff(space, wavelet.center, cbar * 2.0 ** L * wavelet.scale).values
         hs.append(h)
         if supp.any() and (h[supp] == 1.0).all():
             break
@@ -235,7 +235,8 @@ def building_blocks(space: FiniteSpace, wavelet: Wavelet, gamma: float,
         blocks.append((cbar * 2.0 ** ell) ** gamma * lt)
 
     radii = [2.0 * space.a0 ** 2 * cbar * 2.0 ** ell * wavelet.scale for ell in range(L + 1)]
-    return BuildingBlockSet(gamma=gamma, cbar=cbar, eta=eta, center=wavelet.center,
+    # the ramp cut-offs are Lipschitz, so the blocks are certified 1-Holder
+    return BuildingBlockSet(gamma=gamma, cbar=cbar, eta=1.0, center=wavelet.center,
                             scale=wavelet.scale, kappa=kappa, blocks=blocks,
                             a_ell=a_ell, support_radii=radii)
 

@@ -135,7 +135,7 @@ def test_criterion_4_square_function(pspace8):
         sf = square_function(pspace8, product_transform(pspace8, f))
         fn = pspace8.lq_norm(f, 2.0)
         worst = max(worst, abs(pspace8.lq_norm(sf, 2.0) - fn) / fn)
-        _, rep = level_sets(pspace8, sf, p=1.0)
+        _, rep = level_sets(pspace8, sf)
         ratios.append(rep["ratio"])
     elapsed = time.time() - t0
     bracket_ok = all(0.5 <= r <= 2.0 for r in ratios)

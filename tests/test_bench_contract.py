@@ -4,8 +4,10 @@ binds each traced call to its signature); a renamed parameter would break
 
 import inspect
 
+import numpy as np
 import pytest
 
+from prodhardy import dyadic, space, wavelet
 from prodhardy.cli import emit
 from prodhardy.journe import maximal_rectangles
 from prodhardy.maximal import ell_enlarge, rectangles_inside
@@ -28,3 +30,23 @@ def test_emit_is_the_traced_report_writer():
     assert inspect.isfunction(emit) and emit.__module__ == "prodhardy.cli"
     assert not emit.__name__.startswith("_")
     assert list(inspect.signature(emit).parameters) == ["report", "out"]
+
+
+@pytest.mark.parametrize("module, name", [
+    (space, "make_space"), (space, "load_space"), (dyadic, "build_system"),
+    (dyadic, "verify_system"), (wavelet, "build_haar"),
+])
+def test_build_layers_are_traced_by_name(module, name):
+    # build-cloud's per-layer metrics (space.make_space.self_s, ...) time these:
+    # the tracer wraps every public module-level function of each layer
+    fn = getattr(module, name)
+    assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
+def test_build_system_result_feeds_the_dyadic_probe(canon):
+    # dyadic.cubes, dyadic.levels and dyadic.distinct_member_frac read these
+    system = dyadic.build_system(canon, 0.25)
+    cubes = list(system.all_cubes())
+    assert len(cubes) == system.n_cubes() == 11 and len(system.levels()) == 4
+    for c in cubes:
+        assert isinstance(c.members, np.ndarray) and c.members.dtype.kind == "i"

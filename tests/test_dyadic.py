@@ -219,3 +219,89 @@ def test_reference_mode_default_delta(canon):
 def test_invalid_delta(canon):
     with pytest.raises(ValueError):
         build_system(canon, 1.5)
+
+
+# -- verify_system's structural checks on hand-corrupted systems -------------
+
+def corruptible_system():
+    """A fresh system on 24 plane points (each test corrupts its own copy),
+    and a level k whose cubes number at least two and have at least two
+    parents' worth of children."""
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0.0, 1.0, (24, 2))
+    from prodhardy import make_space
+    d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
+    np.fill_diagonal(d, 0.0)
+    system = build_system(make_space(d), 0.25)
+    k = next(k for k in range(system.k_min, system.k_max)
+             if sum(len(c.children) >= 2 for c in system.cubes[k]) >= 2)
+    return system, k
+
+
+def test_verify_system_accepts_the_uncorrupted_system():
+    system, _ = corruptible_system()
+    verify_system(system)
+
+
+def test_verify_system_rejects_a_point_in_two_cubes():
+    system, k = corruptible_system()
+    a, b = system.cubes[k][:2]
+    a.members = np.sort(np.concatenate([a.members, b.members[:1]]))
+    with pytest.raises(AssertionError, match="do not partition the space"):
+        verify_system(system)
+
+
+def test_verify_system_rejects_a_point_in_no_cube():
+    system, k = corruptible_system()
+    cube = system.cubes[k][0]
+    cube.members = cube.members[1:]
+    with pytest.raises(AssertionError, match="do not partition the space"):
+        verify_system(system)
+
+
+@pytest.mark.parametrize("later", [True, False])
+def test_verify_system_rejects_a_child_under_two_parents(later):
+    system, k = corruptible_system()
+    a, b = [c for c in system.cubes[k] if len(c.children) >= 2][:2]
+    if later:
+        b.children.append(a.children[-1])
+    else:
+        a.children.append(b.children[-1])
+    with pytest.raises(AssertionError, match="children do not partition"):
+        verify_system(system)
+
+
+def test_verify_system_rejects_a_child_under_no_parent():
+    system, k = corruptible_system()
+    parent = next(c for c in system.cubes[k] if len(c.children) >= 2)
+    parent.children.pop()
+    with pytest.raises(AssertionError, match="children do not partition"):
+        verify_system(system)
+
+
+def test_verify_system_rejects_children_under_the_wrong_parent():
+    # every child still listed once, but the lists of two cubes swapped
+    system, k = corruptible_system()
+    a, b = [c for c in system.cubes[k] if len(c.children) >= 2][:2]
+    a.children, b.children = b.children, a.children
+    with pytest.raises(AssertionError, match="children do not partition"):
+        verify_system(system)
+
+
+def test_verify_system_rejects_nets_that_are_not_nested():
+    system, k = corruptible_system()
+    system.nets[k + 1] = [z for z in system.nets[k + 1] if z != system.nets[k][-1]]
+    with pytest.raises(AssertionError, match="nets not nested"):
+        verify_system(system)
+
+
+@pytest.mark.parametrize("repeat", [False, True])
+def test_verify_system_rejects_a_net_that_is_not_separated(repeat):
+    system, k = corruptible_system()
+    # a finer net point outside the level-k net lies within delta^k of it;
+    # a point listed twice is at distance 0 from itself
+    extra = (system.nets[k][0] if repeat
+             else next(z for z in system.nets[k + 1] if z not in system.nets[k]))
+    system.nets[k] = system.nets[k] + [extra]
+    with pytest.raises(AssertionError, match="is not separated"):
+        verify_system(system)

@@ -246,7 +246,7 @@ def test_level_sets_nested_and_bracketed(pspace8):
     rng = np.random.default_rng(7)
     for _ in range(10):
         sf = np.abs(rng.standard_normal(pspace8.shape))
-        fam, rep = level_sets(pspace8, sf, p=1.0)
+        fam, rep = level_sets(pspace8, sf)
         js = fam.js()
         for a, b in zip(js, js[1:]):
             assert (fam.sets[b].mask <= fam.sets[a].mask).all()

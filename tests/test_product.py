@@ -114,7 +114,7 @@ def test_hp_seminorm_layer_cake_bracket(pspace8):
     for _ in range(10):
         f = pspace8.random_function(rng)
         sf = square_function(pspace8, product_transform(pspace8, f))
-        _, rep = level_sets(pspace8, sf, p=1.0)
+        _, rep = level_sets(pspace8, sf)
         assert 0.5 <= rep["ratio"] <= 2.0
 
 

@@ -187,9 +187,9 @@ def test_decompose_and_verify_build_one_system_and_each_block_set_once(monkeypat
         calls["build_system"] += 1
         return build_system(*args, **kwargs)
 
-    def counted_blocks(space, wavelet, gamma, cbar, eta=1.0):
+    def counted_blocks(space, wavelet, gamma, cbar):
         calls["building_blocks"].append((wavelet.id, gamma))
-        return building_blocks(space, wavelet, gamma, cbar, eta)
+        return building_blocks(space, wavelet, gamma, cbar)
 
     monkeypatch.setattr(product_mod, "build_system", counted_system)
     monkeypatch.setattr(atoms_mod, "building_blocks", counted_blocks)

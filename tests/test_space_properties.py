@@ -6,11 +6,14 @@ are computed; the growth scan rounds its prefix sums differently and must
 rescan every center that could hold the maximum in the masked arithmetic.
 Wide weight ranges make those last-bit differences common.
 Spaces have tied distances, snowflake exponents, weights from 1e-6 to 1e6,
-one or two points, and sizes on both sides of the 64-row block of the a0
-scan.
+one or two points, and sizes on both sides of the 64-row blocks of both
+scans.  Circles of equally spaced points are the same seen from every
+center; with a constant decimal weight every center ties within the
+rounding margin, so the growth scan rescans them all.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -39,16 +42,25 @@ def profile_oracle(space, lam):
     return worst
 
 
+def circle(n):
+    """Chords between n equally spaced points on the unit circle: d(i, j)
+    depends on |i - j| mod n only, so every center sees the same row."""
+    steps = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    return 2.0 * np.sin(np.pi * np.minimum(steps, n - steps) / n)
+
+
 @st.composite
 def spaces(draw):
     n = draw(st.one_of(st.integers(1, 2), st.integers(3, 12),
                        st.sampled_from([63, 64, 65, 127, 128, 129])))
-    kind = draw(st.sampled_from(["cloud", "snowflake", "tied-line", "matrix"]))
+    kind = draw(st.sampled_from(["cloud", "snowflake", "tied-line", "matrix", "circle"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "matrix":
         # symmetric {1, 2, 3} entries: heavy ties, often not a metric
         d = np.triu(rng.integers(1, 4, (n, n)).astype(float), 1)
         dist = d + d.T
+    elif kind == "circle":
+        dist = circle(n) ** draw(st.sampled_from([1.0, 1.5]))
     elif kind == "tied-line":
         # integer coordinates: equal gaps give tied distances
         pts = rng.choice(4 * n, size=n, replace=False).astype(float)
@@ -59,8 +71,8 @@ def spaces(draw):
         if kind == "snowflake":
             dist = dist ** draw(st.sampled_from([1.5, 2.5]))
     np.fill_diagonal(dist, 0.0)
-    logw = draw(st.sampled_from([0.0, 1.0, 6.0]))     # 1, 1e-1..1e1, 1e-6..1e6
-    weight = 10.0 ** rng.uniform(-logw, logw, n)
+    logw = draw(st.sampled_from([0.0, 1.0, 6.0, None]))   # 1, 1e-1..1e1, 1e-6..1e6, 0.1
+    weight = np.full(n, 0.1) if logw is None else 10.0 ** rng.uniform(-logw, logw, n)
     return make_space(dist, weight)
 
 
@@ -86,6 +98,31 @@ def test_doubling_profile_equals_oracle(space):
     assert rows[LAMBDAS.index(2.0)]["max_ratio"] == space.cmu
 
 
+def candidate_scan(space, lam):
+    """Per-center prefix-sum growth over every candidate radius of
+    ``_ball_radius_candidates``, one center at a time, ties by point id."""
+    out = []
+    for drow in space.dist:
+        order = np.argsort(drow, kind="stable")
+        prefix = np.concatenate([[0.0], np.cumsum(space.weight[order])])
+        radii = _ball_radius_candidates(drow, extra_scale=max(lam, 2.0))
+        small = prefix[np.searchsorted(drow[order], radii)]
+        big = prefix[np.searchsorted(drow[order], lam * radii)]
+        out.append((big / small).max())
+    return out
+
+
+@CHECK
+@given(spaces())
+def test_prefix_growth_equals_the_candidate_scan(space):
+    # positive distances as the only radii, blocks of 64 centers and the
+    # unstable sort change no per-center value
+    if space.n > 1:
+        fast = space_mod._prefix_growth(space.dist, space.weight, LAMBDAS)
+        for row, lam in zip(fast, LAMBDAS):
+            assert row.tolist() == candidate_scan(space, lam)
+
+
 def test_fast_path_never_calls_the_oracles(monkeypatch):
     def refuse(*args):
         raise AssertionError("fast path called an exhaustive oracle")
@@ -99,3 +136,27 @@ def test_fast_path_never_calls_the_oracles(monkeypatch):
     sp = make_space(dist, 10.0 ** rng.uniform(-6, 6, 70))
     doubling_profile(sp)
     assert sp.a0 > 1.0 and sp.cmu > 1.0
+
+
+def test_a_circle_with_decimal_weights_rescans_every_center(monkeypatch):
+    masked, rescanned = space_mod._growth_by_masks, []
+
+    def counted(drow, weight, lam):
+        rescanned.append(lam)
+        return masked(drow, weight, lam)
+
+    monkeypatch.setattr(space_mod, "_growth_by_masks", counted)
+    sp = make_space(circle(70), np.full(70, 0.1))
+    assert rescanned == [2.0] * 70
+    assert sp.cmu == _doubling_constant_exhaustive(sp.dist, sp.weight)
+
+
+@pytest.mark.parametrize("dist", [[[0.0]], [[0.0, 1.0], [1.0, 0.0]], [[0.0, 3.5], [3.5, 0.0]]])
+@pytest.mark.parametrize("weight", [1.0, 0.1, 1e-6])
+def test_one_and_two_points(dist, weight):
+    # the suite turns RuntimeWarnings (0/0 on an empty row) into errors
+    sp = make_space(dist, np.full(len(dist), weight))
+    assert sp.a0 == _quasi_triangle_constant_exhaustive(sp.dist)
+    assert sp.cmu == _doubling_constant_exhaustive(sp.dist, sp.weight)
+    for row in doubling_profile(sp, LAMBDAS):
+        assert row["max_ratio"] == profile_oracle(sp, row["lambda"])
