@@ -5,13 +5,13 @@ covering check, and a fully constructive atomic decomposition -- every step
 verifiable by brute force."""
 
 from .space import Ball, FiniteSpace, SpaceValidationError, ball, doubling_profile, load_space, make_space
-from .dyadic import (Cube, DyadicSystem, RegularFamilyPolicy, build_net,
+from .dyadic import (Cube, DyadicSystem, build_net,
                      build_system, dilate_cube, export_system, import_system,
                      verify_system)
 from .wavelet import (BuildingBlockSet, CutoffFunction, Wavelet, WaveletBasis,
                       build_haar, building_blocks, block_certificates, cutoff,
                       inverse_transform, transform)
-from .product import (DyadicRectangle, ProductCoefficients, ProductSpace,
+from .product import (ProductCoefficients, ProductSpace,
                       block_square_function, cmo_p, cmo_p_exhaustive,
                       double_center, hp_seminorm, inverse_product_transform,
                       product_transform, square_function)

@@ -11,7 +11,9 @@ limiting.
 Rectangle atoms are indexed by the maximal rectangles of the epsilon_0
 enlargement of the placeholder set (the enlargement is the set the
 containment proof actually provides; the un-enlarged family does not contain
-the classified rectangles in general).
+the classified rectangles in general).  Pairs are grouped by tau's family
+positions and the checks read the family's flat geometry rows; only
+``ProductAtom.rectangle_atoms`` keys its atoms by (k1, a1, k2, a2).
 
 Converse direction: any atom is a grid function, so its H^p seminorm against
 the reference wavelet basis is computed directly; corpus runners aggregate
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .journe import MaximalRectangleFamily, _family, majority_matrix, tau
+from .journe import MaximalRectangleFamily, _family, _level_drops, majority_matrix, tau
 from .maximal import (OpenSet, containment_matrix, ell_enlarge, enlarge, epsilon0,
                       growth_factor, level_sets)
 from .product import (ProductSpace, _mean_zero, hp_seminorm, product_transform,
@@ -51,7 +53,7 @@ class ProductAtom:
     p: float
     q: float
     grids: tuple[DyadicSystem, DyadicSystem]
-    rectangle_atoms: dict = field(default_factory=dict)   # (q1,q2) key -> values
+    rectangle_atoms: dict = field(default_factory=dict)   # (k1, a1, k2, a2) -> values
 
 
 @dataclass
@@ -271,13 +273,7 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
             raise AssertionError(f"classified rectangle {g1.cubes[a].id + g2.cubes[b].id} "
                                  "escapes the enlargement")
 
-        pair_rects = list(zip(ra.tolist(), rb.tolist()))
-        rects = list(dict.fromkeys(pair_rects))
-        tau_of = dict(zip(rects, tau(pspace, family,
-                                     [g1.cubes[a].id + g2.cubes[b].id for a, b in rects])))
-        tkeys = list(dict.fromkeys(tau_of.values()))
-        index = {t: n for n, t in enumerate(tkeys)}
-        group = np.array([index[tau_of[ab]] for ab in pair_rects])    # each pair's tau key
+        group = tau(pspace, family, ra, rb)          # each pair's covering rectangle
 
         # c ** 2 on scalars is C pow, as before; an array's ** 2 is c * c,
         # which can differ in the last bit
@@ -296,10 +292,10 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
                            * _budget_measure(pspace, omega_t, ell1, ell2) ** (1.0 / p - 1.0 / r))
                 weight = 2.0 ** (-ell1 * gamma1 - ell2 * gamma2)
                 rect_atoms: dict = {}
-                for g in dict.fromkeys(group[cell].tolist()):     # tau keys, first seen first
+                for g in dict.fromkeys(group[cell].tolist()):     # first seen first
                     k = cell[group[cell] == g]
                     vals = _outer_sum(cs[k] / lam_raw, kphi1[ii[k], ell1], kphi2[jw[k], ell2])
-                    rect_atoms[tkeys[g]] = _recancelled(pspace, vals)
+                    rect_atoms[family.m_all[g]] = _recancelled(pspace, vals)
                 avals = np.zeros(pspace.shape)
                 for v in rect_atoms.values():
                     avals += v
@@ -361,8 +357,7 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom) -> dict:
     a_q = view.lq_norm(atom.values, q)
     c_q_size = a_q / budget if budget > 0 else math.inf
 
-    keys_all = {r.key for r in family.m_all}
-    g1, g2 = view.systems[0].geometry, view.systems[1].geometry
+    at = {key: i for i, key in enumerate(family.m_all)}      # key -> family position
     w1, w2 = view.x1.weight, view.x2.weight
 
     total = np.zeros(view.shape)
@@ -370,10 +365,10 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom) -> dict:
     for key, vals in atom.rectangle_atoms.items():
         total += vals
         sum_q += view.lq_norm(vals, q) ** q
-        if key not in keys_all:
+        if key not in at:
             failures.append(f"condition (3): rectangle {key} is not in the maximal family")
             continue
-        box = np.outer(dil1[g1.flat(*key[:2])], dil2[g2.flat(*key[2:])])
+        box = np.outer(dil1[family.rows[at[key]]], dil2[family.cols[at[key]]])
         vscale = float(np.abs(vals).max())
         if vscale == 0:
             continue
@@ -400,12 +395,13 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom) -> dict:
     else:
         ratios = {}
         delta_default = q / (2.0 * p)
+        drops = _level_drops(view.systems[1].geometry, family.cols, family.hat2)
         for d in sorted(set(STRETCH_DELTAS) | {delta_default}):
             s = 0.0
             for key in atom.rectangle_atoms:
-                if key not in keys_all:
+                if key not in at:
                     continue
-                rho = view.systems[1].delta ** (key[2] - family.stretch2[key][0])
+                rho = view.systems[1].delta ** drops[at[key]]
                 s += rho ** d * view.lq_norm(atom.rectangle_atoms[key], q) ** q
             ratios[d] = (s ** (1.0 / q)) / budget if budget > 0 else math.inf
         cert["C_q_delta_iii_b"] = ratios
@@ -441,20 +437,18 @@ def generate_atom(pspace: ProductSpace, rng, p: float, q: float,
     _, omega_t, family = _pool(view, omega)
     if not family.m_all:
         return None
-    pool = [family.m_all[int(i)] for i in rng.permutation(len(family.m_all))[:MAX_RECTS]]
-
     _, (dil1, dil2) = _boxes(view, ell1, ell2)
     rect_atoms = {}
     values = np.zeros(view.shape)
-    for ref in pool:
-        u, v = dil1[g1.flat(*ref.q1)], dil2[g2.flat(*ref.q2)]
+    for i in rng.permutation(len(family.m_all))[:MAX_RECTS]:
+        u, v = dil1[family.rows[i]], dil2[family.cols[i]]
         if u.sum() < 2 or v.sum() < 2:
             continue
         block = _mean_zero(rng.standard_normal((int(u.sum()), int(v.sum()))),
                            view.x1.weight[u], view.x2.weight[v])
         vals = np.zeros(view.shape)
         vals[np.ix_(u, v)] = block
-        key = ref.key
+        key = family.m_all[i]
         rect_atoms[key] = rect_atoms.get(key, 0.0) + vals
         values = values + vals
     if not rect_atoms or np.abs(values).max() == 0.0:

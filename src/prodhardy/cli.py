@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import atoms as atoms_mod
-from .dyadic import build_system, export_system, verify_system
+from .dyadic import _system_document, build_system, verify_system
 from .journe import journe_check
 from .maximal import OpenSet
 from .product import (ProductSpace, double_center, hp_seminorm,
@@ -32,9 +32,9 @@ from .wavelet import build_haar
 
 
 def _validate(args: argparse.Namespace):
-    if not 0 < args.p <= 1:
+    if "p" in args and not 0 < args.p <= 1:     # build takes no --p or --q
         raise ValueError("p must lie in (0, 1]")
-    if args.q <= 1:
+    if "q" in args and args.q <= 1:
         raise ValueError("q must exceed 1")
     if args.delta is not None and not 0 < args.delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -123,7 +123,7 @@ def emit(report: dict, out: str | None):
 
 def _default_space() -> FiniteSpace:
     pts = np.arange(8.0)
-    return make_space(np.abs(pts[:, None] - pts[None, :]), meta={"source": "builtin-line-8"})
+    return make_space(np.abs(pts[:, None] - pts[None, :]))
 
 
 def _load(args: argparse.Namespace) -> tuple[FiniteSpace, FiniteSpace]:
@@ -179,7 +179,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     systems = [build_system(x, args.delta) for x in ((x1, x2) if args.space2 else (x1,))]
     report = {"command": "build", "seed": args.seed,
               "mode": systems[0].mode,     # which rule chose delta
-              "factors": [{"system": json.loads(export_system(system)),
+              "factors": [{"system": _system_document(system),
                            "verification": verify_system(system),
                            "basis": _basis_export(build_haar(system))}
                           for system in systems]}
@@ -324,15 +324,16 @@ def make_parser() -> argparse.ArgumentParser:
         sp.set_defaults(fn=fn)
         sp.add_argument("--space", help="JSON space document for factor 1")
         sp.add_argument("--space2", help="JSON space document for factor 2 (default: factor 1)")
-        sp.add_argument("--p", type=float, default=1.0)
-        sp.add_argument("--q", type=float, default=2.0)
         sp.add_argument("--delta", type=float, default=None,
                         help="base side length; default picks the reference-grid value")
-        sp.add_argument("--gamma1", type=float, default=None)
-        sp.add_argument("--gamma2", type=float, default=None)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
+        if name != "build":
+            sp.add_argument("--p", type=float, default=1.0)
+            sp.add_argument("--q", type=float, default=2.0)
         if name == "decompose":
+            sp.add_argument("--gamma1", type=float, default=None)
+            sp.add_argument("--gamma2", type=float, default=None)
             sp.add_argument("--function", default=None,
                             help="JSON {'dense': ...} or {'triples': ...}; default seeded random")
         if name == "certify":

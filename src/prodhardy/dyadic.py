@@ -127,22 +127,6 @@ class CubeGeometry:
         return self.first[k] + alpha
 
 
-@dataclass(frozen=True)
-class RegularFamilyPolicy:
-    """Uniform bounds, functions of a0 only, that member systems must meet."""
-
-    max_outer_dilation: float
-    max_dilation_ratio: float
-
-    @classmethod
-    def auscher_hytonen(cls, a0: float) -> "RegularFamilyPolicy":
-        return cls(max_outer_dilation=AH_OUTER(a0), max_dilation_ratio=AH_RATIO(a0))
-
-    def admits(self, system: "DyadicSystem") -> bool:
-        return (system.outer_cert <= self.max_outer_dilation + 1e-12
-                and system.outer_cert / system.inner_cert <= self.max_dilation_ratio + 1e-9)
-
-
 class DyadicSystem:
     """Leveled tree of cubes with nets, constants and lookup helpers."""
 
@@ -406,13 +390,14 @@ def build_system(space: FiniteSpace, delta: float | None = None,
     return DyadicSystem(space, delta, k_min, k_max, nets, cubes, mode)
 
 
-def verify_system(system: DyadicSystem, policy: RegularFamilyPolicy | None = None) -> dict:
+def verify_system(system: DyadicSystem) -> dict:
     """Exact structural checks plus measured/certified constants report.
 
     Nestedness and disjoint union are exact properties; any violation is a
     construction bug and raises.  Ball containment is measured, compared with
     the certificate c1 = (3 a0^2)^-1 c0, C1 = 2 a0 C0, and with the
-    Auscher-Hytonen reference constants.
+    Auscher-Hytonen reference constants; the system belongs to their
+    regular family when its C1 and C1/c1 stay within the reference ones.
     """
     space = system.space
     n = space.n
@@ -463,7 +448,7 @@ def verify_system(system: DyadicSystem, policy: RegularFamilyPolicy | None = Non
     inner_cert_ok = not (system._near < system.inner_cert * system._sides).any()
     outer_cert_ok = bool((system._far < system.outer_cert * system._sides).all())
 
-    policy = policy or RegularFamilyPolicy.auscher_hytonen(space.a0)
+    ah_outer, ah_ratio = AH_OUTER(space.a0), AH_RATIO(space.a0)
     report = {
         "n_points": n,
         "delta": system.delta,
@@ -480,9 +465,9 @@ def verify_system(system: DyadicSystem, policy: RegularFamilyPolicy | None = Non
         "C1_effective": system.outer_eff,
         "inner_certificate_holds": inner_cert_ok,
         "outer_certificate_holds": outer_cert_ok,
-        "ah_reference": {"C1": AH_OUTER(space.a0), "c1": AH_INNER(space.a0),
-                         "ratio": AH_RATIO(space.a0)},
-        "regular_family_ok": policy.admits(system),
+        "ah_reference": {"C1": ah_outer, "c1": AH_INNER(space.a0), "ratio": ah_ratio},
+        "regular_family_ok": (system.outer_cert <= ah_outer + 1e-12 and
+                              system.outer_cert / system.inner_cert <= ah_ratio + 1e-9),
     }
     if system.conformant and not (inner_cert_ok and outer_cert_ok):
         raise AssertionError("certified ball containment failed under the cube test condition")
@@ -501,7 +486,12 @@ def dilate_mask(system: DyadicSystem, cube: Cube, lam: float) -> np.ndarray:
 
 
 def export_system(system: DyadicSystem) -> str:
-    doc = {
+    return json.dumps(_system_document(system), sort_keys=True)
+
+
+def _system_document(system: DyadicSystem) -> dict:
+    """The JSON document of ``export_system``, before it is written as text."""
+    return {
         "delta": system.delta,
         "k_min": system.k_min,
         "k_max": system.k_max,
@@ -518,7 +508,6 @@ def export_system(system: DyadicSystem) -> str:
             "C1_effective": system.outer_eff,
         },
     }
-    return json.dumps(doc, sort_keys=True)
 
 
 def import_system(space: FiniteSpace, text: str | Path) -> DyadicSystem:

@@ -2,10 +2,10 @@
 
 A rectangle R = Q1 x Q2 inside an open set is maximal when neither
 single-factor parent extension stays inside the set.  The maximal rectangles
-form one family m(Omega) with two stretch maps, one per direction: stretch2
+form one family m(Omega) with two stretch maps, one per direction: one
 takes R to the coarsest ancestor Q2^ of Q2 with
 mu((Q1 x Q2^) cap Omega) > mu(Q1 x Q2^)/2 (a chain maximum, by dyadic
-nesting), and stretch1 takes it to Q1^, symmetrically.  This is the
+nesting), the other takes it to Q1^, symmetrically.  This is the
 restricted (Chang-Fefferman style) convention: a single-rectangle set has
 exactly one maximal rectangle and covering constant at most 1.  The
 covering check certifies, for each direction,
@@ -13,24 +13,37 @@ covering check certifies, for each direction,
     sum_{R in m(Omega)} mu(R) (l(Q)/l(Q^))^delta  <=  C mu(Omega)
 
 with a measured C, for power weights w(t) = t^delta.
+
+A family holds its rectangles and stretches as flat rows of the factors'
+``CubeGeometry``, and tau answers with positions in the family; the
+(k1, a1, k2, a2) keys are kept alongside for the atoms and reports that
+show them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .dyadic import CubeGeometry
 from .maximal import OpenSet, containment_matrix
-from .product import DyadicRectangle, ProductSpace
+from .product import ProductSpace
 from .space import _exact_sums
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaximalRectangleFamily:
-    m_all: list[DyadicRectangle] = field(default_factory=list)
-    stretch2: dict = field(default_factory=dict)   # R -> Q2^ cube id
-    stretch1: dict = field(default_factory=dict)   # R -> Q1^ cube id
+    """Rectangle i is cubes1[rows[i]] x cubes2[cols[i]] (flat rows of each
+    system's ``geometry``, level then index), its stretches are
+    Q1^ = cubes1[hat1[i]] and Q2^ = cubes2[hat2[i]], and m_all[i] is its
+    (k1, a1, k2, a2) key.  The arrays are read-only: families are shared."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    hat1: np.ndarray
+    hat2: np.ndarray
+    m_all: list[tuple[int, int, int, int]]
 
 
 def maximal_rectangles(pspace: ProductSpace, omega: OpenSet,
@@ -39,34 +52,27 @@ def maximal_rectangles(pspace: ProductSpace, omega: OpenSet,
     Q1 x Q2 is maximal when neither parent(Q1) x Q2 nor Q1 x parent(Q2) is
     contained (the root has no parent).
 
-    One family ``m_all`` in deterministic level-then-index order, with both
-    stretch maps; its rectangles may overlap.  ``direction`` accepts only
-    "both".
+    One family in deterministic level-then-index order, with both stretch
+    maps; its rectangles may overlap.  ``direction`` accepts only "both".
     """
     if direction != "both":
         raise ValueError(f"direction must be 'both', got {direction!r}")
-    fam = MaximalRectangleFamily()
-    if omega.is_empty():
-        return fam
     g1, g2 = pspace.systems[0].geometry, pspace.systems[1].geometry
     inside = containment_matrix(pspace, omega)
     # inside[-1] (the root's parent) reads the last row; parent >= 0 masks it out
     grows1 = (g1.parent >= 0)[:, None] & inside[g1.parent, :]
     grows2 = (g2.parent >= 0)[None, :] & inside[:, g2.parent]
-    rects = np.argwhere(inside & ~grows1 & ~grows2)      # row-major: level then index
-    for a, b in rects:
-        c1, c2 = g1.cubes[a], g2.cubes[b]
-        fam.m_all.append(DyadicRectangle(q1=c1.id, q2=c2.id, measure=c1.measure * c2.measure))
+    rows, cols = np.nonzero(inside & ~grows1 & ~grows2)     # row-major: level then index
     # stretches: the coarsest ancestor-or-self along each rectangle's row or
     # column that keeps the majority; the rectangle itself, inside Omega, does
     passes = majority_matrix(pspace, omega)
-    rows, cols = rects[:, 0], rects[:, 1]
     hat2 = (g2.ancestors[cols] & passes[rows]).argmax(axis=1)
     hat1 = (g1.ancestors[rows] & passes[:, cols].T).argmax(axis=1)
-    for ref, b, a in zip(fam.m_all, hat2, hat1):
-        fam.stretch2[ref.key] = g2.cubes[b].id
-        fam.stretch1[ref.key] = g1.cubes[a].id
-    return fam
+    for arr in (rows, cols, hat1, hat2):
+        arr.flags.writeable = False
+    return MaximalRectangleFamily(
+        rows=rows, cols=cols, hat1=hat1, hat2=hat2,
+        m_all=[g1.cubes[a].id + g2.cubes[b].id for a, b in zip(rows.tolist(), cols.tolist())])
 
 
 def _family(pspace: ProductSpace, omega: OpenSet) -> MaximalRectangleFamily:
@@ -74,7 +80,7 @@ def _family(pspace: ProductSpace, omega: OpenSet) -> MaximalRectangleFamily:
     journe_check calls of one set and the atom pools share it, so no caller
     may mutate it."""
     return pspace.memoized(("family", omega.key()),
-                           lambda: maximal_rectangles(pspace, omega, "both"))
+                           lambda: maximal_rectangles(pspace, omega))
 
 
 def majority_matrix(pspace: ProductSpace, omega: OpenSet) -> np.ndarray:
@@ -113,28 +119,29 @@ def _measure_in(pspace: ProductSpace, omega: OpenSet, mask1, mask2) -> float:
 
 
 def stretch(pspace: ProductSpace, family: MaximalRectangleFamily,
-            ref: DyadicRectangle, direction: int = 1):
-    """Public stretch map (direction 1: Q2^, else Q1^); the rectangle must
-    belong to the family."""
-    table, system = ((family.stretch2, pspace.systems[1]) if direction == 1
-                     else (family.stretch1, pspace.systems[0]))
-    if ref.key not in table:
-        raise ValueError(f"rectangle {ref.key} is not in this family")
-    return system.cube(*table[ref.key])
+            key: tuple[int, int, int, int], direction: int = 1):
+    """Public stretch map (direction 1: Q2^, else Q1^) of the rectangle with
+    key (k1, a1, k2, a2), which must belong to the family."""
+    if key not in family.m_all:
+        raise ValueError(f"rectangle {key} is not in this family")
+    i = family.m_all.index(key)
+    if direction == 1:
+        return pspace.systems[1].geometry.cubes[family.hat2[i]]
+    return pspace.systems[0].geometry.cubes[family.hat1[i]]
 
 
-def stretch_exhaustive(pspace: ProductSpace, omega: OpenSet, ref: DyadicRectangle,
-                       direction: int):
-    """Specification of the stretch maps: for R = Q1 x Q2 in m(Omega), the
-    coarsest ancestor Q^ of the other factor keeping
-    mu((stretched R) cap Omega) > mu(stretched R)/2.
+def stretch_exhaustive(pspace: ProductSpace, omega: OpenSet,
+                       key: tuple[int, int, int, int], direction: int):
+    """Specification of the stretch maps: for R = Q1 x Q2 in m(Omega) with
+    key (k1, a1, k2, a2), the coarsest ancestor Q^ of the other factor
+    keeping mu((stretched R) cap Omega) > mu(stretched R)/2.
 
     The rectangle itself satisfies the condition (it lies inside Omega), so
     the chain scan from the root down returns the first ancestor that does.
     """
     s1, s2 = pspace.systems
-    c1 = s1.cube(*ref.q1)
-    c2 = s2.cube(*ref.q2)
+    k1, a1, k2, a2 = key
+    c1, c2 = s1.cube(k1, a1), s2.cube(k2, a2)
     if direction == 1:
         fixed_mask = s1.member_mask(*c1.id)
         fixed_measure = c1.measure
@@ -156,24 +163,30 @@ def stretch_exhaustive(pspace: ProductSpace, omega: OpenSet, ref: DyadicRectangl
     raise AssertionError("rectangle inside Omega must satisfy its own half test")
 
 
-def tau(pspace: ProductSpace, family: MaximalRectangleFamily, keys) -> list:
-    """For each rectangle key, the first rectangle of ``family.m_all`` (key
-    order) whose factors are ancestors-or-self of the key's factors.
+def tau(pspace: ProductSpace, family: MaximalRectangleFamily, rows, cols) -> np.ndarray:
+    """For each rectangle cubes1[rows[k]] x cubes2[cols[k]] (flat geometry
+    rows), the position in ``family`` of its first rectangle (key order)
+    whose factors are ancestors-or-self of the rectangle's factors.
 
     A maximal rectangle's factors are the coarsest cubes of their
     single-child chains, so for them ancestry and member containment agree:
     this is the lexicographically smallest maximal rectangle containing the
-    key's rectangle.
+    given one.
     """
     g1, g2 = pspace.systems[0].geometry, pspace.systems[1].geometry
-    rows = [g1.flat(*r.q1) for r in family.m_all]
-    cols = [g2.flat(*r.q2) for r in family.m_all]
-    covers = (g1.ancestors[np.ix_([g1.flat(*k[:2]) for k in keys], rows)]
-              & g2.ancestors[np.ix_([g2.flat(*k[2:]) for k in keys], cols)])
+    covers = (g1.ancestors[np.ix_(rows, family.rows)]
+              & g2.ancestors[np.ix_(cols, family.cols)])
     found = covers.any(axis=1)
     if not found.all():
-        raise AssertionError(f"no maximal rectangle contains {keys[int(np.argmin(found))]}")
-    return [family.m_all[h].key for h in covers.argmax(axis=1)] if keys else []
+        at = int(np.argmin(found))
+        raise AssertionError("no maximal rectangle contains "
+                             f"{g1.cubes[rows[at]].id + g2.cubes[cols[at]].id}")
+    return covers.argmax(axis=1) if covers.size else np.zeros(0, dtype=int)
+
+
+def _level_drops(g: CubeGeometry, cubes, hats) -> list[int]:
+    """level(Q) - level(Q^) for each flat row of ``cubes`` and of its stretch in ``hats``."""
+    return [g.cubes[a].level - g.cubes[b].level for a, b in zip(cubes.tolist(), hats.tolist())]
 
 
 def journe_check(pspace: ProductSpace, omega: OpenSet, delta_exp: float) -> dict:
@@ -184,11 +197,13 @@ def journe_check(pspace: ProductSpace, omega: OpenSet, delta_exp: float) -> dict
         raise ValueError("omega must have positive measure")
     fam = _family(pspace, omega)
     s1, s2 = pspace.systems
-    # l(Q)/l(Q^) = delta^(level_Q - level_Q^) <= 1, one stretch map per direction
-    l1 = sum(ref.measure * (s2.delta ** (ref.q2[0] - fam.stretch2[ref.key][0])) ** delta_exp
-             for ref in fam.m_all)
-    l2 = sum(ref.measure * (s1.delta ** (ref.q1[0] - fam.stretch1[ref.key][0])) ** delta_exp
-             for ref in fam.m_all)
+    measures = (s1.geometry.measures[fam.rows] * s2.geometry.measures[fam.cols]).tolist()
+    # l(Q)/l(Q^) = delta^(level_Q - level_Q^) <= 1, one stretch map per direction;
+    # Python float sums in family order
+    l1 = sum(m * (s2.delta ** d) ** delta_exp
+             for m, d in zip(measures, _level_drops(s2.geometry, fam.cols, fam.hat2)))
+    l2 = sum(m * (s1.delta ** d) ** delta_exp
+             for m, d in zip(measures, _level_drops(s1.geometry, fam.rows, fam.hat1)))
     return {
         "delta": delta_exp,
         "L1": l1,

@@ -106,17 +106,6 @@ def _mean_zero(f: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class DyadicRectangle:
-    q1: tuple[int, int]          # cube id in system 1
-    q2: tuple[int, int]          # cube id in system 2
-    measure: float
-
-    @property
-    def key(self):
-        return self.q1 + self.q2
-
-
-@dataclass
 class ProductCoefficients:
     """Full coefficient matrix, wavelet rows/cols first, scaling last."""
 
@@ -237,9 +226,8 @@ def cmo_p(pspace: ProductSpace, coeffs: ProductCoefficients, p: float,
         stacks = [pspace.rectangle_indicators(*np.indices(energy.shape).reshape(2, -1)) > 0]
         if len(ra):
             support = OpenSet.from_mask(pspace, rects.any(axis=0).reshape(pspace.shape))
-            fam = maximal_rectangles(pspace, support, "both").m_all
-            stacks.append(_unions(pspace.rectangle_indicators(
-                [g1.flat(*r.q1) for r in fam], [g2.flat(*r.q2) for r in fam]), CMO_MAX_UNION))
+            fam = maximal_rectangles(pspace, support)
+            stacks.append(_unions(pspace.rectangle_indicators(fam.rows, fam.cols), CMO_MAX_UNION))
             if len(ra) <= CMO_MICRO_LIMIT:
                 stacks.append(_unions(rects, len(ra)))
         cands = np.concatenate(stacks).astype(float)

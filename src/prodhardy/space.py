@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -53,15 +53,10 @@ class FiniteSpace:
     a0: float                    # minimal quasi-triangle constant, >= 1
     cmu: float                   # max realized mu(B(x,2r))/mu(B(x,r)), >= 1
     omega: float                 # log2(cmu)
-    meta: dict = field(default_factory=dict, compare=False)
 
     @property
     def n(self) -> int:
         return self.dist.shape[0]
-
-    @property
-    def points(self) -> list[int]:
-        return list(range(self.n))
 
     @property
     def total_measure(self) -> float:
@@ -274,7 +269,7 @@ def _doubling_constant_exhaustive(dist: np.ndarray, weight: np.ndarray) -> float
     return worst
 
 
-def make_space(dist, weight=None, meta=None) -> FiniteSpace:
+def make_space(dist, weight=None) -> FiniteSpace:
     """Validate raw arrays and compute the geometric constants."""
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
@@ -319,7 +314,6 @@ def make_space(dist, weight=None, meta=None) -> FiniteSpace:
         a0=_quasi_triangle_constant(dist),
         cmu=cmu,
         omega=math.log2(cmu),
-        meta=dict(meta or {}),
     )
 
 
@@ -359,7 +353,6 @@ def load_space(source) -> FiniteSpace:
     if "matrix" in doc:
         dist = np.asarray(doc["matrix"], dtype=float)
         weight = doc.get("weights")
-        meta = {"source": "matrix"}
     elif "points" in doc:
         pts = doc["points"]
         if not isinstance(pts, list) or not pts:
@@ -385,7 +378,6 @@ def load_space(source) -> FiniteSpace:
             raise SpaceValidationError(f"metric: unknown metric {metric!r}")
         dist = _METRICS[metric](np.stack(coords))
         np.fill_diagonal(dist, 0.0)
-        meta = {"source": "points", "metric": metric}
     else:
         raise SpaceValidationError("document must contain 'matrix' or 'points'")
 
@@ -395,8 +387,7 @@ def load_space(source) -> FiniteSpace:
         if s <= 0:
             raise SpaceValidationError("snowflake: exponent must be positive")
         dist = dist ** s
-        meta["snowflake"] = s
-    return make_space(dist, weight, meta)
+    return make_space(dist, weight)
 
 
 def ball(space: FiniteSpace, center: int, radius: float) -> Ball:

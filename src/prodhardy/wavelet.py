@@ -134,15 +134,19 @@ def cutoff(space: FiniteSpace, x0: int, r0: float, eta: float = 1.0) -> CutoffFu
         raise ValueError("r0 must be positive")
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
-    top = space.a0 ** 2 * r0
-    d = space.dist[x0]
-    vals = np.clip((top - d) / (top - r0 / 4.0), 0.0, 1.0)
+    vals = _ramp(space, x0, r0)
     cst = 0.0
     if space.n > 1:
         off = ~np.eye(space.n, dtype=bool)
         diffs = np.abs(vals[:, None] - vals[None, :])[off]
         cst = float((diffs / (space.dist[off] / r0) ** eta).max())
     return CutoffFunction(values=vals, holder_constant=cst)
+
+
+def _ramp(space: FiniteSpace, x0: int, r0: float) -> np.ndarray:
+    """The values of ``cutoff(space, x0, r0)``, without its Holder scan."""
+    top = space.a0 ** 2 * r0
+    return np.clip((top - space.dist[x0]) / (top - r0 / 4.0), 0.0, 1.0)
 
 
 @dataclass
@@ -208,7 +212,7 @@ def building_blocks(space: FiniteSpace, wavelet: Wavelet, gamma: float,
     hs = []
     L = 0
     while True:
-        h = cutoff(space, wavelet.center, cbar * 2.0 ** L * wavelet.scale).values
+        h = _ramp(space, wavelet.center, cbar * 2.0 ** L * wavelet.scale)
         hs.append(h)
         if supp.any() and (h[supp] == 1.0).all():
             break

@@ -217,12 +217,11 @@ def test_verify_hand_built_single_rectangle_atom(pspace8):
     om = OpenSet.from_mask(pspace8, pspace8.rectangle_mask(c1, c2))
     om_t = enlarge(pspace8, om, epsilon0(pspace8))
     from prodhardy import maximal_rectangles
-    ref = sorted(maximal_rectangles(pspace8, om_t, "both").m_all,
-                 key=lambda r: r.key)[0]
+    key = sorted(maximal_rectangles(pspace8, om_t, "both").m_all)[0]
     lam1, lam2 = _support_multipliers(pspace8, 0, 0)
     from prodhardy.dyadic import dilate_mask
-    u = dilate_mask(s1, s1.cube(*ref.q1), lam1)
-    v = dilate_mask(s2, s2.cube(*ref.q2), lam2)
+    u = dilate_mask(s1, s1.cube(*key[:2]), lam1)
+    v = dilate_mask(s2, s2.cube(*key[2:]), lam2)
     block = rng.standard_normal((int(u.sum()), int(v.sum())))
     wu, wv = pspace8.x1.weight[u], pspace8.x2.weight[v]
     block -= np.outer(np.ones(len(wu)), wu @ block) / wu.sum()
@@ -230,7 +229,7 @@ def test_verify_hand_built_single_rectangle_atom(pspace8):
     vals = np.zeros(pspace8.shape)
     vals[np.ix_(u, v)] = block
     atom = ProductAtom(values=vals, omega=om, ell1=0, ell2=0, p=1.0, q=2.0,
-                       grids=pspace8.systems, rectangle_atoms={ref.key: vals})
+                       grids=pspace8.systems, rectangle_atoms={key: vals})
     cert = verify_atom(pspace8, atom)
     assert cert["passed"], cert["failures"]
     growth = om_t.measure      # ell = 0: growth factor 1

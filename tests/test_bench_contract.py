@@ -7,7 +7,7 @@ import inspect
 import numpy as np
 import pytest
 
-from prodhardy import dyadic, space, wavelet
+from prodhardy import OpenSet, dyadic, space, wavelet
 from prodhardy.cli import emit
 from prodhardy.journe import maximal_rectangles
 from prodhardy.maximal import ell_enlarge, rectangles_inside
@@ -50,3 +50,10 @@ def test_build_system_result_feeds_the_dyadic_probe(canon):
     assert len(cubes) == system.n_cubes() == 11 and len(system.levels()) == 4
     for c in cubes:
         assert isinstance(c.members, np.ndarray) and c.members.dtype.kind == "i"
+
+
+def test_maximal_rectangles_result_feeds_the_journe_probe(pspace8):
+    # journe.family_size adds len(result.m_all) of every maximal_rectangles call
+    om = OpenSet.from_mask(pspace8, np.random.default_rng(0).random(pspace8.shape) < 0.4)
+    fam = maximal_rectangles(pspace8, om, direction="both")
+    assert len(fam.m_all) == len(fam.rows) > 0

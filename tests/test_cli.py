@@ -218,3 +218,13 @@ def test_build_reference_constant_overflow_named(tmp_path, capsys):
     assert run(["build", "--delta", "0.5", "--space", str(path)]) == 2
     err = capsys.readouterr().err
     assert "a0 = 5e+39" in err and "overflows" in err
+
+
+def test_flags_a_subcommand_does_not_read_are_usage_errors(space_file, capsys):
+    # build reads no --p, --q or gammas and certify no gammas: argparse
+    # rejects them rather than letting them pass unread
+    for argv in (["build", "--space", space_file, "--p", "0.5"], ["certify", "--gamma1", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

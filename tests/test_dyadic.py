@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from prodhardy import (RegularFamilyPolicy, build_haar, build_net, build_system,
-                       dilate_cube, export_system, import_system, verify_system)
+from prodhardy import (build_haar, build_net, build_system, dilate_cube, export_system,
+                       import_system, verify_system)
 
 from conftest import line_space
 
@@ -193,11 +193,14 @@ def test_export_import_round_trip(canon):
 
 
 def test_randomized_family_members_verify(line8):
-    policy = RegularFamilyPolicy.auscher_hytonen(line8.a0)
+    # members of the Auscher-Hytonen regular family: C1 and C1/c1 within the reference
     for seed in range(3):
         system = build_system(line8, 0.25, order_seed=seed)
-        rep = verify_system(system, policy)
+        rep = verify_system(system)
         assert rep["regular_family_ok"]
+        ref = rep["ah_reference"]
+        assert rep["C1_certified"] <= ref["C1"]
+        assert rep["C1_certified"] / rep["c1_certified"] <= ref["ratio"]
 
 
 def test_top_level_single_cube_on_exact_diameter():

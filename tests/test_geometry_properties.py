@@ -45,7 +45,7 @@ def test_ell_enlarge_matches_oracle(inst, ells, atom_lams):
 def test_maximal_rectangles_match_oracle(inst):
     ps, om = inst
     fam = maximal_rectangles(ps, om, "both")
-    assert [r.key for r in fam.m_all] == sorted(maximal_oracle(ps, om))
+    assert fam.m_all == sorted(maximal_oracle(ps, om))
 
 
 def strong_maximal_loop(pspace, g):

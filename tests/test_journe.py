@@ -41,14 +41,14 @@ def test_single_rectangle_families(pspace8):
     om = OpenSet.from_mask(pspace8, pspace8.rectangle_mask(c1, c2))
     fam = maximal_rectangles(pspace8, om, "both")
     key = c1.id + c2.id
-    assert [r.key for r in fam.m_all] == [key]
-    assert list(fam.stretch1) == list(fam.stretch2) == [key]
+    assert fam.m_all == [key]
+    assert len(fam.rows) == len(fam.cols) == len(fam.hat1) == len(fam.hat2) == 1
 
 
 def test_empty_omega(pspace8):
     om = OpenSet.from_mask(pspace8, np.zeros(pspace8.shape, dtype=bool))
     fam = maximal_rectangles(pspace8, om, "both")
-    assert not fam.m_all and not fam.stretch1 and not fam.stretch2
+    assert not fam.m_all and not len(fam.hat1) and not len(fam.hat2)
 
 
 def test_crossing_rectangles_match_oracle(canon):
@@ -59,7 +59,7 @@ def test_crossing_rectangles_match_oracle(canon):
     horiz = ps.rectangle_mask(s1.cube(-2, 0), s2.cube(-1, 0))
     om = OpenSet.from_mask(ps, vert | horiz)
     fam = maximal_rectangles(ps, om, "both")
-    assert {r.key for r in fam.m_all} == maximal_oracle(ps, om)
+    assert set(fam.m_all) == maximal_oracle(ps, om)
 
 
 def test_random_omegas_match_oracle(pspace8):
@@ -67,7 +67,7 @@ def test_random_omegas_match_oracle(pspace8):
     for _ in range(5):
         om = OpenSet.from_mask(pspace8, rng.random(pspace8.shape) < 0.45)
         fam = maximal_rectangles(pspace8, om, "both")
-        assert {r.key for r in fam.m_all} == maximal_oracle(pspace8, om)
+        assert set(fam.m_all) == maximal_oracle(pspace8, om)
 
 
 def test_every_contained_rectangle_is_covered(pspace8):
@@ -76,7 +76,8 @@ def test_every_contained_rectangle_is_covered(pspace8):
     for _ in range(3):
         om = OpenSet.from_mask(pspace8, rng.random(pspace8.shape) < 0.4)
         fam = maximal_rectangles(pspace8, om, "both")
-        members = [(s1.member_mask(*r.q1), s2.member_mask(*r.q2)) for r in fam.m_all]
+        members = [(s1.member_mask(k1, a1), s2.member_mask(k2, a2))
+                   for k1, a1, k2, a2 in fam.m_all]
         for c1 in s1.all_cubes():
             for c2 in s2.all_cubes():
                 m1 = s1.member_mask(*c1.id)
@@ -96,15 +97,15 @@ def test_stretch_thin_omega_stays_put(pspace8):
     assert parent2.measure > 2.0 * c2.measure
     om = OpenSet.from_mask(pspace8, pspace8.rectangle_mask(c1, c2))
     fam = maximal_rectangles(pspace8, om, "both")
-    assert fam.stretch2[c1.id + c2.id] == c2.id
+    assert stretch(pspace8, fam, c1.id + c2.id, 1).id == c2.id
 
 
 def test_stretch_full_grid_reaches_top(pspace8):
     om = OpenSet.from_mask(pspace8, np.ones(pspace8.shape, dtype=bool))
     fam = maximal_rectangles(pspace8, om, "both")
-    (ref,) = fam.m_all
-    assert fam.stretch2[ref.key] == (pspace8.systems[1].k_min, 0)
-    assert fam.stretch1[ref.key] == (pspace8.systems[0].k_min, 0)
+    (key,) = fam.m_all
+    assert stretch(pspace8, fam, key, 1).id == (pspace8.systems[1].k_min, 0)
+    assert stretch(pspace8, fam, key, 2).id == (pspace8.systems[0].k_min, 0)
 
 
 def test_stretch_ratio_range(pspace8):
@@ -114,9 +115,9 @@ def test_stretch_ratio_range(pspace8):
         if om.is_empty():
             continue
         fam = maximal_rectangles(pspace8, om, "both")
-        for ref in fam.m_all:
-            k2 = ref.q2[0]
-            khat = fam.stretch2[ref.key][0]
+        for key in fam.m_all:
+            k2 = key[2]
+            khat = stretch(pspace8, fam, key, 1).level
             assert khat <= k2                      # l(Q2) <= l(Q2^)
             ratio = pspace8.systems[1].delta ** (k2 - khat)
             assert 0 < ratio <= 1
@@ -127,10 +128,9 @@ def test_public_stretch_membership(pspace8):
     c2 = pspace8.systems[1].cube(-1, 1)
     om = OpenSet.from_mask(pspace8, pspace8.rectangle_mask(c1, c2))
     fam = maximal_rectangles(pspace8, om, "both")
-    ref = fam.m_all[0]
-    assert stretch(pspace8, fam, ref, 1).id == fam.stretch2[ref.key]
-    from prodhardy import DyadicRectangle
-    alien = DyadicRectangle(q1=(0, 0), q2=(0, 0), measure=1.0)
+    key = fam.m_all[0]
+    assert stretch(pspace8, fam, key, 1).id == pspace8.systems[1].geometry.cubes[fam.hat2[0]].id
+    alien = (0, 0, 0, 0)
     with pytest.raises(ValueError, match="not in this family"):
         stretch(pspace8, fam, alien, 1)
 

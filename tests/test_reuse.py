@@ -106,7 +106,7 @@ def test_view_keeps_its_own_entries(pspace8):
     eps0, omega_t, family = _pool(view, om)
     assert list(ps._memo) == parent_keys and view._memo
     fresh = maximal_rectangles(view, omega_t, "both")
-    assert [r.key for r in family.m_all] == [r.key for r in fresh.m_all]
+    assert family.m_all == fresh.m_all
     assert family is not _pool(ps, om)[2]
     assert _view_on(ps, ps.systems) is ps
 
@@ -123,8 +123,9 @@ def test_memo_hit_equals_a_fresh_computation(pspace8):
     assert hit[0] == eps0
     np.testing.assert_array_equal(hit[1].mask, omega_t.mask)
     assert hit[1].measure == omega_t.measure
-    assert [r.key for r in hit[2].m_all] == [r.key for r in fam.m_all]
-    assert (hit[2].stretch1, hit[2].stretch2) == (fam.stretch1, fam.stretch2)
+    assert hit[2].m_all == fam.m_all
+    for name in ("rows", "cols", "hat1", "hat2"):
+        np.testing.assert_array_equal(getattr(hit[2], name), getattr(fam, name))
 
     gamma = ps.x1.omega * 2.0 + 1.0
     counts, kphi = _block_stack(ps, 0, gamma)

@@ -67,9 +67,12 @@ def test_majority_matrix_is_the_per_rectangle_half_test(inst):
 def test_stretches_match_oracle(inst):
     ps, om = inst
     fam = maximal_rectangles(ps, om, "both")
-    for ref in fam.m_all:
-        assert fam.stretch2[ref.key] == stretch_exhaustive(ps, om, ref, 1).id
-        assert fam.stretch1[ref.key] == stretch_exhaustive(ps, om, ref, 2).id
+    g1, g2 = ps.systems[0].geometry, ps.systems[1].geometry
+    assert len(fam.m_all) == len(fam.rows) == len(fam.cols) == len(fam.hat1) == len(fam.hat2)
+    for i, key in enumerate(fam.m_all):
+        assert key == g1.cubes[fam.rows[i]].id + g2.cubes[fam.cols[i]].id
+        assert g2.cubes[fam.hat2[i]].id == stretch_exhaustive(ps, om, key, 1).id
+        assert g1.cubes[fam.hat1[i]].id == stretch_exhaustive(ps, om, key, 2).id
 
 
 def tau_scan(pspace, family, key):
@@ -77,10 +80,10 @@ def tau_scan(pspace, family, key):
     in key order, whose factors contain the key's factors as point sets."""
     s1, s2 = pspace.systems
     q1m, q2m = s1.member_mask(*key[:2]), s2.member_mask(*key[2:])
-    for cand in sorted(family.m_all, key=lambda r: r.key):
-        if (not (q1m & ~s1.member_mask(*cand.q1)).any()
-                and not (q2m & ~s2.member_mask(*cand.q2)).any()):
-            return cand.key
+    for cand in sorted(family.m_all):
+        if (not (q1m & ~s1.member_mask(*cand[:2])).any()
+                and not (q2m & ~s2.member_mask(*cand[2:])).any()):
+            return cand
     raise AssertionError(f"no maximal rectangle contains {key}")
 
 
@@ -89,10 +92,15 @@ def tau_scan(pspace, family, key):
 def test_tau_matches_member_scan(inst, seed):
     ps, om = inst
     fam = maximal_rectangles(ps, om, "both")
-    inside = [c1.id + c2.id for c1, c2 in rectangles_inside(ps, om)]
+    g1, g2 = ps.systems[0].geometry, ps.systems[1].geometry
+    inside = [(g1.flat(*c1.id), g2.flat(*c2.id)) for c1, c2 in rectangles_inside(ps, om)]
     rng = np.random.default_rng(seed)
-    keys = [inside[int(i)] for i in rng.permutation(len(inside))[:6]]
-    assert tau(ps, fam, keys) == [tau_scan(ps, fam, k) for k in keys]
+    # distinct pairs in random order, then repeats of some of them
+    picks = rng.permutation(len(inside))[:6]
+    picks = np.concatenate([picks, rng.choice(picks, size=min(4, len(picks)))])
+    rows, cols = (np.array([inside[int(i)][f] for i in picks], dtype=int) for f in (0, 1))
+    keys = [g1.cubes[a].id + g2.cubes[b].id for a, b in zip(rows, cols)]
+    assert [fam.m_all[h] for h in tau(ps, fam, rows, cols)] == [tau_scan(ps, fam, k) for k in keys]
 
 
 def test_fast_paths_never_call_the_oracles(monkeypatch, tmp_path):

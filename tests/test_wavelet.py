@@ -5,6 +5,7 @@ import pytest
 
 from prodhardy import (block_certificates, build_haar, build_system,
                        building_blocks, cutoff, inverse_transform, transform)
+from prodhardy import wavelet
 from prodhardy.wavelet import coefficient_triples
 
 from conftest import line_space
@@ -148,6 +149,23 @@ def test_blocks_match_hand_telescoping(two_pt):
     assert bset.n_blocks == len(oracle)
     for got, want in zip(bset.blocks, oracle):
         np.testing.assert_allclose(got, want, atol=1e-13)
+
+
+def test_blocks_never_measure_the_holder_constant(monkeypatch, line8):
+    # the blocks read only the ramp values; cutoff's Holder constant is an
+    # n x n scan per call
+    basis = build_haar(build_system(line8, 0.25))
+    gamma = line8.omega + 1.0
+    want = [building_blocks(line8, w, gamma, cbar=1.0).blocks for w in basis.wavelets]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("building_blocks measured a Holder constant")
+
+    monkeypatch.setattr(wavelet, "cutoff", refuse)
+    for w, blocks in zip(basis.wavelets, want):
+        got = building_blocks(line8, w, gamma, cbar=1.0).blocks
+        assert len(got) == len(blocks)
+        assert all(np.array_equal(a, b) for a, b in zip(got, blocks))
 
 
 def test_blocks_telescoping_mean_zero_support(canon):
