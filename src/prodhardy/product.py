@@ -101,6 +101,9 @@ def double_center(pspace: ProductSpace, f: np.ndarray) -> np.ndarray:
 
 def _mean_zero(f: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """f minus its w1-mean down each column, then minus its w2-mean along each row."""
+    if w1.size == 1 or w2.size == 1:
+        # the mean of one value is that value: exact zeros, not rounding residue
+        return np.zeros(f.shape)
     f = f - (w1 @ f)[None, :] / w1.sum()
     return f - (f @ w2)[:, None] / w2.sum()
 

@@ -158,6 +158,21 @@ def test_non_mean_zero_rejected(pspace8):
     assert "ss" in exc.value.norms
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_point_factor_centers_to_zero_and_still_rejects(n):
+    rng = np.random.default_rng(n)
+    pts = np.cumsum(np.r_[0.0, 10.0 ** rng.uniform(-2, 1, n - 1)])
+    one = make_space(np.zeros((1, 1)), np.array([10.0 ** rng.uniform(-2, 2)]))
+    line = make_space(np.abs(pts[:, None] - pts[None, :]), 10.0 ** rng.uniform(-2, 2, n))
+    for ps in (ProductSpace(one, line), ProductSpace(line, one)):
+        f = double_center(ps, rng.standard_normal(ps.shape))
+        assert not f.any()
+        dec = atomic_decompose(ps, f, 1.0, 2.0)
+        assert dec.terms == [] and dec.residual == 0.0
+        with pytest.raises(ChannelError):
+            atomic_decompose(ps, np.ones(ps.shape), 1.0, 2.0)
+
+
 def test_classification_membership_facts(pspace8):
     """Independent re-derivation: majority mass in Omega_j, not in Omega_{j+1},
     mu(R \\ Omega_{j+1}) >= mu(R)/2, and R inside the eps0 enlargement."""

@@ -228,3 +228,30 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(space_file, capsys):
             run(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _line_doc(rng, n):
+    pts = np.cumsum(np.r_[0.0, 10.0 ** rng.uniform(-2, 1, n - 1)])
+    return {"matrix": np.abs(pts[:, None] - pts[None, :]).tolist(),
+            "weights": (10.0 ** rng.uniform(-2, 2, n)).tolist()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_decompose_one_point_factor_is_verified(n, tmp_path):
+    # a one-point factor has no wavelets, so every doubly mean-zero function
+    # on the grid is zero: double_center must give exact zeros, not rounding
+    # residue that atomic_decompose rejects as a mixed channel
+    rng = np.random.default_rng([1, n])
+    out = tmp_path / "dec.json"
+    for trial in range(12):
+        docs = [_line_doc(rng, 1), _line_doc(rng, n)][::1 - 2 * (trial % 2)]
+        paths = []
+        for k, doc in enumerate(docs):
+            paths.append(tmp_path / f"factor{k}.json")
+            paths[-1].write_text(json.dumps(doc))
+        for seed in range(3):
+            assert run(["decompose", "--space", str(paths[0]), "--space2", str(paths[1]),
+                        "--seed", str(seed), "--out", str(out)]) == 0, (trial, seed)
+            doc = json.loads(out.read_text())
+            assert doc["all_certificates_pass"] and doc["terms"] == []
+            assert doc["residual"] == 0.0

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from prodhardy import cli
-from prodhardy.cli import _encode, _json_default, emit
+from prodhardy.cli import _encode, _json_default, _nonzero_entries, emit
 
 from test_golden_reports import CASES, report_digest
 
@@ -101,6 +102,48 @@ def test_writer_raises_type_error_where_json_dumps_does(doc):
         _encode(doc, "")
 
 
+entry_arrays = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+    elements=st.one_of(st.just(0.0), floats))
+
+
+def entry_rows(a: np.ndarray) -> list[list]:
+    return [[*map(int, ix), a[tuple(ix)].item()] for ix in np.argwhere(a != 0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry_arrays)
+def test_entry_tables_are_json_dumps(a):
+    rows = entry_rows(a)
+    entries = _nonzero_entries(a)
+    assert _encode(entries, "") == dumps(rows) == dumps(entries)
+    assert _encode({"v": entries}, "") == dumps({"v": rows})
+    assert _encode({"t": [{"v": entries, "w": 1}]}, "") == dumps({"t": [{"v": rows, "w": 1}]})
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros((3, 4)), np.zeros(0), np.zeros((0, 5)),        # no entries
+    np.array([[0.0, -0.0], [0.1, 0.0]]),                    # -0.0 is no entry
+    np.array([5e-324, -1e300, 1e300, 2.2250738585072014e-308]),
+    np.array([[np.nan, 1.0], [0.0, -np.inf]]),              # the list path
+    np.array([[0.5, 0.0], [0.0, 0.25]], dtype=np.float32),  # Python floats after tolist
+    np.array([0, 3, -2]), np.array([[True, False]]),        # not floats: the list path
+])
+def test_entry_tables_on_edge_cases(a):
+    assert _encode({"v": _nonzero_entries(a)}, "") == dumps({"v": entry_rows(a)})
+
+
+def test_golden_tables_never_take_the_list_path(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an entry table went through its list of rows")
+
+    monkeypatch.setattr(cli, "_entry_rows", refuse)
+    with pytest.raises(AssertionError):
+        _encode(_nonzero_entries(np.array([np.nan])), "")
+    for name in ("decompose-line12", "build-cloud150"):
+        assert report_digest(name, tmp_path) == CASES[name][2]
+
+
 def test_emit_writes_numpy_bools(tmp_path, capsys):
     path = tmp_path / "r.json"
     emit({"ok": np.bool_(True), "values": np.array([True, False])}, str(path))
@@ -127,5 +170,8 @@ def test_emit_calls_no_other_public_function_of_the_cli(monkeypatch, tmp_path):
         if (callable(fn) and getattr(fn, "__module__", None) == cli.__name__
                 and not name.startswith("_") and name != "emit"):
             monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: called.append(_name))
-    emit({"terms": [{"atom_values": [[0, 1, 0.5]]}], "seed": 0}, str(tmp_path / "r.json"))
+    entries = _nonzero_entries(np.array([[0.0, 0.5], [-0.0, 0.0]]))
+    emit({"terms": [{"atom_values": entries}], "seed": 0}, str(tmp_path / "r.json"))
     assert called == []
+    assert (tmp_path / "r.json").read_text() == dumps(
+        {"terms": [{"atom_values": [[0, 1, 0.5]]}], "seed": 0}) + "\n"
