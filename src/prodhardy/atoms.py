@@ -31,8 +31,8 @@ from .dyadic import DyadicSystem
 from .journe import MaximalRectangleFamily, _family, _level_drops, majority_matrix, tau
 from .maximal import (OpenSet, containment_matrix, ell_enlarge, enlarge, epsilon0,
                       growth_factor, level_sets)
-from .product import (ProductSpace, _mean_zero, hp_seminorm, product_transform,
-                      square_function)
+from .product import (ProductSpace, _mean_zero, cell_scale, hp_seminorm,
+                      product_transform, square_function)
 from .wavelet import building_blocks
 
 
@@ -180,6 +180,12 @@ def _budget_measure(view: ProductSpace, omega_t: OpenSet, ell1: int, ell2: int) 
     return growth_factor(view, ell1, ell2) * omega_t.measure
 
 
+def _size_budget(view: ProductSpace, omega_t: OpenSet, ell1: int, ell2: int,
+                 p: float, q: float) -> float:
+    """The condition-(2) size budget of an (l1, l2) atom."""
+    return _budget_measure(view, omega_t, ell1, ell2) ** (1.0 / q - 1.0 / p)
+
+
 def _support_multipliers(pspace: ProductSpace, ell1: int, ell2: int) -> tuple[float, float]:
     # rectangle-atom support constants C_i = 2 a0_i^2, scaled by the cell
     return (2.0 * pspace.x1.a0 ** 2 * 2.0 ** ell1,
@@ -255,7 +261,6 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
 
     nb1, kphi1 = _block_stack(pspace, 0, gamma1)
     nb2, kphi2 = _block_stack(pspace, 1, gamma2)
-    w1o, w2o = pspace.x1.omega, pspace.x2.omega
     sf_p = float(((sf ** p) * pspace.weights).sum())
     recon = np.zeros(pspace.shape)
     r = q if q >= 2 else 2.0
@@ -288,7 +293,7 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
                 cell = np.flatnonzero((nb1[ii] > ell1) & (nb2[jw] > ell2))
                 if not len(cell):
                     continue
-                lam_raw = (2.0 ** (ell1 * w1o + ell2 * w2o) * sfb_norm
+                lam_raw = (cell_scale(pspace, ell1, ell2) * sfb_norm
                            * _budget_measure(pspace, omega_t, ell1, ell2) ** (1.0 / p - 1.0 / r))
                 weight = 2.0 ** (-ell1 * gamma1 - ell2 * gamma2)
                 rect_atoms: dict = {}
@@ -353,7 +358,7 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom) -> dict:
     if scale > 0 and (np.abs(atom.values) > 1e-14 * scale)[~support.mask].any():
         failures.append("condition (1): support escapes the enlarged open set")
 
-    budget = _budget_measure(view, omega_t, atom.ell1, atom.ell2) ** (1.0 / q - 1.0 / p)
+    budget = _size_budget(view, omega_t, atom.ell1, atom.ell2, p, q)
     a_q = view.lq_norm(atom.values, q)
     c_q_size = a_q / budget if budget > 0 else math.inf
 
@@ -395,7 +400,7 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom) -> dict:
     else:
         ratios = {}
         delta_default = q / (2.0 * p)
-        drops = _level_drops(view.systems[1].geometry, family.cols, family.hat2)
+        drops = _level_drops(view.systems[1], family.cols, family.hat2)
         for d in sorted(set(STRETCH_DELTAS) | {delta_default}):
             s = 0.0
             for key in atom.rectangle_atoms:
@@ -454,7 +459,7 @@ def generate_atom(pspace: ProductSpace, rng, p: float, q: float,
     if not rect_atoms or np.abs(values).max() == 0.0:
         return None
 
-    budget = _budget_measure(view, omega_t, ell1, ell2) ** (1.0 / q - 1.0 / p)
+    budget = _size_budget(view, omega_t, ell1, ell2, p, q)
     norm = view.lq_norm(values, q)
     scale = budget / norm
     values = values * scale

@@ -2,27 +2,28 @@
 
 Levels run from k_min (one cube covering everything) to k_max (singleton
 cubes).  Nets are nested greedy maximal delta^k-separated sets; each
-level-(k+1) cube is attached to the level-k net point nearest its center and
-member sets are inherited bottom-up, so nestedness and disjoint union hold
-exactly by construction.  Inner/outer ball containment is certified with
-c1 = (3 a0^2)^-1 c0 and C1 = 2 a0 C0 whenever the base side length satisfies
-the cube test condition 12 a0^3 C0 delta <= c0.  Without a given delta the
-reference rule chooses it ("reference" mode); a given delta may be any value
-in (0,1) ("desk" mode), and non-conformance is recorded instead of failing.
+level-(k+1) cube is attached to the level-k net point nearest its center.
+The tree is built once as arrays; its point -> cube labels of every level
+are composed upward from the singletons through the parents, so nestedness
+and disjoint union hold exactly by construction, and ``Cube`` records,
+member masks and the geometry are read off these arrays.  Inner/outer ball
+containment is certified with c1 = (3 a0^2)^-1 c0 and C1 = 2 a0 C0 whenever
+the base side length satisfies the cube test condition 12 a0^3 C0 delta <=
+c0.  Without a given delta the reference rule chooses it ("reference" mode);
+a given delta may be any value in (0,1) ("desk" mode), and non-conformance
+is recorded instead of failing.
 
 The measured constants come from one pass over the distance rows of the
-cube centers, 64 at a time, against point -> cube labels of every level
-built from the cube members.  It gives each cube its largest
-center-member and smallest center-non-member distance, and each point its
-distance to the nearest center of each level.  C0_measured, the tight c1
-and C1 and both ball certificates of ``verify_system`` read these extremes;
-per-cube loops are kept as their oracles (``_*_by_cube``,
-``_covering_constant_by_net``).  The same labels serve ``verify_system``'s
-partition and children checks, so deep chains of small levels cost a few
+cube centers, 64 at a time, against the labels.  It gives each cube its
+largest center-member and smallest center-non-member distance, and each
+point its distance to the nearest center of each level.  C0_measured, the
+tight c1 and C1 and both ball certificates of ``verify_system`` read these
+extremes; per-cube loops are kept as their oracles (``_*_by_cube``,
+``_covering_constant_by_net``).  Deep chains of small levels cost a few
 array operations, not a few per level.
 
 Each system also offers one array view of its cubes (``CubeGeometry``:
-incidence matrix, sizes, centers, sides, parent indices), built on first
+incidence, sizes, measures, parents, ancestors-or-self), built on first
 use, from which all dyadic-rectangle geometry is computed.
 """
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -64,16 +65,18 @@ def _reference_power(c: float, a0: float, k: int) -> float:
     return val
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cube:
+    """Read-only record of one cube, made from its system's arrays."""
+
     level: int
     index: int                   # alpha: position of the center in net(level)
     center: int                  # point id
-    members: np.ndarray          # sorted point ids
+    members: np.ndarray          # ascending point ids, read-only
     measure: float
     side: float                  # delta^level
     parent: int | None = None    # alpha of the parent at level-1
-    children: list[int] = field(default_factory=list)   # alphas at level+1
+    children: tuple[int, ...] = ()   # alphas at level+1, ascending
 
     @property
     def id(self) -> tuple[int, int]:
@@ -88,58 +91,62 @@ class CubeGeometry:
     ancestors has the smallest flat index."""
 
     cubes: list[Cube]
-    first: dict[int, int]        # level -> flat index of its first cube
     incidence: np.ndarray        # (n_cubes, n) 0/1 floats: incidence[a, x] = x in cubes[a]
     sizes: np.ndarray            # (n_cubes,) member counts, as floats
     measures: np.ndarray         # (n_cubes,) cube measures
-    centers: np.ndarray          # (n_cubes,) center point ids
-    sides: np.ndarray            # (n_cubes,) delta^level
     parent: np.ndarray           # (n_cubes,) flat index of the parent, -1 at k_min
     ancestors: np.ndarray        # (n_cubes, n_cubes) bool: cubes[b] is cubes[a] or an ancestor
 
     @classmethod
     def of(cls, system: "DyadicSystem") -> "CubeGeometry":
         cubes = list(system.all_cubes())
-        first: dict[int, int] = {}
-        incidence = np.zeros((len(cubes), system.space.n))
-        for a, c in enumerate(cubes):
-            first.setdefault(c.level, a)
-            incidence[a, c.members] = 1.0
-        parent = [-1 if c.level == system.k_min or c.parent is None
-                  else first[c.level - 1] + c.parent for c in cubes]
-        ancestors = np.eye(len(cubes), dtype=bool)
-        for a, b in enumerate(parent):           # parents come first: their rows are done
-            if b >= 0:
-                ancestors[a] |= ancestors[b]
-        geom = cls(cubes=cubes, first=first, incidence=incidence,
-                   sizes=incidence.sum(axis=1),
+        labels, n_cubes = system.labels, system.n_cubes()
+        incidence = np.zeros((n_cubes, system.space.n))
+        incidence[labels, np.arange(system.space.n)] = 1.0
+        # a cube holds its center: the center's cubes up to its level are its ancestors-or-self
+        up, a = np.nonzero(np.arange(len(labels))[:, None] <= system.level_rows)
+        ancestors = np.zeros((n_cubes, n_cubes), dtype=bool)
+        ancestors[a, labels[up, system.centers[a]]] = True
+        geom = cls(cubes=cubes, incidence=incidence, sizes=incidence.sum(axis=1),
                    measures=np.array([c.measure for c in cubes]),
-                   centers=np.array([c.center for c in cubes], dtype=int),
-                   sides=np.array([c.side for c in cubes]),
-                   parent=np.array(parent, dtype=int), ancestors=ancestors)
-        for arr in (geom.incidence, geom.sizes, geom.measures, geom.centers, geom.sides,
-                    geom.parent, geom.ancestors):
+                   parent=system.parent, ancestors=ancestors)
+        for arr in (geom.incidence, geom.sizes, geom.measures, geom.ancestors):
             arr.flags.writeable = False          # shared by every caller of the system
         return geom
 
-    def flat(self, k: int, alpha: int) -> int:
-        """Flat index of cube (k, alpha)."""
-        return self.first[k] + alpha
-
 
 class DyadicSystem:
-    """Leveled tree of cubes with nets, constants and lookup helpers."""
+    """Leveled tree of cubes with nets, constants and lookup helpers.
+
+    Read-only arrays over the cubes in flat order (level, then index) hold
+    the tree: ``first`` (each level's first cube, then the cube count),
+    ``level_rows``, ``centers``, ``parent`` (-1 at k_min) and
+    ``labels[l, x]``, the cube of level k_min + l holding point x.
+    ``parents[k]`` gives each point of ``nets[k]`` its parent's position in
+    ``nets[k - 1]``."""
 
     def __init__(self, space: FiniteSpace, delta: float, k_min: int, k_max: int,
-                 nets: dict[int, list[int]], cubes: dict[int, list[Cube]],
-                 mode: str):
+                 nets: dict[int, list[int]], parents: dict[int, list[int]], mode: str):
         self.space = space
         self.delta = delta
         self.k_min = k_min
         self.k_max = k_max
         self.nets = nets
-        self.cubes = cubes
         self.mode = mode                      # "reference" when the reference rule chose delta
+        sizes = [len(nets[k]) for k in self.levels()]
+        self.first = np.cumsum([0, *sizes])
+        self.level_rows = np.repeat(np.arange(len(sizes)), sizes)
+        self.centers = np.concatenate([np.asarray(nets[k], dtype=int) for k in self.levels()])
+        self.parent = np.concatenate([np.full(sizes[0], -1)] + [
+            self.first[k - k_min - 1] + np.asarray(parents[k], int) for k in self.levels()[1:]])
+        # the singletons of k_max, then each level's cubes through the parents
+        self.labels = np.empty((len(sizes), space.n), dtype=int)
+        self.labels[-1, nets[k_max]] = np.arange(self.first[-2], self.first[-1])
+        for l in range(len(sizes) - 2, -1, -1):
+            self.labels[l] = self.parent[self.labels[l + 1]]
+        for arr in (self.first, self.level_rows, self.centers, self.parent, self.labels):
+            arr.flags.writeable = False       # shared by every record and view
+        self.cubes = self._records()
         self.c0 = 1.0                         # greedy guarantees delta^k separation
         self._measure()
         self.C0_cert = 2.0 * space.a0
@@ -151,6 +158,24 @@ class DyadicSystem:
         self.outer_eff = max(self.outer_cert, self.outer_tight * (1.0 + 1e-9))
 
     # -- construction ------------------------------------------------------
+
+    def _records(self) -> dict[int, list[Cube]]:
+        """``Cube`` records by level; members slice one stable argsort, so ids ascend."""
+        first, rows, n_cubes = self.first.tolist(), self.level_rows, self.n_cubes()
+        members = np.argsort(self.labels, axis=1, kind="stable").ravel()
+        members.flags.writeable = False
+        ends = [0, *np.cumsum(np.bincount(self.labels.ravel(), minlength=n_cubes)).tolist()]
+        kids = np.argsort(self.parent, kind="stable")[first[1]:]      # grouped by parent
+        kids = (kids - self.first[rows[kids]]).tolist()
+        kid_ends = [0, *np.cumsum(np.bincount(self.parent[first[1]:], minlength=n_cubes)).tolist()]
+        centers, ups, cubes = self.centers.tolist(), self.parent.tolist(), []
+        for a, l in enumerate(rows.tolist()):
+            k, m = self.k_min + l, members[ends[a]:ends[a + 1]]
+            cubes.append(Cube(level=k, index=a - first[l], center=centers[a], members=m,
+                              measure=float(self.space.weight[m].sum()), side=self.side(k),
+                              parent=ups[a] - first[l - 1] if l else None,
+                              children=tuple(kids[kid_ends[a]:kid_ends[a + 1]])))
+        return {k: cubes[first[l]:first[l + 1]] for l, k in enumerate(self.levels())}
 
     def side(self, k: int) -> float:
         return self.delta ** k
@@ -166,7 +191,11 @@ class DyadicSystem:
             yield from self.cubes[k]
 
     def n_cubes(self) -> int:
-        return sum(len(v) for v in self.cubes.values())
+        return int(self.first[-1])
+
+    def flat(self, k: int, alpha: int) -> int:
+        """Flat index of cube (k, alpha)."""
+        return int(self.first[k - self.k_min]) + alpha
 
     @cached_property
     def geometry(self) -> CubeGeometry:
@@ -176,28 +205,23 @@ class DyadicSystem:
 
     def dilate_matrix(self, lam: float) -> np.ndarray:
         """Row ``a`` is ``dilate_mask(self, geometry.cubes[a], lam)``, bit for bit."""
-        g = self.geometry
-        return self.space.dist[g.centers] < (lam * self.outer_eff * g.sides)[:, None]
+        return self.space.dist[self.centers] < (lam * self.outer_eff * self._sides)[:, None]
 
     def member_mask(self, k: int, alpha: int) -> np.ndarray:
-        """Points of cube (k, alpha), read off the incidence matrix."""
-        g = self.geometry
-        return g.incidence[g.flat(k, alpha)] > 0.0
+        """Points of cube (k, alpha), read off the labels."""
+        return self.labels[k - self.k_min] == self.flat(k, alpha)
 
     # -- measured constants --------------------------------------------------
 
     def _measure(self):
         """C0_measured and the tightest c1, C1 making inner/outer ball
         containment true, from one ``_center_pass`` over every cube.  The
-        per-cube extremes are kept, in ``all_cubes()`` order, for
-        ``verify_system``'s certificates."""
-        cubes = list(self.all_cubes())
-        labels, _ = _labels(self, cubes)
-        row = np.repeat(np.arange(len(labels)), [len(self.cubes[k]) for k in self.levels()])
+        per-cube extremes are kept, in flat order, for ``verify_system``'s
+        certificates."""
         self._far, self._near, cover = _center_pass(
-            self.space.dist, np.array([c.center for c in cubes]), row, labels)
+            self.space.dist, self.centers, self.level_rows, self.labels)
         level_sides = np.array([self.side(k) for k in self.levels()])
-        self._sides = level_sides[row]
+        self._sides = level_sides[self.level_rows]
         self.C0_measured = float((cover.max(axis=1) / level_sides).max())
         # B(z, r) subset cube for all r <= inner_tight*side
         self.inner_tight = float((self._near / self._sides).min())
@@ -208,26 +232,6 @@ class DyadicSystem:
 # Rows per block of the passes over cube centers and net points: a 64 x n
 # slice of the distance matrix, whatever the number of cubes.
 _BLOCK = 64
-
-
-def _labels(system: "DyadicSystem", cubes: list[Cube]) -> tuple[np.ndarray, np.ndarray]:
-    """Point -> cube labels of every level, from the cube members.
-
-    ``labels[l, y]`` is the flat index (in ``cubes``, the ``all_cubes()``
-    order) of the cube of level k_min + l that holds point y, and
-    ``partitions[l]`` tells whether that level's cubes hold every point
-    0..n-1 exactly once; rows where it is False hold no usable labels.
-    """
-    n, depth = system.space.n, len(system.levels())
-    sizes = [len(c.members) for c in cubes]
-    pts = np.concatenate([c.members for c in cubes])
-    rows = np.repeat([c.level - system.k_min for c in cubes], sizes)
-    cols = np.where((pts >= 0) & (pts < n), pts, n)        # column n: no point
-    count = np.bincount(rows * (n + 1) + cols, minlength=depth * (n + 1)).reshape(depth, n + 1)
-    count[:, n] += 1
-    labels = np.zeros((depth, n + 1), dtype=int)
-    labels[rows, cols] = np.repeat(np.arange(len(cubes)), sizes)
-    return labels[:, :n], (count == 1).all(axis=1)
 
 
 def _center_pass(dist: np.ndarray, centers: np.ndarray, row: np.ndarray,
@@ -323,28 +327,6 @@ def build_net(space: FiniteSpace, delta: float, k: int, seed_net=(), order=None)
     return net
 
 
-def _assemble_cubes(space: FiniteSpace, delta: float, k_min: int, k_max: int,
-                    nets: dict[int, list[int]],
-                    parents: dict[int, list[int]]) -> dict[int, list[Cube]]:
-    """The cube tree, bottom-up: singletons at k_max, then every level-k cube
-    holds the level-(k+1) cubes whose entry in ``parents[k + 1]`` names it."""
-    cubes = {k_max: [Cube(level=k_max, index=a, center=z, members=np.asarray([z]),
-                          measure=float(space.weight[z]), side=delta ** k_max)
-                     for a, z in enumerate(nets[k_max])]}
-    for k in range(k_max - 1, k_min - 1, -1):
-        level = [Cube(level=k, index=a, center=z, members=np.asarray([], dtype=int),
-                      measure=0.0, side=delta ** k) for a, z in enumerate(nets[k])]
-        for child, a in zip(cubes[k + 1], parents[k + 1]):
-            child.parent = a
-            level[a].children.append(child.index)
-        for c in level:
-            if c.children:
-                c.members = np.sort(np.concatenate([cubes[k + 1][b].members for b in c.children]))
-            c.measure = float(space.weight[c.members].sum())
-        cubes[k] = level
-    return cubes
-
-
 def build_system(space: FiniteSpace, delta: float | None = None,
                  order_seed: int | None = None) -> DyadicSystem:
     """Construct the full cube system; see module docstring for the rules.
@@ -386,14 +368,13 @@ def build_system(space: FiniteSpace, delta: float | None = None,
     # argmin takes the first minimum of each row: net-order ties
     parents = {k: np.argmin(space.dist[np.ix_(nets[k], nets[k - 1])], axis=1).tolist()
                for k in range(k_min + 1, k_max + 1)}
-    cubes = _assemble_cubes(space, delta, k_min, k_max, nets, parents)
-    return DyadicSystem(space, delta, k_min, k_max, nets, cubes, mode)
+    return DyadicSystem(space, delta, k_min, k_max, nets, parents, mode)
 
 
 def verify_system(system: DyadicSystem) -> dict:
     """Exact structural checks plus measured/certified constants report.
 
-    Nestedness and disjoint union are exact properties; any violation is a
+    The tree and the nets are checked exactly; any violation is a
     construction bug and raises.  Ball containment is measured, compared with
     the certificate c1 = (3 a0^2)^-1 c0, C1 = 2 a0 C0, and with the
     Auscher-Hytonen reference constants; the system belongs to their
@@ -401,33 +382,24 @@ def verify_system(system: DyadicSystem) -> dict:
     """
     space = system.space
     n = space.n
-    cubes = list(system.all_cubes())
-    labels, partitions = _labels(system, cubes)
-    if not partitions.all():
-        k = system.k_min + int(np.argmin(partitions))
-        raise AssertionError(f"level {k}: cubes do not partition the space")
-
-    # every cube below the top is listed as a child exactly once, and each
-    # point's cube is the parent of the point's cube one level down
-    first = np.cumsum([0] + [len(system.cubes[k]) for k in system.levels()])
-    upper = cubes[:first[-2]]                               # all but the finest level
-    kids = np.asarray([first[c.level - system.k_min + 1] + b for c in upper
-                       for b in c.children], dtype=int)
-    parent_of = np.full(len(cubes), -1)
-    parent_of[kids] = np.repeat(np.arange(len(upper)), [len(c.children) for c in upper])
-    listed = np.bincount(kids, minlength=len(cubes))[first[1]:] != 1
-    wrong = (parent_of[labels[1:]] != labels[:-1]).any(axis=1)
-    if listed.any() or wrong.any():
-        k = (cubes[first[1] + int(np.argmax(listed))].level - 1 if listed.any()
-             else system.k_min + int(np.argmax(wrong)))
-        raise AssertionError(f"level {k}: children do not partition their parents")
+    # every parent one level up and every cube holding its center, so none is
+    # empty; partition and nesting hold by how the labels are built
+    rows = system.level_rows
+    for ok, fault in ((np.where(rows > 0, rows[system.parent] == rows - 1, system.parent < 0),
+                       "has no parent one level up"),
+                      (system.labels[rows, system.centers] == np.arange(len(rows)),
+                       "does not hold its center")):
+        if not ok.all():
+            a = int(np.argmin(ok))
+            raise AssertionError(f"level {system.k_min + rows[a]}: cube "
+                                 f"{a - system.first[rows[a]]} {fault}")
 
     # nets nested and separated (the greedy guarantee, re-checked); their
     # covering is C0_measured
     nets = [np.asarray(system.nets[k], dtype=int) for k in system.levels()]
     net_rows = np.repeat(np.arange(len(nets)), [len(net) for net in nets])
     points = np.concatenate(nets)
-    in_net = np.zeros(labels.shape, dtype=int)
+    in_net = np.zeros(system.labels.shape, dtype=int)
     np.add.at(in_net, (net_rows, points), 1)
     nested = ((in_net[:-1] > 0) <= (in_net[1:] > 0)).all(axis=1)
     if not nested.all():
@@ -511,10 +483,28 @@ def _system_document(system: DyadicSystem) -> dict:
 
 
 def import_system(space: FiniteSpace, text: str | Path) -> DyadicSystem:
-    """Rebuild a system from its export; parent arrays round-trip bit-exact."""
+    """Rebuild a system from its export; parent arrays round-trip bit-exact.
+    A net entry that is no point id, a finest net without every point once or
+    a parent that is no position in the level above raises a ValueError."""
     doc = json.loads(Path(text).read_text() if isinstance(text, Path) else text)
     delta, k_min, k_max = doc["delta"], doc["k_min"], doc["k_max"]
     nets = {int(k): list(v) for k, v in doc["nets"].items()}
     parents = {int(k): list(v) for k, v in doc["parents"].items()}
-    cubes = _assemble_cubes(space, delta, k_min, k_max, nets, parents)
-    return DyadicSystem(space, delta, k_min, k_max, nets, cubes, doc.get("mode", "desk"))
+    for k in range(k_min, k_max + 1):
+        _check_entries(f"nets[{k}]", nets.setdefault(k, []), space.n if k == k_max else None,
+                       space.n)
+        if k > k_min:
+            _check_entries(f"parents[{k}]", parents.get(k, []), len(nets[k]), len(nets[k - 1]))
+    count = np.bincount(nets[k_max], minlength=space.n)
+    if count.max() > 1:
+        raise ValueError(f"nets[{k_max}] holds point {int(count.argmax())} more than once")
+    return DyadicSystem(space, delta, k_min, k_max, nets, parents, doc.get("mode", "desk"))
+
+
+def _check_entries(name: str, entries: list, size: int | None, bound: int) -> None:
+    """A ValueError naming the entry unless all are ints in [0, bound), ``size`` if given."""
+    if size is not None and len(entries) != size:
+        raise ValueError(f"{name} must have {size} entries, got {len(entries)}")
+    for i, v in enumerate(entries):
+        if type(v) is not int or not 0 <= v < bound:
+            raise ValueError(f"{name}[{i}] = {v!r} is not an index below {bound}")

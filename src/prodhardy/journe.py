@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import CubeGeometry
+from .dyadic import DyadicSystem
 from .maximal import OpenSet, containment_matrix
 from .product import ProductSpace
 from .space import _exact_sums
@@ -184,9 +184,9 @@ def tau(pspace: ProductSpace, family: MaximalRectangleFamily, rows, cols) -> np.
     return covers.argmax(axis=1) if covers.size else np.zeros(0, dtype=int)
 
 
-def _level_drops(g: CubeGeometry, cubes, hats) -> list[int]:
+def _level_drops(system: DyadicSystem, cubes, hats) -> list[int]:
     """level(Q) - level(Q^) for each flat row of ``cubes`` and of its stretch in ``hats``."""
-    return [g.cubes[a].level - g.cubes[b].level for a, b in zip(cubes.tolist(), hats.tolist())]
+    return (system.level_rows[cubes] - system.level_rows[hats]).tolist()
 
 
 def journe_check(pspace: ProductSpace, omega: OpenSet, delta_exp: float) -> dict:
@@ -201,9 +201,9 @@ def journe_check(pspace: ProductSpace, omega: OpenSet, delta_exp: float) -> dict
     # l(Q)/l(Q^) = delta^(level_Q - level_Q^) <= 1, one stretch map per direction;
     # Python float sums in family order
     l1 = sum(m * (s2.delta ** d) ** delta_exp
-             for m, d in zip(measures, _level_drops(s2.geometry, fam.cols, fam.hat2)))
+             for m, d in zip(measures, _level_drops(s2, fam.cols, fam.hat2)))
     l2 = sum(m * (s1.delta ** d) ** delta_exp
-             for m, d in zip(measures, _level_drops(s1.geometry, fam.rows, fam.hat1)))
+             for m, d in zip(measures, _level_drops(s1, fam.rows, fam.hat1)))
     return {
         "delta": delta_exp,
         "L1": l1,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import dilate_mask
-from .product import ProductSpace
+from .product import ProductSpace, cell_scale
 from .space import realized_ball_masks  # re-exported: the balls M_s ranges over
 
 
@@ -222,7 +222,7 @@ def growth_factor(pspace: ProductSpace, ell1: int, ell2: int) -> float:
     """(1 + l1 w1 + l2 w2) 2^(l1 w1 + l2 w2): the factor by which the
     (l1, l2)-enlargement may grow a set's measure, and the atom budget's."""
     w1, w2 = pspace.x1.omega, pspace.x2.omega
-    return (1.0 + ell1 * w1 + ell2 * w2) * 2.0 ** (ell1 * w1 + ell2 * w2)
+    return (1.0 + ell1 * w1 + ell2 * w2) * cell_scale(pspace, ell1, ell2)
 
 
 def ell_enlarge_exhaustive(pspace: ProductSpace, omega_tilde: OpenSet,

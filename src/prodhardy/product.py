@@ -282,6 +282,11 @@ def cmo_p_exhaustive(pspace: ProductSpace, coeffs: ProductCoefficients, p: float
     return best
 
 
+def cell_scale(pspace: ProductSpace, ell1: int, ell2: int) -> float:
+    """2^(l1 w1 + l2 w2), the scale of cell (l1, l2)."""
+    return 2.0 ** (ell1 * pspace.x1.omega + ell2 * pspace.x2.omega)
+
+
 def block_square_function(pspace: ProductSpace, g: np.ndarray,
                           blocks1: list[BuildingBlockSet], blocks2: list[BuildingBlockSet],
                           ell1: int, ell2: int, rectangles=None, qprime: float = 2.0):
@@ -308,6 +313,6 @@ def block_square_function(pspace: ProductSpace, g: np.ndarray,
     vals = np.sqrt(s2)
     norm = pspace.lq_norm(vals, qprime)
     gnorm = pspace.lq_norm(g, qprime)
-    scale = 2.0 ** (ell1 * pspace.x1.omega + ell2 * pspace.x2.omega)
+    scale = cell_scale(pspace, ell1, ell2)
     ratio = norm / (scale * gnorm) if gnorm > 0 else 0.0
     return vals, {"lq_norm": norm, "g_norm": gnorm, "scale": scale, "ratio": ratio}

@@ -50,10 +50,9 @@ class WaveletBasis:
 
     @cached_property
     def cube_rows(self) -> np.ndarray:
-        """Flat row of each wavelet's supporting cube in ``system.geometry``;
-        built on first use, so building a basis never builds the geometry."""
-        g = self.system.geometry
-        return np.array([g.flat(*w.cube) for w in self.wavelets], dtype=int)
+        """Flat row of each wavelet's supporting cube in ``system.geometry``,
+        built on first use."""
+        return np.array([self.system.flat(*w.cube) for w in self.wavelets], dtype=int)
 
     def gram(self) -> np.ndarray:
         return (self.matrix * self.space.weight) @ self.matrix.T

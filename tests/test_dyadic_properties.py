@@ -1,5 +1,6 @@
-"""Property tests: a dyadic system's measured constants and ball
-certificates against the per-cube loops kept beside them in ``dyadic``.
+"""Property tests: a dyadic system's cube tree against a walk up each
+point's parent chain, and its measured constants and ball certificates
+against the per-cube loops kept beside them in ``dyadic``.
 
 ``C0_measured``, ``inner_tight``, ``outer_tight`` and both certificate
 booleans of ``verify_system`` must equal the oracles bit for bit.  Spaces
@@ -19,6 +20,32 @@ from prodhardy.dyadic import (_certificates_by_cube, _covering_constant_by_net,
                               _tight_constants_by_cube)
 
 from strategies import CHECK, spaces
+
+
+@CHECK
+@given(spaces(), st.sampled_from([0.25, 0.5, 0.9]), st.sampled_from([None, 0, 1, 2, 3]))
+def test_cube_tree_equals_the_parent_chain_walk(space, delta, order_seed):
+    system = build_system(space, delta, order_seed=order_seed)
+    first, nets = system.first, system.nets
+    # each parent: the first nearest center one level up
+    for l, k in enumerate(system.levels()):
+        for alpha, z in enumerate(nets[k]):
+            up = (-1 if l == 0 else first[l - 1] + min(
+                range(len(nets[k - 1])), key=lambda b: space.dist[z, nets[k - 1][b]]))
+            assert system.parent[first[l] + alpha] == up
+    walk = np.empty((len(system.levels()), space.n), dtype=int)
+    for x in range(space.n):
+        a = first[-2] + nets[system.k_max].index(x)          # x's singleton
+        for l in reversed(range(len(walk))):
+            walk[l, x], a = a, system.parent[a]
+    np.testing.assert_array_equal(system.labels, walk)
+    for c in system.all_cubes():
+        l = c.level - system.k_min
+        a = first[l] + c.index
+        np.testing.assert_array_equal(c.members, np.flatnonzero(system.labels[l] == a))
+        assert c.children == tuple((np.flatnonzero(system.parent == a) - first[l + 1]).tolist())
+        assert c.parent == (None if l == 0 else system.parent[a] - first[l - 1])
+        assert c.measure == space.weight[c.members].sum()
 
 
 @st.composite

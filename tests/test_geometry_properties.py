@@ -83,7 +83,7 @@ def test_geometry_rows_are_the_cubes(space, delta, lam):
         np.testing.assert_array_equal(g.incidence[a] == 1.0, members)
         np.testing.assert_array_equal(system.member_mask(*c.id), members)
         np.testing.assert_array_equal(dil[a], dilate_mask(system, c, lam))
-        assert g.flat(*c.id) == a and g.measures[a] == c.measure
+        assert system.flat(*c.id) == a and g.measures[a] == c.measure
         par = g.cubes[g.parent[a]].id if g.parent[a] >= 0 else None
         assert par == (None if c.level == system.k_min else (c.level - 1, c.parent))
         chain, up = {a}, a

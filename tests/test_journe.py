@@ -181,3 +181,19 @@ def test_journe_check_errors(pspace8):
     full = OpenSet.from_mask(pspace8, np.ones(pspace8.shape, dtype=bool))
     with pytest.raises(ValueError, match="delta"):
         journe_check(pspace8, full, 0.0)
+
+
+def test_member_mask_oracles_never_build_the_geometry():
+    # member_mask reads the label matrix, so the per-pair oracles and
+    # rectangle_mask need no cube x point incidence matrix
+    from prodhardy.journe import stretch_exhaustive
+    from prodhardy.maximal import rectangles_inside_exhaustive
+    ps = ProductSpace(line_space(np.arange(6.0)), line_space([0.0, 1.0, 3.0, 7.0]), delta=0.5)
+    mask = np.zeros(ps.shape, dtype=bool)
+    mask[:3, :2] = True
+    om = OpenSet.from_mask(ps, mask)
+    rects = rectangles_inside_exhaustive(ps, om)
+    assert rects and ps.rectangle_mask(*rects[0]).sum() > 0
+    c1, c2 = rects[-1]
+    assert stretch_exhaustive(ps, om, c1.id + c2.id, 1).level <= c2.level
+    assert all("geometry" not in vars(s) for s in ps.systems)

@@ -92,8 +92,9 @@ def tau_scan(pspace, family, key):
 def test_tau_matches_member_scan(inst, seed):
     ps, om = inst
     fam = maximal_rectangles(ps, om, "both")
-    g1, g2 = ps.systems[0].geometry, ps.systems[1].geometry
-    inside = [(g1.flat(*c1.id), g2.flat(*c2.id)) for c1, c2 in rectangles_inside(ps, om)]
+    s1, s2 = ps.systems
+    g1, g2 = s1.geometry, s2.geometry
+    inside = [(s1.flat(*c1.id), s2.flat(*c2.id)) for c1, c2 in rectangles_inside(ps, om)]
     rng = np.random.default_rng(seed)
     # distinct pairs in random order, then repeats of some of them
     picks = rng.permutation(len(inside))[:6]
