@@ -31,8 +31,8 @@ from .dyadic import DyadicSystem
 from .journe import MaximalRectangleFamily, _family, _level_drops, majority_matrix, tau
 from .maximal import (OpenSet, containment_matrix, ell_enlarge, enlarge, epsilon0,
                       growth_factor, level_sets)
-from .product import (ProductSpace, _mean_zero, cell_scale, hp_seminorm,
-                      product_transform, square_function)
+from .product import (SUM_BATCH, ProductSpace, _mean_zero, cell_scale, hp_seminorm,
+                      product_transform, square_function, stack_slices)
 from .wavelet import building_blocks
 
 
@@ -118,7 +118,6 @@ COEFF_TOL = 1e-14            # coefficients below this share of the largest are 
 CANCEL_TOL = 1e-10           # condition (3)(ii): allowed share of a line's int |a|
 STRETCH_DELTAS = (0.5, 1.0, 2.0)   # extra deltas of the 1 < q < 2 stretch ratios
 MAX_RECTS = 4                # rectangle atoms drawn per generated atom
-SUM_BATCH = 1 << 16          # entries per stacked batch of _outer_sum
 
 
 def _pool(view: ProductSpace, omega: OpenSet) -> tuple[float, OpenSet, MaximalRectangleFamily]:
@@ -468,6 +467,12 @@ def generate_atom(pspace: ProductSpace, rng, p: float, q: float,
                        grids=view.systems, rectangle_atoms=rect_atoms)
 
 
+def _stacked_hp(pspace: ProductSpace, grids: list, p: float) -> list[float]:
+    """``hp_seminorm`` of each grid, computed on stacks of at most SUM_BATCH entries."""
+    return [float(v) for s in stack_slices(pspace, len(grids))
+            for v in hp_seminorm(pspace, np.stack(grids[s]), p)]
+
+
 def equivalence_report(pspace: ProductSpace, corpus, p: float, q: float) -> dict:
     """Two-sided comparison of the H^p seminorm with atomic coefficient sums.
 
@@ -478,12 +483,13 @@ def equivalence_report(pspace: ProductSpace, corpus, p: float, q: float) -> dict
     corpus = list(corpus)          # a generator would be used up by the emptiness test
     if not corpus:
         raise ValueError("empty corpus")
+    hp = _stacked_hp(pspace, corpus, p)
     rows = []
-    for f in corpus:
+    for f, hp_f in zip(corpus, hp):
         dec = atomic_decompose(pspace, f, p, q)
-        hp_p = hp_seminorm(pspace, f, p) ** p
+        hp_p = hp_f ** p
         lam_sum = dec.lam_sum()
-        sa_max = max((atom_hp_bound(pspace, t.atom, p) for t in dec.terms), default=0.0)
+        sa_max = max(_stacked_hp(pspace, [t.atom.values for t in dec.terms], p), default=0.0)
         rows.append({
             "hp_p": hp_p,
             "lam_sum": lam_sum,

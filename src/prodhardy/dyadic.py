@@ -484,10 +484,22 @@ def _system_document(system: DyadicSystem) -> dict:
 
 def import_system(space: FiniteSpace, text: str | Path) -> DyadicSystem:
     """Rebuild a system from its export; parent arrays round-trip bit-exact.
-    A net entry that is no point id, a finest net without every point once or
-    a parent that is no position in the level above raises a ValueError."""
+    A header value of the wrong type or range (``delta`` in (0, 1), integer
+    ``k_min`` <= ``k_max``, a known ``mode``), a net entry that is no point
+    id, a finest net without every point once or a parent that is no position
+    in the level above raises a ValueError naming it."""
     doc = json.loads(Path(text).read_text() if isinstance(text, Path) else text)
     delta, k_min, k_max = doc["delta"], doc["k_min"], doc["k_max"]
+    mode = doc.get("mode", "desk")
+    if type(delta) not in (int, float) or not 0 < delta < 1:
+        raise ValueError(f"delta = {delta!r} is not a number in (0, 1)")
+    for name, k in (("k_min", k_min), ("k_max", k_max)):
+        if type(k) is not int:
+            raise ValueError(f"{name} = {k!r} is not an integer")
+    if k_min > k_max:
+        raise ValueError(f"k_min = {k_min} lies above k_max = {k_max}")
+    if mode not in ("desk", "reference"):
+        raise ValueError(f"mode = {mode!r} is neither 'desk' nor 'reference'")
     nets = {int(k): list(v) for k, v in doc["nets"].items()}
     parents = {int(k): list(v) for k, v in doc["parents"].items()}
     for k in range(k_min, k_max + 1):
@@ -498,7 +510,7 @@ def import_system(space: FiniteSpace, text: str | Path) -> DyadicSystem:
     count = np.bincount(nets[k_max], minlength=space.n)
     if count.max() > 1:
         raise ValueError(f"nets[{k_max}] holds point {int(count.argmax())} more than once")
-    return DyadicSystem(space, delta, k_min, k_max, nets, parents, doc.get("mode", "desk"))
+    return DyadicSystem(space, delta, k_min, k_max, nets, parents, mode)
 
 
 def _check_entries(name: str, entries: list, size: int | None, bound: int) -> None:

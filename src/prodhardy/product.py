@@ -5,6 +5,14 @@ Functions on the product grid are (n1, n2) matrices; the product measure is
 the weight outer product.  Coefficients carry four channels: wavelet x
 wavelet (the H^p theory acts here), the two mixed channels, and scaling x
 scaling.  Doubly mean-zero functions live entirely in the ww channel.
+
+The transforms, the square function, the norms and ``double_center`` also
+take a stack of grids (..., n1, n2) and give each grid the floats of its own
+call: a matmul over a stack, a sum over the trailing axes of a C-ordered
+stack and an entrywise power act grid by grid, and each grid's final root
+stays a scalar power (an array power can differ in the last bit).  A norm of
+one grid is a float, of a stack an array; ``stack_slices`` cuts a corpus into
+stacks of at most SUM_BATCH entries.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from .space import FiniteSpace
 from .wavelet import BuildingBlockSet, WaveletBasis, build_haar
 
 MEMO_ENTRIES = 64            # values a ProductSpace keeps; the least recently used go first
+SUM_BATCH = 1 << 16          # grid entries per stacked pass (a corpus stack, atoms._outer_sum)
 
 
 class ProductSpace:
@@ -69,8 +78,12 @@ class ProductSpace:
     def set_measure(self, mask: np.ndarray) -> float:
         return float(self.weights[mask].sum())
 
-    def lq_norm(self, f: np.ndarray, q: float) -> float:
-        return float(((np.abs(f) ** q) * self.weights).sum() ** (1.0 / q))
+    def lq_norm(self, f: np.ndarray, q: float) -> float | np.ndarray:
+        """||f||_{L^q} of a grid, or of each grid of a stack."""
+        sums = ((np.abs(f) ** q) * self.weights).sum(axis=(-2, -1))
+        if sums.ndim == 0:
+            return float(sums ** (1.0 / q))
+        return np.array([s ** (1.0 / q) for s in sums.ravel()]).reshape(sums.shape)
 
     def rectangle_mask(self, cube1, cube2) -> np.ndarray:
         return np.outer(self.systems[0].member_mask(*cube1.id),
@@ -94,6 +107,12 @@ class ProductSpace:
         return double_center(self, f) if mean_zero else f
 
 
+def stack_slices(pspace: ProductSpace, k: int) -> list[slice]:
+    """Cuts of k grids into stacks of at most SUM_BATCH entries, one grid at least."""
+    step = max(1, SUM_BATCH // (pspace.x1.n * pspace.x2.n))
+    return [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
+
+
 def double_center(pspace: ProductSpace, f: np.ndarray) -> np.ndarray:
     """Project onto doubly mean-zero functions (kills all non-ww channels)."""
     return _mean_zero(f, pspace.x1.weight, pspace.x2.weight)
@@ -104,32 +123,32 @@ def _mean_zero(f: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     if w1.size == 1 or w2.size == 1:
         # the mean of one value is that value: exact zeros, not rounding residue
         return np.zeros(f.shape)
-    f = f - (w1 @ f)[None, :] / w1.sum()
-    return f - (f @ w2)[:, None] / w2.sum()
+    f = f - (w1 @ f)[..., None, :] / w1.sum()
+    return f - (f @ w2)[..., :, None] / w2.sum()
 
 
 @dataclass
 class ProductCoefficients:
     """Full coefficient matrix, wavelet rows/cols first, scaling last."""
 
-    matrix: np.ndarray           # (n1, n2)
+    matrix: np.ndarray           # (..., n1, n2)
     n_wav: tuple[int, int]
 
     @property
     def ww(self) -> np.ndarray:
-        return self.matrix[: self.n_wav[0], : self.n_wav[1]]
+        return self.matrix[..., : self.n_wav[0], : self.n_wav[1]]
 
     @property
     def ws(self) -> np.ndarray:
-        return self.matrix[: self.n_wav[0], self.n_wav[1]:]
+        return self.matrix[..., : self.n_wav[0], self.n_wav[1]:]
 
     @property
     def sw(self) -> np.ndarray:
-        return self.matrix[self.n_wav[0]:, : self.n_wav[1]]
+        return self.matrix[..., self.n_wav[0]:, : self.n_wav[1]]
 
     @property
     def ss(self) -> np.ndarray:
-        return self.matrix[self.n_wav[0]:, self.n_wav[1]:]
+        return self.matrix[..., self.n_wav[0]:, self.n_wav[1]:]
 
     def channel_norms(self) -> dict[str, float]:
         """L2 norm of each channel; squares that overflow are scaled down first."""
@@ -155,16 +174,23 @@ class ProductCoefficients:
                     yield (b1.wavelets[i].id + b2.wavelets[j].id), v
 
 
+def _check_grids(pspace: ProductSpace, a: np.ndarray) -> None:
+    """A ValueError unless the two trailing axes of ``a`` are the grid's."""
+    if a.shape[-2:] != pspace.shape:
+        raise ValueError(f"expected grid shape {pspace.shape} on the last two axes, "
+                         f"got {a.shape}")
+
+
 def product_transform(pspace: ProductSpace, f: np.ndarray) -> ProductCoefficients:
     f = np.asarray(f, dtype=float)
-    if f.shape != pspace.shape:
-        raise ValueError(f"expected grid shape {pspace.shape}, got {f.shape}")
+    _check_grids(pspace, f)
     b1, b2 = pspace.bases
     mat = (b1.matrix * pspace.x1.weight) @ f @ (b2.matrix * pspace.x2.weight).T
     return ProductCoefficients(matrix=mat, n_wav=(b1.n_wavelets, b2.n_wavelets))
 
 
 def inverse_product_transform(pspace: ProductSpace, coeffs: ProductCoefficients) -> np.ndarray:
+    _check_grids(pspace, coeffs.matrix)
     b1, b2 = pspace.bases
     return b1.matrix.T @ coeffs.matrix @ b2.matrix
 
@@ -187,15 +213,15 @@ def _indicator_over_measure(basis: WaveletBasis) -> np.ndarray:
 
 
 def hp_seminorm(pspace: ProductSpace, f: np.ndarray, p: float,
-                warn: list | None = None) -> float:
-    """||S(f)||_{L^p} for p in (0, 1]; defined for p > p0; below it a
-    note is appended to ``warn`` when a list is given."""
+                warn: list | None = None) -> float | np.ndarray:
+    """||S(f)||_{L^p} for p in (0, 1], of a grid or of each grid of a stack;
+    defined for p > p0; below it a note is appended to ``warn`` when a list
+    is given."""
     if not 0 < p <= 1:
         raise ValueError("p must lie in (0, 1]")
     if p <= pspace.p0 and warn is not None:
         warn.append(f"p = {p} is at or below p0 = {pspace.p0:.6g}; outside the theory's range")
-    sf = square_function(pspace, product_transform(pspace, f))
-    return float(((sf ** p) * pspace.weights).sum() ** (1.0 / p))
+    return pspace.lq_norm(square_function(pspace, product_transform(pspace, f)), p)
 
 
 CMO_MAX_UNION = 3      # unions of up to this many maximal rectangles are candidates

@@ -255,3 +255,24 @@ def test_decompose_one_point_factor_is_verified(n, tmp_path):
             doc = json.loads(out.read_text())
             assert doc["all_certificates_pass"] and doc["terms"] == []
             assert doc["residual"] == 0.0
+
+
+@pytest.mark.parametrize("second", [None, {"matrix": [[0.0, 1.0], [1.0, 0.0]],
+                                           "weights": [1.0, 3.0]}],
+                         ids=["one-point-squared", "one-point-by-two-point"])
+def test_certify_one_point_factor_passes(second, tmp_path):
+    # every doubly mean-zero function on such a grid is zero: it adds nothing
+    # to the relative errors or the Lp/Hp ratios, as decompose gives no terms
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"matrix": [[0.0]], "weights": [2.0]}))
+    argv = ["certify", "--space", str(one), "--corpus", "3", "--delta", "0.5"]
+    if second is not None:
+        two = tmp_path / "two.json"
+        two.write_text(json.dumps(second))
+        argv += ["--space2", str(two)]
+    out = tmp_path / "cert.json"
+    assert run([*argv, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["all_exact_pass"]
+    assert doc["checks"]["basis"]["reconstruction_error"] == 0.0
+    assert doc["checks"]["lp_le_hp"]["C_p"] == {"0.8": 0.0, "1.0": 0.0}

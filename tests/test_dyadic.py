@@ -300,7 +300,18 @@ def _set(table, level, entry, value):
     return edit
 
 
+def _header(key, value):
+    def edit(doc):
+        doc[key] = value(doc[key]) if callable(value) else value
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
+    (_header("k_min", lambda k: 2), r"k_min = 2 lies above k_max = 1"),
+    (_header("delta", "0.25"), r"delta = '0.25' is not a number in \(0, 1\)"),
+    (_header("delta", 1.5), r"delta = 1.5 is not a number in \(0, 1\)"),
+    (_header("k_max", float), r"k_max = 1.0 is not an integer"),
+    (_header("mode", "fast"), r"mode = 'fast' is neither 'desk' nor 'reference'"),
     (_set("parents", "0", 0, -1), r"parents\[0\]\[0\] = -1 is not an index below 2"),
     (_set("parents", "-1", 0, 99), r"parents\[-1\]\[0\] = 99 is not an index below 1"),
     (_set("parents", "1", 3, 1.0), r"parents\[1\]\[3\] = 1.0 is not an index"),
@@ -310,7 +321,8 @@ def _set(table, level, entry, value):
     (_set("nets", "-1", 1, 8), r"nets\[-1\]\[1\] = 8 is not an index below 8"),
     (lambda doc: doc["nets"]["1"].pop(), r"nets\[1\] must have 8 entries, got 7"),
     (_set("nets", "1", 1, 0), r"nets\[1\] holds point 0 more than once"),
-], ids=["parent-minus-one", "parent-past-the-level", "parent-float", "parent-bool",
+], ids=["k-min-above-k-max", "delta-string", "delta-past-one", "k-max-float", "mode-unknown",
+        "parent-minus-one", "parent-past-the-level", "parent-float", "parent-bool",
         "parents-short", "parents-missing", "net-point-past-n", "finest-net-short",
         "finest-net-repeat"])
 def test_import_system_rejects_a_malformed_document(line8, edit, message):

@@ -5,8 +5,10 @@ for a fixed input.  The first three were recorded before the space
 constants were rewritten (symmetric blocked a0, prefix-measure cmu); the
 deep pair and the snowflake pair, the two cases with 1 < q < 2 (where
 ``verify_atom`` weighs rectangle atoms by the stretch ratio), before stretch
-and tau moved onto the cube geometry.  A change that moves any of them
-changes a number some user sees, so it needs a deliberate update.
+and tau moved onto the cube geometry; the certify run on the snowflake pair
+(unequal weighted factors, p < 1 < q < 2) before certify's corpus ran in
+stacked passes.  A change that moves any of them changes a number some user
+sees, so it needs a deliberate update.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ import pytest
 
 from prodhardy import (ProductSpace, block_square_function, building_blocks, cmo_p,
                        generate_atom, make_space, product_transform, verify_atom)
+from prodhardy import atoms, cli, product
 from prodhardy.cli import main
 
 
@@ -62,6 +65,10 @@ CASES = {
     "decompose-snowflake-pair": (
         ["decompose", "--delta", "0.5", "--p", "0.9", "--q", "1.5", "--seed", "2"],
         _snowflake_pair, "faa1430eb000d60dbfd4cde147ef667fc51a50e095c93165996f0b8606c1f2fe"),
+    "certify-snowflake-pair": (
+        ["certify", "--delta", "0.5", "--p", "0.8", "--q", "1.5", "--corpus", "30",
+         "--seed", "4"],
+        _snowflake_pair, "df0fc4ffe6387146c3b3bfaef5a63a89c8585ea7eb26474e15f016dbbe6ffa4b"),
 }
 
 
@@ -79,6 +86,35 @@ def report_digest(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(name, tmp_path):
     assert report_digest(name, tmp_path) == CASES[name][2]
+
+
+@pytest.mark.parametrize("name", ["certify-corpus5", "certify-snowflake-pair"])
+def test_certify_report_is_the_same_one_grid_per_stack(name, monkeypatch, tmp_path):
+    # certify's corpus runs in stacks of at most SUM_BATCH entries; a budget
+    # below one grid cuts every stack down to a single grid
+    monkeypatch.setattr(product, "SUM_BATCH", 1)
+    monkeypatch.setattr(atoms, "SUM_BATCH", 1)
+    assert report_digest(name, tmp_path) == CASES[name][2]
+
+
+def test_certify_corpus_runs_in_stacked_passes(monkeypatch, tmp_path):
+    # 50 functions on the built-in 8-point line: one transform for the basis
+    # checks, one per p for Lp <= Hp, one for the H^p norms of the 20
+    # equivalence functions, and per decomposition one for atomic_decompose
+    # and at most one for its atoms' ||S(a)||_p
+    calls = []
+    original = product.product_transform
+
+    def counted(pspace, f):
+        calls.append(np.shape(f))
+        return original(pspace, f)
+
+    for module in (product, cli, atoms):
+        monkeypatch.setattr(module, "product_transform", counted)
+    assert main(["certify", "--corpus", "50", "--seed", "0",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) <= 44
+    assert calls[:3] == [(50, 8, 8)] * 3 and calls[3] == (20, 8, 8)
 
 
 def test_reports_need_no_rectangle_masks(monkeypatch, tmp_path):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from prodhardy import (ProductSpace, block_square_function, building_blocks,
-                       cmo_p, cmo_p_exhaustive, double_center, hp_seminorm,
+from prodhardy import (ProductCoefficients, ProductSpace, block_square_function,
+                       building_blocks, cmo_p, cmo_p_exhaustive, double_center, hp_seminorm,
                        inverse_product_transform, level_sets, product_transform,
                        square_function)
 
@@ -269,3 +269,19 @@ def test_coefficient_entries_export(pspace8):
 def test_shape_mismatch(pspace8):
     with pytest.raises(ValueError):
         product_transform(pspace8, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("shape", [(4, 5, 3), (3,), (15,)],
+                         ids=["transposed-stack", "one-axis", "flattened"])
+def test_transforms_check_the_trailing_axes(shape):
+    # on a 3 x 5 grid a stack of 5 x 3 grids is not a stack of functions,
+    # and neither is a 1-D array that broadcasts against a grid axis
+    ps = ProductSpace(line_space(np.arange(3.0)), line_space(np.arange(5.0)), delta=0.5)
+    bad = np.zeros(shape)
+    expected = r"expected grid shape \(3, 5\)"
+    with pytest.raises(ValueError, match=expected):
+        product_transform(ps, bad)
+    with pytest.raises(ValueError, match=expected):
+        hp_seminorm(ps, bad, 1.0)
+    with pytest.raises(ValueError, match=expected):
+        inverse_product_transform(ps, ProductCoefficients(bad, (2, 4)))
