@@ -12,7 +12,7 @@ Rectangle atoms are indexed by the maximal rectangles of the epsilon_0
 enlargement of the placeholder set (the enlargement is the set the
 containment proof actually provides; the un-enlarged family does not contain
 the classified rectangles in general).  Pairs are grouped by tau's family
-positions and the checks read the family's flat geometry rows; only
+positions and the checks read the family's flat cube indices; only
 ``ProductAtom.rectangle_atoms`` keys its atoms by (k1, a1, k2, a2).
 
 Converse direction: any atom is a grid function, so its H^p seminorm against
@@ -203,8 +203,8 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
                      ) -> AtomicDecomposition:
     """Decompose f into (p,q)-atoms with explicit coefficients.
 
-    Requires f doubly mean-zero (no mixed channels), p in (0,1], q > 1 and
-    gamma_i > omega_i (1/p + 1/q').  The coefficient for cell (j, l1, l2) is
+    Requires f doubly mean-zero (no mixed channels), p in (0,1], finite q > 1
+    and finite gamma_i > omega_i (1/p + 1/q').  The coefficient for cell (j, l1, l2) is
 
         lambda = 2^(l1 w1 + l2 w2) ||S(f_Bj)||_r
                  ((1 + l1 w1 + l2 w2) 2^(l1 w1 + l2 w2) mu(Omega~_j))^(1/p - 1/r)
@@ -215,15 +215,15 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
     """
     if not 0 < p <= 1:
         raise ValueError("p must lie in (0, 1]")
-    if q <= 1:
-        raise ValueError("q must exceed 1")
+    if not 1 < q < math.inf:                 # each comparison fails on NaN
+        raise ValueError(f"q must be a finite number above 1, got {q!r}")
     qprime = q / (q - 1.0)
     lo1, lo2 = (x.omega * (1.0 / p + 1.0 / qprime) for x in (pspace.x1, pspace.x2))
     gamma1 = lo1 + 1.0 if gamma1 is None else gamma1     # default: unit slack
     gamma2 = lo2 + 1.0 if gamma2 is None else gamma2
-    if gamma1 <= lo1 or gamma2 <= lo2:
+    if not (lo1 < gamma1 < math.inf and lo2 < gamma2 < math.inf):
         raise ValueError(
-            f"gamma constraint violated: need gamma1 > {lo1:.6g} and gamma2 > {lo2:.6g}, "
+            f"gamma constraint violated: need finite gamma1 > {lo1:.6g} and gamma2 > {lo2:.6g}, "
             f"got ({gamma1:.6g}, {gamma2:.6g})")
 
     f = np.asarray(f, dtype=float)
@@ -248,7 +248,7 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
     sf = square_function(pspace, coeffs)
     fam, _ = level_sets(pspace, sf)
     b1, b2 = pspace.bases
-    g1, g2 = pspace.systems[0].geometry, pspace.systems[1].geometry
+    s1, s2 = pspace.systems
     rows, cols = b1.cube_rows[live[:, 0]], b2.cube_rows[live[:, 1]]
 
     # B_j: the last level set on which the pair's rectangle keeps its majority
@@ -273,18 +273,17 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
         escaped = ~containment_matrix(pspace, omega_t)[ra, rb]
         if escaped.any():
             at = escaped.argmax()
-            a, b = ra[at], rb[at]
-            raise AssertionError(f"classified rectangle {g1.cubes[a].id + g2.cubes[b].id} "
-                                 "escapes the enlargement")
+            key = s1.keys(ra[at:at + 1])[0] + s2.keys(rb[at:at + 1])[0]
+            raise AssertionError(f"classified rectangle {key} escapes the enlargement")
 
         group = tau(pspace, family, ra, rb)          # each pair's covering rectangle
 
         # c ** 2 on scalars is C pow, as before; an array's ** 2 is c * c,
         # which can differ in the last bit
         sq = np.array([c ** 2 for c in cs.tolist()])
-        s2 = _outer_sum(sq / (g1.measures[ra] * g2.measures[rb]), g1.incidence[ra],
-                        g2.incidence[rb])
-        sfb_norm = pspace.lq_norm(np.sqrt(s2), r)
+        sfb2 = _outer_sum(sq / (s1.measures[ra] * s2.measures[rb]), s1.incidence[ra],
+                          s2.incidence[rb])
+        sfb_norm = pspace.lq_norm(np.sqrt(sfb2), r)
         if sfb_norm == 0.0:
             continue
         for ell1 in range(nb1[ii].max()):
@@ -430,13 +429,13 @@ def generate_atom(pspace: ProductSpace, rng, p: float, q: float,
     carry cancellation); callers redraw.
     """
     view = _view_on(pspace, grids)
-    g1, g2 = view.systems[0].geometry, view.systems[1].geometry
+    s1, s2 = view.systems
 
     mask = np.zeros(view.shape, dtype=bool)
     for _ in range(int(rng.integers(1, 4))):
-        a = int(rng.integers(len(g1.cubes)))
-        b = int(rng.integers(len(g2.cubes)))
-        mask |= np.outer(g1.incidence[a] > 0, g2.incidence[b] > 0)
+        a = int(rng.integers(s1.n_cubes()))
+        b = int(rng.integers(s2.n_cubes()))
+        mask |= np.outer(s1.incidence[a] > 0, s2.incidence[b] > 0)
     omega = OpenSet.from_mask(view, mask)
     _, omega_t, family = _pool(view, omega)
     if not family.m_all:

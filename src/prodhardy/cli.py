@@ -33,10 +33,15 @@ from .wavelet import build_haar
 
 
 def _validate(args: argparse.Namespace):
+    # each range test is written so that NaN fails it
     if "p" in args and not 0 < args.p <= 1:     # build takes no --p or --q
         raise ValueError("p must lie in (0, 1]")
-    if "q" in args and args.q <= 1:
-        raise ValueError("q must exceed 1")
+    if "q" in args and not 1 < args.q < math.inf:
+        raise ValueError(f"--q must be a finite number above 1, got {args.q!r}")
+    for name in ("gamma1", "gamma2"):            # only decompose takes them
+        gamma = getattr(args, name, None)
+        if gamma is not None and not -math.inf < gamma < math.inf:
+            raise ValueError(f"--{name} must be a finite number, got {gamma!r}")
     if args.delta is not None and not 0 < args.delta < 1:
         raise ValueError("delta must lie in (0, 1)")
 
@@ -176,9 +181,17 @@ def _load_function(pspace: ProductSpace, args: argparse.Namespace) -> np.ndarray
         if "dense" in doc:
             f = np.asarray(doc["dense"], dtype=float)
         elif "triples" in doc:
+            (n1, n2), given = pspace.shape, np.zeros(pspace.shape, dtype=bool)
             f = np.zeros(pspace.shape)
-            for i, j, v in doc["triples"]:
-                f[int(i), int(j)] = float(v)
+            for t, triple in enumerate(doc["triples"]):
+                i, j, v = triple if type(triple) is list and len(triple) == 3 else [None] * 3
+                if not (type(i) is type(j) is int and 0 <= i < n1 and 0 <= j < n2
+                        and type(v) in (int, float) and math.isfinite(v)):
+                    raise ValueError(f"triples[{t}] = {triple!r} is not [i, j, value] with "
+                                     f"integers 0 <= i < {n1}, 0 <= j < {n2} and a finite value")
+                if given[i, j]:
+                    raise ValueError(f"triples[{t}] repeats the entry ({i}, {j})")
+                f[i, j], given[i, j] = v, True
         else:
             raise ValueError("function document must contain 'dense' or 'triples'")
         if f.shape != pspace.shape:

@@ -5,8 +5,8 @@ cubes).  Nets are nested greedy maximal delta^k-separated sets; each
 level-(k+1) cube is attached to the level-k net point nearest its center.
 The tree is built once as arrays; its point -> cube labels of every level
 are composed upward from the singletons through the parents, so nestedness
-and disjoint union hold exactly by construction, and ``Cube`` records,
-member masks and the geometry are read off these arrays.  Inner/outer ball
+and disjoint union hold exactly by construction, and member masks,
+measures and ``Cube`` records are read off these arrays.  Inner/outer ball
 containment is certified with c1 = (3 a0^2)^-1 c0 and C1 = 2 a0 C0 whenever
 the base side length satisfies the cube test condition 12 a0^3 C0 delta <=
 c0.  Without a given delta the reference rule chooses it ("reference" mode);
@@ -22,9 +22,10 @@ extremes; per-cube loops are kept as their oracles (``_*_by_cube``,
 ``_covering_constant_by_net``).  Deep chains of small levels cost a few
 array operations, not a few per level.
 
-Each system also offers one array view of its cubes (``CubeGeometry``:
-incidence, sizes, measures, parents, ancestors-or-self), built on first
-use, from which all dyadic-rectangle geometry is computed.
+The arrays are the only representation of the cubes the pipeline reads:
+each cube's measure is computed once, and the cube x point incidence and
+ancestor-or-self matrices are built on first use; ``Cube`` records are
+built only when asked for, by the oracles and the tests.
 """
 
 from __future__ import annotations
@@ -83,47 +84,17 @@ class Cube:
         return (self.level, self.index)
 
 
-@dataclass(frozen=True)
-class CubeGeometry:
-    """Array view of a system's cubes, flattened in ``all_cubes()`` order
-    (level, then index): row ``a`` of every array describes ``cubes[a]``.
-    Ancestors precede their descendants, so the coarsest cube of any set of
-    ancestors has the smallest flat index."""
-
-    cubes: list[Cube]
-    incidence: np.ndarray        # (n_cubes, n) 0/1 floats: incidence[a, x] = x in cubes[a]
-    sizes: np.ndarray            # (n_cubes,) member counts, as floats
-    measures: np.ndarray         # (n_cubes,) cube measures
-    parent: np.ndarray           # (n_cubes,) flat index of the parent, -1 at k_min
-    ancestors: np.ndarray        # (n_cubes, n_cubes) bool: cubes[b] is cubes[a] or an ancestor
-
-    @classmethod
-    def of(cls, system: "DyadicSystem") -> "CubeGeometry":
-        cubes = list(system.all_cubes())
-        labels, n_cubes = system.labels, system.n_cubes()
-        incidence = np.zeros((n_cubes, system.space.n))
-        incidence[labels, np.arange(system.space.n)] = 1.0
-        # a cube holds its center: the center's cubes up to its level are its ancestors-or-self
-        up, a = np.nonzero(np.arange(len(labels))[:, None] <= system.level_rows)
-        ancestors = np.zeros((n_cubes, n_cubes), dtype=bool)
-        ancestors[a, labels[up, system.centers[a]]] = True
-        geom = cls(cubes=cubes, incidence=incidence, sizes=incidence.sum(axis=1),
-                   measures=np.array([c.measure for c in cubes]),
-                   parent=system.parent, ancestors=ancestors)
-        for arr in (geom.incidence, geom.sizes, geom.measures, geom.ancestors):
-            arr.flags.writeable = False          # shared by every caller of the system
-        return geom
-
-
 class DyadicSystem:
     """Leveled tree of cubes with nets, constants and lookup helpers.
 
     Read-only arrays over the cubes in flat order (level, then index) hold
     the tree: ``first`` (each level's first cube, then the cube count),
     ``level_rows``, ``centers``, ``parent`` (-1 at k_min) and
-    ``labels[l, x]``, the cube of level k_min + l holding point x.
-    ``parents[k]`` gives each point of ``nets[k]`` its parent's position in
-    ``nets[k - 1]``."""
+    ``labels[l, x]``, the cube of level k_min + l holding point x.  Cube a
+    has ``sizes[a]`` members, ``members[member_first[a]:member_first[a + 1]]``
+    (ids ascending), and measure ``measures[a]``; an ancestor's flat index is
+    below its descendants'.  ``parents[k]`` gives each point of ``nets[k]``
+    its parent's position in ``nets[k - 1]``."""
 
     def __init__(self, space: FiniteSpace, delta: float, k_min: int, k_max: int,
                  nets: dict[int, list[int]], parents: dict[int, list[int]], mode: str):
@@ -133,20 +104,27 @@ class DyadicSystem:
         self.k_max = k_max
         self.nets = nets
         self.mode = mode                      # "reference" when the reference rule chose delta
-        sizes = [len(nets[k]) for k in self.levels()]
-        self.first = np.cumsum([0, *sizes])
-        self.level_rows = np.repeat(np.arange(len(sizes)), sizes)
+        level_sizes = [len(nets[k]) for k in self.levels()]
+        self.first = np.cumsum([0, *level_sizes])
+        self.level_rows = np.repeat(np.arange(len(level_sizes)), level_sizes)
         self.centers = np.concatenate([np.asarray(nets[k], dtype=int) for k in self.levels()])
-        self.parent = np.concatenate([np.full(sizes[0], -1)] + [
+        self.parent = np.concatenate([np.full(level_sizes[0], -1)] + [
             self.first[k - k_min - 1] + np.asarray(parents[k], int) for k in self.levels()[1:]])
         # the singletons of k_max, then each level's cubes through the parents
-        self.labels = np.empty((len(sizes), space.n), dtype=int)
+        self.labels = np.empty((len(level_sizes), space.n), dtype=int)
         self.labels[-1, nets[k_max]] = np.arange(self.first[-2], self.first[-1])
-        for l in range(len(sizes) - 2, -1, -1):
+        for l in range(len(level_sizes) - 2, -1, -1):
             self.labels[l] = self.parent[self.labels[l + 1]]
-        for arr in (self.first, self.level_rows, self.centers, self.parent, self.labels):
+        # one stable argsort of the labels lists each cube's members, ids ascending
+        self.members = np.argsort(self.labels, axis=1, kind="stable").ravel()
+        self.sizes = np.bincount(self.labels.ravel(), minlength=self.n_cubes())
+        self.member_first = np.cumsum([0, *self.sizes])
+        ends = self.member_first.tolist()         # each cube's own pairwise sum
+        self.measures = np.array([space.weight[self.members[lo:hi]].sum()
+                                  for lo, hi in zip(ends, ends[1:])])
+        for arr in (self.first, self.level_rows, self.centers, self.parent, self.labels,
+                    self.members, self.sizes, self.member_first, self.measures):
             arr.flags.writeable = False       # shared by every record and view
-        self.cubes = self._records()
         self.c0 = 1.0                         # greedy guarantees delta^k separation
         self._measure()
         self.C0_cert = 2.0 * space.a0
@@ -159,23 +137,23 @@ class DyadicSystem:
 
     # -- construction ------------------------------------------------------
 
-    def _records(self) -> dict[int, list[Cube]]:
-        """``Cube`` records by level; members slice one stable argsort, so ids ascend."""
-        first, rows, n_cubes = self.first.tolist(), self.level_rows, self.n_cubes()
-        members = np.argsort(self.labels, axis=1, kind="stable").ravel()
-        members.flags.writeable = False
-        ends = [0, *np.cumsum(np.bincount(self.labels.ravel(), minlength=n_cubes)).tolist()]
-        kids = np.argsort(self.parent, kind="stable")[first[1]:]      # grouped by parent
-        kids = (kids - self.first[rows[kids]]).tolist()
-        kid_ends = [0, *np.cumsum(np.bincount(self.parent[first[1]:], minlength=n_cubes)).tolist()]
-        centers, ups, cubes = self.centers.tolist(), self.parent.tolist(), []
-        for a, l in enumerate(rows.tolist()):
-            k, m = self.k_min + l, members[ends[a]:ends[a + 1]]
-            cubes.append(Cube(level=k, index=a - first[l], center=centers[a], members=m,
-                              measure=float(self.space.weight[m].sum()), side=self.side(k),
-                              parent=ups[a] - first[l - 1] if l else None,
-                              children=tuple(kids[kid_ends[a]:kid_ends[a + 1]])))
-        return {k: cubes[first[l]:first[l + 1]] for l, k in enumerate(self.levels())}
+    @cached_property
+    def cubes(self) -> dict[int, list[Cube]]:
+        """``Cube`` records by level, built on first use: the pipeline reads
+        the arrays, and only the oracles and the tests ask for records."""
+        keys, ups = self.keys(np.arange(self.n_cubes())), self.parent.tolist()
+        kids = [[] for _ in ups]
+        for (_, alpha), up in zip(keys, ups):        # flat order: alphas ascend
+            if up >= 0:
+                kids[up].append(alpha)
+        ends, cubes = self.member_first.tolist(), {k: [] for k in self.levels()}
+        for a, ((k, alpha), center, measure, up) in enumerate(zip(
+                keys, self.centers.tolist(), self.measures.tolist(), ups)):
+            cubes[k].append(Cube(level=k, index=alpha, center=center,
+                                 members=self.members[ends[a]:ends[a + 1]], measure=measure,
+                                 side=self.side(k), parent=keys[up][1] if up >= 0 else None,
+                                 children=tuple(kids[a])))
+        return cubes
 
     def side(self, k: int) -> float:
         return self.delta ** k
@@ -184,6 +162,7 @@ class DyadicSystem:
         return range(self.k_min, self.k_max + 1)
 
     def cube(self, k: int, alpha: int) -> Cube:
+        self.flat(k, alpha)
         return self.cubes[k][alpha]
 
     def all_cubes(self):
@@ -194,22 +173,44 @@ class DyadicSystem:
         return int(self.first[-1])
 
     def flat(self, k: int, alpha: int) -> int:
-        """Flat index of cube (k, alpha)."""
-        return int(self.first[k - self.k_min]) + alpha
+        """Flat index of cube (k, alpha); a ValueError unless the system has it."""
+        l = k - self.k_min
+        if not (0 <= l < len(self.labels) and 0 <= alpha < self.first[l + 1] - self.first[l]):
+            raise ValueError(f"no cube ({k}, {alpha}): levels {self.k_min}..{self.k_max} hold "
+                             f"{', '.join(map(str, np.diff(self.first).tolist()))} cubes")
+        return int(self.first[l]) + alpha
+
+    def keys(self, rows) -> list[tuple[int, int]]:
+        """The (k, alpha) key of each cube in the flat ``rows``."""
+        l = self.level_rows[rows]
+        return list(zip((self.k_min + l).tolist(), (rows - self.first[l]).tolist()))
 
     @cached_property
-    def geometry(self) -> CubeGeometry:
-        """Array view of the cubes, built on first use: building a system
-        alone never needs it.  The view is published only once complete."""
-        return CubeGeometry.of(self)
+    def incidence(self) -> np.ndarray:
+        """(n_cubes, n) 0/1 floats, 1 where cube a holds point x; built on first use."""
+        incidence = np.zeros((self.n_cubes(), self.space.n))
+        incidence[self.labels, np.arange(self.space.n)] = 1.0
+        incidence.flags.writeable = False
+        return incidence
+
+    @cached_property
+    def ancestors(self) -> np.ndarray:
+        """(n_cubes, n_cubes) bool, True where cube b is a or an ancestor; built on first use."""
+        # a cube holds its center: the center's cubes up to its level are its ancestors-or-self
+        up, a = np.nonzero(np.arange(len(self.labels))[:, None] <= self.level_rows)
+        ancestors = np.zeros((self.n_cubes(), self.n_cubes()), dtype=bool)
+        ancestors[a, self.labels[up, self.centers[a]]] = True
+        ancestors.flags.writeable = False
+        return ancestors
 
     def dilate_matrix(self, lam: float) -> np.ndarray:
-        """Row ``a`` is ``dilate_mask(self, geometry.cubes[a], lam)``, bit for bit."""
+        """Row ``a`` is ``dilate_mask`` of cube ``a`` (flat order), bit for bit."""
         return self.space.dist[self.centers] < (lam * self.outer_eff * self._sides)[:, None]
 
     def member_mask(self, k: int, alpha: int) -> np.ndarray:
         """Points of cube (k, alpha), read off the labels."""
-        return self.labels[k - self.k_min] == self.flat(k, alpha)
+        a = self.flat(k, alpha)            # checked before its level's row is read
+        return self.labels[k - self.k_min] == a
 
     # -- measured constants --------------------------------------------------
 
@@ -463,15 +464,15 @@ def export_system(system: DyadicSystem) -> str:
 
 def _system_document(system: DyadicSystem) -> dict:
     """The JSON document of ``export_system``, before it is written as text."""
+    first, parent = system.first.tolist(), system.parent
+    up = [alpha if a >= 0 else -1 for a, (_, alpha) in zip(parent.tolist(), system.keys(parent))]
     return {
         "delta": system.delta,
         "k_min": system.k_min,
         "k_max": system.k_max,
         "mode": system.mode,
         "nets": {str(k): list(map(int, v)) for k, v in system.nets.items()},
-        "parents": {str(k): [(-1 if c.parent is None else int(c.parent))
-                             for c in system.cubes[k]]
-                    for k in system.levels()},
+        "parents": {str(k): up[lo:hi] for k, lo, hi in zip(system.levels(), first, first[1:])},
         "constants": {
             "c0": system.c0,
             "C0_measured": system.C0_measured,

@@ -14,8 +14,8 @@ covering check certifies, for each direction,
 
 with a measured C, for power weights w(t) = t^delta.
 
-A family holds its rectangles and stretches as flat rows of the factors'
-``CubeGeometry``, and tau answers with positions in the family; the
+A family holds its rectangles and stretches as flat cube indices of the
+factors' dyadic systems, and tau answers with positions in the family; the
 (k1, a1, k2, a2) keys are kept alongside for the atoms and reports that
 show them.
 """
@@ -34,8 +34,8 @@ from .space import _exact_sums
 
 @dataclass(frozen=True)
 class MaximalRectangleFamily:
-    """Rectangle i is cubes1[rows[i]] x cubes2[cols[i]] (flat rows of each
-    system's ``geometry``, level then index), its stretches are
+    """Rectangle i is cubes1[rows[i]] x cubes2[cols[i]] (flat indices of
+    each system's cubes, level then index), its stretches are
     Q1^ = cubes1[hat1[i]] and Q2^ = cubes2[hat2[i]], and m_all[i] is its
     (k1, a1, k2, a2) key.  The arrays are read-only: families are shared."""
 
@@ -57,22 +57,22 @@ def maximal_rectangles(pspace: ProductSpace, omega: OpenSet,
     """
     if direction != "both":
         raise ValueError(f"direction must be 'both', got {direction!r}")
-    g1, g2 = pspace.systems[0].geometry, pspace.systems[1].geometry
+    s1, s2 = pspace.systems
     inside = containment_matrix(pspace, omega)
     # inside[-1] (the root's parent) reads the last row; parent >= 0 masks it out
-    grows1 = (g1.parent >= 0)[:, None] & inside[g1.parent, :]
-    grows2 = (g2.parent >= 0)[None, :] & inside[:, g2.parent]
+    grows1 = (s1.parent >= 0)[:, None] & inside[s1.parent, :]
+    grows2 = (s2.parent >= 0)[None, :] & inside[:, s2.parent]
     rows, cols = np.nonzero(inside & ~grows1 & ~grows2)     # row-major: level then index
     # stretches: the coarsest ancestor-or-self along each rectangle's row or
     # column that keeps the majority; the rectangle itself, inside Omega, does
     passes = majority_matrix(pspace, omega)
-    hat2 = (g2.ancestors[cols] & passes[rows]).argmax(axis=1)
-    hat1 = (g1.ancestors[rows] & passes[:, cols].T).argmax(axis=1)
+    hat2 = (s2.ancestors[cols] & passes[rows]).argmax(axis=1)
+    hat1 = (s1.ancestors[rows] & passes[:, cols].T).argmax(axis=1)
     for arr in (rows, cols, hat1, hat2):
         arr.flags.writeable = False
     return MaximalRectangleFamily(
         rows=rows, cols=cols, hat1=hat1, hat2=hat2,
-        m_all=[g1.cubes[a].id + g2.cubes[b].id for a, b in zip(rows.tolist(), cols.tolist())])
+        m_all=[a + b for a, b in zip(s1.keys(rows), s2.keys(cols))])
 
 
 def _family(pspace: ProductSpace, omega: OpenSet) -> MaximalRectangleFamily:
@@ -98,17 +98,17 @@ def majority_matrix(pspace: ProductSpace, omega: OpenSet) -> np.ndarray:
     sums exact, so none are.  (Summing the factor weights first would not
     do: 1e-3 and 1e3 have integer products but inexact factor sums.)
     """
-    g1, g2 = pspace.systems[0].geometry, pspace.systems[1].geometry
+    s1, s2 = pspace.systems
     weights = pspace.weights
-    meas = g1.incidence @ np.where(omega.mask, weights, 0.0) @ g2.incidence.T
-    half = np.outer(g1.measures, g2.measures) / 2.0
+    meas = s1.incidence @ np.where(omega.mask, weights, 0.0) @ s2.incidence.T
+    half = np.outer(s1.measures, s2.measures) / 2.0
     passes = meas > half
     if not _exact_sums(weights.ravel()):
         k = weights.size + sum(weights.shape)
         margin = 2.0 * k * (np.finfo(float).eps * meas + np.finfo(float).tiny)
         for a, b in np.argwhere(np.abs(meas - half) <= margin):
-            passes[a, b] = _measure_in(pspace, omega, g1.incidence[a] > 0,
-                                       g2.incidence[b] > 0) > half[a, b]
+            passes[a, b] = _measure_in(pspace, omega, s1.incidence[a] > 0,
+                                       s2.incidence[b] > 0) > half[a, b]
     return passes
 
 
@@ -125,9 +125,9 @@ def stretch(pspace: ProductSpace, family: MaximalRectangleFamily,
     if key not in family.m_all:
         raise ValueError(f"rectangle {key} is not in this family")
     i = family.m_all.index(key)
-    if direction == 1:
-        return pspace.systems[1].geometry.cubes[family.hat2[i]]
-    return pspace.systems[0].geometry.cubes[family.hat1[i]]
+    system, hat = ((pspace.systems[1], family.hat2) if direction == 1
+                   else (pspace.systems[0], family.hat1))
+    return system.cube(*system.keys(hat[i:i + 1])[0])
 
 
 def stretch_exhaustive(pspace: ProductSpace, omega: OpenSet,
@@ -164,8 +164,8 @@ def stretch_exhaustive(pspace: ProductSpace, omega: OpenSet,
 
 
 def tau(pspace: ProductSpace, family: MaximalRectangleFamily, rows, cols) -> np.ndarray:
-    """For each rectangle cubes1[rows[k]] x cubes2[cols[k]] (flat geometry
-    rows), the position in ``family`` of its first rectangle (key order)
+    """For each rectangle cubes1[rows[k]] x cubes2[cols[k]] (flat cube
+    indices), the position in ``family`` of its first rectangle (key order)
     whose factors are ancestors-or-self of the rectangle's factors.
 
     A maximal rectangle's factors are the coarsest cubes of their
@@ -173,14 +173,14 @@ def tau(pspace: ProductSpace, family: MaximalRectangleFamily, rows, cols) -> np.
     this is the lexicographically smallest maximal rectangle containing the
     given one.
     """
-    g1, g2 = pspace.systems[0].geometry, pspace.systems[1].geometry
-    covers = (g1.ancestors[np.ix_(rows, family.rows)]
-              & g2.ancestors[np.ix_(cols, family.cols)])
+    s1, s2 = pspace.systems
+    covers = (s1.ancestors[np.ix_(rows, family.rows)]
+              & s2.ancestors[np.ix_(cols, family.cols)])
     found = covers.any(axis=1)
     if not found.all():
         at = int(np.argmin(found))
         raise AssertionError("no maximal rectangle contains "
-                             f"{g1.cubes[rows[at]].id + g2.cubes[cols[at]].id}")
+                             f"{s1.keys(rows[at:at + 1])[0] + s2.keys(cols[at:at + 1])[0]}")
     return covers.argmax(axis=1) if covers.size else np.zeros(0, dtype=int)
 
 
@@ -197,7 +197,7 @@ def journe_check(pspace: ProductSpace, omega: OpenSet, delta_exp: float) -> dict
         raise ValueError("omega must have positive measure")
     fam = _family(pspace, omega)
     s1, s2 = pspace.systems
-    measures = (s1.geometry.measures[fam.rows] * s2.geometry.measures[fam.cols]).tolist()
+    measures = (s1.measures[fam.rows] * s2.measures[fam.cols]).tolist()
     # l(Q)/l(Q^) = delta^(level_Q - level_Q^) <= 1, one stretch map per direction;
     # Python float sums in family order
     l1 = sum(m * (s2.delta ** d) ** delta_exp

@@ -9,7 +9,7 @@ dilation multipliers, since the atom machinery needs both the plain 2^ell
 dilates and the 2 a0^2 2^ell variants.
 
 Dyadic-rectangle geometry runs on each system's cube x point incidence
-matrix and dilate matrix (``DyadicSystem.geometry``, ``dilate_matrix``):
+matrix and dilate matrix (``DyadicSystem.incidence``, ``dilate_matrix``):
 containment of every cube pair is one matrix product, and the enlargement
 another.  The per-pair loops they replace are kept beside them as oracles
 (``rectangles_inside_exhaustive``, ``ell_enlarge_exhaustive``,
@@ -162,20 +162,20 @@ def _clears_everywhere(pspace: ProductSpace, mask: np.ndarray, eps: float) -> bo
 
 def containment_matrix(pspace: ProductSpace, omega_set: OpenSet) -> np.ndarray:
     """inside[a, b] is True when cubes1[a] x cubes2[b] lies in the set, for
-    every cube pair at once (flat indices of each system's ``geometry``).
+    every cube pair at once (flat indices of each system's cubes).
 
     (M1 chi M2^T)[a, b] counts the grid points of the rectangle that lie in
     the set, which is |Q1||Q2| exactly when the rectangle is contained.  The
     counts are small integers, so float64 holds them exactly.
     """
-    g1, g2 = pspace.systems[0].geometry, pspace.systems[1].geometry
-    counts = g1.incidence @ omega_set.mask.astype(float) @ g2.incidence.T
-    return counts == np.outer(g1.sizes, g2.sizes)
+    s1, s2 = pspace.systems
+    counts = s1.incidence @ omega_set.mask.astype(float) @ s2.incidence.T
+    return counts == np.outer(s1.sizes, s2.sizes)
 
 
 def rectangles_inside(pspace: ProductSpace, omega_set: OpenSet):
     """All dyadic rectangles (cube pairs) contained in the set, level then index."""
-    cubes1, cubes2 = pspace.systems[0].geometry.cubes, pspace.systems[1].geometry.cubes
+    cubes1, cubes2 = (list(s.all_cubes()) for s in pspace.systems)
     return [(cubes1[a], cubes2[b])
             for a, b in np.argwhere(containment_matrix(pspace, omega_set))]
 

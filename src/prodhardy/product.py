@@ -91,10 +91,10 @@ class ProductSpace:
 
     def rectangle_indicators(self, rows, cols) -> np.ndarray:
         """0/1 indicators of the rectangles cubes1[rows[k]] x cubes2[cols[k]]
-        (flat indices of each system's ``geometry``), one flattened grid per row."""
-        g1, g2 = self.systems[0].geometry, self.systems[1].geometry
-        return (g1.incidence[rows][:, :, None]
-                * g2.incidence[cols][:, None, :]).reshape(len(rows), self.x1.n * self.x2.n)
+        (flat indices of each system's cubes), one flattened grid per row."""
+        s1, s2 = self.systems
+        return (s1.incidence[rows][:, :, None]
+                * s2.incidence[cols][:, None, :]).reshape(len(rows), self.x1.n * self.x2.n)
 
     def wavelet_rectangle(self, i: int, j: int):
         """Supporting dyadic rectangle of the (i, j) product wavelet pair."""
@@ -208,8 +208,8 @@ def square_function(pspace: ProductSpace, coeffs: ProductCoefficients) -> np.nda
 
 def _indicator_over_measure(basis: WaveletBasis) -> np.ndarray:
     """Row i: the indicator of wavelet i's cube divided by the cube's measure."""
-    g, rows = basis.system.geometry, basis.cube_rows
-    return g.incidence[rows] / g.measures[rows, None]
+    system, rows = basis.system, basis.cube_rows
+    return system.incidence[rows] / system.measures[rows, None]
 
 
 def hp_seminorm(pspace: ProductSpace, f: np.ndarray, p: float,
@@ -244,9 +244,9 @@ def cmo_p(pspace: ProductSpace, coeffs: ProductCoefficients, p: float,
     from .journe import maximal_rectangles   # local import to avoid a cycle
     from .maximal import OpenSet
 
-    g1, g2 = pspace.systems[0].geometry, pspace.systems[1].geometry
+    s1, s2 = pspace.systems
     b1, b2 = pspace.bases
-    energy = np.zeros((len(g1.cubes), len(g2.cubes)))    # sum of |<f,psi psi>|^2 per cube pair
+    energy = np.zeros((s1.n_cubes(), s2.n_cubes()))      # sum of |<f,psi psi>|^2 per cube pair
     np.add.at(energy, (b1.cube_rows[:, None], b2.cube_rows[None, :]), coeffs.ww ** 2)
     ra, rb = np.nonzero(energy > 0)
     rects = pspace.rectangle_indicators(ra, rb)           # the rectangles carrying energy

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -36,23 +35,21 @@ class Wavelet:
 
 
 class WaveletBasis:
-    def __init__(self, system: DyadicSystem, wavelets: list[Wavelet]):
+    """One read-only matrix, wavelet rows then the scaling function; row i is
+    ``wavelets[i].values``, supported on the system's cube ``cube_rows[i]``."""
+
+    def __init__(self, system: DyadicSystem, wavelets: list[Wavelet], matrix: np.ndarray,
+                 cube_rows: np.ndarray):
         self.system = system
         self.wavelets = wavelets
-        self.scaling = np.full(system.space.n, system.space.total_measure ** -0.5)
-        rows = [w.values for w in wavelets] + [self.scaling]
-        self.matrix = np.vstack(rows)   # (n, n): wavelet rows then scaling
+        self.matrix = matrix            # (n, n): wavelet rows then scaling
+        self.scaling = matrix[-1]
+        self.cube_rows = cube_rows
         self.n_wavelets = len(wavelets)
 
     @property
     def space(self) -> FiniteSpace:
         return self.system.space
-
-    @cached_property
-    def cube_rows(self) -> np.ndarray:
-        """Flat row of each wavelet's supporting cube in ``system.geometry``,
-        built on first use."""
-        return np.array([self.system.flat(*w.cube) for w in self.wavelets], dtype=int)
 
     def gram(self) -> np.ndarray:
         return (self.matrix * self.space.weight) @ self.matrix.T
@@ -65,28 +62,35 @@ def build_haar(system: DyadicSystem) -> WaveletBasis:
     first i children and negative on child i+1, which for two unit-weight
     children gives (1/sqrt2, -1/sqrt2).  Total count over the tree is n - 1.
     """
-    space = system.space
-    wavelets: list[Wavelet] = []
-    for k in range(system.k_min, system.k_max):
-        for c in system.cubes[k]:
-            kids = sorted((system.cubes[k + 1][b] for b in c.children),
-                          key=lambda q: q.center)
-            if len(kids) < 2:
-                continue
-            masses = np.asarray([q.measure for q in kids])
-            csum = np.cumsum(masses)
-            y = kids[0].center
-            for i in range(1, len(kids)):
-                mi, m_next = csum[i - 1], masses[i]
-                t = math.sqrt(m_next / (mi * (mi + m_next)))
-                r = math.sqrt(mi / (m_next * (mi + m_next)))
-                vals = np.zeros(space.n)
-                for q in kids[:i]:
-                    vals[q.members] = t
-                vals[kids[i].members] = -r
-                wavelets.append(Wavelet(level=k, index=len(wavelets), cube=c.id,
-                                        center=y, scale=c.side, values=vals))
-    return WaveletBasis(system, wavelets)
+    space, lo = system.space, int(system.first[1])
+    # the cubes below k_min, grouped by parent (flat order), each group by center
+    kids = lo + np.lexsort((system.centers[lo:], system.parent[lo:]))
+    n_kids = np.bincount(system.parent[lo:], minlength=system.n_cubes())
+    kid_first = np.cumsum([0, *n_kids])
+    matrix = np.zeros((int(np.maximum(n_kids - 1, 0).sum()) + 1, space.n))
+    matrix[-1] = space.total_measure ** -0.5
+    ends, rows = system.member_first.tolist(), []
+    for a in np.flatnonzero(n_kids >= 2).tolist():
+        group = kids[kid_first[a]:kid_first[a + 1]]
+        masses = system.measures[group]
+        csum = np.cumsum(masses)
+        members = np.concatenate([system.members[ends[q]:ends[q + 1]] for q in group.tolist()])
+        cuts = np.cumsum(system.sizes[group]).tolist()
+        for i in range(1, len(group)):
+            mi, m_next = csum[i - 1], masses[i]
+            t = math.sqrt(m_next / (mi * (mi + m_next)))
+            r = math.sqrt(mi / (m_next * (mi + m_next)))
+            matrix[len(rows), members[:cuts[i - 1]]] = t
+            matrix[len(rows), members[cuts[i - 1]:cuts[i]]] = -r
+            rows.append(a)
+    matrix.flags.writeable = False
+    cube_rows = np.array(rows, dtype=int)
+    cube_rows.flags.writeable = False
+    centers = system.centers[kids[kid_first[cube_rows]]].tolist()      # first child's center
+    wavelets = [Wavelet(level=cube[0], index=i, cube=cube, center=y,
+                        scale=system.side(cube[0]), values=matrix[i])
+                for i, (cube, y) in enumerate(zip(system.keys(cube_rows), centers))]
+    return WaveletBasis(system, wavelets, matrix, cube_rows)
 
 
 def transform(basis: WaveletBasis, f: np.ndarray) -> np.ndarray:

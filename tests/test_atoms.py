@@ -151,6 +151,20 @@ def test_gamma_constraint_rejected(pspace8):
         atomic_decompose(pspace8, f, 1.0, 2.0, gamma1=lo, gamma2=lo)
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf])
+def test_non_finite_gamma_rejected(pspace8, gamma):
+    # NaN fails no plain `gamma <= lo` test and inf passes it
+    f = product_pair(pspace8, 0, 0)
+    with pytest.raises(ValueError, match="gamma constraint"):
+        atomic_decompose(pspace8, f, 1.0, 2.0, gamma2=gamma)
+
+
+@pytest.mark.parametrize("q", [1.0, np.nan, np.inf])
+def test_q_outside_the_finite_range_rejected(pspace8, q):
+    with pytest.raises(ValueError, match="q must be a finite number above 1"):
+        atomic_decompose(pspace8, product_pair(pspace8, 0, 0), 1.0, q)
+
+
 def test_non_mean_zero_rejected(pspace8):
     f = np.ones(pspace8.shape)
     with pytest.raises(ChannelError) as exc:

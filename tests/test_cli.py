@@ -130,6 +130,40 @@ def test_decompose_broken_gamma_exits_nonzero(space_file, capsys):
     assert "gamma constraint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["decompose", "--delta", "0.25", "--q", "nan"], "--q"),
+    (["decompose", "--delta", "0.25", "--q", "inf"], "--q"),
+    (["decompose", "--delta", "0.25", "--gamma1", "nan"], "--gamma1"),
+    (["decompose", "--delta", "0.25", "--gamma2", "inf"], "--gamma2"),
+    (["certify", "--corpus", "2", "--q", "nan"], "--q"),
+])
+def test_non_finite_flags_rejected(argv, flag, capsys):
+    # unchecked, --q nan exits 0 with a NaN lam_sum and the others exit 1
+    # with NaN reports
+    assert run(argv) == 2
+    assert f"error: {flag} must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("triples, message", [
+    ([[99, 0, 1.0]], "triples[0] = [99, 0, 1.0] is not [i, j, value]"),
+    ([[0, 0, 1.0], [-1, 0, -1.0]], "triples[1] = [-1, 0, -1.0] is not [i, j, value]"),
+    ([[0, 1.0, 1.0]], "triples[0] = [0, 1.0, 1.0] is not [i, j, value]"),
+    ([[0, 0]], "triples[0] = [0, 0] is not [i, j, value]"),
+    ([[0, 0, 1.0, 2.0]], "triples[0] = [0, 0, 1.0, 2.0] is not [i, j, value]"),
+    ([[0, 0, float("nan")]], "triples[0] = [0, 0, nan] is not [i, j, value]"),
+    ([[0, 0, float("inf")]], "triples[0] = [0, 0, inf] is not [i, j, value]"),
+    ([[0, 0, "1"]], "triples[0] = [0, 0, '1'] is not [i, j, value]"),
+    ([[0, 0, 1.0], [1, 1, 1.0], [0, 0, -1.0]], "triples[2] repeats the entry (0, 0)"),
+])
+def test_decompose_rejects_a_malformed_triple(triples, message, tmp_path, capsys):
+    # unchecked, an index of 99 raises IndexError, -1 wraps to row 7, a
+    # two-entry triple fails to unpack and a repeat overwrites silently
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps({"triples": triples}))
+    assert run(["decompose", "--delta", "0.25", "--function", str(fpath)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_build_export_matches_tree_oracle(tmp_path):
     # canonical 4-point line: the exported parent arrays must equal the
     # in-process construction's (the hand-traced {0,1,2} | {10} split)

@@ -40,11 +40,11 @@ def test_single_point_system():
 
 def test_verify_system_caches_no_member_masks(canon):
     # verify_system reads the label matrix and the center pass's extremes,
-    # so verifying a system never builds the geometry whose incidence rows
+    # so verifying a system never builds the incidence matrix whose rows
     # are the masks
     system = build_system(canon, 0.25)
     verify_system(system)
-    assert "geometry" not in system.__dict__
+    assert "incidence" not in system.__dict__
 
 
 def test_line_system_hand_trace(canon):
@@ -136,38 +136,61 @@ def test_dilate_singleton_stays_singleton(canon):
         dilate_cube(system, leaf, 0.5)
 
 
+def test_cube_lookups_reject_a_cube_the_system_lacks(line8):
+    # levels -2..1 hold 1, 2, 8 and 8 cubes; unchecked, flat(-1, 2) gives
+    # cube (0, 0), cube(-1, -1) gives (-1, 1) and member_mask(-3, 0) reads
+    # level 1's labels and comes back all False
+    system = build_system(line8, 0.25)
+    assert system.first.tolist() == [0, 1, 3, 11, 19]
+    for k, alpha in ((-1, 2), (-1, -1), (-3, 0), (2, 0)):
+        message = rf"no cube \({k}, {alpha}\): levels -2..1 hold 1, 2, 8, 8 cubes"
+        for lookup in (system.flat, system.cube, system.member_mask):
+            with pytest.raises(ValueError, match=message):
+                lookup(k, alpha)
+    assert system.flat(-1, 1) == 2 and system.cube(-1, 1).id == (-1, 1)
+    assert system.member_mask(1, 7).sum() == 1
+
+
 def test_geometry_is_built_on_first_use(canon):
     system = build_system(canon, 0.25)
     verify_system(system)
     export_system(system)
     basis = build_haar(system)
-    assert "geometry" not in vars(system)       # building a system never needs it
-    assert "cube_rows" not in vars(basis)
-    g = system.geometry
-    np.testing.assert_array_equal(g.incidence[basis.cube_rows[0]] > 0,
+    for name in ("incidence", "ancestors", "cubes"):    # building a system never needs them
+        assert name not in vars(system)
+    incidence = system.incidence
+    np.testing.assert_array_equal(incidence[basis.cube_rows[0]] > 0,
                                   system.member_mask(*basis.wavelets[0].cube))
-    assert g is system.geometry
-    assert g.incidence.shape == (system.n_cubes(), canon.n)
-    assert g.parent[0] == -1 and (g.parent[1:] >= 0).all()
-    assert not g.incidence.flags.writeable
+    assert incidence is system.incidence and system.ancestors is system.ancestors
+    assert incidence.shape == (system.n_cubes(), canon.n)
+    assert system.ancestors.shape == (system.n_cubes(), system.n_cubes())
+    assert system.parent[0] == -1 and (system.parent[1:] >= 0).all()
+    assert not incidence.flags.writeable and not system.ancestors.flags.writeable
+    assert system.cubes is system.cubes and len(system.cubes) == len(system.levels())
 
 
 def test_geometry_first_use_from_threads(line8):
-    # threads racing on the first use each get a complete view
+    # threads racing on the first use of each lazy view each get a complete one
     import sys
     from concurrent.futures import ThreadPoolExecutor
-    expect = build_system(line8, 0.25).geometry
+
+    def members(cubes):
+        return [c.members.tolist() for level in cubes.values() for c in level]
+
+    expect = build_system(line8, 0.25)
+    names = ("incidence", "ancestors", "cubes") * 3
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
             for _ in range(5):
                 system = build_system(line8, 0.25)
-                views = list(pool.map(lambda _: system.geometry, range(8), timeout=60))
-                for g in views:
-                    np.testing.assert_array_equal(g.incidence, expect.incidence)
-                    np.testing.assert_array_equal(g.parent, expect.parent)
-                    np.testing.assert_array_equal(g.ancestors, expect.ancestors)
+                views = list(pool.map(lambda name: getattr(system, name), names, timeout=60))
+                for name, view in zip(names, views):
+                    if name == "cubes":
+                        assert members(view) == members(expect.cubes)
+                    else:
+                        np.testing.assert_array_equal(view, getattr(expect, name))
     finally:
         sys.setswitchinterval(interval)
 

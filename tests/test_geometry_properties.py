@@ -75,22 +75,27 @@ def test_strong_maximal_is_the_loop_bit_for_bit(inst, seed):
 @given(spaces(), st.sampled_from([0.25, 0.5, 0.9]), st.sampled_from([1.0, 2.0, 4.5]))
 def test_geometry_rows_are_the_cubes(space, delta, lam):
     system = build_system(space, delta)
-    g = system.geometry
-    assert [c.id for c in g.cubes] == [c.id for c in system.all_cubes()]
+    cubes = list(system.all_cubes())
+    assert len(cubes) == system.n_cubes()
+    # each measure is the cube's own pairwise sum, bit for bit
+    assert system.measures.tobytes() == np.array(
+        [space.weight[c.members].sum() for c in cubes]).tobytes()
     dil = system.dilate_matrix(lam)
-    for a, c in enumerate(g.cubes):
+    for a, c in enumerate(cubes):
         members = np.isin(np.arange(space.n), c.members)
-        np.testing.assert_array_equal(g.incidence[a] == 1.0, members)
+        np.testing.assert_array_equal(system.incidence[a] == 1.0, members)
         np.testing.assert_array_equal(system.member_mask(*c.id), members)
         np.testing.assert_array_equal(dil[a], dilate_mask(system, c, lam))
-        assert system.flat(*c.id) == a and g.measures[a] == c.measure
-        par = g.cubes[g.parent[a]].id if g.parent[a] >= 0 else None
+        assert system.flat(*c.id) == a and system.measures[a] == c.measure
+        assert system.sizes[a] == len(c.members)
+        assert system.keys([a]) == [c.id]
+        par = cubes[system.parent[a]].id if system.parent[a] >= 0 else None
         assert par == (None if c.level == system.k_min else (c.level - 1, c.parent))
         chain, up = {a}, a
-        while g.parent[up] >= 0:
-            up = g.parent[up]
+        while system.parent[up] >= 0:
+            up = system.parent[up]
             chain.add(up)
-        assert set(np.flatnonzero(g.ancestors[a])) == chain
+        assert set(np.flatnonzero(system.ancestors[a])) == chain
 
 
 @CHECK

@@ -129,7 +129,7 @@ def test_public_stretch_membership(pspace8):
     om = OpenSet.from_mask(pspace8, pspace8.rectangle_mask(c1, c2))
     fam = maximal_rectangles(pspace8, om, "both")
     key = fam.m_all[0]
-    assert stretch(pspace8, fam, key, 1).id == pspace8.systems[1].geometry.cubes[fam.hat2[0]].id
+    assert stretch(pspace8, fam, key, 1).id == list(pspace8.systems[1].all_cubes())[fam.hat2[0]].id
     alien = (0, 0, 0, 0)
     with pytest.raises(ValueError, match="not in this family"):
         stretch(pspace8, fam, alien, 1)
@@ -185,7 +185,7 @@ def test_journe_check_errors(pspace8):
 
 def test_member_mask_oracles_never_build_the_geometry():
     # member_mask reads the label matrix, so the per-pair oracles and
-    # rectangle_mask need no cube x point incidence matrix
+    # rectangle_mask need no cube x point incidence or ancestor matrix
     from prodhardy.journe import stretch_exhaustive
     from prodhardy.maximal import rectangles_inside_exhaustive
     ps = ProductSpace(line_space(np.arange(6.0)), line_space([0.0, 1.0, 3.0, 7.0]), delta=0.5)
@@ -196,4 +196,4 @@ def test_member_mask_oracles_never_build_the_geometry():
     assert rects and ps.rectangle_mask(*rects[0]).sum() > 0
     c1, c2 = rects[-1]
     assert stretch_exhaustive(ps, om, c1.id + c2.id, 1).level <= c2.level
-    assert all("geometry" not in vars(s) for s in ps.systems)
+    assert all("incidence" not in vars(s) and "ancestors" not in vars(s) for s in ps.systems)

@@ -1,4 +1,4 @@
-"""Property tests: stretch maps and tau on the cube geometry against the
+"""Property tests: stretch maps and tau on the cube arrays against the
 per-rectangle scans they replace.
 
 The stretch half test compares mu((Q1 x Q2^) cap Omega) with mu(Q1 x Q2^)/2.
@@ -51,9 +51,9 @@ NEAR_TIES = [
 def test_majority_matrix_is_the_per_rectangle_half_test(inst):
     ps, om = inst
     passes = majority_matrix(ps, om)
-    for a, c1 in enumerate(ps.systems[0].geometry.cubes):
+    for a, c1 in enumerate(ps.systems[0].all_cubes()):
         m1 = np.isin(np.arange(ps.x1.n), c1.members)
-        for b, c2 in enumerate(ps.systems[1].geometry.cubes):
+        for b, c2 in enumerate(ps.systems[1].all_cubes()):
             m2 = np.isin(np.arange(ps.x2.n), c2.members)
             mu = c1.measure * c2.measure
             assert passes[a, b] == (_measure_in(ps, om, m1, m2) > mu / 2.0)
@@ -67,12 +67,12 @@ def test_majority_matrix_is_the_per_rectangle_half_test(inst):
 def test_stretches_match_oracle(inst):
     ps, om = inst
     fam = maximal_rectangles(ps, om, "both")
-    g1, g2 = ps.systems[0].geometry, ps.systems[1].geometry
+    cubes1, cubes2 = (list(s.all_cubes()) for s in ps.systems)
     assert len(fam.m_all) == len(fam.rows) == len(fam.cols) == len(fam.hat1) == len(fam.hat2)
     for i, key in enumerate(fam.m_all):
-        assert key == g1.cubes[fam.rows[i]].id + g2.cubes[fam.cols[i]].id
-        assert g2.cubes[fam.hat2[i]].id == stretch_exhaustive(ps, om, key, 1).id
-        assert g1.cubes[fam.hat1[i]].id == stretch_exhaustive(ps, om, key, 2).id
+        assert key == cubes1[fam.rows[i]].id + cubes2[fam.cols[i]].id
+        assert cubes2[fam.hat2[i]].id == stretch_exhaustive(ps, om, key, 1).id
+        assert cubes1[fam.hat1[i]].id == stretch_exhaustive(ps, om, key, 2).id
 
 
 def tau_scan(pspace, family, key):
@@ -93,14 +93,14 @@ def test_tau_matches_member_scan(inst, seed):
     ps, om = inst
     fam = maximal_rectangles(ps, om, "both")
     s1, s2 = ps.systems
-    g1, g2 = s1.geometry, s2.geometry
+    cubes1, cubes2 = list(s1.all_cubes()), list(s2.all_cubes())
     inside = [(s1.flat(*c1.id), s2.flat(*c2.id)) for c1, c2 in rectangles_inside(ps, om)]
     rng = np.random.default_rng(seed)
     # distinct pairs in random order, then repeats of some of them
     picks = rng.permutation(len(inside))[:6]
     picks = np.concatenate([picks, rng.choice(picks, size=min(4, len(picks)))])
     rows, cols = (np.array([inside[int(i)][f] for i in picks], dtype=int) for f in (0, 1))
-    keys = [g1.cubes[a].id + g2.cubes[b].id for a, b in zip(rows, cols)]
+    keys = [cubes1[a].id + cubes2[b].id for a, b in zip(rows, cols)]
     assert [fam.m_all[h] for h in tau(ps, fam, rows, cols)] == [tau_scan(ps, fam, k) for k in keys]
 
 
