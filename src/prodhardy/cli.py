@@ -175,18 +175,34 @@ def _load(args: argparse.Namespace) -> tuple[FiniteSpace, FiniteSpace]:
     return x1, x2
 
 
+def _finite_number(v) -> bool:
+    """A JSON number with a finite float value: not a bool, NaN, an infinity
+    or an integer beyond the float range."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
 def _load_function(pspace: ProductSpace, args: argparse.Namespace) -> np.ndarray:
     if args.function:
         doc = json.loads(Path(args.function).read_text())
         if "dense" in doc:
-            f = np.asarray(doc["dense"], dtype=float)
+            rows = doc["dense"]
+            if not (type(rows) is list and all(type(row) is list for row in rows)
+                    and len({len(row) for row in rows}) == 1
+                    and all(type(v) in (int, float) for row in rows for v in row)):
+                raise ValueError(f"{args.function}: 'dense' is not a list of equal-length "
+                                 f"rows of numbers")
+            for i, row in enumerate(rows):
+                for j, v in enumerate(row):
+                    if not _finite_number(v):
+                        raise ValueError(f"dense[{i}][{j}] = {v} is not finite")
+            f = np.asarray(rows, dtype=float)
         elif "triples" in doc:
             (n1, n2), given = pspace.shape, np.zeros(pspace.shape, dtype=bool)
             f = np.zeros(pspace.shape)
             for t, triple in enumerate(doc["triples"]):
                 i, j, v = triple if type(triple) is list and len(triple) == 3 else [None] * 3
                 if not (type(i) is type(j) is int and 0 <= i < n1 and 0 <= j < n2
-                        and type(v) in (int, float) and math.isfinite(v)):
+                        and _finite_number(v)):
                     raise ValueError(f"triples[{t}] = {triple!r} is not [i, j, value] with "
                                      f"integers 0 <= i < {n1}, 0 <= j < {n2} and a finite value")
                 if given[i, j]:

@@ -299,23 +299,59 @@ def _certificates_by_cube(system: "DyadicSystem") -> tuple[bool, bool]:
     return inner_ok, outer_ok
 
 
+def _seed_rows(space: FiniteSpace, delta: float, k: int, seed: list) -> tuple[float, np.ndarray]:
+    """delta^k and the seed net's rows of the distance matrix, once delta and
+    the seed's delta^k-separation are checked."""
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+    r = delta ** k
+    rows = space.dist.take(np.asarray(seed, dtype=np.intp), axis=0)
+    if len(seed) > 1:
+        d = rows.take(seed, axis=1)
+        np.fill_diagonal(d, np.inf)
+        if d.min() < r:
+            raise ValueError(f"seed net is not {r}-separated")
+    return r, rows
+
+
 def build_net(space: FiniteSpace, delta: float, k: int, seed_net=(), order=None) -> list[int]:
     """Greedy maximal delta^k-separated superset of seed_net.
 
     Candidates are scanned in ascending point id (or the supplied order), so
     the net is deterministic.  The result covers X within delta^k (measured
-    C0 = 1) because any uncovered point would have been added.
+    C0 = 1) because any uncovered point would have been added.  The scan
+    jumps from one added point to the next: ``argmax`` over the remaining
+    candidates finds the first one still delta^k from the net, so Python
+    runs once per added point, and only the remaining candidates' distances
+    to the net are updated, from the added point's row (the matrix is
+    symmetric; with an order, its columns are permuted once).  A candidate
+    at distance 0 from the net is in it already, also when delta^k
+    underflows to 0.  ``_build_net_by_point`` is the per-point scan it
+    equals.
     """
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    r = delta ** k
-    seed = list(seed_net)
-    if seed:
-        d = space.dist[np.ix_(seed, seed)]
-        off = ~np.eye(len(seed), dtype=bool)
-        if len(seed) > 1 and d[off].min() < r:
-            raise ValueError(f"seed net is not {r}-separated")
-    net = list(seed)
+    net = list(seed_net)
+    r, seed_rows = _seed_rows(space, delta, k, net)
+    r = max(r, math.ulp(0.0))
+    scan = np.arange(space.n) if order is None else np.asarray(order, dtype=np.intp)
+    rows = space.dist if order is None else space.dist[:, scan]
+    mind = seed_rows.min(axis=0)[scan] if net else np.full(scan.size, np.inf)
+    pos = 0
+    while pos < scan.size:
+        step = int(np.argmax(mind[pos:] >= r))
+        if not mind[pos + step] >= r:
+            break
+        x = int(scan[pos + step])
+        net.append(x)
+        pos += step + 1
+        np.minimum(mind[pos:], rows[x, pos:], out=mind[pos:])
+    return net
+
+
+def _build_net_by_point(space: FiniteSpace, delta: float, k: int, seed_net=(),
+                        order=None) -> list[int]:
+    """Specification of ``build_net``: every candidate tested in turn."""
+    net = list(seed_net)
+    r = _seed_rows(space, delta, k, net)[0]
     in_net = set(net)
     mind = np.full(space.n, np.inf) if not net else space.dist[:, net].min(axis=1)
     for x in (range(space.n) if order is None else order):
@@ -367,7 +403,8 @@ def build_system(space: FiniteSpace, delta: float | None = None,
         nets[k_min] = build_net(space, delta, k_min, seed_net=[], order=order)
 
     # argmin takes the first minimum of each row: net-order ties
-    parents = {k: np.argmin(space.dist[np.ix_(nets[k], nets[k - 1])], axis=1).tolist()
+    parents = {k: np.argmin(space.dist.take(nets[k], axis=0).take(nets[k - 1], axis=1),
+                            axis=1).tolist()
                for k in range(k_min + 1, k_max + 1)}
     return DyadicSystem(space, delta, k_min, k_max, nets, parents, mode)
 

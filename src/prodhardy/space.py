@@ -5,15 +5,19 @@ matrix, and positive per-point weights (the measure of each singleton).  The
 quasi-triangle constant a0, the ball-doubling constant cmu and the upper
 dimension omega = log2(cmu) are computed exactly -- they feed every downstream
 certified constant, so they are never estimated.  a0 comes from a min-plus
-product taken over one triangle of the symmetric distance matrix, 64 rows at
-a time (on a 512-point cloud, 16-, 32- and 256-row tiles, a reduce over
-chunks of z and a per-row form all ran slower, 128 rows no faster).  cmu
-comes from per-center prefix measures, 64 centers per row block: each ball
-is a prefix of the points sorted by distance to its center, and the
-positive distances are the only radii needed.  The few centers within
-rounding of the maximum are rescanned in the exhaustive scan's own
-arithmetic.  Both equal the exhaustive scans kept beside them
-(``*_exhaustive``) bit for bit.
+product taken over one triangle of the symmetric distance matrix in tiles of
+pairs (x, y): each tile adds rows of x to rows of y over all z at once and
+takes the minimum along the contiguous z axis, about 2**16 sums a tile (on a
+512-point cloud, tiles of 8 x 16 pairs).  Reordering the points so that
+tiles could skip blocks of z ran slower, because nine in ten blocks survive,
+and so did tiles split into chunks of z.  cmu comes from per-center prefix
+measures, 64 centers per row block: each ball is a prefix of the points
+sorted by distance to its center, and the positive distances are the only
+radii needed.  The few centers within rounding of the maximum are rescanned
+in the exhaustive scan's own arithmetic.  Both equal the exhaustive scans
+kept beside them (``*_exhaustive``) bit for bit.  Point distances are built
+one (n, n) term per coordinate axis, added in NumPy's own summation order,
+so they equal the broadcast (n, n, D) forms bit for bit.
 
 Borel regularity of the measure has no finite-space content; it is noted here
 and not modeled.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -100,31 +105,41 @@ def realized_ball_masks(space: FiniteSpace) -> np.ndarray:
     return np.asarray(rows)
 
 
-# Rows of x per block in the blocked a0 scan: a 64 x n tile of the min-plus
-# product stays in cache while every z streams past it.
-_A0_BLOCK = 64
+# Sums per tile of the a0 scan: a tile of bx x by pairs (x, y) holds
+# bx * by * n sums d(x, z) + d(z, y), about 2**16 of them (8 x 16 pairs at
+# n = 512), so it stays in cache while it is reduced over z.
+_A0_TILE = 1 << 16
 
 
 def _quasi_triangle_constant(dist: np.ndarray) -> float:
     """Minimal a0 with d(x,y) <= a0 (d(x,z)+d(z,y)) over all triples.
 
-    best(x,y) = min_z d(x,z)+d(z,y) is symmetric for a symmetric matrix, and
-    min, max and each single sum are exact in any order, so computing best
-    only for y >= the first row of each block of x gives the exhaustive
-    value bit for bit.  Degenerate (n = 1) spaces get a0 = 1.
+    best(x,y) = min_z d(x,z)+d(z,y) is symmetric for a symmetric matrix, so
+    only tiles of pairs with y >= the tile's first x are computed.  A tile
+    is one ``np.add`` of rows of x against rows of y (d(z,y) = d(y,z)) into
+    a (bx, by, n) buffer, then one ``np.minimum.reduce`` along its
+    contiguous z axis into the tile's block of best; one division and one
+    max per row of tiles follow.  Min, max and each single sum are exact in
+    any order, so the result is the exhaustive value bit for bit.
+    Degenerate (n = 1) spaces get a0 = 1.
     """
     n = dist.shape[0]
+    pairs = max(1, _A0_TILE // n)
+    bx = min(n, max(1, math.isqrt(pairs // 2)))
+    by = min(n, max(1, pairs // bx))
+    buf, strip = np.empty((bx, by, n)), np.empty((bx, n))
     worst = 1.0
-    for i0 in range(0, n, _A0_BLOCK):
-        rows = dist[i0:i0 + _A0_BLOCK]
-        best = np.full((rows.shape[0], n - i0), np.inf)
-        tmp = np.empty_like(best)
-        for z in range(n):
-            np.add(rows[:, z, None], dist[z, None, i0:], out=tmp)
-            np.minimum(best, tmp, out=best)
+    for x0 in range(0, n, bx):
+        rows = dist[x0:x0 + bx]
+        best = strip[:rows.shape[0], x0:]       # best(x, y) for y >= x0
+        for y0 in range(x0, n, by):
+            cols = dist[y0:y0 + by]
+            tmp = buf[:rows.shape[0], :cols.shape[0]]
+            np.add(rows[:, None, :], cols[None, :, :], out=tmp)
+            np.minimum.reduce(tmp, axis=2, out=best[:, y0 - x0:y0 - x0 + by])
         diag = np.arange(rows.shape[0])
-        best[diag, diag] = np.inf          # x = y: ratio 0, below every a0
-        worst = max(worst, float((rows[:, i0:] / best).max()))
+        best[diag, diag] = np.inf               # x = y: ratio 0, below every a0
+        worst = max(worst, float(np.divide(rows[:, x0:], best, out=best).max()))
     return worst
 
 
@@ -279,7 +294,10 @@ def make_space(dist, weight=None) -> FiniteSpace:
         raise SpaceValidationError("space must contain at least one point")
     if weight is None:
         weight = np.ones(n)
-    weight = np.asarray(weight, dtype=float)
+    try:
+        weight = np.asarray(weight, dtype=float)
+    except (TypeError, ValueError):
+        raise SpaceValidationError(f"weights: expected a list of {n} numbers") from None
     if weight.shape != (n,):
         raise SpaceValidationError(f"weights: expected {n} entries, got {weight.shape}")
     if not np.isfinite(weight).all():
@@ -317,11 +335,65 @@ def make_space(dist, weight=None) -> FiniteSpace:
     )
 
 
-_METRICS = {
-    "euclidean": lambda p: np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(-1)),
-    "manhattan": lambda p: np.abs(p[:, None, :] - p[None, :, :]).sum(-1),
-    "chebyshev": lambda p: np.abs(p[:, None, :] - p[None, :, :]).max(-1),
-}
+def _axis_sum(term, lo: int, hi: int) -> np.ndarray:
+    """term(lo) + ... + term(hi - 1), each an (n, n) array, added in the
+    order NumPy's pairwise sum adds a contiguous last axis: one by one below
+    8 terms; up to 128 terms, 8 interleaved lanes combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder one by one;
+    beyond that, two halves split at a multiple of 8.  So the sum over the
+    coordinate axes of the broadcast (n, n, D) differences is reproduced bit
+    for bit without building that array."""
+    m = hi - lo
+    if m < 8:
+        out = term(lo)
+        for a in range(lo + 1, hi):
+            out += term(a)
+        return out
+    if m <= 128:
+        lanes = [term(lo + j) for j in range(8)]
+        end = hi - m % 8
+        for a in range(lo + 8, end, 8):
+            for j, lane in enumerate(lanes):
+                lane += term(a + j)
+        r0, r1, r2, r3, r4, r5, r6, r7 = lanes
+        out = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for a in range(end, hi):
+            out += term(a)
+        return out
+    half = m // 2 - (m // 2) % 8
+    out = _axis_sum(term, lo, lo + half)
+    out += _axis_sum(term, lo + half, hi)
+    return out
+
+
+def _gaps(p: np.ndarray, a: int) -> np.ndarray:
+    """|p_i[a] - p_j[a]| for all pairs (i, j)."""
+    gap = p[:, a, None] - p[None, :, a]
+    return np.abs(gap, out=gap)
+
+
+def _euclidean(p: np.ndarray) -> np.ndarray:
+    def square(a):
+        gap = p[:, a, None] - p[None, :, a]
+        return np.multiply(gap, gap, out=gap)
+    total = _axis_sum(square, 0, p.shape[1])
+    return np.sqrt(total, out=total)
+
+
+def _manhattan(p: np.ndarray) -> np.ndarray:
+    return _axis_sum(lambda a: _gaps(p, a), 0, p.shape[1])
+
+
+def _chebyshev(p: np.ndarray) -> np.ndarray:
+    out = _gaps(p, 0)
+    for a in range(1, p.shape[1]):
+        np.maximum(out, _gaps(p, a), out=out)
+    return out
+
+
+# Point distances from (n, D) coordinates, one (n, n) term per axis; each
+# equals its broadcast (n, n, D) form bit for bit.
+_METRICS = {"euclidean": _euclidean, "manhattan": _manhattan, "chebyshev": _chebyshev}
 
 
 def load_space(source) -> FiniteSpace:
@@ -351,7 +423,10 @@ def load_space(source) -> FiniteSpace:
         raise SpaceValidationError("document root must be an object")
 
     if "matrix" in doc:
-        dist = np.asarray(doc["matrix"], dtype=float)
+        try:
+            dist = np.asarray(doc["matrix"], dtype=float)
+        except (TypeError, ValueError):
+            raise SpaceValidationError("matrix: expected a list of equal-length rows of numbers") from None
         weight = doc.get("weights")
     elif "points" in doc:
         pts = doc["points"]
@@ -368,25 +443,43 @@ def load_space(source) -> FiniteSpace:
             if pid in seen:
                 raise SpaceValidationError(f"points[{i}].id: duplicate id {pid}")
             seen.add(pid)
-            coords.append(np.atleast_1d(np.asarray(rec["coords"], dtype=float)))
-            weight.append(float(rec.get("weight", 1.0)))
+            try:
+                c = np.atleast_1d(np.asarray(rec["coords"], dtype=float))
+            except (TypeError, ValueError):
+                c = None
+            if c is None or c.ndim != 1 or not c.size:
+                raise SpaceValidationError(f"points[{i}].coords: expected a nonempty list of numbers")
+            coords.append(c)
+            try:
+                weight.append(float(rec.get("weight", 1.0)))
+            except (TypeError, ValueError):
+                raise SpaceValidationError(f"points[{i}].weight: {rec['weight']!r} is not a number") from None
         dims = {c.shape for c in coords}
         if len(dims) > 1:
             raise SpaceValidationError("points[*].coords: inconsistent dimensions")
         metric = doc.get("metric", "euclidean")
-        if metric not in _METRICS:
+        if type(metric) is not str or metric not in _METRICS:
             raise SpaceValidationError(f"metric: unknown metric {metric!r}")
-        dist = _METRICS[metric](np.stack(coords))
+        coords = np.stack(coords)
+        if not np.isfinite(coords).all():
+            i, k = np.argwhere(~np.isfinite(coords))[0]
+            raise SpaceValidationError(f"points[{i}].coords[{k}] = {coords[i, k]} is not finite")
+        with np.errstate(over="ignore"):         # an overflow is named below
+            dist = _METRICS[metric](coords)
         np.fill_diagonal(dist, 0.0)
     else:
         raise SpaceValidationError("document must contain 'matrix' or 'points'")
 
     s = doc.get("snowflake")
     if s is not None:
+        if not (type(s) in (int, float) and 0 < s <= sys.float_info.max):
+            raise SpaceValidationError(f"snowflake: exponent {s!r} is not a positive number")
         s = float(s)
-        if s <= 0:
-            raise SpaceValidationError("snowflake: exponent must be positive")
-        dist = dist ** s
+        with np.errstate(over="ignore"):
+            dist = dist ** s
+    if "matrix" not in doc and not np.isfinite(dist).all():
+        i, j = np.argwhere(~np.isfinite(dist))[0]
+        raise SpaceValidationError(f"points[{i}] and points[{j}]: their distance overflows")
     return make_space(dist, weight)
 
 

@@ -1,9 +1,18 @@
+import contextlib
+import io
 import json
+import tempfile
+from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodhardy.cli import main
+
+from strategies import CHECK, spaces
 
 
 @pytest.fixture()
@@ -154,14 +163,47 @@ def test_non_finite_flags_rejected(argv, flag, capsys):
     ([[0, 0, float("inf")]], "triples[0] = [0, 0, inf] is not [i, j, value]"),
     ([[0, 0, "1"]], "triples[0] = [0, 0, '1'] is not [i, j, value]"),
     ([[0, 0, 1.0], [1, 1, 1.0], [0, 0, -1.0]], "triples[2] repeats the entry (0, 0)"),
+    ([[0, 0, 10 ** 400]], f"triples[0] = [0, 0, {10 ** 400}] is not [i, j, value]"),
 ])
 def test_decompose_rejects_a_malformed_triple(triples, message, tmp_path, capsys):
     # unchecked, an index of 99 raises IndexError, -1 wraps to row 7, a
-    # two-entry triple fails to unpack and a repeat overwrites silently
+    # two-entry triple fails to unpack and a repeat overwrites silently; an
+    # integer beyond the float range raised OverflowError in math.isfinite
     fpath = tmp_path / "f.json"
     fpath.write_text(json.dumps({"triples": triples}))
     assert run(["decompose", "--delta", "0.25", "--function", str(fpath)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+ZERO8 = [[0.0] * 8 for _ in range(8)]
+
+
+def _with(i, j, v):
+    rows = [row[:] for row in ZERO8]
+    rows[i][j] = v
+    return rows
+
+
+@pytest.mark.parametrize("dense,message", [
+    (ZERO8[:7] + [[0.0] * 7], "'dense' is not a list of equal-length rows of numbers"),
+    ([[0.0] * 8] + [0.0] * 7, "'dense' is not a list of equal-length rows of numbers"),
+    (_with(1, 2, "1"), "'dense' is not a list of equal-length rows of numbers"),
+    (_with(1, 2, True), "'dense' is not a list of equal-length rows of numbers"),
+    ("zeros", "'dense' is not a list of equal-length rows of numbers"),
+    (_with(0, 0, float("inf")), "dense[0][0] = inf is not finite"),
+    (_with(2, 5, float("nan")), "dense[2][5] = nan is not finite"),
+    (_with(7, 7, -10 ** 309), f"dense[7][7] = {-10 ** 309} is not finite"),
+    (ZERO8[:7], "function shape (7, 8) does not match grid (8, 8)"),
+])
+def test_decompose_rejects_a_malformed_dense_function(dense, message, tmp_path, capsys):
+    # unchecked, Infinity reaches product._mean_zero (RuntimeWarnings, then
+    # a "no finite normal square" error) and a ragged row gives NumPy's
+    # "inhomogeneous shape" text
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps({"dense": dense}))
+    assert run(["decompose", "--delta", "0.25", "--function", str(fpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_build_export_matches_tree_oracle(tmp_path):
@@ -310,3 +352,29 @@ def test_certify_one_point_factor_passes(second, tmp_path):
     assert doc["all_exact_pass"]
     assert doc["checks"]["basis"]["reconstruction_error"] == 0.0
     assert doc["checks"]["lp_le_hp"]["C_p"] == {"0.8": 0.0, "1.0": 0.0}
+
+
+@settings(CHECK, deadline=timedelta(seconds=10))
+@given(spaces(min_points=1), spaces(min_points=1), st.sampled_from([0.25, 0.5, 0.9]),
+       st.integers(0, 2 ** 16))
+def test_decompose_verifies_or_names_the_error(x1, x2, delta, seed):
+    # one-point factors and tied or snowflake factors of unequal size: a
+    # verified decomposition (exit 0) or a named error (exit 2), never a
+    # failed certificate, a traceback or a numeric warning; the deadline
+    # bounds each example's time
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["decompose", "--delta", str(delta), "--seed", str(seed),
+                "--out", f"{tmp}/dec.json"]
+        for flag, space in (("--space", x1), ("--space2", x2)):
+            path = Path(tmp, f"{flag.strip('-')}.json")
+            path.write_text(json.dumps({"matrix": space.dist.tolist(),
+                                        "weights": space.weight.tolist()}))
+            argv += [flag, str(path)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+        else:
+            assert code == 0, err.getvalue()
+            assert json.loads(Path(tmp, "dec.json").read_text())["all_certificates_pass"]

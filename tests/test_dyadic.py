@@ -6,6 +6,7 @@ import pytest
 
 from prodhardy import (build_haar, build_net, build_system, dilate_cube, export_system,
                        import_system, verify_system)
+from prodhardy.dyadic import _build_net_by_point
 
 from conftest import line_space
 
@@ -23,6 +24,17 @@ def test_net_greedy_hand_simulation(canon):
 def test_net_finest_scale_takes_everything(canon):
     # radius 0.5: all pairwise distances >= 1
     assert build_net(canon, 0.5, 1, []) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("k,seed,order", [
+    (1100, [1], None),            # delta^k underflows to 0: every point joins once
+    (1100, [], [2, 2, 1]),
+    (0, [], [3, 3, 0, 3]),        # a repeated candidate joins once
+    (-1, [3], [2, 1, 0]),
+])
+def test_net_edge_cases_equal_the_per_point_scan(canon, k, seed, order):
+    assert (build_net(canon, 0.5, k, seed, order)
+            == _build_net_by_point(canon, 0.5, k, seed, order))
 
 
 def test_net_rejects_unseparated_seed(canon):

@@ -1,6 +1,7 @@
 """Property tests: a dyadic system's cube tree against a walk up each
 point's parent chain, and its measured constants and ball certificates
-against the per-cube loops kept beside them in ``dyadic``.
+against the per-cube loops kept beside them in ``dyadic``, and its greedy
+nets against the per-point scan.
 
 ``C0_measured``, ``inner_tight``, ``outer_tight`` and both certificate
 booleans of ``verify_system`` must equal the oracles bit for bit.  Spaces
@@ -14,10 +15,10 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prodhardy import build_system, make_space, verify_system
+from prodhardy import build_net, build_system, make_space, verify_system
 from prodhardy import dyadic as dyadic_mod
-from prodhardy.dyadic import (_certificates_by_cube, _covering_constant_by_net,
-                              _tight_constants_by_cube)
+from prodhardy.dyadic import (_build_net_by_point, _certificates_by_cube,
+                              _covering_constant_by_net, _tight_constants_by_cube)
 
 from strategies import CHECK, spaces
 
@@ -56,6 +57,21 @@ def clouds(draw):
     dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
     np.fill_diagonal(dist, 0.0)
     return make_space(dist ** draw(st.sampled_from([1.0, 1.5])))
+
+
+@CHECK
+@given(st.one_of(spaces(), clouds()), st.sampled_from([0.25, 0.5, 0.9]),
+       st.sampled_from([None, 0, 3]), st.booleans())
+def test_nets_equal_the_per_point_scan(space, delta, order_seed, seeded):
+    # every level of build_system's chain, each net seeded with the one
+    # above it or from scratch, in id order or a permuted order
+    system = build_system(space, delta, order_seed=order_seed)
+    order = (None if order_seed is None
+             else list(np.random.default_rng(order_seed).permutation(space.n)))
+    for k in system.levels():
+        seed = system.nets[k - 1] if seeded and k > system.k_min else []
+        net = build_net(space, delta, k, seed_net=seed, order=order)
+        assert net == _build_net_by_point(space, delta, k, seed_net=seed, order=order)
 
 
 @CHECK

@@ -145,6 +145,44 @@ def test_load_space_rejects(doc, msg):
         load_space(doc)
 
 
+def _points(*coords, **extra):
+    return {"points": [{"coords": list(c)} for c in coords], **extra}
+
+
+@pytest.mark.parametrize("doc,msg", [
+    (_points([0.0], [math.inf], [1.0]), r"points\[1\]\.coords\[0\] = inf is not finite"),
+    (_points([0.0, 1.0], [2.0, math.nan]), r"points\[1\]\.coords\[1\] = nan is not finite"),
+    ('{"points": [{"coords": [-Infinity]}]}', r"points\[0\]\.coords\[0\] = -inf is not finite"),
+    (_points([0.0], ["a"]), r"points\[1\]\.coords: expected a nonempty list of numbers"),
+    (_points([], []), r"points\[0\]\.coords: expected a nonempty list of numbers"),
+    (_points([[0.0, 1.0]]), r"points\[0\]\.coords: expected a nonempty list of numbers"),
+    # squares, sums and differences that overflow, and a snowflake power
+    (_points([0.0], [1.0], [1e200]), r"points\[0\] and points\[2\]: their distance overflows"),
+    (_points([0.0, 1e155], [1.0, -1e155], metric="euclidean"),
+     r"points\[0\] and points\[1\]: their distance overflows"),
+    (_points([1e308, 0.0], [-1e308, 0.0], metric="manhattan"),
+     r"points\[0\] and points\[1\]: their distance overflows"),
+    (_points([1e308], [0.0], [-1e308], metric="chebyshev"),
+     r"points\[0\] and points\[2\]: their distance overflows"),
+    (_points([0.0], [1e200], metric="chebyshev", snowflake=2.0),
+     r"points\[0\] and points\[1\]: their distance overflows"),
+    ({"matrix": [[0.0, 1e200], [1e200, 0.0]], "snowflake": 2.0},
+     r"matrix\[0\]\[1\] = inf is not finite"),
+    # a weight or a matrix that is no number: named, not a NumPy or float() text
+    ({"points": [{"coords": [0.0]}, {"coords": [1.0], "weight": None}]},
+     r"points\[1\]\.weight: None is not a number"),
+    ({"points": [{"coords": [0.0], "weight": "x"}]}, r"points\[0\]\.weight: 'x' is not a number"),
+    ({"matrix": [[0.0, 1.0], [1.0]]}, r"matrix: expected a list of equal-length rows of numbers"),
+    ({"matrix": [[0.0, 1.0], [1.0, 0.0]], "weights": ["x", 1.0]}, r"weights: expected a list of 2 numbers"),
+    ({"matrix": [[0.0, 1.0], [1.0, 0.0]], "snowflake": "x"}, r"snowflake: exponent 'x' is not"),
+    (_points([0.0], [1.0], metric=["euclidean"]), r"metric: unknown metric \['euclidean'\]"),
+])
+def test_load_space_names_a_bad_entry(doc, msg):
+    # named before NumPy can warn: the suite turns RuntimeWarnings into errors
+    with pytest.raises(SpaceValidationError, match=msg):
+        load_space(doc)
+
+
 @pytest.mark.parametrize("dist,weight,msg", [
     ([[0.0, math.inf], [math.inf, 0.0]], None, r"matrix\[0\]\[1\] = inf is not finite"),
     ([[0.0, 1.0], [1.0, 0.0]], [1.0, math.inf], r"weights\[1\] = inf is not finite"),
@@ -166,8 +204,9 @@ def test_load_space_invalid_json_is_line_precise():
 
 
 def test_snowflake_rejects_bad_exponent():
-    with pytest.raises(SpaceValidationError, match="snowflake"):
-        load_space({"matrix": [[0.0, 1.0], [1.0, 0.0]], "snowflake": -1})
+    for s in (-1, 0, math.nan, math.inf, 10 ** 400, True):
+        with pytest.raises(SpaceValidationError, match="snowflake"):
+            load_space({"matrix": [[0.0, 1.0], [1.0, 0.0]], "snowflake": s})
 
 
 def test_weighted_space():

@@ -12,13 +12,18 @@ center; with a constant decimal weight every center ties within the
 rounding margin, so the growth scan rescans them all.
 """
 
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from prodhardy import doubling_profile, make_space
+from prodhardy import dyadic as dyadic_mod
 from prodhardy import space as space_mod
+from prodhardy.cli import main
 from prodhardy.space import (_ball_radius_candidates, _doubling_constant_exhaustive,
                              _quasi_triangle_constant_exhaustive)
 
@@ -50,9 +55,9 @@ def circle(n):
 
 
 @st.composite
-def spaces(draw):
-    n = draw(st.one_of(st.integers(1, 2), st.integers(3, 12),
-                       st.sampled_from([63, 64, 65, 127, 128, 129])))
+def spaces(draw, sizes=st.one_of(st.integers(1, 2), st.integers(3, 12),
+                                 st.sampled_from([63, 64, 65, 127, 128, 129]))):
+    n = draw(sizes)
     kind = draw(st.sampled_from(["cloud", "snowflake", "tied-line", "matrix", "circle"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "matrix":
@@ -80,6 +85,35 @@ def spaces(draw):
 @given(spaces())
 def test_a0_equals_exhaustive(space):
     assert space.a0 == _quasi_triangle_constant_exhaustive(space.dist)
+
+
+@CHECK
+@given(spaces(st.integers(1, 40)), st.sampled_from([1, 64, 400, 2000]))
+def test_a0_tiles_equal_exhaustive(space, tile):
+    # tiles of 1 x 1 up to 10 x 20 pairs: partial tiles at the edges, and
+    # tiles across the diagonal whose x = y pairs must be left out
+    with mock.patch.object(space_mod, "_A0_TILE", tile):
+        assert space_mod._quasi_triangle_constant(space.dist) == space.a0
+    assert space.a0 == _quasi_triangle_constant_exhaustive(space.dist)
+
+
+# The broadcast forms the per-axis metrics replace: their specification.
+BROADCAST = {
+    "euclidean": lambda p: np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(-1)),
+    "manhattan": lambda p: np.abs(p[:, None, :] - p[None, :, :]).sum(-1),
+    "chebyshev": lambda p: np.abs(p[:, None, :] - p[None, :, :]).max(-1),
+}
+
+
+@pytest.mark.parametrize("dim", [*range(1, 21), 130])
+@pytest.mark.parametrize("metric", sorted(BROADCAST))
+def test_metrics_equal_their_broadcast_form(metric, dim):
+    # coordinates over 8 decades, so each order of adding the axes rounds
+    # differently; 1..7 axes add one by one, 8..128 in 8 lanes, 130 in halves
+    rng = np.random.default_rng(dim)
+    p = rng.standard_normal((9, dim)) * 10.0 ** rng.uniform(-4, 4, (9, dim))
+    p[3] = p[5]                                  # a zero distance off the diagonal
+    assert space_mod._METRICS[metric](p).tobytes() == BROADCAST[metric](p).tobytes()
 
 
 @CHECK
@@ -123,12 +157,13 @@ def test_prefix_growth_equals_the_candidate_scan(space):
             assert row.tolist() == candidate_scan(space, lam)
 
 
-def test_fast_path_never_calls_the_oracles(monkeypatch):
-    def refuse(*args):
+def test_fast_path_never_calls_the_oracles(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
         raise AssertionError("fast path called an exhaustive oracle")
 
     monkeypatch.setattr(space_mod, "_quasi_triangle_constant_exhaustive", refuse)
     monkeypatch.setattr(space_mod, "_doubling_constant_exhaustive", refuse)
+    monkeypatch.setattr(dyadic_mod, "_build_net_by_point", refuse)
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.0, 1.0, (70, 2))
     dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1)) ** 1.5
@@ -136,6 +171,12 @@ def test_fast_path_never_calls_the_oracles(monkeypatch):
     sp = make_space(dist, 10.0 ** rng.uniform(-6, 6, 70))
     doubling_profile(sp)
     assert sp.a0 > 1.0 and sp.cmu > 1.0
+    # a build of a cloud document: load_space, make_space and build_system
+    doc = {"metric": "euclidean", "snowflake": 1.5,
+           "points": [{"id": i, "coords": c.tolist()} for i, c in enumerate(pts)]}
+    (tmp_path / "cloud.json").write_text(json.dumps(doc))
+    assert main(["build", "--space", str(tmp_path / "cloud.json"), "--delta", "0.25",
+                 "--out", str(tmp_path / "build.json")]) == 0
 
 
 def test_a_circle_with_decimal_weights_rescans_every_center(monkeypatch):
