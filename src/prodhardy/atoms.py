@@ -28,11 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .journe import MaximalRectangleFamily, _family, _level_drops, majority_matrix, tau
+from .journe import MaximalRectangleFamily, _family, _level_drops, _majority, tau
 from .maximal import (OpenSet, containment_matrix, ell_enlarge, enlarge, epsilon0,
                       growth_factor, level_sets)
-from .product import (SUM_BATCH, ProductSpace, _mean_zero, cell_scale, hp_seminorm,
-                      product_transform, square_function, stack_slices)
+from .product import (ProductCoefficients, ProductSpace, _mean_zero, _ordered_sums, _outer_sum,
+                      _run_starts, cell_scale, hp_seminorm, product_transform, square_function,
+                      stack_slices)
 from .wavelet import building_blocks
 
 
@@ -84,11 +85,13 @@ class AtomicDecomposition:
         return out
 
 
-def _cancels(w1: np.ndarray, w2: np.ndarray, vals: np.ndarray, tol: float) -> bool:
+def _cancels(w1: np.ndarray, w2: np.ndarray, vals: np.ndarray, tol: float):
     """Each column's |int a dmu1| and each row's |int a dmu2| is at most
-    ``tol`` times that column's or row's own int |a|."""
-    return not ((np.abs(w1 @ vals) > tol * (w1 @ np.abs(vals))).any()
-                or (np.abs(vals @ w2) > tol * (np.abs(vals) @ w2)).any())
+    ``tol`` times that column's or row's own int |a|: a bool for one grid,
+    an array for each grid of a stack."""
+    mag = np.abs(vals)
+    return ~((np.abs(w1 @ vals) > tol * (w1 @ mag)).any(axis=-1)
+             | (np.abs(vals @ w2) > tol * (mag @ w2)).any(axis=-1))
 
 
 def _recancelled(pspace: ProductSpace, vals: np.ndarray) -> np.ndarray:
@@ -151,29 +154,6 @@ def _block_stack(pspace: ProductSpace, factor: int, gamma: float) -> tuple[np.nd
     return pspace.memoized(("blocks", factor, gamma), build)
 
 
-def _outer_sum(s: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_k s[k] outer(u[k], v[k]), added in k order from zero: the same
-    floats as the loop acc = acc + s[k] * np.outer(u[k], v[k]).
-
-    The terms are stacked at most SUM_BATCH entries at a time, slice 0 of
-    each stack holding the running sum.  Reducing over the leading axis of
-    a C-ordered stack adds its slices one after another: NumPy sums pairwise
-    only along the inner loop, which here runs over the grid's entries (a
-    grid that carries terms has at least two points per factor).
-    """
-    n1, n2 = u.shape[1], v.shape[1]
-    step = max(1, SUM_BATCH // (n1 * n2) - 1)
-    acc = np.zeros((n1, n2))
-    for lo in range(0, len(s), step):
-        hi = min(lo + step, len(s))
-        stack = np.empty((hi - lo + 1, n1, n2))
-        stack[0] = acc
-        np.multiply(u[lo:hi, :, None], v[lo:hi, None, :], out=stack[1:])
-        stack[1:] *= s[lo:hi, None, None]
-        acc = np.add.reduce(stack, axis=0)
-    return acc
-
-
 def _budget_measure(view: ProductSpace, omega_t: OpenSet, ell1: int, ell2: int) -> float:
     """(1 + l1 w1 + l2 w2) 2^(l1 w1 + l2 w2) mu(Omega~), the (l1, l2) atom budget's measure."""
     return growth_factor(view, ell1, ell2) * omega_t.measure
@@ -198,6 +178,24 @@ def _boxes(view: ProductSpace, ell1: int, ell2: int):
     return lams, tuple(s.dilate_matrix(lam) for s, lam in zip(view.systems, lams))
 
 
+def _gammas(pspace: ProductSpace, p: float, q: float, gamma1: float | None,
+            gamma2: float | None) -> tuple[float, float]:
+    """gamma1 and gamma2 (None: unit slack), once p, q and they are checked."""
+    if not 0 < p <= 1:
+        raise ValueError("p must lie in (0, 1]")
+    if not 1 < q < math.inf:                 # each comparison fails on NaN
+        raise ValueError(f"q must be a finite number above 1, got {q!r}")
+    qprime = q / (q - 1.0)
+    lo1, lo2 = (x.omega * (1.0 / p + 1.0 / qprime) for x in (pspace.x1, pspace.x2))
+    gamma1 = lo1 + 1.0 if gamma1 is None else gamma1
+    gamma2 = lo2 + 1.0 if gamma2 is None else gamma2
+    if not (lo1 < gamma1 < math.inf and lo2 < gamma2 < math.inf):
+        raise ValueError(
+            f"gamma constraint violated: need finite gamma1 > {lo1:.6g} and gamma2 > {lo2:.6g}, "
+            f"got ({gamma1:.6g}, {gamma2:.6g})")
+    return gamma1, gamma2
+
+
 def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
                      gamma1: float | None = None, gamma2: float | None = None
                      ) -> AtomicDecomposition:
@@ -211,120 +209,234 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
 
     with r = q for q >= 2 and r = 2 for 1 < q < 2, and the atom is the
     block sum over B_j divided by lambda.  Terms assemble back to f exactly
-    up to floating point (finite telescoping).
+    up to floating point (finite telescoping).  A product with a one-point
+    factor has no wavelet pairs, so there f gets no terms, and a nonzero f
+    a residual of 1.
     """
-    if not 0 < p <= 1:
-        raise ValueError("p must lie in (0, 1]")
-    if not 1 < q < math.inf:                 # each comparison fails on NaN
-        raise ValueError(f"q must be a finite number above 1, got {q!r}")
-    qprime = q / (q - 1.0)
-    lo1, lo2 = (x.omega * (1.0 / p + 1.0 / qprime) for x in (pspace.x1, pspace.x2))
-    gamma1 = lo1 + 1.0 if gamma1 is None else gamma1     # default: unit slack
-    gamma2 = lo2 + 1.0 if gamma2 is None else gamma2
-    if not (lo1 < gamma1 < math.inf and lo2 < gamma2 < math.inf):
-        raise ValueError(
-            f"gamma constraint violated: need finite gamma1 > {lo1:.6g} and gamma2 > {lo2:.6g}, "
-            f"got ({gamma1:.6g}, {gamma2:.6g})")
-
+    gammas = _gammas(pspace, p, q, gamma1, gamma2)
     f = np.asarray(f, dtype=float)
-    coeffs = product_transform(pspace, f)
-    norms = coeffs.channel_norms()
-    fscale = max(norms.values())
-    if fscale > 0 and max(norms["ws"], norms["sw"], norms["ss"]) > 1e-10 * fscale:
-        raise ChannelError(norms)
+    if f.ndim != 2:
+        raise ValueError(f"expected one grid of shape {pspace.shape}, got shape {f.shape}")
+    return _records(pspace, _decompose_stack(pspace, f[None], p, q, gammas), 0, p, q, gammas)
 
-    dec = AtomicDecomposition(terms=[], p=p, q=q, gammas=(gamma1, gamma2),
-                              residual=0.0)
-    cw = coeffs.ww
-    cmax = float(np.abs(cw).max(initial=0.0))
-    if cmax == 0.0 and not f.any():
-        dec.report = {"n_terms": 0, "lam_sum": 0.0, "sf_p_norm": 0.0}
-        return dec
-    if not np.finfo(float).tiny <= cmax * cmax < math.inf:
-        raise ValueError(f"largest wavelet coefficient {cmax!r} has no finite normal "
-                         "square; rescale the function or the weights")
-    live = np.argwhere(np.abs(cw) > COEFF_TOL * cmax)
 
+def _records(pspace: ProductSpace, stack: tuple, k: int, p: float, q: float,
+             gammas: tuple[float, float]) -> AtomicDecomposition:
+    """Function k's decomposition, records and all, from ``_decompose_stack``'s arrays."""
+    terms, avals, vals, residual, reports = stack
+    lo = sum(r["n_terms"] for r in reports[:k])
+    out = []
+    for (omega, (jj, l1, l2), lam_raw, weight, keys, u), values in zip(
+            terms[lo:lo + reports[k]["n_terms"]], avals[lo:]):
+        atom = ProductAtom(values=values, omega=omega, ell1=l1, ell2=l2, p=p, q=q,
+                           grids=pspace.systems,
+                           rectangle_atoms=dict(zip(keys, vals[u:u + len(keys)])))
+        out.append(DecompositionTerm(lam=weight * lam_raw, lam_raw=lam_raw, weight=weight,
+                                     atom=atom, provenance=(jj, l1, l2)))
+    return AtomicDecomposition(terms=out, p=p, q=q, gammas=gammas, residual=residual[k],
+                               report=reports[k])
+
+
+def _decompose_stack(pspace: ProductSpace, fs: np.ndarray, p: float, q: float,
+                     gammas: tuple[float, float]) -> tuple:
+    """The decompositions of each grid of the stack fs (k, n1, n2), with the
+    floats of one grid's, as arrays: (terms, atoms, rectangle atoms,
+    residuals, reports).  Terms go by function, then cell; term t is
+    (Omega_j, (j, l1, l2), lambda_raw, weight, its rectangle keys, the row
+    of its first rectangle atom) and its atom is atoms[t].
+
+    The passes are stacked: one transform, square function and half test
+    for the stack; one ordered sum over every (function, j) shell's
+    restricted square function, one over every (function, j, l1, l2,
+    rectangle) unit's rectangle atom, one over each cell's atom and one over
+    each function's reconstruction; one cancellation test and one max-|a|
+    test over all units and cells.
+    """
+    gamma1, gamma2 = gammas
+    coeffs = product_transform(pspace, fs)
+    busy = _checked(pspace, fs, coeffs)
+    fq = pspace.lq_norm(fs, q).tolist()
+    empty = {"n_terms": 0, "lam_sum": 0.0, "sf_p_norm": 0.0}
+    if not busy.any():          # no terms: the reconstruction is 0, and ||0 - f|| = ||f||
+        none = np.zeros((0, *pspace.shape))
+        return [], none, none, [1.0 if v > 0 else 0.0 for v in fq], [dict(empty) for _ in fs]
     sf = square_function(pspace, coeffs)
-    fam, _ = level_sets(pspace, sf)
-    b1, b2 = pspace.bases
+    fams = {k: level_sets(pspace, sf[k])[0] for k in np.flatnonzero(busy).tolist()}
+    fn, ii, jw, rows, cols, j_of = _classified(pspace, coeffs.ww, busy, fams)
     s1, s2 = pspace.systems
-    rows, cols = b1.cube_rows[live[:, 0]], b2.cube_rows[live[:, 1]]
+    new = _run_starts(fn, j_of)
+    shell = np.cumsum(new) - 1                  # shells: the pairs of one (function, j)
+    shells = list(zip(fn[new].tolist(), j_of[new].tolist()))
+    pools = [_pool(pspace, fams[k].sets[jj]) for k, jj in shells]
+    group = _covering(pspace, pools, shell, rows, cols)
 
-    # B_j: the last level set on which the pair's rectangle keeps its majority
-    j_of = np.full(len(live), fam.j_lo - 1)
-    for jj in fam.js():
-        j_of[majority_matrix(pspace, fam.sets[jj])[rows, cols]] = jj
-    if (j_of < fam.j_lo).any():
-        raise AssertionError("nonzero-coefficient rectangle escaped classification")
+    # c ** 2 on scalars is C pow; an array's ** 2 is c * c, which can
+    # differ from it in the last bit
+    cs = coeffs.ww[fn, ii, jw]
+    sq = np.array([c ** 2 for c in cs.tolist()])
+    sfb2 = _outer_sum(sq / (s1.measures[rows] * s2.measures[cols]), s1.incidence, rows,
+                      s2.incidence, cols, np.bincount(shell))
+    r = q if q >= 2 else 2.0
+    sfb_norm = pspace.lq_norm(np.sqrt(sfb2), r)
 
     nb1, kphi1 = _block_stack(pspace, 0, gamma1)
     nb2, kphi2 = _block_stack(pspace, 1, gamma2)
-    sf_p = float(((sf ** p) * pspace.weights).sum())
-    recon = np.zeros(pspace.shape)
-    r = q if q >= 2 else 2.0
+    (pair, ell1, ell2, cell), cells, (unit_sizes, unit_cell, unit_rect) = _cell_units(
+        shell, group, np.where(sfb_norm[shell] != 0.0, nb1[ii] * nb2[jw], 0), nb2[jw])
+    sfb_norm = sfb_norm.tolist()
+    lam_raw = [cell_scale(pspace, l1, l2) * sfb_norm[t]
+               * _budget_measure(pspace, pools[t][1], l1, l2) ** (1.0 / p - 1.0 / r)
+               for t, l1, l2 in cells]
+    vals = _outer_sum(cs[pair] / np.array(lam_raw)[cell],
+                      kphi1.reshape(-1, pspace.x1.n), ii[pair] * kphi1.shape[1] + ell1,
+                      kphi2.reshape(-1, pspace.x2.n), jw[pair] * kphi2.shape[1] + ell2,
+                      unit_sizes)
+    for u in np.flatnonzero(~_cancels(pspace.x1.weight, pspace.x2.weight, vals, 1e-12)):
+        vals[u] = _recancelled(pspace, vals[u])
+    rects = np.bincount(unit_cell, minlength=len(cells))
+    avals = _ordered_sums(rects, pspace.shape,
+                          lambda idx, out: np.take(vals, idx, axis=0, out=out))
 
-    for jj in sorted(set(j_of.tolist())):
-        sel = j_of == jj
-        ii, jw, ra, rb = live[sel, 0], live[sel, 1], rows[sel], cols[sel]
-        cs = cw[ii, jw]
-        omega_j = fam.sets[jj]
-        eps0, omega_t, family = _pool(pspace, omega_j)
-        escaped = ~containment_matrix(pspace, omega_t)[ra, rb]
+    kept = np.flatnonzero(np.abs(avals).max(axis=(1, 2), initial=0.0) != 0.0)
+    if len(kept) < len(avals):
+        avals = avals[kept]
+    first_rect = (np.cumsum(rects) - rects).tolist()
+    terms, lams, fn_of = [], [], []
+    for c in kept.tolist():
+        t, l1, l2 = cells[c]
+        k, jj = shells[t]
+        m_all, u = pools[t][2].m_all, first_rect[c]
+        weight = 2.0 ** (-l1 * gamma1 - l2 * gamma2)
+        terms.append((fams[k].sets[jj], (jj, l1, l2), lam_raw[c], weight,
+                      [m_all[g] for g in unit_rect[u:u + rects[c]]], u))
+        lams.append(weight * lam_raw[c])
+        fn_of.append(k)
+
+    n_terms = np.bincount(fn_of, minlength=len(fs)).tolist()
+    lam_arr = np.array(lams)
+    recon = _ordered_sums(n_terms, pspace.shape,
+                          lambda idx, out: np.multiply(lam_arr[idx][..., None, None],
+                                                       avals[idx], out=out))
+    err = pspace.lq_norm(recon - fs, q).tolist()
+    residual = [e / v if v > 0 else 0.0 for e, v in zip(err, fq)]
+    sf_p = ((sf ** p) * pspace.weights).sum(axis=(1, 2)).tolist()
+    eps0 = {k: pool[0] for (k, _), pool in zip(shells, pools)}
+    reports, at = [], 0
+    for k, n in enumerate(n_terms):
+        lam_sum = sum(abs(lam) ** p for lam in lams[at:at + n])
+        at += n
+        reports.append({
+            "n_terms": n,
+            "lam_sum": lam_sum,
+            "sf_p_norm": sf_p[k],
+            "lam_sum_constant": lam_sum / sf_p[k] if sf_p[k] > 0 else 0.0,
+            "epsilon0": eps0[k],
+            "gammas": gammas,
+        } if k in fams else dict(empty))
+    return terms, avals, vals, residual, reports
+
+
+def _checked(pspace: ProductSpace, fs: np.ndarray, coeffs: ProductCoefficients) -> np.ndarray:
+    """Which grids of the stack get terms, after each grid's input checks:
+    the mixed channels against ||f|| (Parseval), which does not vanish with
+    them, and a finite normal square of the largest wavelet coefficient.
+
+    The channels of a mean over one point are the function itself, whose
+    centring leaves the rounding of what was centred, so they are not
+    tested; a product with a one-point factor has no wavelet pairs, and
+    its functions get no terms (a nonzero one keeps a residual of 1).
+    """
+    norms = coeffs.channel_norms()
+    cmax = np.abs(coeffs.ww).max(axis=(1, 2), initial=0.0).tolist()
+    tested = [c for c, n in (("ws", pspace.x2.n), ("sw", pspace.x1.n), ("ss", 2)) if n > 1]
+    busy = np.zeros(len(fs), dtype=bool)
+    for k, f in enumerate(fs):
+        one = {c: float(v[k]) for c, v in norms.items()}
+        if max(one[c] for c in tested) > 1e-10 * math.hypot(*one.values()):
+            raise ChannelError(one)
+        busy[k] = coeffs.ww[k].size > 0 and f.any()
+        if busy[k] and not np.finfo(float).tiny <= cmax[k] * cmax[k] < math.inf:
+            raise ValueError(f"largest wavelet coefficient {cmax[k]!r} has no finite normal "
+                             "square; rescale the function or the weights")
+    return busy
+
+
+def _classified(pspace: ProductSpace, cw: np.ndarray, busy: np.ndarray, fams: dict):
+    """Each busy function's live pairs (function, i, j) with their cube rows
+    and B_j, in shell order: by function, then j, then as argwhere lists them.
+
+    A pair is live when its coefficient is above COEFF_TOL of its
+    function's largest; its B_j is its function's last level set on which
+    the pair's rectangle keeps its majority, from one half test over every
+    function's level sets.
+    """
+    cmax = np.abs(cw).max(axis=(1, 2), initial=0.0)
+    fn, ii, jw = np.nonzero((np.abs(cw) > COEFF_TOL * cmax[:, None, None]) & busy[:, None, None])
+    rows, cols = pspace.bases[0].cube_rows[ii], pspace.bases[1].cube_rows[jw]
+    passes = _majority(pspace, np.array([fam.sets[jj].mask for fam in fams.values()
+                                         for jj in fam.js()]))
+    j_of = np.empty(len(fn), dtype=int)
+    at = 0
+    for k, fam in fams.items():
+        js = np.array(fam.js())
+        lo, hi = np.searchsorted(fn, (k, k + 1)).tolist()
+        hit = passes[at:at + len(js), rows[lo:hi], cols[lo:hi]]      # (set, pair) of function k
+        at += len(js)
+        if not hit.any(axis=0).all():
+            raise AssertionError("nonzero-coefficient rectangle escaped classification")
+        j_of[lo:hi] = js[len(js) - 1 - hit[::-1].argmax(axis=0)]
+    order = np.lexsort((j_of, fn))
+    return tuple(a[order] for a in (fn, ii, jw, rows, cols, j_of))
+
+
+def _covering(pspace: ProductSpace, pools: list, shell: np.ndarray, rows: np.ndarray,
+              cols: np.ndarray) -> np.ndarray:
+    """Each pair's covering rectangle (tau's position in its shell's family),
+    once its rectangle is checked to lie in its shell's enlargement; shells
+    with one enlargement (so one family) are handled together."""
+    alike: dict = {}
+    for t, (_, omega_t, _) in enumerate(pools):
+        alike.setdefault(omega_t.key(), []).append(t)
+    group = np.zeros(len(shell), dtype=int)
+    for ts in alike.values():
+        sel = np.flatnonzero(np.isin(shell, ts))
+        _, omega_t, family = pools[ts[0]]
+        escaped = ~containment_matrix(pspace, omega_t)[rows[sel], cols[sel]]
         if escaped.any():
-            at = escaped.argmax()
-            key = s1.keys(ra[at:at + 1])[0] + s2.keys(rb[at:at + 1])[0]
+            at = sel[escaped.argmax()]
+            s1, s2 = pspace.systems
+            key = s1.keys(rows[at:at + 1])[0] + s2.keys(cols[at:at + 1])[0]
             raise AssertionError(f"classified rectangle {key} escapes the enlargement")
+        group[sel] = tau(pspace, family, rows[sel], cols[sel])
+    return group
 
-        group = tau(pspace, family, ra, rb)          # each pair's covering rectangle
 
-        # c ** 2 on scalars is C pow, as before; an array's ** 2 is c * c,
-        # which can differ in the last bit
-        sq = np.array([c ** 2 for c in cs.tolist()])
-        sfb2 = _outer_sum(sq / (s1.measures[ra] * s2.measures[rb]), s1.incidence[ra],
-                          s2.incidence[rb])
-        sfb_norm = pspace.lq_norm(np.sqrt(sfb2), r)
-        if sfb_norm == 0.0:
-            continue
-        for ell1 in range(nb1[ii].max()):
-            for ell2 in range(nb2[jw].max()):
-                cell = np.flatnonzero((nb1[ii] > ell1) & (nb2[jw] > ell2))
-                if not len(cell):
-                    continue
-                lam_raw = (cell_scale(pspace, ell1, ell2) * sfb_norm
-                           * _budget_measure(pspace, omega_t, ell1, ell2) ** (1.0 / p - 1.0 / r))
-                weight = 2.0 ** (-ell1 * gamma1 - ell2 * gamma2)
-                rect_atoms: dict = {}
-                for g in dict.fromkeys(group[cell].tolist()):     # first seen first
-                    k = cell[group[cell] == g]
-                    vals = _outer_sum(cs[k] / lam_raw, kphi1[ii[k], ell1], kphi2[jw[k], ell2])
-                    rect_atoms[family.m_all[g]] = _recancelled(pspace, vals)
-                avals = np.zeros(pspace.shape)
-                for v in rect_atoms.values():
-                    avals += v
-                if np.abs(avals).max() == 0.0:
-                    continue
-                atom = ProductAtom(values=avals, omega=omega_j, ell1=ell1, ell2=ell2,
-                                   p=p, q=q, grids=pspace.systems,
-                                   rectangle_atoms=rect_atoms)
-                term = DecompositionTerm(lam=weight * lam_raw, lam_raw=lam_raw,
-                                         weight=weight, atom=atom,
-                                         provenance=(jj, ell1, ell2))
-                dec.terms.append(term)
-                recon += term.lam * avals
+def _cell_units(shell: np.ndarray, group: np.ndarray, per_pair: np.ndarray,
+                n2b: np.ndarray):
+    """The terms of every (shell, l1, l2) cell, split into units.
 
-    fq = pspace.lq_norm(f, q)
-    dec.residual = pspace.lq_norm(recon - f, q) / fq if fq > 0 else 0.0
-    lam_sum = dec.lam_sum()
-    dec.report = {
-        "n_terms": len(dec.terms),
-        "lam_sum": lam_sum,
-        "sf_p_norm": sf_p,
-        "lam_sum_constant": lam_sum / sf_p if sf_p > 0 else 0.0,
-        "epsilon0": eps0,
-        "gammas": (gamma1, gamma2),
-    }
-    return dec
+    Pair k has per_pair[k] = n1b[k] n2b[k] terms (or none), one in each cell
+    with l1 < n1b[k] and l2 < n2b[k].  Cells go by shell, l1, then l2; a
+    cell's units are its pairs of one covering rectangle (``group``), first
+    seen first, each keeping its pairs in order.  Returns each term's
+    (pair, l1, l2, cell), each cell's (shell, l1, l2) and each unit's
+    (size, cell, rectangle).
+    """
+    pair = np.repeat(np.arange(len(shell)), per_pair)
+    nth = np.arange(len(pair)) - np.repeat(np.cumsum(per_pair) - per_pair, per_pair)
+    ell1, ell2 = nth // n2b[pair], nth % n2b[pair]
+    order = np.lexsort((ell2, ell1, shell[pair]))
+    pair, ell1, ell2 = pair[order], ell1[order], ell2[order]
+    new = _run_starts(shell[pair], ell1, ell2)
+    cell = np.cumsum(new) - 1
+    cells = list(zip(shell[pair][new].tolist(), ell1[new].tolist(), ell2[new].tolist()))
+    _, seen, inverse = np.unique(cell * (group.max() + 1) + group[pair], return_index=True,
+                                 return_inverse=True)
+    order = np.argsort(seen[inverse], kind="stable")
+    pair, ell1, ell2, cell = pair[order], ell1[order], ell2[order], cell[order]
+    new = _run_starts(cell, group[pair])
+    return ((pair, ell1, ell2, cell), cells,
+            (np.bincount(np.cumsum(new) - 1), cell[new], group[pair][new].tolist()))
 
 
 def _view_on(pspace: ProductSpace, grids) -> ProductSpace:
@@ -466,10 +578,11 @@ def generate_atom(pspace: ProductSpace, rng, p: float, q: float,
                        grids=view.systems, rectangle_atoms=rect_atoms)
 
 
-def _stacked_hp(pspace: ProductSpace, grids: list, p: float) -> list[float]:
-    """``hp_seminorm`` of each grid, computed on stacks of at most SUM_BATCH entries."""
+def _stacked_hp(pspace: ProductSpace, grids, p: float) -> list[float]:
+    """``hp_seminorm`` of each grid of a list or stack, computed on stacks of
+    at most SUM_BATCH entries."""
     return [float(v) for s in stack_slices(pspace, len(grids))
-            for v in hp_seminorm(pspace, np.stack(grids[s]), p)]
+            for v in hp_seminorm(pspace, np.asarray(grids[s], dtype=float), p)]
 
 
 def equivalence_report(pspace: ProductSpace, corpus, p: float, q: float) -> dict:
@@ -483,20 +596,25 @@ def equivalence_report(pspace: ProductSpace, corpus, p: float, q: float) -> dict
     if not corpus:
         raise ValueError("empty corpus")
     hp = _stacked_hp(pspace, corpus, p)
+    gammas = _gammas(pspace, p, q, None, None)
     rows = []
-    for f, hp_f in zip(corpus, hp):
-        dec = atomic_decompose(pspace, f, p, q)
-        hp_p = hp_f ** p
-        lam_sum = dec.lam_sum()
-        sa_max = max(_stacked_hp(pspace, [t.atom.values for t in dec.terms], p), default=0.0)
-        rows.append({
-            "hp_p": hp_p,
-            "lam_sum": lam_sum,
-            "upper_ratio": lam_sum / hp_p if hp_p > 0 else 0.0,
-            "lower_ratio": hp_p / lam_sum if lam_sum > 0 else 0.0,
-            "residual": dec.residual,
-            "max_sa_p": sa_max,
-        })
+    for s in stack_slices(pspace, len(corpus)):
+        _, avals, _, residual, reports = _decompose_stack(
+            pspace, np.asarray(corpus[s], dtype=float), p, q, gammas)
+        sa = _stacked_hp(pspace, avals, p)
+        last = 0
+        for hp_f, res, rep in zip(hp[s], residual, reports):
+            hp_p = hp_f ** p
+            lam_sum = rep["lam_sum"]
+            sa_f, last = sa[last:last + rep["n_terms"]], last + rep["n_terms"]
+            rows.append({
+                "hp_p": hp_p,
+                "lam_sum": lam_sum,
+                "upper_ratio": lam_sum / hp_p if hp_p > 0 else 0.0,
+                "lower_ratio": hp_p / lam_sum if lam_sum > 0 else 0.0,
+                "residual": res,
+                "max_sa_p": max(sa_f, default=0.0),
+            })
     ups = [r["upper_ratio"] for r in rows if r["upper_ratio"] > 0]
     los = [r["lower_ratio"] for r in rows if r["lower_ratio"] > 0]
     return {

@@ -343,9 +343,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         mask = rng.random(pspace.shape) < 0.35
         if not mask.any():
             continue
-        om = OpenSet.from_mask(pspace, mask)
-        for d, key in ((0.5, "0.5"), (1.0, "1"), (2.0, "2")):
-            r = journe_check(pspace, om, d)
+        reports = journe_check(pspace, OpenSet.from_mask(pspace, mask), (0.5, 1.0, 2.0))
+        for key, r in zip(jc, reports):
             jc[key] = max(jc[key], r["C1"], r["C2"])
     checks["journe"] = {"max_constant": jc,
                         "exact_pass": all(math.isfinite(v) for v in jc.values())}

@@ -98,24 +98,30 @@ def majority_matrix(pspace: ProductSpace, omega: OpenSet) -> np.ndarray:
     sums exact, so none are.  (Summing the factor weights first would not
     do: 1e-3 and 1e3 have integer products but inexact factor sums.)
     """
+    return _majority(pspace, omega.mask)
+
+
+def _majority(pspace: ProductSpace, masks: np.ndarray) -> np.ndarray:
+    """``majority_matrix`` of each set of a stack of masks (..., n1, n2)."""
     s1, s2 = pspace.systems
     weights = pspace.weights
-    meas = s1.incidence @ np.where(omega.mask, weights, 0.0) @ s2.incidence.T
+    meas = s1.incidence @ np.where(masks, weights, 0.0) @ s2.incidence.T
     half = np.outer(s1.measures, s2.measures) / 2.0
     passes = meas > half
     if not _exact_sums(weights.ravel()):
         k = weights.size + sum(weights.shape)
         margin = 2.0 * k * (np.finfo(float).eps * meas + np.finfo(float).tiny)
-        for a, b in np.argwhere(np.abs(meas - half) <= margin):
-            passes[a, b] = _measure_in(pspace, omega, s1.incidence[a] > 0,
-                                       s2.incidence[b] > 0) > half[a, b]
+        for *lead, a, b in np.argwhere(np.abs(meas - half) <= margin):
+            passes[(*lead, a, b)] = _measure_in(pspace, masks[tuple(lead)], s1.incidence[a] > 0,
+                                                s2.incidence[b] > 0) > half[a, b]
     return passes
 
 
-def _measure_in(pspace: ProductSpace, omega: OpenSet, mask1, mask2) -> float:
-    """mu((Q1 x Q2) cap Omega) for member masks of Q1 and Q2, one rectangle at a time."""
+def _measure_in(pspace: ProductSpace, mask: np.ndarray, mask1, mask2) -> float:
+    """mu((Q1 x Q2) cap Omega) for Omega's mask and member masks of Q1 and Q2,
+    one rectangle at a time."""
     w = np.outer(pspace.x1.weight[mask1], pspace.x2.weight[mask2])
-    return float(w[omega.mask[np.ix_(mask1, mask2)]].sum())
+    return float(w[mask[np.ix_(mask1, mask2)]].sum())
 
 
 def stretch(pspace: ProductSpace, family: MaximalRectangleFamily,
@@ -156,8 +162,8 @@ def stretch_exhaustive(pspace: ProductSpace, omega: OpenSet,
         chain.append(system.cube(chain[-1].level - 1, chain[-1].parent))
     for cand in reversed(chain):         # coarsest first
         cand_mask = system.member_mask(*cand.id)
-        inter_measure = (_measure_in(pspace, omega, fixed_mask, cand_mask) if axis == 1
-                         else _measure_in(pspace, omega, cand_mask, fixed_mask))
+        inter_measure = (_measure_in(pspace, omega.mask, fixed_mask, cand_mask) if axis == 1
+                         else _measure_in(pspace, omega.mask, cand_mask, fixed_mask))
         if inter_measure > fixed_measure * cand.measure / 2.0:
             return cand
     raise AssertionError("rectangle inside Omega must satisfy its own half test")
@@ -189,27 +195,33 @@ def _level_drops(system: DyadicSystem, cubes, hats) -> list[int]:
     return (system.level_rows[cubes] - system.level_rows[hats]).tolist()
 
 
-def journe_check(pspace: ProductSpace, omega: OpenSet, delta_exp: float) -> dict:
-    """Weighted maximal-rectangle sums against mu(Omega) for w(t) = t^delta."""
-    if delta_exp <= 0:
-        raise ValueError("delta exponent must be positive")
+def journe_check(pspace: ProductSpace, omega: OpenSet, deltas) -> list[dict]:
+    """Weighted maximal-rectangle sums against mu(Omega) for w(t) = t^delta,
+    one report for each exponent delta of the sequence ``deltas`` (the
+    family's measures and level drops are read once)."""
+    deltas = list(deltas)
+    if not deltas or not all(d > 0 for d in deltas):
+        raise ValueError("delta exponents must be a nonempty sequence of positive numbers")
     if omega.measure <= 0:
         raise ValueError("omega must have positive measure")
     fam = _family(pspace, omega)
     s1, s2 = pspace.systems
     measures = (s1.measures[fam.rows] * s2.measures[fam.cols]).tolist()
-    # l(Q)/l(Q^) = delta^(level_Q - level_Q^) <= 1, one stretch map per direction;
-    # Python float sums in family order
-    l1 = sum(m * (s2.delta ** d) ** delta_exp
-             for m, d in zip(measures, _level_drops(s2, fam.cols, fam.hat2)))
-    l2 = sum(m * (s1.delta ** d) ** delta_exp
-             for m, d in zip(measures, _level_drops(s1, fam.rows, fam.hat1)))
-    return {
-        "delta": delta_exp,
-        "L1": l1,
-        "L2": l2,
-        "C1": l1 / omega.measure,
-        "C2": l2 / omega.measure,
-        "n_rectangles": len(fam.m_all),
-        "dilation_ratios": (s1.outer_eff / s1.inner_cert, s2.outer_eff / s2.inner_cert),
-    }
+    # l(Q)/l(Q^) = delta^(level_Q - level_Q^) <= 1, one stretch map per direction
+    ratios2 = [s2.delta ** d for d in _level_drops(s2, fam.cols, fam.hat2)]
+    ratios1 = [s1.delta ** d for d in _level_drops(s1, fam.rows, fam.hat1)]
+    reports = []
+    for d in deltas:
+        # Python float sums in family order
+        l1 = sum(m * r ** d for m, r in zip(measures, ratios2))
+        l2 = sum(m * r ** d for m, r in zip(measures, ratios1))
+        reports.append({
+            "delta": d,
+            "L1": l1,
+            "L2": l2,
+            "C1": l1 / omega.measure,
+            "C2": l2 / omega.measure,
+            "n_rectangles": len(fam.m_all),
+            "dilation_ratios": (s1.outer_eff / s1.inner_cert, s2.outer_eff / s2.inner_cert),
+        })
+    return reports

@@ -12,15 +12,18 @@ call: a matmul over a stack, a sum over the trailing axes of a C-ordered
 stack and an entrywise power act grid by grid, and each grid's final root
 stays a scalar power (an array power can differ in the last bit).  A norm of
 one grid is a float, of a stack an array; ``stack_slices`` cuts a corpus into
-stacks of at most SUM_BATCH entries.
+stacks of at most SUM_BATCH entries, and ``_ordered_sums`` runs many ordered
+sums of grids in shared passes of at most SUM_BATCH entries.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .space import FiniteSpace
 from .wavelet import BuildingBlockSet, WaveletBasis, build_haar
 
 MEMO_ENTRIES = 64            # values a ProductSpace keeps; the least recently used go first
-SUM_BATCH = 1 << 16          # grid entries per stacked pass (a corpus stack, atoms._outer_sum)
+SUM_BATCH = 1 << 16          # grid entries per stacked pass (a corpus stack, an ordered sum)
 
 
 class ProductSpace:
@@ -68,9 +71,12 @@ class ProductSpace:
     def shape(self) -> tuple[int, int]:
         return (self.x1.n, self.x2.n)
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        return np.outer(self.x1.weight, self.x2.weight)
+        """The product measure's weight grid, built once and read-only."""
+        w = np.outer(self.x1.weight, self.x2.weight)
+        w.flags.writeable = False
+        return w
 
     def total_measure(self) -> float:
         return self.x1.total_measure * self.x2.total_measure
@@ -113,6 +119,77 @@ def stack_slices(pspace: ProductSpace, k: int) -> list[slice]:
     return [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
 
 
+def _ordered_sums(sizes, shape: tuple[int, int], fill) -> np.ndarray:
+    """out[i] = the sizes[i] terms of unit i added one after another from
+    +0.0, for units whose terms are numbered consecutively, unit by unit;
+    ``fill(idx, out)`` writes the terms numbered ``idx`` (a (k, a) array)
+    into ``out`` (k, a, n1, n2).
+
+    Units go longest first, in chunks narrow enough that a pass can add
+    three terms per unit (on a large grid, copying the running sums into a
+    pass is then at most a quarter of its traffic).  Each pass stacks the
+    running sums of the chunk's units that still have terms as slice 0 and
+    their next terms after it, at most SUM_BATCH entries and no further than
+    the shortest of them reaches, and reduces over the leading axis: NumPy
+    adds the slices of a C-ordered stack one after another, summing pairwise
+    only along the inner loop, here the units' grid entries (a grid that
+    carries terms has at least two points per factor).  ``np.add.reduceat``
+    would sum each unit's run pairwise, in other floats.  The passes are
+    planned first, so one scratch stack per call fits the largest; a chunk's
+    sums are scattered into place once its last pass is done.
+    """
+    sizes = np.asarray(sizes, dtype=int)
+    grid = math.prod(shape)
+    order = np.argsort(-sizes, kind="stable")
+    firsts = (np.cumsum(sizes) - sizes)[order]
+    chunk = max(1, SUM_BATCH // (4 * grid))
+    plan = []          # (first unit, its passes: (units with terms left, terms done, terms added))
+    for lo in range(0, len(sizes), chunk):
+        left = (-sizes[order[lo:lo + chunk]]).tolist()      # ascending
+        steps, done = [], 0
+        while done < -left[0]:
+            a = bisect.bisect_left(left, -done)
+            k = min(max(1, SUM_BATCH // (a * grid) - 1), -left[a - 1] - done)
+            steps.append((a, done, k))
+            done += k
+        if steps:
+            plan.append((lo, steps))
+    out = np.zeros((len(sizes), *shape))
+    acc = np.empty((min(chunk, len(sizes)), *shape))      # one chunk's running sums
+    scratch = np.empty(max([(k + 1) * a * grid for _, steps in plan for a, _, k in steps],
+                           default=0))
+    for lo, steps in plan:
+        acc.fill(0.0)
+        for a, done, k in steps:
+            stack = scratch[:(k + 1) * a * grid].reshape(k + 1, a, *shape)
+            stack[0] = acc[:a]
+            fill(firsts[lo:lo + a] + np.arange(done, done + k)[:, None], stack[1:])
+            np.add.reduce(stack, axis=0, out=acc[:a])
+        out[order[lo:lo + steps[0][0]]] = acc[:steps[0][0]]
+    return out
+
+
+def _outer_sum(s: np.ndarray, u: np.ndarray, urows: np.ndarray, v: np.ndarray,
+               vrows: np.ndarray, sizes) -> np.ndarray:
+    """For each unit i, sum_k s[k] outer(u[urows[k]], v[vrows[k]]) over its
+    sizes[i] consecutive terms, added in k order from zero: the same floats
+    as the loop acc = acc + s[k] * np.outer(...), one unit after another.
+    The rows are read pass by pass."""
+    def fill(idx, out):
+        np.multiply(u[urows[idx]][..., :, None], v[vrows[idx]][..., None, :], out=out)
+        out *= s[idx][..., None, None]
+    return _ordered_sums(sizes, (u.shape[1], v.shape[1]), fill)
+
+
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """True at entry 0 and wherever any key differs from the entry before."""
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return new
+
+
 def double_center(pspace: ProductSpace, f: np.ndarray) -> np.ndarray:
     """Project onto doubly mean-zero functions (kills all non-ww channels)."""
     return _mean_zero(f, pspace.x1.weight, pspace.x2.weight)
@@ -150,18 +227,21 @@ class ProductCoefficients:
     def ss(self) -> np.ndarray:
         return self.matrix[..., self.n_wav[0]:, self.n_wav[1]:]
 
-    def channel_norms(self) -> dict[str, float]:
-        """L2 norm of each channel; squares that overflow are scaled down first."""
+    def channel_norms(self) -> dict[str, float | np.ndarray]:
+        """L2 norm of each channel, a float for one grid's coefficients and an
+        array for a stack's; squares that overflow are scaled down first."""
+        lead = self.matrix.shape[:-2]
         norms = {}
         for c in ("ww", "ws", "sw", "ss"):
             m = getattr(self, c)
+            m = m.reshape(math.prod(lead), *m.shape[-2:])
             with np.errstate(over="ignore"):
-                sq = (m ** 2).sum()
-            if sq == math.inf and np.isfinite(m).all():
-                big = float(np.abs(m).max())
-                norms[c] = big * math.sqrt(float(((m / big) ** 2).sum()))
-            else:
-                norms[c] = float(np.sqrt(sq))
+                norm = np.sqrt((m ** 2).sum(axis=(1, 2)))
+            for i in np.flatnonzero(norm == math.inf):
+                if np.isfinite(m[i]).all():
+                    big = float(np.abs(m[i]).max())
+                    norm[i] = big * math.sqrt(float(((m[i] / big) ** 2).sum()))
+            norms[c] = norm.reshape(lead) if lead else float(norm[0])
         return norms
 
     def entries(self, pspace: ProductSpace, tol: float = 0.0):

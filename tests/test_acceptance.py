@@ -178,15 +178,13 @@ def test_criterion_6_journe(pspace8):
             continue
         n_checked += 1
         om = OpenSet.from_mask(pspace8, mask)
-        for d in worst:
-            rep = journe_check(pspace8, om, d)
+        for d, rep in zip(list(worst), journe_check(pspace8, om, worst)):
             worst[d] = max(worst[d], rep["C1"], rep["C2"])
     c1 = pspace8.systems[0].cube(-1, 0)
     c2 = pspace8.systems[1].cube(-1, 1)
     single = OpenSet.from_mask(pspace8, pspace8.rectangle_mask(c1, c2))
     single_ok = True
-    for d in worst:
-        rep = journe_check(pspace8, single, d)
+    for rep in journe_check(pspace8, single, worst):
         single_ok &= rep["C1"] <= 1.0 and rep["C2"] <= 1.0
     elapsed = time.time() - t0
     report(6, "Journe covering",

@@ -187,6 +187,68 @@ def test_one_point_factor_centers_to_zero_and_still_rejects(n):
             atomic_decompose(ps, np.ones(ps.shape), 1.0, 2.0)
 
 
+def test_hand_centred_function_on_a_one_point_factor_gets_no_terms():
+    # centring by the two weighted means written out leaves rounding of the
+    # uncentred draw, all of it in the mean over the one point (62 of these
+    # 300 draws keep some); measured against itself, that channel would fail
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        w = 10.0 ** rng.uniform(-2, 2, 3)
+        d = 10.0 ** rng.uniform(-2, 1)
+        one = make_space(np.zeros((1, 1)), w[:1])
+        two = make_space(np.array([[0.0, d], [d, 0.0]]), w[1:])
+        ps = ProductSpace(one, two)
+        g = rng.standard_normal(ps.shape)
+        f = g - (one.weight @ g)[None, :] / one.weight.sum()
+        f = f - (f @ two.weight)[:, None] / two.weight.sum()
+        dec = atomic_decompose(ps, f, 1.0, 2.0)
+        assert dec.terms == []
+        assert dec.residual == (1.0 if f.any() else 0.0)     # the residue is left over
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1), (1, 3), (3, 1)])
+def test_mass_over_a_one_point_factor_is_left_over_in_full(shape):
+    # centred along the factor of several points only, f is all in the mean
+    # over the one point, which no scale-free test tells from rounding: it
+    # gets no terms and a residual of 1, which `decompose` does not pass
+    rng = np.random.default_rng(5)
+    x1, x2 = (make_space(np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float),
+                         10.0 ** rng.uniform(-2, 2, n)) for n in shape)
+    ps = ProductSpace(x1, x2)
+    g = rng.standard_normal(ps.shape)
+    if shape[0] > 1:
+        f = g - (x1.weight @ g)[None, :] / x1.weight.sum()
+    else:
+        f = g - (g @ x2.weight)[:, None] / x2.weight.sum()
+    for h in (f, 1e-12 * f):
+        dec = atomic_decompose(ps, h, 1.0, 2.0)
+        assert dec.terms == [] and dec.residual == 1.0
+        assert equivalence_report(ps, [h], 1.0, 2.0)["per_function"][0]["residual"] == 1.0
+    if shape == (2, 1):
+        pair = ProductSpace(make_space(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2)),
+                            make_space(np.zeros((1, 1)), np.ones(1)))
+        dec = atomic_decompose(pair, np.array([[1.0], [-1.0]]), 1.0, 2.0)
+        assert dec.terms == [] and dec.residual == 1.0
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (3, 3)])
+def test_real_mixed_channel_mass_still_raises(shape):
+    rng = np.random.default_rng(4)
+    x1, x2 = (make_space(np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float),
+                         10.0 ** rng.uniform(-2, 2, n)) for n in shape)
+    ps = ProductSpace(x1, x2)
+    g = rng.standard_normal(ps.shape)
+    with pytest.raises(ChannelError):
+        atomic_decompose(ps, g, 1.0, 2.0)                  # nothing centred
+    with pytest.raises(ChannelError):
+        atomic_decompose(ps, np.ones(ps.shape), 1.0, 2.0)   # scaling x scaling mass
+    if min(shape) > 1:
+        # mean-zero along x2 only: its x1-mean is left, in the sw channel
+        with pytest.raises(ChannelError) as exc:
+            atomic_decompose(ps, g - (g @ x2.weight)[:, None] / x2.weight.sum(), 1.0, 2.0)
+        assert exc.value.norms["sw"] > 1e-3 * exc.value.norms["ww"]
+
+
 def test_classification_membership_facts(pspace8):
     """Independent re-derivation: majority mass in Omega_j, not in Omega_{j+1},
     mu(R \\ Omega_{j+1}) >= mu(R)/2, and R inside the eps0 enlargement."""

@@ -94,15 +94,14 @@ def test_certify_report_is_the_same_one_grid_per_stack(name, monkeypatch, tmp_pa
     # certify's corpus runs in stacks of at most SUM_BATCH entries; a budget
     # below one grid cuts every stack down to a single grid
     monkeypatch.setattr(product, "SUM_BATCH", 1)
-    monkeypatch.setattr(atoms, "SUM_BATCH", 1)
     assert report_digest(name, tmp_path) == CASES[name][2]
 
 
 def test_certify_corpus_runs_in_stacked_passes(monkeypatch, tmp_path):
     # 50 functions on the built-in 8-point line: one transform for the basis
     # checks, one per p for Lp <= Hp, one for the H^p norms of the 20
-    # equivalence functions, and per decomposition one for atomic_decompose
-    # and at most one for its atoms' ||S(a)||_p
+    # equivalence functions, one for their decompositions and one for all
+    # their atoms' ||S(a)||_p
     calls = []
     original = product.product_transform
 
@@ -114,8 +113,8 @@ def test_certify_corpus_runs_in_stacked_passes(monkeypatch, tmp_path):
         monkeypatch.setattr(module, "product_transform", counted)
     assert main(["certify", "--corpus", "50", "--seed", "0",
                  "--out", str(tmp_path / "report.json")]) == 0
-    assert len(calls) <= 44
-    assert calls[:3] == [(50, 8, 8)] * 3 and calls[3] == (20, 8, 8)
+    assert calls[:5] == [(50, 8, 8)] * 3 + [(20, 8, 8)] * 2
+    assert len(calls) == 6 and calls[5][1:] == (8, 8)
 
 
 def test_reports_need_no_rectangle_masks(monkeypatch, tmp_path):

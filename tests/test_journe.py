@@ -140,8 +140,7 @@ def test_journe_single_rectangle_constant_below_one(pspace8):
     c2 = pspace8.systems[1].cube(-1, 1)
     om = OpenSet.from_mask(pspace8, pspace8.rectangle_mask(c1, c2))
     prev1, prev2 = math.inf, math.inf
-    for d in (0.5, 1.0, 2.0):
-        rep = journe_check(pspace8, om, d)
+    for rep in journe_check(pspace8, om, (0.5, 1.0, 2.0)):
         assert rep["C1"] <= 1.0 + 1e-12 and rep["C2"] <= 1.0 + 1e-12
         assert rep["C1"] <= prev1 + 1e-12 and rep["C2"] <= prev2 + 1e-12
         prev1, prev2 = rep["C1"], rep["C2"]
@@ -155,10 +154,22 @@ def test_journe_corpus_finite(pspace8):
         if not mask.any():
             continue
         om = OpenSet.from_mask(pspace8, mask)
-        rep = journe_check(pspace8, om, 1.0)
+        [rep] = journe_check(pspace8, om, (1.0,))
         worst = max(worst, rep["C1"], rep["C2"])
         assert math.isfinite(rep["C1"]) and math.isfinite(rep["C2"])
     assert worst > 0
+
+
+def test_journe_check_of_several_exponents_is_each_single_call(pspace8):
+    # certify reads all three exponents of a mask from one call
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        om = OpenSet.from_mask(pspace8, rng.random(pspace8.shape) < 0.35)
+        reports = journe_check(pspace8, om, (0.5, 1.0, 2.0))
+        assert reports == [r for d in (0.5, 1.0, 2.0) for r in journe_check(pspace8, om, [d])]
+    for deltas in ((1.0, 0.0), ()):
+        with pytest.raises(ValueError, match="delta"):
+            journe_check(pspace8, om, deltas)
 
 
 def test_journe_weight_rescale_invariance(canon):
@@ -168,8 +179,8 @@ def test_journe_weight_rescale_invariance(canon):
     ps1 = ProductSpace(canon, canon, delta=0.25)
     scaled = line_space([0.0, 1.0, 2.0, 10.0], weights=[3.0] * 4)
     ps2 = ProductSpace(scaled, scaled, delta=0.25)
-    r1 = journe_check(ps1, OpenSet.from_mask(ps1, mask), 1.0)
-    r2 = journe_check(ps2, OpenSet.from_mask(ps2, mask), 1.0)
+    [r1] = journe_check(ps1, OpenSet.from_mask(ps1, mask), (1.0,))
+    [r2] = journe_check(ps2, OpenSet.from_mask(ps2, mask), (1.0,))
     assert r1["C1"] == pytest.approx(r2["C1"], rel=1e-12)
     assert r1["C2"] == pytest.approx(r2["C2"], rel=1e-12)
 
@@ -177,10 +188,10 @@ def test_journe_weight_rescale_invariance(canon):
 def test_journe_check_errors(pspace8):
     om = OpenSet.from_mask(pspace8, np.zeros(pspace8.shape, dtype=bool))
     with pytest.raises(ValueError, match="positive measure"):
-        journe_check(pspace8, om, 1.0)
+        journe_check(pspace8, om, (1.0,))
     full = OpenSet.from_mask(pspace8, np.ones(pspace8.shape, dtype=bool))
     with pytest.raises(ValueError, match="delta"):
-        journe_check(pspace8, full, 0.0)
+        journe_check(pspace8, full, (0.0,))
 
 
 def test_member_mask_oracles_never_build_the_geometry():

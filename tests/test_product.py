@@ -29,6 +29,14 @@ def test_transform_of_product_wavelet(pspace8):
     np.testing.assert_allclose(co.matrix, expect, atol=1e-12)
 
 
+def test_weights_are_built_once_and_read_only(pspace8):
+    w = pspace8.weights
+    assert w is pspace8.weights
+    assert w.tobytes() == np.outer(pspace8.x1.weight, pspace8.x2.weight).tobytes()
+    with pytest.raises(ValueError):
+        w[0, 0] = 2.0
+
+
 def test_transform_of_constant_hits_scaling_only(pspace8):
     co = product_transform(pspace8, np.full(pspace8.shape, 3.7))
     norms = co.channel_norms()
@@ -253,6 +261,13 @@ def test_channel_norms_without_overflow(pspace8):
     for c in ("ww", "ws", "sw", "ss"):
         expect = 1e160 * float(np.sqrt(((getattr(huge, c) / 1e160) ** 2).sum()))
         assert big[c] == pytest.approx(expect, rel=1e-12)
+    # a stack rescales only the grids whose squares overflow
+    g = 1e160 * rng.standard_normal(pspace8.shape)
+    both = product_transform(pspace8, np.stack([g, g * 1e-160])).channel_norms()
+    alone = [product_transform(pspace8, h).channel_norms() for h in (g, g * 1e-160)]
+    for c in ("ww", "ws", "sw", "ss"):
+        assert both[c].shape == (2,)
+        assert both[c].tolist() == [alone[0][c], alone[1][c]]
 
 
 def test_coefficient_entries_export(pspace8):

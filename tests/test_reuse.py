@@ -2,7 +2,7 @@
 
 The Chang-Fefferman pool of a level set, each maximal family and the
 building-block stacks are kept on the space they were computed on, a bounded
-number of them; atom cells are summed with ``atoms._outer_sum``, which must
+number of them; atom cells are summed with ``product._outer_sum``, which must
 add its terms in the order of the plain loop so reports stay byte-identical.
 """
 
@@ -19,9 +19,8 @@ import prodhardy.product as product_mod
 from prodhardy import (OpenSet, ProductSpace, atomic_decompose, build_system,
                        building_blocks, ell_enlarge, enlarge, epsilon0, maximal_rectangles,
                        verify_atom)
-from prodhardy.atoms import (SUM_BATCH, _block_stack, _outer_sum, _pool,
-                             _support_multipliers, _view_on)
-from prodhardy.product import MEMO_ENTRIES
+from prodhardy.atoms import _block_stack, _pool, _support_multipliers, _view_on
+from prodhardy.product import MEMO_ENTRIES, SUM_BATCH, _outer_sum
 
 from conftest import line_space
 
@@ -43,13 +42,22 @@ def test_outer_sum_is_the_loop_bit_for_bit(shape):
     n1, n2 = shape
     step = max(1, SUM_BATCH // (n1 * n2) - 1)
     rng = np.random.default_rng(11)
-    for k in (1, step - 1, step, step + 1, 3 * step + 2):
-        if k < 1:
-            continue
+    # one unit across the pass boundaries, then units of mixed lengths
+    # (empty ones too) that end inside passes and span several chunks
+    for sizes in ([1], [step - 1], [step], [step + 1], [3 * step + 2],
+                  [3, 0, 7, 1, 7, 2], list(rng.integers(0, 2 * step, 40)),
+                  list(rng.integers(0, 5, SUM_BATCH // (n1 * n2)))):
+        k = sum(sizes)
         s = rng.standard_normal(k) * np.exp(rng.uniform(-20.0, 20.0, k))   # mixed signs
         u = rng.standard_normal((k, n1)) * np.exp(rng.uniform(-5.0, 5.0, (k, n1)))
         v = rng.standard_normal((k, n2))
-        assert _outer_sum(s, u, v).tobytes() == loop_sum(s, u, v).tobytes(), k
+        at = np.arange(k)
+        got = _outer_sum(s, u, at, v, at[::-1].copy(), sizes)
+        assert got.shape == (len(sizes), n1, n2)
+        first = np.cumsum(sizes) - sizes
+        for i, (lo, n) in enumerate(zip(first, sizes)):
+            want = loop_sum(s[lo:lo + n], u[lo:lo + n], v[::-1][lo:lo + n])
+            assert got[i].tobytes() == want.tobytes(), (sizes, i)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (24, 24)])
@@ -66,6 +74,28 @@ def test_add_reduce_over_the_leading_axis_is_sequential(shape):
     # the data tells the orders apart: along a contiguous axis the sum differs
     flat = np.ascontiguousarray(stack.reshape(k, -1).T)
     assert np.add.reduce(flat, axis=1).tobytes() != seq.ravel().tobytes()
+
+
+@pytest.mark.parametrize("units, shape", [(1, (2, 2)), (3, (2, 3)), (40, (8, 8)),
+                                          (5, (24, 24))])
+def test_add_reduce_of_a_unit_stack_is_sequential_per_unit(units, shape):
+    # product._ordered_sums reduces (k, units, n1, n2) stacks into a slice of its
+    # running sums: each unit's grid gets its k slices added in order
+    rng = np.random.default_rng(6)
+    for k in (2, 9, 65):
+        stack = (rng.standard_normal((k, units) + shape)
+                 * np.exp(rng.uniform(-30.0, 30.0, (k, units) + shape)))
+        out = np.empty((units + 2,) + shape)
+        np.add.reduce(stack, axis=0, out=out[:units])
+        for i in range(units):
+            seq = stack[0, i]
+            for t in stack[1:, i]:
+                seq = seq + t
+            assert out[i].tobytes() == seq.tobytes()
+            assert np.add.reduce(stack[:, i], axis=0).tobytes() == seq.tobytes()
+    # pairwise sums (reduceat over a run) round differently on such data
+    runs = np.ascontiguousarray(stack.reshape(k, -1).T)
+    assert np.add.reduceat(runs, [0], axis=1).ravel().tobytes() != out[:units].tobytes()
 
 
 def test_memo_stays_within_its_bound(pspace8):

@@ -42,6 +42,8 @@ def test_stacked_transforms_equal_per_grid_calls(inst, lead, seed):
         assert back[i].tobytes() == inverse_product_transform(ps, one).tobytes()
         assert sf[i].tobytes() == square_function(ps, one).tobytes()
         assert centered[i].tobytes() == double_center(ps, f[i]).tobytes()
+        norms = one.channel_norms()
+        assert [co.channel_norms()[c][i] for c in norms] == list(norms.values())
 
 
 @settings(CHECK)

@@ -56,7 +56,7 @@ def test_majority_matrix_is_the_per_rectangle_half_test(inst):
         for b, c2 in enumerate(ps.systems[1].all_cubes()):
             m2 = np.isin(np.arange(ps.x2.n), c2.members)
             mu = c1.measure * c2.measure
-            assert passes[a, b] == (_measure_in(ps, om, m1, m2) > mu / 2.0)
+            assert passes[a, b] == (_measure_in(ps, om.mask, m1, m2) > mu / 2.0)
 
 
 @CHECK
@@ -117,7 +117,7 @@ def test_fast_paths_never_call_the_oracles(monkeypatch, tmp_path):
     ps = ProductSpace(line(range(6), [0.1, 0.2, 0.3, 0.7, 0.2, 0.1]),
                       line(range(5), [0.3, 0.7, 0.1, 0.2, 0.3]), delta=0.5)
     om = OpenSet.from_mask(ps, np.random.default_rng(0).random(ps.shape) < 0.5)
-    journe_check(ps, om, 1.0)
+    journe_check(ps, om, (1.0,))
     grids = (dyadic.build_system(ps.x1, 0.25), dyadic.build_system(ps.x2, 0.25))
     rng = np.random.default_rng(1)
     atoms = [generate_atom(ps, rng, 0.8, 1.5, 1, 0, grids=grids) for _ in range(4)]
