@@ -17,17 +17,19 @@ with a measured C, for power weights w(t) = t^delta.
 A family holds its rectangles and stretches as flat cube indices of the
 factors' dyadic systems, and tau answers with positions in the family; the
 (k1, a1, k2, a2) keys are kept alongside for the atoms and reports that
-show them.
+show them.  The families and covering sums of a whole stack of sets come
+from one pass (``_families``); a single set is its stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .maximal import OpenSet, containment_matrix
+from .maximal import OpenSet, _inside
 from .product import ProductSpace
 from .space import _exact_sums
 
@@ -57,28 +59,73 @@ def maximal_rectangles(pspace: ProductSpace, omega: OpenSet,
     """
     if direction != "both":
         raise ValueError(f"direction must be 'both', got {direction!r}")
+    fam = _families(pspace, omega.mask[None])
+    for arr in (fam.rows, fam.cols, fam.hat1, fam.hat2):
+        arr.flags.writeable = False
     s1, s2 = pspace.systems
-    inside = containment_matrix(pspace, omega)
-    # inside[-1] (the root's parent) reads the last row; parent >= 0 masks it out
-    grows1 = (s1.parent >= 0)[:, None] & inside[s1.parent, :]
-    grows2 = (s2.parent >= 0)[None, :] & inside[:, s2.parent]
-    rows, cols = np.nonzero(inside & ~grows1 & ~grows2)     # row-major: level then index
+    return MaximalRectangleFamily(
+        rows=fam.rows, cols=fam.cols, hat1=fam.hat1, hat2=fam.hat2,
+        m_all=[a + b for a, b in zip(s1.keys(fam.rows), s2.keys(fam.cols))])
+
+
+class _Families(NamedTuple):
+    """The maximal families of a stack of sets, set after set: rectangle i
+    is cubes1[rows[i]] x cubes2[cols[i]] of set ``sets[i]``, with stretches
+    hat1[i] and hat2[i]; l1[e, k] and l2[e, k] are set k's weighted sums for
+    exponent e."""
+
+    sets: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    hat1: np.ndarray
+    hat2: np.ndarray
+    l1: np.ndarray
+    l2: np.ndarray
+
+
+def _families(pspace: ProductSpace, masks: np.ndarray, deltas=()) -> _Families:
+    """Every set's maximal family and, for each exponent delta, its sums
+    L1 = sum mu(R) (l(Q2)/l(Q2^))^delta and L2 (with Q1^), for a stack of
+    masks (K, n1, n2): one containment product, one majority matrix and one
+    stretch pass per direction for the whole stack.
+
+    Each set's family is in level-then-index order (row-major over its cube
+    pairs), and each sum adds its family's terms m * r^delta one after
+    another from +0.0, the order of a Python ``sum`` over the family: the
+    terms fill a zero-padded row per set, and ``np.cumsum`` along a row adds
+    left to right.  The ratios r = delta^drop are Python powers, one per
+    distinct level drop.
+    """
+    s1, s2 = pspace.systems
+    inside = _inside(pspace, masks)
+    # inside[:, -1] (the root's parent) reads the last row; parent >= 0 masks it out
+    grows1 = (s1.parent >= 0)[:, None] & inside[:, s1.parent, :]
+    grows2 = (s2.parent >= 0)[None, :] & inside[:, :, s2.parent]
+    sets, rows, cols = np.nonzero(inside & ~grows1 & ~grows2)   # row-major: set, level, index
     # stretches: the coarsest ancestor-or-self along each rectangle's row or
     # column that keeps the majority; the rectangle itself, inside Omega, does
-    passes = majority_matrix(pspace, omega)
-    hat2 = (s2.ancestors[cols] & passes[rows]).argmax(axis=1)
-    hat1 = (s1.ancestors[rows] & passes[:, cols].T).argmax(axis=1)
-    for arr in (rows, cols, hat1, hat2):
-        arr.flags.writeable = False
-    return MaximalRectangleFamily(
-        rows=rows, cols=cols, hat1=hat1, hat2=hat2,
-        m_all=[a + b for a, b in zip(s1.keys(rows), s2.keys(cols))])
+    passes = _majority(pspace, masks)
+    hat2 = (s2.ancestors[cols] & passes[sets, rows]).argmax(axis=1)
+    hat1 = (s1.ancestors[rows] & passes[sets, :, cols]).argmax(axis=1)
+    sums = np.zeros((2, len(deltas), len(masks)))
+    if len(deltas) and len(sets):
+        counts = np.bincount(sets, minlength=len(masks))
+        slot = np.arange(len(sets)) - (np.cumsum(counts) - counts)[sets]
+        table = np.zeros((2, len(deltas), len(masks), int(counts.max())))
+        measures = s1.measures[rows] * s2.measures[cols]
+        # l(Q)/l(Q^) = delta^(level_Q - level_Q^) <= 1, one stretch map per direction
+        for side, (system, cubes, hats) in enumerate(((s2, cols, hat2), (s1, rows, hat1))):
+            drops, at = np.unique(_level_drops(system, cubes, hats), return_inverse=True)
+            ratios = [system.delta ** d for d in drops.tolist()]
+            for e, d in enumerate(deltas):
+                table[side, e, sets, slot] = measures * np.array([r ** d for r in ratios])[at]
+        sums = np.cumsum(table.reshape(-1, table.shape[-1]), axis=1)[:, -1].reshape(sums.shape)
+    return _Families(sets, rows, cols, hat1, hat2, sums[0], sums[1])
 
 
 def _family(pspace: ProductSpace, omega: OpenSet) -> MaximalRectangleFamily:
-    """``maximal_rectangles(pspace, omega)``, kept on the space per set: the
-    journe_check calls of one set and the atom pools share it, so no caller
-    may mutate it."""
+    """``maximal_rectangles(pspace, omega)``, kept on the space per set for
+    the atom pools, which share it, so no caller may mutate it."""
     return pspace.memoized(("family", omega.key()),
                            lambda: maximal_rectangles(pspace, omega))
 
@@ -198,30 +245,37 @@ def _level_drops(system: DyadicSystem, cubes, hats) -> list[int]:
 def journe_check(pspace: ProductSpace, omega: OpenSet, deltas) -> list[dict]:
     """Weighted maximal-rectangle sums against mu(Omega) for w(t) = t^delta,
     one report for each exponent delta of the sequence ``deltas`` (the
-    family's measures and level drops are read once)."""
+    family is found once)."""
+    deltas = _exponents(deltas)
+    if omega.measure <= 0:
+        raise ValueError("omega must have positive measure")
+    fam = _families(pspace, omega.mask[None], deltas)
+    s1, s2 = pspace.systems
+    return [{
+        "delta": d,
+        "L1": l1,
+        "L2": l2,
+        "C1": l1 / omega.measure,
+        "C2": l2 / omega.measure,
+        "n_rectangles": len(fam.rows),
+        "dilation_ratios": (s1.outer_eff / s1.inner_cert, s2.outer_eff / s2.inner_cert),
+    } for d, l1, l2 in zip(deltas, fam.l1[:, 0].tolist(), fam.l2[:, 0].tolist())]
+
+
+def _largest_constants(pspace: ProductSpace, masks: np.ndarray, deltas) -> list[float]:
+    """For each exponent, the largest C1 or C2 that ``journe_check`` reports
+    over the nonempty sets of a stack of masks (K, n1, n2); 0.0 without one."""
+    deltas = _exponents(deltas)
+    masks = masks[masks.any(axis=(1, 2))]
+    measures = np.array([pspace.set_measure(m) for m in masks])
+    if (measures <= 0).any():
+        raise ValueError("omega must have positive measure")
+    fam = _families(pspace, masks, deltas)
+    return np.maximum(fam.l1 / measures, fam.l2 / measures).max(axis=1, initial=0.0).tolist()
+
+
+def _exponents(deltas) -> list:
     deltas = list(deltas)
     if not deltas or not all(d > 0 for d in deltas):
         raise ValueError("delta exponents must be a nonempty sequence of positive numbers")
-    if omega.measure <= 0:
-        raise ValueError("omega must have positive measure")
-    fam = _family(pspace, omega)
-    s1, s2 = pspace.systems
-    measures = (s1.measures[fam.rows] * s2.measures[fam.cols]).tolist()
-    # l(Q)/l(Q^) = delta^(level_Q - level_Q^) <= 1, one stretch map per direction
-    ratios2 = [s2.delta ** d for d in _level_drops(s2, fam.cols, fam.hat2)]
-    ratios1 = [s1.delta ** d for d in _level_drops(s1, fam.rows, fam.hat1)]
-    reports = []
-    for d in deltas:
-        # Python float sums in family order
-        l1 = sum(m * r ** d for m, r in zip(measures, ratios2))
-        l2 = sum(m * r ** d for m, r in zip(measures, ratios1))
-        reports.append({
-            "delta": d,
-            "L1": l1,
-            "L2": l2,
-            "C1": l1 / omega.measure,
-            "C2": l2 / omega.measure,
-            "n_rectangles": len(fam.m_all),
-            "dilation_ratios": (s1.outer_eff / s1.inner_cert, s2.outer_eff / s2.inner_cert),
-        })
-    return reports
+    return deltas

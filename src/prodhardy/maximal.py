@@ -168,8 +168,13 @@ def containment_matrix(pspace: ProductSpace, omega_set: OpenSet) -> np.ndarray:
     the set, which is |Q1||Q2| exactly when the rectangle is contained.  The
     counts are small integers, so float64 holds them exactly.
     """
+    return _inside(pspace, omega_set.mask)
+
+
+def _inside(pspace: ProductSpace, masks: np.ndarray) -> np.ndarray:
+    """``containment_matrix`` of a mask, or of each mask of a stack (..., n1, n2)."""
     s1, s2 = pspace.systems
-    counts = s1.incidence @ omega_set.mask.astype(float) @ s2.incidence.T
+    counts = s1.incidence @ masks.astype(float) @ s2.incidence.T
     return counts == np.outer(s1.sizes, s2.sizes)
 
 

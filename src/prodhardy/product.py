@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,6 +41,13 @@ class ProductSpace:
                  system1: DyadicSystem | None = None, system2: DyadicSystem | None = None,
                  delta: float | None = None):
         self.x1, self.x2 = x1, x2
+        # Python floats: a product past the float range is 0.0 or inf, silently
+        low = float(x1.weight.min()) * float(x2.weight.min())
+        high = float(x1.weight.max()) * float(x2.weight.max())
+        total = x1.total_measure * x2.total_measure
+        if not (sys.float_info.min <= low and max(high, total) <= sys.float_info.max):
+            raise ValueError(f"product weights {low!r} to {high!r} with total measure {total!r} "
+                             "leave the positive normal floats; rescale the factors' weights")
         if x2 is x1 and system1 is None and system2 is None:
             system1 = system2 = build_system(x1, delta)    # a repeated factor: one system
         self.systems = (
@@ -113,9 +121,10 @@ class ProductSpace:
         return double_center(self, f) if mean_zero else f
 
 
-def stack_slices(pspace: ProductSpace, k: int) -> list[slice]:
-    """Cuts of k grids into stacks of at most SUM_BATCH entries, one grid at least."""
-    step = max(1, SUM_BATCH // (pspace.x1.n * pspace.x2.n))
+def stack_slices(pspace: ProductSpace, k: int, entries: int | None = None) -> list[slice]:
+    """Cuts of k items of ``entries`` entries each (default one grid's) into
+    stacks of at most SUM_BATCH entries, one item at least."""
+    step = max(1, SUM_BATCH // (entries or pspace.x1.n * pspace.x2.n))
     return [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
 
 

@@ -12,6 +12,7 @@ than up to exponential tails.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,8 +62,13 @@ def build_haar(system: DyadicSystem) -> WaveletBasis:
     Children are taken in ascending center id; function i is positive on the
     first i children and negative on child i+1, which for two unit-weight
     children gives (1/sqrt2, -1/sqrt2).  Total count over the tree is n - 1.
+    A normalisation (or its square, or the square's denominator) that is no
+    finite positive normal float is a ValueError naming the factor and the
+    cube.
     """
     space, lo = system.space, int(system.first[1])
+    if not _normal(space.total_measure):
+        raise _abnormal(system, "the scaling function", f"total measure {space.total_measure!r}")
     # the cubes below k_min, grouped by parent (flat order), each group by center
     kids = lo + np.lexsort((system.centers[lo:], system.parent[lo:]))
     n_kids = np.bincount(system.parent[lo:], minlength=system.n_cubes())
@@ -73,13 +79,18 @@ def build_haar(system: DyadicSystem) -> WaveletBasis:
     for a in np.flatnonzero(n_kids >= 2).tolist():
         group = kids[kid_first[a]:kid_first[a + 1]]
         masses = system.measures[group]
-        csum = np.cumsum(masses)
+        csum = np.cumsum(masses).tolist()
+        masses = masses.tolist()          # Python floats overflow and underflow silently
         members = np.concatenate([system.members[ends[q]:ends[q + 1]] for q in group.tolist()])
         cuts = np.cumsum(system.sizes[group]).tolist()
         for i in range(1, len(group)):
             mi, m_next = csum[i - 1], masses[i]
-            t = math.sqrt(m_next / (mi * (mi + m_next)))
-            r = math.sqrt(mi / (m_next * (mi + m_next)))
+            den_t, den_r = mi * (mi + m_next), m_next * (mi + m_next)
+            if not (_normal(den_t, den_r) and _normal(m_next / den_t, mi / den_r)):
+                raise _abnormal(system, f"cube {system.keys([a])[0]}",
+                                f"child measures {mi!r} and {m_next!r}")
+            t = math.sqrt(m_next / den_t)
+            r = math.sqrt(mi / den_r)
             matrix[len(rows), members[:cuts[i - 1]]] = t
             matrix[len(rows), members[cuts[i - 1]:cuts[i]]] = -r
             rows.append(a)
@@ -91,6 +102,17 @@ def build_haar(system: DyadicSystem) -> WaveletBasis:
                         scale=system.side(cube[0]), values=matrix[i])
                 for i, (cube, y) in enumerate(zip(system.keys(cube_rows), centers))]
     return WaveletBasis(system, wavelets, matrix, cube_rows)
+
+
+def _normal(*values: float) -> bool:
+    return all(sys.float_info.min <= v <= sys.float_info.max for v in values)
+
+
+def _abnormal(system: DyadicSystem, where: str, what: str) -> ValueError:
+    w = system.space.weight
+    return ValueError(f"Haar normalisation of {where} on the {system.space.n}-point factor "
+                      f"(weights {float(w.min())!r} to {float(w.max())!r}) is no finite positive "
+                      f"normal float ({what}); rescale the weights")
 
 
 def transform(basis: WaveletBasis, f: np.ndarray) -> np.ndarray:

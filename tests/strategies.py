@@ -3,7 +3,8 @@
 ``spaces`` draws small random factors: lines with tied distances,
 snowflakes with s > 1, random symmetric matrices with few distinct entries,
 weights over several decades, and one to five points, drawn independently
-so the two factors of a product usually differ in size.  ``weighted_spaces``
+so the two factors of a product usually differ in size.  ``decade_spaces``
+draws points at powers of 3 with weights over twelve decades.  ``weighted_spaces``
 gives such a factor integer, decimal or decade weights; decimal weights
 such as 0.1, 0.2, 0.3, 0.7 make many half tests tie in exact arithmetic.
 """
@@ -38,6 +39,16 @@ def spaces(draw, min_points=1):
             dist = dist ** draw(st.sampled_from([1.5, 2.5]))
     logw = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     return make_space(dist, 10.0 ** np.asarray(logw, dtype=float))
+
+
+@st.composite
+def decade_spaces(draw):
+    """Up to six points at powers of 3 (distances over decades) with weights
+    10^u, u uniform in [-6, 6]: the product weights span 24 decades."""
+    ks = draw(st.lists(st.integers(0, 9), min_size=1, max_size=6, unique=True))
+    pts = 3.0 ** np.asarray(ks, dtype=float)
+    logw = draw(st.lists(st.floats(-6.0, 6.0), min_size=len(ks), max_size=len(ks)))
+    return make_space(np.abs(pts[:, None] - pts[None, :]), 10.0 ** np.asarray(logw))
 
 
 @st.composite

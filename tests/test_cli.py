@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from prodhardy.cli import main
 
-from strategies import CHECK, spaces
+from strategies import CHECK, decade_spaces, spaces
 
 
 @pytest.fixture()
@@ -354,17 +354,14 @@ def test_certify_one_point_factor_passes(second, tmp_path):
     assert doc["checks"]["lp_le_hp"]["C_p"] == {"0.8": 0.0, "1.0": 0.0}
 
 
-@settings(CHECK, deadline=timedelta(seconds=10))
-@given(spaces(min_points=1), spaces(min_points=1), st.sampled_from([0.25, 0.5, 0.9]),
-       st.integers(0, 2 ** 16))
-def test_decompose_verifies_or_names_the_error(x1, x2, delta, seed):
-    # one-point factors and tied or snowflake factors of unequal size: a
-    # verified decomposition (exit 0) or a named error (exit 2), never a
-    # failed certificate, a traceback or a numeric warning; the deadline
-    # bounds each example's time
+FACTORS = st.one_of(spaces(min_points=1), decade_spaces())
+
+
+def _run_on(command, x1, x2, delta, seed, *extra):
+    """Exit code, stderr and report of ``command`` on the two factors."""
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["decompose", "--delta", str(delta), "--seed", str(seed),
-                "--out", f"{tmp}/dec.json"]
+        argv = [command, "--delta", str(delta), "--seed", str(seed),
+                "--out", f"{tmp}/out.json", *extra]
         for flag, space in (("--space", x1), ("--space2", x2)):
             path = Path(tmp, f"{flag.strip('-')}.json")
             path.write_text(json.dumps({"matrix": space.dist.tolist(),
@@ -373,8 +370,32 @@ def test_decompose_verifies_or_names_the_error(x1, x2, delta, seed):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = run(argv)
-        if code == 2:
-            assert err.getvalue().startswith("error: ")
-        else:
-            assert code == 0, err.getvalue()
-            assert json.loads(Path(tmp, "dec.json").read_text())["all_certificates_pass"]
+        out = Path(tmp, "out.json")
+        return code, err.getvalue(), json.loads(out.read_text()) if out.is_file() else None
+
+
+@settings(CHECK, deadline=timedelta(seconds=10))
+@given(FACTORS, FACTORS, st.sampled_from([0.25, 0.5, 0.9]), st.integers(0, 2 ** 16))
+def test_decompose_verifies_or_names_the_error(x1, x2, delta, seed):
+    # one-point factors, tied or snowflake factors of unequal size and
+    # decade-spanning ones: a verified decomposition (exit 0) or a named
+    # error (exit 2), never a failed certificate, a traceback or a numeric
+    # warning; the deadline bounds each example's time
+    code, err, report = _run_on("decompose", x1, x2, delta, seed)
+    if code == 2:
+        assert err.startswith("error: ")
+    else:
+        assert code == 0, err
+        assert report["all_certificates_pass"]
+
+
+@settings(CHECK, deadline=timedelta(seconds=10))
+@given(FACTORS, FACTORS, st.sampled_from([0.25, 0.5, 0.9]), st.integers(0, 2 ** 16))
+def test_certify_passes_or_names_the_error(x1, x2, delta, seed):
+    # certify's counterpart on the same factors, with a small corpus
+    code, err, report = _run_on("certify", x1, x2, delta, seed, "--corpus", "4")
+    if code == 2:
+        assert err.startswith("error: ")
+    else:
+        assert code == 0, err
+        assert report["all_exact_pass"]
