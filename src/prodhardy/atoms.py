@@ -28,12 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .journe import MaximalRectangleFamily, _family, _level_drops, _majority, tau
+from .journe import MaximalRectangleFamily, _level_drops, _majority, maximal_rectangles, tau
 from .maximal import (OpenSet, containment_matrix, ell_enlarge, enlarge, epsilon0,
                       growth_factor, level_sets)
-from .product import (ProductCoefficients, ProductSpace, _mean_zero, _ordered_sums, _outer_sum,
-                      _run_starts, cell_scale, hp_seminorm, product_transform, square_function,
-                      stack_slices)
+from .product import (ProductCoefficients, ProductSpace, _left_sum, _mean_zero, _ordered_sums,
+                      _outer_sum, _run_starts, cell_scale, hp_seminorm, product_transform,
+                      square_function, stack_slices)
+from .space import _normal
 from .wavelet import building_blocks
 
 
@@ -76,7 +77,7 @@ class AtomicDecomposition:
     report: dict = field(default_factory=dict)
 
     def lam_sum(self) -> float:
-        return sum(abs(t.lam) ** self.p for t in self.terms)
+        return _left_sum(abs(t.lam) ** self.p for t in self.terms)
 
     def reconstruct(self, shape) -> np.ndarray:
         out = np.zeros(shape)
@@ -127,11 +128,13 @@ def _pool(view: ProductSpace, omega: OpenSet) -> tuple[float, OpenSet, MaximalRe
     """The Chang-Fefferman pool of ``omega``: epsilon_0, the enlargement
     Omega~ = {M_s chi_Omega > epsilon_0} and Omega~'s maximal rectangles,
     kept on ``view`` per level set, so verify_atom reads what
-    atomic_decompose built.  The pool is shared: callers must not mutate it."""
+    atomic_decompose built, and the family per Omega~, so level sets with
+    one enlargement share it.  The pool is shared: callers must not mutate it."""
     def build():
         eps0 = epsilon0(view)
         omega_t = enlarge(view, omega, eps0)
-        return eps0, omega_t, _family(view, omega_t)
+        return eps0, omega_t, view.memoized(("family", omega_t.key()),
+                                            lambda: maximal_rectangles(view, omega_t))
     return view.memoized(("pool", omega.key()), build)
 
 
@@ -254,7 +257,8 @@ def _decompose_stack(pspace: ProductSpace, fs: np.ndarray, p: float, q: float,
     """
     gamma1, gamma2 = gammas
     coeffs = product_transform(pspace, fs)
-    busy = _checked(pspace, fs, coeffs)
+    cmax = np.abs(coeffs.ww).max(axis=(1, 2), initial=0.0)     # each grid's largest |c|
+    busy = _checked(pspace, fs, coeffs, cmax)
     fq = pspace.lq_norm(fs, q).tolist()
     empty = {"n_terms": 0, "lam_sum": 0.0, "sf_p_norm": 0.0}
     if not busy.any():          # no terms: the reconstruction is 0, and ||0 - f|| = ||f||
@@ -262,7 +266,7 @@ def _decompose_stack(pspace: ProductSpace, fs: np.ndarray, p: float, q: float,
         return [], none, none, [1.0 if v > 0 else 0.0 for v in fq], [dict(empty) for _ in fs]
     sf = square_function(pspace, coeffs)
     fams = {k: level_sets(pspace, sf[k])[0] for k in np.flatnonzero(busy).tolist()}
-    fn, ii, jw, rows, cols, j_of = _classified(pspace, coeffs.ww, busy, fams)
+    fn, ii, jw, rows, cols, j_of = _classified(pspace, coeffs.ww, cmax, busy, fams)
     s1, s2 = pspace.systems
     new = _run_starts(fn, j_of)
     shell = np.cumsum(new) - 1                  # shells: the pairs of one (function, j)
@@ -323,7 +327,7 @@ def _decompose_stack(pspace: ProductSpace, fs: np.ndarray, p: float, q: float,
     eps0 = {k: pool[0] for (k, _), pool in zip(shells, pools)}
     reports, at = [], 0
     for k, n in enumerate(n_terms):
-        lam_sum = sum(abs(lam) ** p for lam in lams[at:at + n])
+        lam_sum = _left_sum(abs(lam) ** p for lam in lams[at:at + n])
         at += n
         reports.append({
             "n_terms": n,
@@ -336,10 +340,12 @@ def _decompose_stack(pspace: ProductSpace, fs: np.ndarray, p: float, q: float,
     return terms, avals, vals, residual, reports
 
 
-def _checked(pspace: ProductSpace, fs: np.ndarray, coeffs: ProductCoefficients) -> np.ndarray:
+def _checked(pspace: ProductSpace, fs: np.ndarray, coeffs: ProductCoefficients,
+             cmax: np.ndarray) -> np.ndarray:
     """Which grids of the stack get terms, after each grid's input checks:
     the mixed channels against ||f|| (Parseval), which does not vanish with
-    them, and a finite normal square of the largest wavelet coefficient.
+    them, and a finite normal square of the largest wavelet coefficient
+    (``cmax``, each grid's largest |coefficient|).
 
     The channels of a mean over one point are the function itself, whose
     centring leaves the rounding of what was centred, so they are not
@@ -347,7 +353,7 @@ def _checked(pspace: ProductSpace, fs: np.ndarray, coeffs: ProductCoefficients) 
     its functions get no terms (a nonzero one keeps a residual of 1).
     """
     norms = coeffs.channel_norms()
-    cmax = np.abs(coeffs.ww).max(axis=(1, 2), initial=0.0).tolist()
+    cmax = cmax.tolist()
     tested = [c for c, n in (("ws", pspace.x2.n), ("sw", pspace.x1.n), ("ss", 2)) if n > 1]
     busy = np.zeros(len(fs), dtype=bool)
     for k, f in enumerate(fs):
@@ -355,22 +361,22 @@ def _checked(pspace: ProductSpace, fs: np.ndarray, coeffs: ProductCoefficients) 
         if max(one[c] for c in tested) > 1e-10 * math.hypot(*one.values()):
             raise ChannelError(one)
         busy[k] = coeffs.ww[k].size > 0 and f.any()
-        if busy[k] and not np.finfo(float).tiny <= cmax[k] * cmax[k] < math.inf:
+        if busy[k] and not _normal(cmax[k] * cmax[k]):
             raise ValueError(f"largest wavelet coefficient {cmax[k]!r} has no finite normal "
                              "square; rescale the function or the weights")
     return busy
 
 
-def _classified(pspace: ProductSpace, cw: np.ndarray, busy: np.ndarray, fams: dict):
+def _classified(pspace: ProductSpace, cw: np.ndarray, cmax: np.ndarray, busy: np.ndarray,
+                fams: dict):
     """Each busy function's live pairs (function, i, j) with their cube rows
     and B_j, in shell order: by function, then j, then as argwhere lists them.
 
     A pair is live when its coefficient is above COEFF_TOL of its
-    function's largest; its B_j is its function's last level set on which
-    the pair's rectangle keeps its majority, from one half test over every
-    function's level sets.
+    function's largest (``cmax``); its B_j is its function's last level set
+    on which the pair's rectangle keeps its majority, from one half test
+    over every function's level sets.
     """
-    cmax = np.abs(cw).max(axis=(1, 2), initial=0.0)
     fn, ii, jw = np.nonzero((np.abs(cw) > COEFF_TOL * cmax[:, None, None]) & busy[:, None, None])
     rows, cols = pspace.bases[0].cube_rows[ii], pspace.bases[1].cube_rows[jw]
     passes = _majority(pspace, np.array([fam.sets[jj].mask for fam in fams.values()

@@ -420,7 +420,7 @@ def main(argv=None) -> int:
         # the subcommand by its current name, so that a rebound cmd_* (as the
         # benchmark's tracer rebinds every public function) is the one that runs
         return globals()[args.fn.__name__](args)
-    except (ValueError, FileNotFoundError) as e:   # space and channel errors are ValueErrors
+    except (ValueError, OSError) as e:   # space and channel errors are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -40,20 +40,6 @@ import numpy as np
 
 from .space import Ball, FiniteSpace, ball
 
-# Auscher-Hytonen reference dilation constants, recorded for comparison:
-# C1 = 6 a0^4, c1 = a0^-5 / 6, ratio C1/c1 = 36 a0^9.
-def AH_OUTER(a0):
-    return _reference_power(6.0, a0, 4)
-
-
-def AH_INNER(a0):
-    return a0 ** (-5) / 6.0
-
-
-def AH_RATIO(a0):
-    return _reference_power(36.0, a0, 9)
-
-
 def _reference_power(c: float, a0: float, k: int) -> float:
     """c a0^k, or a ValueError naming a0 when that is no finite float."""
     try:
@@ -458,7 +444,9 @@ def verify_system(system: DyadicSystem) -> dict:
     inner_cert_ok = not (system._near < system.inner_cert * system._sides).any()
     outer_cert_ok = bool((system._far < system.outer_cert * system._sides).all())
 
-    ah_outer, ah_ratio = AH_OUTER(space.a0), AH_RATIO(space.a0)
+    # Auscher-Hytonen reference dilation constants, recorded for comparison:
+    # C1 = 6 a0^4, c1 = a0^-5 / 6, ratio C1/c1 = 36 a0^9
+    ah_outer, ah_ratio = _reference_power(6.0, space.a0, 4), _reference_power(36.0, space.a0, 9)
     report = {
         "n_points": n,
         "delta": system.delta,
@@ -475,7 +463,7 @@ def verify_system(system: DyadicSystem) -> dict:
         "C1_effective": system.outer_eff,
         "inner_certificate_holds": inner_cert_ok,
         "outer_certificate_holds": outer_cert_ok,
-        "ah_reference": {"C1": ah_outer, "c1": AH_INNER(space.a0), "ratio": ah_ratio},
+        "ah_reference": {"C1": ah_outer, "c1": space.a0 ** (-5) / 6.0, "ratio": ah_ratio},
         "regular_family_ok": (system.outer_cert <= ah_outer + 1e-12 and
                               system.outer_cert / system.inner_cert <= ah_ratio + 1e-9),
     }

@@ -123,13 +123,6 @@ def _families(pspace: ProductSpace, masks: np.ndarray, deltas=()) -> _Families:
     return _Families(sets, rows, cols, hat1, hat2, sums[0], sums[1])
 
 
-def _family(pspace: ProductSpace, omega: OpenSet) -> MaximalRectangleFamily:
-    """``maximal_rectangles(pspace, omega)``, kept on the space per set for
-    the atom pools, which share it, so no caller may mutate it."""
-    return pspace.memoized(("family", omega.key()),
-                           lambda: maximal_rectangles(pspace, omega))
-
-
 def majority_matrix(pspace: ProductSpace, omega: OpenSet) -> np.ndarray:
     """The half test passes[a, b] = mu((Q1 x Q2) cap Omega) > mu(Q1 x Q2)/2
     for every cube pair (flat indices), as the per-rectangle sum decides it:

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import dilate_mask
-from .product import ProductSpace, cell_scale
+from .product import ProductSpace, _left_sum, cell_scale
+from .space import _normal
 from .space import realized_ball_masks  # re-exported: the balls M_s ranges over
 
 
@@ -107,14 +108,15 @@ def epsilon0(pspace: ProductSpace) -> float:
     log10 (summed in logs) and each factor's constants.
     """
     x1, x2 = pspace.x1, pspace.x2
-    log10_eps = -math.log10(2.0) - sum(math.log10(x.cmu) + x.omega * math.log10(36.0)
-                                       + 9.0 * x.omega * math.log10(x.a0) for x in (x1, x2))
+    log10_eps = -math.log10(2.0) - _left_sum(math.log10(x.cmu) + x.omega * math.log10(36.0)
+                                             + 9.0 * x.omega * math.log10(x.a0)
+                                             for x in (x1, x2))
     # the denominator's factors are >= 1: none overflows unless the threshold underflows
     val = (1.0 / (2.0 * x1.cmu * x2.cmu
                   * (36.0 * x1.a0 ** 9) ** x1.omega
                   * (36.0 * x2.a0 ** 9) ** x2.omega)
            if log10_eps >= math.log10(np.finfo(float).tiny) else 0.0)
-    if val < np.finfo(float).tiny:
+    if not _normal(val):
         raise ValueError(f"epsilon0 = 10^{log10_eps:.6g} is not a positive normal float ("
                          + "; ".join(f"factor {k}: a0 = {x.a0!r}, cmu = {x.cmu!r}, "
                                      f"omega = {x.omega!r}" for k, x in ((1, x1), (2, x2))) + ")")
@@ -273,7 +275,7 @@ def level_sets(pspace: ProductSpace, sf: np.ndarray) -> tuple[LevelSetFamily, di
         if s.is_empty() and j > j_lo:
             break
         fam.sets[j] = s
-    dyadic = sum(2.0 ** j * fam.sets[j].measure for j in fam.sets)
+    dyadic = _left_sum(2.0 ** j * fam.sets[j].measure for j in fam.sets)
     # exact integral of S (layer-cake without shells)
     w = pspace.weights.ravel()
     exact = float((sf.ravel() * w).sum())

@@ -21,15 +21,15 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import sys
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .dyadic import DyadicSystem, build_system
-from .space import FiniteSpace
+from .space import FiniteSpace, _normal
 from .wavelet import BuildingBlockSet, WaveletBasis, build_haar
 
 MEMO_ENTRIES = 64            # values a ProductSpace keeps; the least recently used go first
@@ -45,7 +45,7 @@ class ProductSpace:
         low = float(x1.weight.min()) * float(x2.weight.min())
         high = float(x1.weight.max()) * float(x2.weight.max())
         total = x1.total_measure * x2.total_measure
-        if not (sys.float_info.min <= low and max(high, total) <= sys.float_info.max):
+        if not _normal(low, high, total):
             raise ValueError(f"product weights {low!r} to {high!r} with total measure {total!r} "
                              "leave the positive normal floats; rescale the factors' weights")
         if x2 is x1 and system1 is None and system2 is None:
@@ -116,9 +116,8 @@ class ProductSpace:
         c2 = self.systems[1].cube(*self.bases[1].wavelets[j].cube)
         return c1, c2
 
-    def random_function(self, rng, mean_zero: bool = True) -> np.ndarray:
-        f = rng.standard_normal(self.shape)
-        return double_center(self, f) if mean_zero else f
+    def random_function(self, rng) -> np.ndarray:
+        return double_center(self, rng.standard_normal(self.shape))
 
 
 def stack_slices(pspace: ProductSpace, k: int, entries: int | None = None) -> list[slice]:
@@ -176,6 +175,13 @@ def _ordered_sums(sizes, shape: tuple[int, int], fill) -> np.ndarray:
             np.add.reduce(stack, axis=0, out=acc[:a])
         out[order[lo:lo + steps[0][0]]] = acc[:steps[0][0]]
     return out
+
+
+def _left_sum(values):
+    """The values added left to right from the int 0, as ``sum`` adds them
+    before Python 3.12 (which compensates float sums): the report sums keep
+    their floats on every interpreter, and no terms give ``0``."""
+    return reduce(operator.add, values, 0)
 
 
 def _outer_sum(s: np.ndarray, u: np.ndarray, urows: np.ndarray, v: np.ndarray,
@@ -404,14 +410,13 @@ def cell_scale(pspace: ProductSpace, ell1: int, ell2: int) -> float:
 
 def block_square_function(pspace: ProductSpace, g: np.ndarray,
                           blocks1: list[BuildingBlockSet], blocks2: list[BuildingBlockSet],
-                          ell1: int, ell2: int, rectangles=None, qprime: float = 2.0):
+                          ell1: int, ell2: int):
     """Square function built from building blocks at cell (ell1, ell2).
 
     Evaluates (sum_R |<phi_{ell1} phi_{ell2}, g>|^2 chi_R / mu(R))^(1/2) over
-    the supplied rectangle family (default: all wavelet rectangles, skipping
-    wavelets whose block series ended before the requested index) and returns
-    the values together with the measured ratio against
-    2^(ell1 omega1 + ell2 omega2) ||g||_{q'}.
+    all wavelet rectangles (skipping wavelets whose block series ended before
+    the requested index) and returns the values together with the measured
+    ratio against 2^(ell1 omega1 + ell2 omega2) ||g||_2.
     """
     if not blocks1 or not blocks2:
         raise ValueError("building blocks missing for one factor")
@@ -420,14 +425,10 @@ def block_square_function(pspace: ProductSpace, g: np.ndarray,
     phi1 = np.array([b.blocks[ell1] if ell1 < b.n_blocks else 0.0 * w1 for b in blocks1])
     phi2 = np.array([b.blocks[ell2] if ell2 < b.n_blocks else 0.0 * w2 for b in blocks2])
     inner = (phi1 * w1) @ g @ (phi2 * w2).T            # <phi_ell1 phi_ell2, g> per pair
-    picked = np.ones(inner.shape) if rectangles is None else np.zeros(inner.shape)
-    for i, j in [] if rectangles is None else rectangles:
-        picked[i, j] += 1.0
     u1, u2 = (_indicator_over_measure(b) for b in pspace.bases)
-    s2 = u1.T @ (picked * inner ** 2) @ u2
-    vals = np.sqrt(s2)
-    norm = pspace.lq_norm(vals, qprime)
-    gnorm = pspace.lq_norm(g, qprime)
+    vals = np.sqrt(u1.T @ inner ** 2 @ u2)
+    norm = pspace.lq_norm(vals, 2.0)
+    gnorm = pspace.lq_norm(g, 2.0)
     scale = cell_scale(pspace, ell1, ell2)
     ratio = norm / (scale * gnorm) if gnorm > 0 else 0.0
     return vals, {"lq_norm": norm, "g_norm": gnorm, "scale": scale, "ratio": ratio}

@@ -15,9 +15,10 @@ measures, 64 centers per row block: each ball is a prefix of the points
 sorted by distance to its center, and the positive distances are the only
 radii needed.  The few centers within rounding of the maximum are rescanned
 in the exhaustive scan's own arithmetic.  Both equal the exhaustive scans
-kept beside them (``*_exhaustive``) bit for bit.  Point distances are built
-one (n, n) term per coordinate axis, added in NumPy's own summation order,
-so they equal the broadcast (n, n, D) forms bit for bit.
+kept beside them (``*_exhaustive``) bit for bit.  Point distances equal
+the broadcast (n, n, D) forms bit for bit: below 8 coordinate axes they are
+built one (n, n) term per axis, added in order as NumPy adds so few terms,
+and from 8 axes the broadcast form is summed itself, in row blocks.
 
 Borel regularity of the measure has no finite-space content; it is noted here
 and not modeled.
@@ -178,6 +179,11 @@ def _growth_by_masks(drow: np.ndarray, weight: np.ndarray, lam: float) -> float:
     return float((big[ok] / small[ok]).max()) if ok.any() else 1.0
 
 
+def _normal(*values: float) -> bool:
+    """True when every value is a finite, positive, normal float (False on NaN)."""
+    return all(sys.float_info.min <= v <= sys.float_info.max for v in values)
+
+
 def _exact_sums(weight: np.ndarray) -> bool:
     """True when every partial sum of the weights, in any order, is exact:
     integer weights whose total is below 2**53."""
@@ -266,12 +272,8 @@ def _max_growth(dist: np.ndarray, weight: np.ndarray, lambdas) -> list[float]:
     return worst
 
 
-def _doubling_constant(dist: np.ndarray, weight: np.ndarray) -> float:
-    return _max_growth(dist, weight, [2.0])[0]
-
-
 def _doubling_constant_exhaustive(dist: np.ndarray, weight: np.ndarray) -> float:
-    """Specification of ``_doubling_constant``: two 2n x n masks per center."""
+    """Specification of cmu (``_max_growth`` at lam = 2): two 2n x n masks per center."""
     n = dist.shape[0]
     worst = 1.0
     for x in range(n):
@@ -325,7 +327,7 @@ def make_space(dist, weight=None) -> FiniteSpace:
     if n > 1 and not (dist[off] > 0).all():
         i, j = np.argwhere((dist == 0) & off)[0]
         raise SpaceValidationError(f"zero distance between distinct points {i} and {j}")
-    cmu = _doubling_constant(dist, weight)
+    cmu = _max_growth(dist, weight, [2.0])[0]
     return FiniteSpace(
         dist=dist,
         weight=weight,
@@ -335,53 +337,45 @@ def make_space(dist, weight=None) -> FiniteSpace:
     )
 
 
-def _axis_sum(term, lo: int, hi: int) -> np.ndarray:
-    """term(lo) + ... + term(hi - 1), each an (n, n) array, added in the
-    order NumPy's pairwise sum adds a contiguous last axis: one by one below
-    8 terms; up to 128 terms, 8 interleaved lanes combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder one by one;
-    beyond that, two halves split at a multiple of 8.  So the sum over the
-    coordinate axes of the broadcast (n, n, D) differences is reproduced bit
-    for bit without building that array."""
-    m = hi - lo
-    if m < 8:
-        out = term(lo)
-        for a in range(lo + 1, hi):
-            out += term(a)
+# Entries of a (rows, n, D) block of coordinate differences summed at once
+_ROW_BLOCK = 1 << 16
+
+
+def _axis_sum(p: np.ndarray, term) -> np.ndarray:
+    """``term(p[:, None, :] - p[None, :, :]).sum(-1)`` bit for bit, for a
+    ufunc ``term`` applied in place.  NumPy adds fewer than 8 terms of a
+    contiguous axis one by one, so below 8 axes one (n, n) term per axis is
+    added to a running sum.  From 8 axes it adds them in its own pairwise
+    order, so the broadcast form itself is summed, in row blocks of at most
+    2**16 entries: each entry's D terms are reduced on their own, whatever
+    the block."""
+    n, dim = p.shape
+    if dim < 8:
+        out = _gaps(p, 0, term)
+        for a in range(1, dim):
+            out += _gaps(p, a, term)
         return out
-    if m <= 128:
-        lanes = [term(lo + j) for j in range(8)]
-        end = hi - m % 8
-        for a in range(lo + 8, end, 8):
-            for j, lane in enumerate(lanes):
-                lane += term(a + j)
-        r0, r1, r2, r3, r4, r5, r6, r7 = lanes
-        out = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for a in range(end, hi):
-            out += term(a)
-        return out
-    half = m // 2 - (m // 2) % 8
-    out = _axis_sum(term, lo, lo + half)
-    out += _axis_sum(term, lo + half, hi)
+    out = np.empty((n, n))
+    step = max(1, _ROW_BLOCK // (n * dim))
+    for x0 in range(0, n, step):
+        block = p[x0:x0 + step, None, :] - p[None, :, :]
+        np.add.reduce(term(block, out=block), axis=-1, out=out[x0:x0 + step])
     return out
 
 
-def _gaps(p: np.ndarray, a: int) -> np.ndarray:
-    """|p_i[a] - p_j[a]| for all pairs (i, j)."""
+def _gaps(p: np.ndarray, a: int, term=np.abs) -> np.ndarray:
+    """term(p_i[a] - p_j[a]) for all pairs (i, j)."""
     gap = p[:, a, None] - p[None, :, a]
-    return np.abs(gap, out=gap)
+    return term(gap, out=gap)
 
 
 def _euclidean(p: np.ndarray) -> np.ndarray:
-    def square(a):
-        gap = p[:, a, None] - p[None, :, a]
-        return np.multiply(gap, gap, out=gap)
-    total = _axis_sum(square, 0, p.shape[1])
+    total = _axis_sum(p, np.square)
     return np.sqrt(total, out=total)
 
 
 def _manhattan(p: np.ndarray) -> np.ndarray:
-    return _axis_sum(lambda a: _gaps(p, a), 0, p.shape[1])
+    return _axis_sum(p, np.abs)
 
 
 def _chebyshev(p: np.ndarray) -> np.ndarray:

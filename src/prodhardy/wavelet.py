@@ -12,13 +12,12 @@ than up to exponential tails.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .space import FiniteSpace
+from .space import FiniteSpace, _normal
 
 
 @dataclass
@@ -102,10 +101,6 @@ def build_haar(system: DyadicSystem) -> WaveletBasis:
                         scale=system.side(cube[0]), values=matrix[i])
                 for i, (cube, y) in enumerate(zip(system.keys(cube_rows), centers))]
     return WaveletBasis(system, wavelets, matrix, cube_rows)
-
-
-def _normal(*values: float) -> bool:
-    return all(sys.float_info.min <= v <= sys.float_info.max for v in values)
 
 
 def _abnormal(system: DyadicSystem, where: str, what: str) -> ValueError:

@@ -283,6 +283,15 @@ def test_bad_space_document(tmp_path, capsys):
     assert "asymmetric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["decompose", "--space"], ["decompose", "--function"],
+                                  ["build", "--out"]])
+def test_a_directory_given_for_a_file_is_named(argv, tmp_path, capsys):
+    # an OSError on a path (here IsADirectoryError) is a usage error, not a traceback
+    assert run([*argv, str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "directory" in err and str(tmp_path) in err
+
+
 def test_invalid_p_rejected(space_file, capsys):
     assert run(["decompose", "--space", space_file, "--p", "1.5"]) == 2
 

@@ -101,7 +101,9 @@ def decompose_by_cells(ps, f, p, q):
                 terms.append((weight * lam_raw, lam_raw, weight, (jj, l1, l2), avals, rects))
                 recon = recon + weight * lam_raw * avals
     residual = ps.lq_norm(recon - f, q) / fq if fq > 0 else 0.0
-    lam_sum = sum(abs(t[0]) ** p for t in terms)
+    lam_sum = 0                                  # as the report adds: left to right from 0
+    for t in terms:
+        lam_sum = lam_sum + abs(t[0]) ** p
     sf_p = float(((sf ** p) * ps.weights).sum())
     return terms, residual, {"n_terms": len(terms), "lam_sum": lam_sum, "sf_p_norm": sf_p,
                              "lam_sum_constant": lam_sum / sf_p if sf_p > 0 else 0.0,

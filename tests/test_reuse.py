@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import prodhardy.atoms as atoms_mod
-import prodhardy.journe as journe_mod
 import prodhardy.maximal as maximal_mod
 import prodhardy.product as product_mod
 from prodhardy import (OpenSet, ProductSpace, atomic_decompose, build_system,
@@ -183,7 +182,7 @@ def test_decompose_enlarges_without_the_maximal_function(monkeypatch):
 
     strong_maximal = maximal_mod.strong_maximal
     monkeypatch.setattr(maximal_mod, "strong_maximal", counted_strong_maximal)
-    monkeypatch.setattr(journe_mod, "maximal_rectangles", counted_family)
+    monkeypatch.setattr(atoms_mod, "maximal_rectangles", counted_family)
     dec = atomic_decompose(ps, ps.random_function(np.random.default_rng(3)), 1.0, 2.0)
     assert all(verify_atom(ps, t.atom)["passed"] for t in dec.terms)
     pools = [v for k, v in ps._memo.items() if k[0] == "pool"]     # one per level set

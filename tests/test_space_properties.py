@@ -109,10 +109,23 @@ BROADCAST = {
 @pytest.mark.parametrize("metric", sorted(BROADCAST))
 def test_metrics_equal_their_broadcast_form(metric, dim):
     # coordinates over 8 decades, so each order of adding the axes rounds
-    # differently; 1..7 axes add one by one, 8..128 in 8 lanes, 130 in halves
+    # differently; 1..7 axes are added one (n, n) term at a time, 8 and more
+    # (NumPy's pairwise order: 8 lanes up to 128 terms, halves beyond) as
+    # the broadcast form itself, here in one row block
     rng = np.random.default_rng(dim)
     p = rng.standard_normal((9, dim)) * 10.0 ** rng.uniform(-4, 4, (9, dim))
     p[3] = p[5]                                  # a zero distance off the diagonal
+    assert space_mod._METRICS[metric](p).tobytes() == BROADCAST[metric](p).tobytes()
+
+
+@pytest.mark.parametrize("n, dim", [(300, 9), (257, 64), (40, 300), (1000, 8)])
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_metrics_equal_their_broadcast_form_across_row_blocks(metric, n, dim):
+    # enough points that the broadcast form is summed in several row blocks
+    # (of 24, 3, 5 and 8 rows; the first two end in a shorter block)
+    assert max(1, space_mod._ROW_BLOCK // (n * dim)) < n
+    rng = np.random.default_rng([n, dim])
+    p = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-4, 4, (n, dim))
     assert space_mod._METRICS[metric](p).tobytes() == BROADCAST[metric](p).tobytes()
 
 
