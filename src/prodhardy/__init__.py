@@ -11,13 +11,13 @@ from .dyadic import (Cube, DyadicSystem, build_net,
 from .wavelet import (BuildingBlockSet, CutoffFunction, Wavelet, WaveletBasis,
                       build_haar, building_blocks, block_certificates, cutoff,
                       inverse_transform, transform)
-from .product import (ProductCoefficients, ProductSpace,
-                      block_square_function, cmo_p, cmo_p_exhaustive,
+from .product import (ProductCoefficients, ProductSpace, block_square_function,
                       double_center, hp_seminorm, inverse_product_transform,
                       product_transform, square_function)
 from .maximal import (LevelSetFamily, OpenSet, ell_enlarge, enlarge, epsilon0,
                       level_sets, strong_maximal, strong_maximal_exhaustive)
-from .journe import MaximalRectangleFamily, journe_check, maximal_rectangles, stretch
+from .journe import (MaximalRectangleFamily, cmo_p, cmo_p_exhaustive, journe_check,
+                     maximal_rectangles, stretch)
 from .atoms import (AtomicDecomposition, ChannelError, ProductAtom,
                     atom_hp_bound, atomic_decompose, equivalence_report,
                     generate_atom, verify_atom)

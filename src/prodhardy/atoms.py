@@ -29,8 +29,7 @@ import numpy as np
 
 from .dyadic import DyadicSystem
 from .journe import MaximalRectangleFamily, _level_drops, _majority, maximal_rectangles, tau
-from .maximal import (OpenSet, containment_matrix, ell_enlarge, enlarge, epsilon0,
-                      growth_factor, level_sets)
+from .maximal import OpenSet, ell_enlarge, enlarge, epsilon0, growth_factor, level_sets
 from .product import (ProductCoefficients, ProductSpace, _left_sum, _mean_zero, _ordered_sums,
                       _outer_sum, _run_starts, cell_scale, hp_seminorm, product_transform,
                       square_function, stack_slices)
@@ -77,7 +76,7 @@ class AtomicDecomposition:
     report: dict = field(default_factory=dict)
 
     def lam_sum(self) -> float:
-        return _left_sum(abs(t.lam) ** self.p for t in self.terms)
+        return self.report["lam_sum"]
 
     def reconstruct(self, shape) -> np.ndarray:
         out = np.zeros(shape)
@@ -141,20 +140,19 @@ def _pool(view: ProductSpace, omega: OpenSet) -> tuple[float, OpenSet, MaximalRe
 def _block_stack(pspace: ProductSpace, factor: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Each wavelet's building-block count on factor 0 or 1 at ``gamma``, and
     the stack kphi[i, l] = kappa_i phi_{i,l} (zero past the count), kept on
-    the space: the corpus runs of ``certify`` decompose on one space.  A
-    factor that repeats factor 0 (same space, same basis) shares its stacks."""
-    if factor == 1 and pspace.bases[1] is pspace.bases[0] and pspace.x2 is pspace.x1:
-        factor = 0
+    the space per basis: the corpus runs of ``certify`` decompose on one
+    space, and a repeated factor, which shares its basis, shares its stacks."""
+    basis = pspace.bases[factor]
 
     def build():
-        space, basis = (pspace.x1, pspace.x2)[factor], pspace.bases[factor]
+        space = basis.system.space
         sets = [building_blocks(space, w, gamma, cbar=1.0) for w in basis.wavelets]
         counts = np.array([b.n_blocks for b in sets], dtype=int)
         kphi = np.zeros((len(sets), counts.max(initial=0), space.n))
         for i, b in enumerate(sets):
             kphi[i, :b.n_blocks] = b.kappa * np.asarray(b.blocks)
         return counts, kphi
-    return pspace.memoized(("blocks", factor, gamma), build)
+    return pspace.memoized(("blocks", basis, gamma), build)
 
 
 def _budget_measure(view: ProductSpace, omega_t: OpenSet, ell1: int, ell2: int) -> float:
@@ -168,16 +166,11 @@ def _size_budget(view: ProductSpace, omega_t: OpenSet, ell1: int, ell2: int,
     return _budget_measure(view, omega_t, ell1, ell2) ** (1.0 / q - 1.0 / p)
 
 
-def _support_multipliers(pspace: ProductSpace, ell1: int, ell2: int) -> tuple[float, float]:
-    # rectangle-atom support constants C_i = 2 a0_i^2, scaled by the cell
-    return (2.0 * pspace.x1.a0 ** 2 * 2.0 ** ell1,
-            2.0 * pspace.x2.a0 ** 2 * 2.0 ** ell2)
-
-
 def _boxes(view: ProductSpace, ell1: int, ell2: int):
-    """The cell's support multipliers and each factor's dilate matrix at
-    them: row a of factor i's matrix is the box lam_i Q of cube a."""
-    lams = _support_multipliers(view, ell1, ell2)
+    """The cell's support multipliers lam_i = 2 a0_i^2 2^l_i (the rectangle
+    atoms' support constants, scaled by the cell) and each factor's dilate
+    matrix at them: row a of factor i's matrix is the box lam_i Q of cube a."""
+    lams = (2.0 * view.x1.a0 ** 2 * 2.0 ** ell1, 2.0 * view.x2.a0 ** 2 * 2.0 ** ell2)
     return lams, tuple(s.dilate_matrix(lam) for s, lam in zip(view.systems, lams))
 
 
@@ -229,12 +222,12 @@ def _records(pspace: ProductSpace, stack: tuple, k: int, p: float, q: float,
     terms, avals, vals, residual, reports = stack
     lo = sum(r["n_terms"] for r in reports[:k])
     out = []
-    for (omega, (jj, l1, l2), lam_raw, weight, keys, u), values in zip(
+    for (omega, (jj, l1, l2), lam, lam_raw, weight, keys, u), values in zip(
             terms[lo:lo + reports[k]["n_terms"]], avals[lo:]):
         atom = ProductAtom(values=values, omega=omega, ell1=l1, ell2=l2, p=p, q=q,
                            grids=pspace.systems,
                            rectangle_atoms=dict(zip(keys, vals[u:u + len(keys)])))
-        out.append(DecompositionTerm(lam=weight * lam_raw, lam_raw=lam_raw, weight=weight,
+        out.append(DecompositionTerm(lam=lam, lam_raw=lam_raw, weight=weight,
                                      atom=atom, provenance=(jj, l1, l2)))
     return AtomicDecomposition(terms=out, p=p, q=q, gammas=gammas, residual=residual[k],
                                report=reports[k])
@@ -245,8 +238,9 @@ def _decompose_stack(pspace: ProductSpace, fs: np.ndarray, p: float, q: float,
     """The decompositions of each grid of the stack fs (k, n1, n2), with the
     floats of one grid's, as arrays: (terms, atoms, rectangle atoms,
     residuals, reports).  Terms go by function, then cell; term t is
-    (Omega_j, (j, l1, l2), lambda_raw, weight, its rectangle keys, the row
-    of its first rectangle atom) and its atom is atoms[t].
+    (Omega_j, (j, l1, l2), lambda = weight lambda_raw, lambda_raw, weight,
+    its rectangle keys, the row of its first rectangle atom) and its atom is
+    atoms[t].
 
     The passes are stacked: one transform, square function and half test
     for the stack; one ordered sum over every (function, j) shell's
@@ -311,9 +305,9 @@ def _decompose_stack(pspace: ProductSpace, fs: np.ndarray, p: float, q: float,
         k, jj = shells[t]
         m_all, u = pools[t][2].m_all, first_rect[c]
         weight = 2.0 ** (-l1 * gamma1 - l2 * gamma2)
-        terms.append((fams[k].sets[jj], (jj, l1, l2), lam_raw[c], weight,
-                      [m_all[g] for g in unit_rect[u:u + rects[c]]], u))
         lams.append(weight * lam_raw[c])
+        terms.append((fams[k].sets[jj], (jj, l1, l2), lams[-1], lam_raw[c], weight,
+                      [m_all[g] for g in unit_rect[u:u + rects[c]]], u))
         fn_of.append(k)
 
     n_terms = np.bincount(fn_of, minlength=len(fs)).tolist()
@@ -374,46 +368,46 @@ def _classified(pspace: ProductSpace, cw: np.ndarray, cmax: np.ndarray, busy: np
 
     A pair is live when its coefficient is above COEFF_TOL of its
     function's largest (``cmax``); its B_j is its function's last level set
-    on which the pair's rectangle keeps its majority, from one half test
-    over every function's level sets.
+    on which the pair's rectangle keeps its majority, from half tests over
+    every function's level sets in stacks of at most SUM_BATCH cube pairs
+    (one set at least), each keeping only its sets' hits on their pairs.
     """
     fn, ii, jw = np.nonzero((np.abs(cw) > COEFF_TOL * cmax[:, None, None]) & busy[:, None, None])
     rows, cols = pspace.bases[0].cube_rows[ii], pspace.bases[1].cube_rows[jw]
-    passes = _majority(pspace, np.array([fam.sets[jj].mask for fam in fams.values()
-                                         for jj in fam.js()]))
+    pairs = {k: slice(*np.searchsorted(fn, (k, k + 1)).tolist()) for k in fams}
+    sets = [(k, jj) for k, fam in fams.items() for jj in fam.js()]     # function by function
+    hits = []                   # each set's half test on its function's pairs
+    s1, s2 = pspace.systems
+    for s in stack_slices(pspace, len(sets), s1.n_cubes() * s2.n_cubes()):
+        passes = _majority(pspace, np.array([fams[k].sets[jj].mask for k, jj in sets[s]]))
+        hits += [passes[i, rows[pairs[k]], cols[pairs[k]]] for i, (k, _) in enumerate(sets[s])]
     j_of = np.empty(len(fn), dtype=int)
     at = 0
     for k, fam in fams.items():
         js = np.array(fam.js())
-        lo, hi = np.searchsorted(fn, (k, k + 1)).tolist()
-        hit = passes[at:at + len(js), rows[lo:hi], cols[lo:hi]]      # (set, pair) of function k
+        hit = np.array(hits[at:at + len(js)])         # (set, pair) of function k
         at += len(js)
         if not hit.any(axis=0).all():
             raise AssertionError("nonzero-coefficient rectangle escaped classification")
-        j_of[lo:hi] = js[len(js) - 1 - hit[::-1].argmax(axis=0)]
+        j_of[pairs[k]] = js[len(js) - 1 - hit[::-1].argmax(axis=0)]
     order = np.lexsort((j_of, fn))
     return tuple(a[order] for a in (fn, ii, jw, rows, cols, j_of))
 
 
 def _covering(pspace: ProductSpace, pools: list, shell: np.ndarray, rows: np.ndarray,
               cols: np.ndarray) -> np.ndarray:
-    """Each pair's covering rectangle (tau's position in its shell's family),
-    once its rectangle is checked to lie in its shell's enlargement; shells
-    with one enlargement (so one family) are handled together."""
+    """Each pair's covering rectangle (tau's position in its shell's family);
+    shells with one enlargement (so one family) are handled together.  tau
+    raises, naming the rectangle, exactly when it escapes its enlargement: a
+    contained rectangle climbs through contained parent extensions to a
+    maximal one."""
     alike: dict = {}
     for t, (_, omega_t, _) in enumerate(pools):
         alike.setdefault(omega_t.key(), []).append(t)
     group = np.zeros(len(shell), dtype=int)
     for ts in alike.values():
         sel = np.flatnonzero(np.isin(shell, ts))
-        _, omega_t, family = pools[ts[0]]
-        escaped = ~containment_matrix(pspace, omega_t)[rows[sel], cols[sel]]
-        if escaped.any():
-            at = sel[escaped.argmax()]
-            s1, s2 = pspace.systems
-            key = s1.keys(rows[at:at + 1])[0] + s2.keys(cols[at:at + 1])[0]
-            raise AssertionError(f"classified rectangle {key} escapes the enlargement")
-        group[sel] = tau(pspace, family, rows[sel], cols[sel])
+        group[sel] = tau(pspace, pools[ts[0]][2], rows[sel], cols[sel])
     return group
 
 
@@ -482,10 +476,8 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom) -> dict:
     w1, w2 = view.x1.weight, view.x2.weight
 
     total = np.zeros(view.shape)
-    sum_q = 0.0
     for key, vals in atom.rectangle_atoms.items():
         total += vals
-        sum_q += view.lq_norm(vals, q) ** q
         if key not in at:
             failures.append(f"condition (3): rectangle {key} is not in the maximal family")
             continue
@@ -511,19 +503,20 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom) -> dict:
         "n_rectangle_atoms": len(atom.rectangle_atoms),
         "epsilon0": eps0,
     }
+    # each rectangle atom's ||a_R||_q^q, in key order
+    norms_q = [view.lq_norm(vals, q) ** q for vals in atom.rectangle_atoms.values()]
     if q >= 2:
-        cert["C_q_iii_a"] = (sum_q ** (1.0 / q)) / budget if budget > 0 else math.inf
+        cert["C_q_iii_a"] = (_left_sum(norms_q) ** (1.0 / q)) / budget if budget > 0 else math.inf
     else:
         ratios = {}
         delta_default = q / (2.0 * p)
-        drops = _level_drops(view.systems[1], family.cols, family.hat2)
+        s2 = view.systems[1]
+        drops = _level_drops(s2, family.cols, family.hat2)
+        # (rho_R, ||a_R||_q^q) of the family's rectangles, rho_R = delta^drop
+        weighed = [(s2.delta ** drops[at[key]], n) for key, n in zip(atom.rectangle_atoms, norms_q)
+                   if key in at]
         for d in sorted(set(STRETCH_DELTAS) | {delta_default}):
-            s = 0.0
-            for key in atom.rectangle_atoms:
-                if key not in at:
-                    continue
-                rho = view.systems[1].delta ** drops[at[key]]
-                s += rho ** d * view.lq_norm(atom.rectangle_atoms[key], q) ** q
+            s = _left_sum(rho ** d * n for rho, n in weighed)
             ratios[d] = (s ** (1.0 / q)) / budget if budget > 0 else math.inf
         cert["C_q_delta_iii_b"] = ratios
         cert["delta_default"] = delta_default

@@ -19,10 +19,15 @@ factors' dyadic systems, and tau answers with positions in the family; the
 (k1, a1, k2, a2) keys are kept alongside for the atoms and reports that
 show them.  The families and covering sums of a whole stack of sets come
 from one pass (``_families``); a single set is its stack of one.
+
+The CMO^p candidate suprema (``cmo_p``) range over unions of maximal
+rectangles, so they live here too.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,7 +35,7 @@ import numpy as np
 
 from .dyadic import DyadicSystem
 from .maximal import OpenSet, _inside
-from .product import ProductSpace
+from .product import ProductCoefficients, ProductSpace
 from .space import _exact_sums
 
 
@@ -272,3 +277,84 @@ def _exponents(deltas) -> list:
     if not deltas or not all(d > 0 for d in deltas):
         raise ValueError("delta exponents must be a nonempty sequence of positive numbers")
     return deltas
+
+
+CMO_MAX_UNION = 3      # unions of up to this many maximal rectangles are candidates
+CMO_MICRO_LIMIT = 15   # up to this many energy rectangles, every union of them is one
+
+
+def cmo_p(pspace: ProductSpace, coeffs: ProductCoefficients, p: float,
+          candidates=None) -> float:
+    """Lower bound for the CMO^p supremum over a structured candidate family.
+
+    Candidate value: (mu(Omega)^(1-2/p) * sum_{R in Omega} |<f,psi psi>|^2)^(1/2),
+    the sum over wavelet rectangles contained in Omega.  Default candidates:
+    every single dyadic rectangle, unions of <= CMO_MAX_UNION maximal rectangles
+    of the coefficient support, and -- when at most CMO_MICRO_LIMIT rectangles
+    carry nonzero coefficients -- all unions of those rectangles, which makes
+    the candidate supremum equal to the exhaustive all-subsets supremum (the
+    optimum is always attained at such a union: dropping points outside the
+    contained rectangles shrinks mu(Omega) without losing energy).
+    """
+    s1, s2 = pspace.systems
+    b1, b2 = pspace.bases
+    energy = np.zeros((s1.n_cubes(), s2.n_cubes()))      # sum of |<f,psi psi>|^2 per cube pair
+    np.add.at(energy, (b1.cube_rows[:, None], b2.cube_rows[None, :]), coeffs.ww ** 2)
+    ra, rb = np.nonzero(energy > 0)
+    rects = pspace.rectangle_indicators(ra, rb)           # the rectangles carrying energy
+
+    if candidates is None:
+        stacks = [pspace.rectangle_indicators(*np.indices(energy.shape).reshape(2, -1)) > 0]
+        if len(ra):
+            support = OpenSet.from_mask(pspace, rects.any(axis=0).reshape(pspace.shape))
+            fam = maximal_rectangles(pspace, support)
+            stacks.append(_unions(pspace.rectangle_indicators(fam.rows, fam.cols), CMO_MAX_UNION))
+            if len(ra) <= CMO_MICRO_LIMIT:
+                stacks.append(_unions(rects, len(ra)))
+        cands = np.concatenate(stacks).astype(float)
+    else:
+        candidates = list(candidates)
+        cands = (np.array(candidates, dtype=bool)
+                 .reshape(len(candidates), pspace.x1.n * pspace.x2.n).astype(float))
+    mu = cands @ pspace.weights.ravel()
+    if candidates is not None and (mu <= 0).any():
+        raise ValueError("empty candidate set")
+    # a rectangle lies in a candidate when all of its points do
+    inside = cands @ rects.T == rects.sum(axis=1)
+    keep = mu > 0
+    vals = np.sqrt(mu[keep] ** (1.0 - 2.0 / p) * (inside[keep] @ energy[ra, rb]))
+    return float(vals.max(initial=0.0))
+
+
+def _unions(rects: np.ndarray, max_size: int) -> np.ndarray:
+    """Every union of one to ``max_size`` of the indicator rows."""
+    combos = [list(c) for r in range(1, min(max_size, len(rects)) + 1)
+              for c in itertools.combinations(range(len(rects)), r)]
+    pick = np.zeros((len(combos), len(rects)))
+    for row, combo in enumerate(combos):
+        pick[row, combo] = 1.0
+    return pick @ rects > 0
+
+
+def cmo_p_exhaustive(pspace: ProductSpace, coeffs: ProductCoefficients, p: float) -> float:
+    """All-subsets oracle; only feasible on micro instances (n1*n2 <= ~14)."""
+    n1, n2 = pspace.shape
+    cells = n1 * n2
+    if cells > 16:
+        raise ValueError("exhaustive CMO oracle limited to micro instances")
+    best = 0.0
+    c2 = coeffs.ww ** 2
+    rects = []
+    for i in range(coeffs.n_wav[0]):
+        for j in range(coeffs.n_wav[1]):
+            if c2[i, j] > 0:
+                r1, r2 = pspace.wavelet_rectangle(i, j)
+                rects.append((pspace.rectangle_mask(r1, r2), float(c2[i, j])))
+    for bits in range(1, 2 ** cells):
+        mask = np.asarray([(bits >> c) & 1 for c in range(cells)],
+                          dtype=bool).reshape(n1, n2)
+        mu = pspace.set_measure(mask)
+        energy = sum(e for rm, e in rects if (rm & ~mask).sum() == 0)
+        if energy > 0:
+            best = max(best, math.sqrt(mu ** (1.0 - 2.0 / p) * energy))
+    return best

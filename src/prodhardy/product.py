@@ -1,5 +1,5 @@
 """Product-space structure on X1 x X2: transforms, the product square
-function, H^p seminorms, CMO^p candidate suprema and the block square function.
+function, H^p seminorms and the block square function.
 
 Functions on the product grid are (n1, n2) matrices; the product measure is
 the weight outer product.  Coefficients carry four channels: wavelet x
@@ -19,8 +19,8 @@ sums of grids in shared passes of at most SUM_BATCH entries.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
+import threading
 import operator
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -61,18 +61,25 @@ class ProductSpace:
         # the ramp cut-offs are Lipschitz
         self.p0 = max(x1.omega / (x1.omega + 1.0), x2.omega / (x2.omega + 1.0))
         self._memo: OrderedDict = OrderedDict()
+        self._memo_lock = threading.Lock()
 
     def memoized(self, key, compute):
         """``compute()`` once per key while it stays among this space's last
         MEMO_ENTRIES keys used.  The value is shared with every later caller
-        of the key, so no caller may mutate it."""
+        of the key, so no caller may mutate it.  The lock guards the memo,
+        not ``compute()`` (which may look up other keys): threads that both
+        compute a key both return the value stored first."""
         memo = self._memo
-        if key in memo:
+        with self._memo_lock:
+            if key in memo:
+                memo.move_to_end(key)
+                return memo[key]
+        value = compute()
+        with self._memo_lock:
+            value = memo.setdefault(key, value)
             memo.move_to_end(key)
-            return memo[key]
-        value = memo[key] = compute()
-        if len(memo) > MEMO_ENTRIES:
-            memo.popitem(last=False)
+            if len(memo) > MEMO_ENTRIES:
+                memo.popitem(last=False)
         return value
 
     @property
@@ -317,90 +324,6 @@ def hp_seminorm(pspace: ProductSpace, f: np.ndarray, p: float,
     if p <= pspace.p0 and warn is not None:
         warn.append(f"p = {p} is at or below p0 = {pspace.p0:.6g}; outside the theory's range")
     return pspace.lq_norm(square_function(pspace, product_transform(pspace, f)), p)
-
-
-CMO_MAX_UNION = 3      # unions of up to this many maximal rectangles are candidates
-CMO_MICRO_LIMIT = 15   # up to this many energy rectangles, every union of them is one
-
-
-def cmo_p(pspace: ProductSpace, coeffs: ProductCoefficients, p: float,
-          candidates=None) -> float:
-    """Lower bound for the CMO^p supremum over a structured candidate family.
-
-    Candidate value: (mu(Omega)^(1-2/p) * sum_{R in Omega} |<f,psi psi>|^2)^(1/2),
-    the sum over wavelet rectangles contained in Omega.  Default candidates:
-    every single dyadic rectangle, unions of <= CMO_MAX_UNION maximal rectangles
-    of the coefficient support, and -- when at most CMO_MICRO_LIMIT rectangles
-    carry nonzero coefficients -- all unions of those rectangles, which makes
-    the candidate supremum equal to the exhaustive all-subsets supremum (the
-    optimum is always attained at such a union: dropping points outside the
-    contained rectangles shrinks mu(Omega) without losing energy).
-    """
-    from .journe import maximal_rectangles   # local import to avoid a cycle
-    from .maximal import OpenSet
-
-    s1, s2 = pspace.systems
-    b1, b2 = pspace.bases
-    energy = np.zeros((s1.n_cubes(), s2.n_cubes()))      # sum of |<f,psi psi>|^2 per cube pair
-    np.add.at(energy, (b1.cube_rows[:, None], b2.cube_rows[None, :]), coeffs.ww ** 2)
-    ra, rb = np.nonzero(energy > 0)
-    rects = pspace.rectangle_indicators(ra, rb)           # the rectangles carrying energy
-
-    if candidates is None:
-        stacks = [pspace.rectangle_indicators(*np.indices(energy.shape).reshape(2, -1)) > 0]
-        if len(ra):
-            support = OpenSet.from_mask(pspace, rects.any(axis=0).reshape(pspace.shape))
-            fam = maximal_rectangles(pspace, support)
-            stacks.append(_unions(pspace.rectangle_indicators(fam.rows, fam.cols), CMO_MAX_UNION))
-            if len(ra) <= CMO_MICRO_LIMIT:
-                stacks.append(_unions(rects, len(ra)))
-        cands = np.concatenate(stacks).astype(float)
-    else:
-        candidates = list(candidates)
-        cands = (np.array(candidates, dtype=bool)
-                 .reshape(len(candidates), pspace.x1.n * pspace.x2.n).astype(float))
-    mu = cands @ pspace.weights.ravel()
-    if candidates is not None and (mu <= 0).any():
-        raise ValueError("empty candidate set")
-    # a rectangle lies in a candidate when all of its points do
-    inside = cands @ rects.T == rects.sum(axis=1)
-    keep = mu > 0
-    vals = np.sqrt(mu[keep] ** (1.0 - 2.0 / p) * (inside[keep] @ energy[ra, rb]))
-    return float(vals.max(initial=0.0))
-
-
-def _unions(rects: np.ndarray, max_size: int) -> np.ndarray:
-    """Every union of one to ``max_size`` of the indicator rows."""
-    combos = [list(c) for r in range(1, min(max_size, len(rects)) + 1)
-              for c in itertools.combinations(range(len(rects)), r)]
-    pick = np.zeros((len(combos), len(rects)))
-    for row, combo in enumerate(combos):
-        pick[row, combo] = 1.0
-    return pick @ rects > 0
-
-
-def cmo_p_exhaustive(pspace: ProductSpace, coeffs: ProductCoefficients, p: float) -> float:
-    """All-subsets oracle; only feasible on micro instances (n1*n2 <= ~14)."""
-    n1, n2 = pspace.shape
-    cells = n1 * n2
-    if cells > 16:
-        raise ValueError("exhaustive CMO oracle limited to micro instances")
-    best = 0.0
-    c2 = coeffs.ww ** 2
-    rects = []
-    for i in range(coeffs.n_wav[0]):
-        for j in range(coeffs.n_wav[1]):
-            if c2[i, j] > 0:
-                r1, r2 = pspace.wavelet_rectangle(i, j)
-                rects.append((pspace.rectangle_mask(r1, r2), float(c2[i, j])))
-    for bits in range(1, 2 ** cells):
-        mask = np.asarray([(bits >> c) & 1 for c in range(cells)],
-                          dtype=bool).reshape(n1, n2)
-        mu = pspace.set_measure(mask)
-        energy = sum(e for rm, e in rects if (rm & ~mask).sum() == 0)
-        if energy > 0:
-            best = max(best, math.sqrt(mu ** (1.0 - 2.0 / p) * energy))
-    return best
 
 
 def cell_scale(pspace: ProductSpace, ell1: int, ell2: int) -> float:

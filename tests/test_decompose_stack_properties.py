@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodhardy import (ChannelError, atomic_decompose, equivalence_report, hp_seminorm,
-                       level_sets, product_transform, square_function)
+from prodhardy import (ChannelError, OpenSet, atomic_decompose, atoms, epsilon0,
+                       equivalence_report, hp_seminorm, level_sets, maximal_rectangles,
+                       product_transform, square_function)
 from prodhardy.atoms import (COEFF_TOL, _block_stack, _budget_measure, _decompose_stack,
                              _gammas, _pool, _recancelled, _records)
 from prodhardy.journe import majority_matrix, tau
@@ -171,3 +172,18 @@ def test_equivalence_report_of_a_generator_equals_the_cell_loop(inst, scales, se
         assert bits(row["residual"]) == bits(residual)
         sa = [hp_seminorm(ps, t[4], p) for t in terms]
         assert bits(row["max_sa_p"]) == bits(max(sa, default=0.0))
+
+
+def test_a_rectangle_outside_its_enlargement_is_named(pspace8, monkeypatch):
+    # a pool whose set is one point holds no classified rectangle: tau, the
+    # covering check, raises and names the rectangle's key
+    def one_point_pool(view, omega):
+        mask = np.zeros(view.shape, dtype=bool)
+        mask[0, 0] = True
+        small = OpenSet.from_mask(view, mask)
+        return epsilon0(view), small, maximal_rectangles(view, small)
+
+    monkeypatch.setattr(atoms, "_pool", one_point_pool)
+    f = pspace8.random_function(np.random.default_rng(0))
+    with pytest.raises(AssertionError, match=r"no maximal rectangle contains \(-?\d+, \d+, -?\d+, \d+\)"):
+        atomic_decompose(pspace8, f, 1.0, 2.0)

@@ -116,6 +116,29 @@ def test_certify_report_is_the_same_one_grid_per_stack(name, monkeypatch, tmp_pa
     assert report_digest(name, tmp_path) == CASES[name][2]
 
 
+
+@pytest.mark.parametrize("name", ["decompose-line12", "decompose-deep-pair"])
+def test_decompose_report_is_the_same_one_level_set_per_stack(name, monkeypatch, tmp_path):
+    # each B_j half test runs over stacks of level sets of at most SUM_BATCH
+    # cube pairs, one set at least: one stack here, and with a budget below
+    # one set's pairs one stack per set, with the same report
+    stacks = []
+    original = atoms._majority
+
+    def bounded(pspace, masks):
+        s1, s2 = pspace.systems
+        assert len(masks) <= max(1, product.SUM_BATCH // (s1.n_cubes() * s2.n_cubes()))
+        stacks.append(len(masks))
+        return original(pspace, masks)
+
+    monkeypatch.setattr(atoms, "_majority", bounded)
+    assert report_digest(name, tmp_path) == CASES[name][2]
+    [n_sets] = stacks
+    stacks.clear()
+    monkeypatch.setattr(product, "SUM_BATCH", 1)
+    assert report_digest(name, tmp_path) == CASES[name][2]
+    assert n_sets > 1 and stacks == [1] * n_sets
+
 def test_certify_corpus_runs_in_stacked_passes(monkeypatch, tmp_path):
     # 50 functions on the built-in 8-point line: one transform for the basis
     # checks, one per p for Lp <= Hp, one for the H^p norms of the 20

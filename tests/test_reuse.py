@@ -7,6 +7,8 @@ add its terms in the order of the plain loop so reports stay byte-identical.
 """
 
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -18,7 +20,7 @@ import prodhardy.product as product_mod
 from prodhardy import (OpenSet, ProductSpace, atomic_decompose, build_system,
                        building_blocks, ell_enlarge, enlarge, epsilon0, maximal_rectangles,
                        verify_atom)
-from prodhardy.atoms import _block_stack, _pool, _support_multipliers, _view_on
+from prodhardy.atoms import _block_stack, _boxes, _pool, _view_on
 from prodhardy.product import MEMO_ENTRIES, SUM_BATCH, _outer_sum
 
 from conftest import line_space
@@ -251,6 +253,39 @@ def test_verify_reuses_each_ell_enlargement(monkeypatch):
     assert len(hits) == len(calls)
     for (_, key, ell1, ell2), (support, _) in hits:
         fresh, _ = ell_enlarge(ps, enlarged[key], ell1, ell2,
-                               *_support_multipliers(ps, ell1, ell2))
+                               *_boxes(ps, ell1, ell2)[0])
         np.testing.assert_array_equal(support.mask, fresh.mask)
         assert support.measure == fresh.measure
+
+
+def test_memoized_is_thread_safe_while_it_evicts(monkeypatch):
+    # 8 threads cycle through 8 keys of a 4-key memo, each from its own
+    # start, switching as often as the interpreter allows: a key another
+    # thread evicts between the lookup and the read must not raise, and each
+    # call gets its own key's value
+    monkeypatch.setattr(product_mod, "MEMO_ENTRIES", 4)
+    ps = ProductSpace(line_space([0.0, 1.0]), line_space([0.0, 1.0]), delta=0.5)
+    failures = []
+
+    def cycle(start):
+        try:
+            for i in range(start, start + 20000):
+                key = ("k", i % 8)
+                if ps.memoized(key, lambda: ("value", key)) != ("value", key):
+                    failures.append(key)
+        except Exception as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=cycle, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures, failures[:3]
+    assert len(ps._memo) <= 4

@@ -15,7 +15,7 @@ from prodhardy import (OpenSet, ProductSpace, generate_atom, journe_check, make_
                        maximal_rectangles, verify_atom)
 from prodhardy import dyadic, journe, maximal
 from prodhardy.journe import _measure_in, majority_matrix, stretch_exhaustive, tau
-from prodhardy.maximal import rectangles_inside
+from prodhardy.maximal import containment_matrix, rectangles_inside
 
 from strategies import CHECK, instances, weighted_spaces
 from test_golden_reports import CASES, report_digest
@@ -103,6 +103,20 @@ def test_tau_matches_member_scan(inst, seed):
     keys = [cubes1[a].id + cubes2[b].id for a, b in zip(rows, cols)]
     assert [fam.m_all[h] for h in tau(ps, fam, rows, cols)] == [tau_scan(ps, fam, k) for k in keys]
 
+
+
+@CHECK
+@given(instances())
+def test_tau_covers_exactly_the_contained_rectangles(inst):
+    # the decomposition checks that each classified rectangle lies in its
+    # enlargement by tau alone: some family rectangle has ancestors-or-self
+    # of both factors exactly when the rectangle lies in the set
+    ps, om = inst
+    fam = maximal_rectangles(ps, om, "both")
+    s1, s2 = ps.systems
+    covered = (s1.ancestors[:, fam.rows].astype(int)
+               @ s2.ancestors[:, fam.cols].T.astype(int)) > 0
+    np.testing.assert_array_equal(covered, containment_matrix(ps, om))
 
 def test_fast_paths_never_call_the_oracles(monkeypatch, tmp_path):
     def refuse(*args):
