@@ -55,6 +55,7 @@ class ProductAtom:
     q: float
     grids: tuple[DyadicSystem, DyadicSystem]
     rectangle_atoms: dict = field(default_factory=dict)   # (k1, a1, k2, a2) -> values
+    pool: tuple[float, OpenSet, MaximalRectangleFamily] | None = None   # what it was built on
 
 
 @dataclass
@@ -123,36 +124,38 @@ STRETCH_DELTAS = (0.5, 1.0, 2.0)   # extra deltas of the 1 < q < 2 stretch ratio
 MAX_RECTS = 4                # rectangle atoms drawn per generated atom
 
 
-def _pool(view: ProductSpace, omega: OpenSet) -> tuple[float, OpenSet, MaximalRectangleFamily]:
-    """The Chang-Fefferman pool of ``omega``: epsilon_0, the enlargement
-    Omega~ = {M_s chi_Omega > epsilon_0} and Omega~'s maximal rectangles,
-    kept on ``view`` per level set, so verify_atom reads what
-    atomic_decompose built, and the family per Omega~, so level sets with
-    one enlargement share it.  The pool is shared: callers must not mutate it."""
-    def build():
-        eps0 = epsilon0(view)
-        omega_t = enlarge(view, omega, eps0)
-        return eps0, omega_t, view.memoized(("family", omega_t.key()),
-                                            lambda: maximal_rectangles(view, omega_t))
-    return view.memoized(("pool", omega.key()), build)
+def _pools(view: ProductSpace, sets: list) -> list:
+    """The Chang-Fefferman pool of each open set: epsilon_0, the enlargement
+    Omega~ = {M_s chi_Omega > epsilon_0} and Omega~'s maximal rectangles.
+    Sets with one mask share one pool, and pools with one Omega~ one family;
+    callers must not mutate them."""
+    eps0 = epsilon0(view)
+    pools, families = {}, {}
+    for omega in sets:
+        key = omega.key()
+        if key not in pools:
+            omega_t = enlarge(view, omega, eps0)
+            if omega_t.key() not in families:
+                families[omega_t.key()] = maximal_rectangles(view, omega_t)
+            pools[key] = eps0, omega_t, families[omega_t.key()]
+    return [pools[omega.key()] for omega in sets]
 
 
-def _block_stack(pspace: ProductSpace, factor: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each wavelet's building-block count on factor 0 or 1 at ``gamma``, and
-    the stack kphi[i, l] = kappa_i phi_{i,l} (zero past the count), kept on
-    the space per basis: the corpus runs of ``certify`` decompose on one
-    space, and a repeated factor, which shares its basis, shares its stacks."""
-    basis = pspace.bases[factor]
-
-    def build():
-        space = basis.system.space
-        sets = [building_blocks(space, w, gamma, cbar=1.0) for w in basis.wavelets]
-        counts = np.array([b.n_blocks for b in sets], dtype=int)
-        kphi = np.zeros((len(sets), counts.max(initial=0), space.n))
-        for i, b in enumerate(sets):
-            kphi[i, :b.n_blocks] = b.kappa * np.asarray(b.blocks)
-        return counts, kphi
-    return pspace.memoized(("blocks", basis, gamma), build)
+def _block_stacks(pspace: ProductSpace, gammas: tuple[float, float]) -> list:
+    """Each factor's building-block count per wavelet at its gamma, and the
+    stack kphi[i, l] = kappa_i phi_{i,l} (zero past the count); a repeated
+    factor (one basis at an equal gamma) shares one stack."""
+    stacks = {}
+    for basis, gamma in zip(pspace.bases, gammas):
+        if (basis, gamma) not in stacks:
+            space = basis.system.space
+            sets = [building_blocks(space, w, gamma, cbar=1.0) for w in basis.wavelets]
+            counts = np.array([b.n_blocks for b in sets], dtype=int)
+            kphi = np.zeros((len(sets), counts.max(initial=0), space.n))
+            for i, b in enumerate(sets):
+                kphi[i, :b.n_blocks] = b.kappa * np.asarray(b.blocks)
+            stacks[basis, gamma] = counts, kphi
+    return [stacks[key] for key in zip(pspace.bases, gammas)]
 
 
 def _budget_measure(view: ProductSpace, omega_t: OpenSet, ell1: int, ell2: int) -> float:
@@ -213,7 +216,8 @@ def atomic_decompose(pspace: ProductSpace, f: np.ndarray, p: float, q: float,
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:
         raise ValueError(f"expected one grid of shape {pspace.shape}, got shape {f.shape}")
-    return _records(pspace, _decompose_stack(pspace, f[None], p, q, gammas), 0, p, q, gammas)
+    stack = _decompose_stack(pspace, f[None], p, q, gammas, _block_stacks(pspace, gammas))
+    return _records(pspace, stack, 0, p, q, gammas)
 
 
 def _records(pspace: ProductSpace, stack: tuple, k: int, p: float, q: float,
@@ -222,11 +226,11 @@ def _records(pspace: ProductSpace, stack: tuple, k: int, p: float, q: float,
     terms, avals, vals, residual, reports = stack
     lo = sum(r["n_terms"] for r in reports[:k])
     out = []
-    for (omega, (jj, l1, l2), lam, lam_raw, weight, keys, u), values in zip(
+    for (omega, pool, (jj, l1, l2), lam, lam_raw, weight, keys, u), values in zip(
             terms[lo:lo + reports[k]["n_terms"]], avals[lo:]):
         atom = ProductAtom(values=values, omega=omega, ell1=l1, ell2=l2, p=p, q=q,
                            grids=pspace.systems,
-                           rectangle_atoms=dict(zip(keys, vals[u:u + len(keys)])))
+                           rectangle_atoms=dict(zip(keys, vals[u:u + len(keys)])), pool=pool)
         out.append(DecompositionTerm(lam=lam, lam_raw=lam_raw, weight=weight,
                                      atom=atom, provenance=(jj, l1, l2)))
     return AtomicDecomposition(terms=out, p=p, q=q, gammas=gammas, residual=residual[k],
@@ -234,12 +238,13 @@ def _records(pspace: ProductSpace, stack: tuple, k: int, p: float, q: float,
 
 
 def _decompose_stack(pspace: ProductSpace, fs: np.ndarray, p: float, q: float,
-                     gammas: tuple[float, float]) -> tuple:
+                     gammas: tuple[float, float], blocks: list) -> tuple:
     """The decompositions of each grid of the stack fs (k, n1, n2), with the
     floats of one grid's, as arrays: (terms, atoms, rectangle atoms,
-    residuals, reports).  Terms go by function, then cell; term t is
-    (Omega_j, (j, l1, l2), lambda = weight lambda_raw, lambda_raw, weight,
-    its rectangle keys, the row of its first rectangle atom) and its atom is
+    residuals, reports).  ``blocks`` is ``_block_stacks(pspace, gammas)``.
+    Terms go by function, then cell; term t is (Omega_j, its pool,
+    (j, l1, l2), lambda = weight lambda_raw, lambda_raw, weight, its
+    rectangle keys, the row of its first rectangle atom) and its atom is
     atoms[t].
 
     The passes are stacked: one transform, square function and half test
@@ -265,7 +270,7 @@ def _decompose_stack(pspace: ProductSpace, fs: np.ndarray, p: float, q: float,
     new = _run_starts(fn, j_of)
     shell = np.cumsum(new) - 1                  # shells: the pairs of one (function, j)
     shells = list(zip(fn[new].tolist(), j_of[new].tolist()))
-    pools = [_pool(pspace, fams[k].sets[jj]) for k, jj in shells]
+    pools = _pools(pspace, [fams[k].sets[jj] for k, jj in shells])
     group = _covering(pspace, pools, shell, rows, cols)
 
     # c ** 2 on scalars is C pow; an array's ** 2 is c * c, which can
@@ -277,8 +282,7 @@ def _decompose_stack(pspace: ProductSpace, fs: np.ndarray, p: float, q: float,
     r = q if q >= 2 else 2.0
     sfb_norm = pspace.lq_norm(np.sqrt(sfb2), r)
 
-    nb1, kphi1 = _block_stack(pspace, 0, gamma1)
-    nb2, kphi2 = _block_stack(pspace, 1, gamma2)
+    (nb1, kphi1), (nb2, kphi2) = blocks
     (pair, ell1, ell2, cell), cells, (unit_sizes, unit_cell, unit_rect) = _cell_units(
         shell, group, np.where(sfb_norm[shell] != 0.0, nb1[ii] * nb2[jw], 0), nb2[jw])
     sfb_norm = sfb_norm.tolist()
@@ -306,7 +310,7 @@ def _decompose_stack(pspace: ProductSpace, fs: np.ndarray, p: float, q: float,
         m_all, u = pools[t][2].m_all, first_rect[c]
         weight = 2.0 ** (-l1 * gamma1 - l2 * gamma2)
         lams.append(weight * lam_raw[c])
-        terms.append((fams[k].sets[jj], (jj, l1, l2), lams[-1], lam_raw[c], weight,
+        terms.append((fams[k].sets[jj], pools[t], (jj, l1, l2), lams[-1], lam_raw[c], weight,
                       [m_all[g] for g in unit_rect[u:u + rects[c]]], u))
         fn_of.append(k)
 
@@ -318,7 +322,6 @@ def _decompose_stack(pspace: ProductSpace, fs: np.ndarray, p: float, q: float,
     err = pspace.lq_norm(recon - fs, q).tolist()
     residual = [e / v if v > 0 else 0.0 for e, v in zip(err, fq)]
     sf_p = ((sf ** p) * pspace.weights).sum(axis=(1, 2)).tolist()
-    eps0 = {k: pool[0] for (k, _), pool in zip(shells, pools)}
     reports, at = [], 0
     for k, n in enumerate(n_terms):
         lam_sum = _left_sum(abs(lam) ** p for lam in lams[at:at + n])
@@ -328,7 +331,7 @@ def _decompose_stack(pspace: ProductSpace, fs: np.ndarray, p: float, q: float,
             "lam_sum": lam_sum,
             "sf_p_norm": sf_p[k],
             "lam_sum_constant": lam_sum / sf_p[k] if sf_p[k] > 0 else 0.0,
-            "epsilon0": eps0[k],
+            "epsilon0": pools[0][0],     # one epsilon_0 per space
             "gammas": gammas,
         } if k in fams else dict(empty))
     return terms, avals, vals, residual, reports
@@ -458,11 +461,9 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom) -> dict:
     view = _view_on(pspace, atom.grids)
     p, q = atom.p, atom.q
     failures: list[str] = []
-    eps0, omega_t, family = _pool(view, atom.omega)
+    eps0, omega_t, family = atom.pool or _pools(view, [atom.omega])[0]
     (lam1, lam2), (dil1, dil2) = _boxes(view, atom.ell1, atom.ell2)
-    support, _ = view.memoized(
-        ("ell", omega_t.key(), atom.ell1, atom.ell2),
-        lambda: ell_enlarge(view, omega_t, atom.ell1, atom.ell2, lam1, lam2))
+    support, _ = ell_enlarge(view, omega_t, atom.ell1, atom.ell2, lam1, lam2)
 
     scale = float(np.abs(atom.values).max())
     if scale > 0 and (np.abs(atom.values) > 1e-14 * scale)[~support.mask].any():
@@ -548,7 +549,8 @@ def generate_atom(pspace: ProductSpace, rng, p: float, q: float,
         b = int(rng.integers(s2.n_cubes()))
         mask |= np.outer(s1.incidence[a] > 0, s2.incidence[b] > 0)
     omega = OpenSet.from_mask(view, mask)
-    _, omega_t, family = _pool(view, omega)
+    pool = _pools(view, [omega])[0]
+    _, omega_t, family = pool
     if not family.m_all:
         return None
     _, (dil1, dil2) = _boxes(view, ell1, ell2)
@@ -574,7 +576,7 @@ def generate_atom(pspace: ProductSpace, rng, p: float, q: float,
     values = values * scale
     rect_atoms = {k: v * scale for k, v in rect_atoms.items()}
     return ProductAtom(values=values, omega=omega, ell1=ell1, ell2=ell2, p=p, q=q,
-                       grids=view.systems, rectangle_atoms=rect_atoms)
+                       grids=view.systems, rectangle_atoms=rect_atoms, pool=pool)
 
 
 def _stacked_hp(pspace: ProductSpace, grids, p: float) -> list[float]:
@@ -596,10 +598,11 @@ def equivalence_report(pspace: ProductSpace, corpus, p: float, q: float) -> dict
         raise ValueError("empty corpus")
     hp = _stacked_hp(pspace, corpus, p)
     gammas = _gammas(pspace, p, q, None, None)
+    blocks = _block_stacks(pspace, gammas)
     rows = []
     for s in stack_slices(pspace, len(corpus)):
         _, avals, _, residual, reports = _decompose_stack(
-            pspace, np.asarray(corpus[s], dtype=float), p, q, gammas)
+            pspace, np.asarray(corpus[s], dtype=float), p, q, gammas, blocks)
         sa = _stacked_hp(pspace, avals, p)
         last = 0
         for hp_f, res, rep in zip(hp[s], residual, reports):

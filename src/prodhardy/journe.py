@@ -151,7 +151,7 @@ def _majority(pspace: ProductSpace, masks: np.ndarray) -> np.ndarray:
     s1, s2 = pspace.systems
     weights = pspace.weights
     meas = s1.incidence @ np.where(masks, weights, 0.0) @ s2.incidence.T
-    half = np.outer(s1.measures, s2.measures) / 2.0
+    half = pspace.half_measures
     passes = meas > half
     if not _exact_sums(weights.ravel()):
         k = weights.size + sum(weights.shape)

@@ -51,7 +51,7 @@ class OpenSet:
         return not self.mask.any()
 
     def key(self) -> bytes:
-        """The mask's bytes: the key of values kept per set on a ProductSpace."""
+        """The mask's bytes: the key under which one call shares values per set."""
         return np.asarray(self.mask, dtype=bool).tobytes()
 
 

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
-import threading
 import operator
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -32,7 +30,6 @@ from .dyadic import DyadicSystem, build_system
 from .space import FiniteSpace, _normal
 from .wavelet import BuildingBlockSet, WaveletBasis, build_haar
 
-MEMO_ENTRIES = 64            # values a ProductSpace keeps; the least recently used go first
 SUM_BATCH = 1 << 16          # grid entries per stacked pass (a corpus stack, an ordered sum)
 
 
@@ -60,27 +57,6 @@ class ProductSpace:
         # p0 = max omega_i / (omega_i + eta) with Holder exponent eta = 1:
         # the ramp cut-offs are Lipschitz
         self.p0 = max(x1.omega / (x1.omega + 1.0), x2.omega / (x2.omega + 1.0))
-        self._memo: OrderedDict = OrderedDict()
-        self._memo_lock = threading.Lock()
-
-    def memoized(self, key, compute):
-        """``compute()`` once per key while it stays among this space's last
-        MEMO_ENTRIES keys used.  The value is shared with every later caller
-        of the key, so no caller may mutate it.  The lock guards the memo,
-        not ``compute()`` (which may look up other keys): threads that both
-        compute a key both return the value stored first."""
-        memo = self._memo
-        with self._memo_lock:
-            if key in memo:
-                memo.move_to_end(key)
-                return memo[key]
-        value = compute()
-        with self._memo_lock:
-            value = memo.setdefault(key, value)
-            memo.move_to_end(key)
-            if len(memo) > MEMO_ENTRIES:
-                memo.popitem(last=False)
-        return value
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -92,6 +68,14 @@ class ProductSpace:
         w = np.outer(self.x1.weight, self.x2.weight)
         w.flags.writeable = False
         return w
+
+    @cached_property
+    def half_measures(self) -> np.ndarray:
+        """mu(Q1 x Q2) / 2 of every cube pair (flat indices), the threshold of
+        the half test, built once and read-only."""
+        half = np.outer(self.systems[0].measures, self.systems[1].measures) / 2.0
+        half.flags.writeable = False
+        return half
 
     def total_measure(self) -> float:
         return self.x1.total_measure * self.x2.total_measure

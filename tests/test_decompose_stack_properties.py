@@ -4,8 +4,8 @@ corpus the floats of the per-cell construction, byte for byte.
 ``decompose_by_cells`` is that construction written out one (j, l1, l2) cell
 and one rectangle at a time, every sum a plain loop from zero; it is the
 oracle for ``atoms._decompose_stack``, which decomposes a whole stack at once
-(its records made by ``atoms._records``), for ``atomic_decompose`` (the
-stack of one) and for ``equivalence_report``.
+(its records made by ``atoms._records``, each atom carrying its pool), for
+``atomic_decompose`` (the stack of one) and for ``equivalence_report``.
 The instances are products of one to five points per factor, so one-point
 factors occur, and corpora mix scales and zero functions.
 """
@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from prodhardy import (ChannelError, OpenSet, atomic_decompose, atoms, epsilon0,
                        equivalence_report, hp_seminorm, level_sets, maximal_rectangles,
                        product_transform, square_function)
-from prodhardy.atoms import (COEFF_TOL, _block_stack, _budget_measure, _decompose_stack,
-                             _gammas, _pool, _recancelled, _records)
+from prodhardy.atoms import (COEFF_TOL, _block_stacks, _budget_measure, _decompose_stack,
+                             _gammas, _pools, _recancelled, _records)
 from prodhardy.journe import majority_matrix, tau
 from prodhardy.maximal import containment_matrix
 from prodhardy.product import cell_scale
@@ -40,8 +40,9 @@ def loop_sum(s, u, v, shape):
 
 
 def decompose_by_cells(ps, f, p, q):
-    """(terms as (lam, lam_raw, weight, provenance, values, rectangle atoms),
-    residual, report) of f, one cell at a time, default gammas."""
+    """(terms as (lam, lam_raw, weight, provenance, values, rectangle atoms,
+    pool), residual, report) of f, one cell at a time, default gammas; each
+    level set's pool is built for that set alone."""
     qprime = q / (q - 1.0)
     g1, g2 = (x.omega * (1.0 / p + 1.0 / qprime) + 1.0 for x in (ps.x1, ps.x2))
     coeffs = product_transform(ps, f)
@@ -64,15 +65,14 @@ def decompose_by_cells(ps, f, p, q):
     for jj in fam.js():
         j_of[majority_matrix(ps, fam.sets[jj])[rows, cols]] = jj
     assert (j_of >= fam.j_lo).all()
-    nb1, kphi1 = _block_stack(ps, 0, g1)
-    nb2, kphi2 = _block_stack(ps, 1, g2)
+    (nb1, kphi1), (nb2, kphi2) = _block_stacks(ps, (g1, g2))
     r = q if q >= 2 else 2.0
     terms, recon = [], np.zeros(ps.shape)
     for jj in sorted(set(j_of.tolist())):
         sel = j_of == jj
         ii, jw, ra, rb = live[sel, 0], live[sel, 1], rows[sel], cols[sel]
         cs = cw[ii, jw]
-        eps0, omega_t, family = _pool(ps, fam.sets[jj])
+        eps0, omega_t, family = _pools(ps, [fam.sets[jj]])[0]
         assert containment_matrix(ps, omega_t)[ra, rb].all()
         group = tau(ps, family, ra, rb)
         sq = np.array([c ** 2 for c in cs.tolist()])
@@ -99,7 +99,8 @@ def decompose_by_cells(ps, f, p, q):
                     avals = avals + v
                 if np.abs(avals).max() == 0.0:
                     continue
-                terms.append((weight * lam_raw, lam_raw, weight, (jj, l1, l2), avals, rects))
+                terms.append((weight * lam_raw, lam_raw, weight, (jj, l1, l2), avals, rects,
+                              (eps0, omega_t, family)))
                 recon = recon + weight * lam_raw * avals
     residual = ps.lq_norm(recon - f, q) / fq if fq > 0 else 0.0
     lam_sum = 0                                  # as the report adds: left to right from 0
@@ -120,7 +121,7 @@ def assert_same(dec, want):
     assert bits(dec.residual) == bits(residual)
     assert repr(dec.report) == repr(report)
     assert len(dec.terms) == len(terms)
-    for t, (lam, lam_raw, weight, prov, values, rects) in zip(dec.terms, terms):
+    for t, (lam, lam_raw, weight, prov, values, rects, pool) in zip(dec.terms, terms):
         assert (bits(t.lam), bits(t.lam_raw), bits(t.weight)) == (bits(lam), bits(lam_raw),
                                                                    bits(weight))
         assert t.provenance == prov and (t.atom.ell1, t.atom.ell2) == prov[1:]
@@ -128,6 +129,13 @@ def assert_same(dec, want):
         assert list(t.atom.rectangle_atoms) == list(rects)
         for key, v in rects.items():
             assert t.atom.rectangle_atoms[key].tobytes() == v.tobytes()
+        # the atom carries the pool its level set builds alone, though the
+        # stack shares pools between functions with one level set
+        (eps0, omega_t, family), (e, o, fam) = t.atom.pool, pool
+        assert (bits(eps0), bits(omega_t.measure)) == (bits(e), bits(o.measure))
+        assert omega_t.mask.tobytes() == o.mask.tobytes() and family.m_all == fam.m_all
+        for name in ("rows", "cols", "hat1", "hat2"):
+            assert getattr(family, name).tobytes() == getattr(fam, name).tobytes()
 
 
 def corpus_of(ps, scales, seed):
@@ -140,15 +148,15 @@ def corpus_of(ps, scales, seed):
 def test_stacked_core_equals_the_cell_loop(inst, scales, seed, pq):
     ps, _ = inst
     p, q = pq
+    gammas = _gammas(ps, p, q, None, None)
     corpus = corpus_of(ps, scales, seed)
     try:
         wants = [decompose_by_cells(ps, f, p, q) for f in corpus]
     except ValueError as e:       # the epsilon0 range error: every path names it
         with pytest.raises(type(e), match="epsilon0"):
-            _decompose_stack(ps, np.stack(corpus), p, q, _gammas(ps, p, q, None, None))
+            _decompose_stack(ps, np.stack(corpus), p, q, gammas, _block_stacks(ps, gammas))
         return
-    gammas = _gammas(ps, p, q, None, None)
-    stack = _decompose_stack(ps, np.stack(corpus), p, q, gammas)
+    stack = _decompose_stack(ps, np.stack(corpus), p, q, gammas, _block_stacks(ps, gammas))
     for k, (f, want) in enumerate(zip(corpus, wants)):
         assert_same(_records(ps, stack, k, p, q, gammas), want)
         assert_same(atomic_decompose(ps, f, p, q), want)
@@ -177,13 +185,13 @@ def test_equivalence_report_of_a_generator_equals_the_cell_loop(inst, scales, se
 def test_a_rectangle_outside_its_enlargement_is_named(pspace8, monkeypatch):
     # a pool whose set is one point holds no classified rectangle: tau, the
     # covering check, raises and names the rectangle's key
-    def one_point_pool(view, omega):
+    def one_point_pools(view, sets):
         mask = np.zeros(view.shape, dtype=bool)
         mask[0, 0] = True
         small = OpenSet.from_mask(view, mask)
-        return epsilon0(view), small, maximal_rectangles(view, small)
+        return [(epsilon0(view), small, maximal_rectangles(view, small))] * len(sets)
 
-    monkeypatch.setattr(atoms, "_pool", one_point_pool)
+    monkeypatch.setattr(atoms, "_pools", one_point_pools)
     f = pspace8.random_function(np.random.default_rng(0))
     with pytest.raises(AssertionError, match=r"no maximal rectangle contains \(-?\d+, \d+, -?\d+, \d+\)"):
         atomic_decompose(pspace8, f, 1.0, 2.0)

@@ -19,7 +19,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from prodhardy import OpenSet, ProductSpace, journe_check, make_space, maximal_rectangles
-from prodhardy import cli, journe, product
+from prodhardy import atoms, cli, journe, product
 from prodhardy.cli import main
 from prodhardy.journe import _families, _largest_constants, majority_matrix
 from prodhardy.maximal import containment_matrix
@@ -193,23 +193,22 @@ def test_a_nonempty_set_of_measure_zero_is_named_without_a_warning(pspace8, monk
 
 
 def test_certify_keeps_no_family_of_its_random_sets(monkeypatch, tmp_path):
-    # the random open sets' families are used once: certify no longer keeps
-    # them in the space's memo, which holds the atom pools' families only
+    # the random open sets' families are used once, inside the stacked
+    # pass: the atom layer builds families of its atoms' pools only
     drawn, families = [], []
     original_constants = cli._largest_constants
-    original_memoized = ProductSpace.memoized
+    original_family = atoms.maximal_rectangles
 
     def constants(pspace, masks, deltas):
         drawn.extend(m.tobytes() for m in masks)
         return original_constants(pspace, masks, deltas)
 
-    def memoized(self, key, compute):
-        if key[0] == "family":
-            families.append(key[1])
-        return original_memoized(self, key, compute)
+    def family(pspace, omega, direction="both"):
+        families.append(omega.key())
+        return original_family(pspace, omega, direction)
 
     monkeypatch.setattr(cli, "_largest_constants", constants)
-    monkeypatch.setattr(ProductSpace, "memoized", memoized)
+    monkeypatch.setattr(atoms, "maximal_rectangles", family)
     assert main(["certify", "--corpus", "50", "--out", str(tmp_path / "c.json")]) == 0
     assert len(drawn) == 50 and families
     assert not set(drawn) & set(families)

@@ -1,27 +1,34 @@
-"""What a ProductSpace keeps between calls, and the ordered outer-product sum.
+"""What is shared, and where, and the ordered outer-product sum.
 
-The Chang-Fefferman pool of a level set, each maximal family and the
-building-block stacks are kept on the space they were computed on, a bounded
-number of them; atom cells are summed with ``product._outer_sum``, which must
-add its terms in the order of the plain loop so reports stay byte-identical.
+A space keeps nothing of its calls.  Within one decomposition, level sets
+with one mask share a Chang-Fefferman pool, pools with one enlargement share
+a maximal family and a repeated factor shares its building-block stack; each
+atom carries its pool to ``verify_atom``.  Threads that share a space get the
+serial results.  Atom cells are summed with ``product._outer_sum``, which
+must add its terms in the order of the plain loop so reports stay
+byte-identical.
 """
 
 import gc
+import json
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prodhardy
 import prodhardy.atoms as atoms_mod
 import prodhardy.maximal as maximal_mod
 import prodhardy.product as product_mod
 from prodhardy import (OpenSet, ProductSpace, atomic_decompose, build_system,
-                       building_blocks, ell_enlarge, enlarge, epsilon0, maximal_rectangles,
-                       verify_atom)
-from prodhardy.atoms import _block_stack, _boxes, _pool, _view_on
-from prodhardy.product import MEMO_ENTRIES, SUM_BATCH, _outer_sum
+                       building_blocks, enlarge, epsilon0, equivalence_report, generate_atom,
+                       maximal_rectangles, verify_atom)
+from prodhardy.atoms import _block_stacks, _boxes, _decompose_stack, _gammas, _pools, _view_on
+from prodhardy.cli import main
+from prodhardy.product import SUM_BATCH, _outer_sum
 
 from conftest import line_space
 
@@ -99,68 +106,80 @@ def test_add_reduce_of_a_unit_stack_is_sequential_per_unit(units, shape):
     assert np.add.reduceat(runs, [0], axis=1).ravel().tobytes() != out[:units].tobytes()
 
 
-def test_memo_stays_within_its_bound(pspace8):
+def counted(monkeypatch, module, *names):
+    """Record the arguments of each call of ``module``'s functions ``names``."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def wrapper(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name].append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_a_space_holds_no_values_of_its_calls(pspace8):
+    # a space keeps what it was built from and its two read-only tables;
+    # pools, families, enlargements and block stacks live in the calls
     ps = ProductSpace(pspace8.x1, pspace8.x2, *pspace8.systems)
     rng = np.random.default_rng(2)
-    masks = []
-    while len(masks) < MEMO_ENTRIES + 5:
-        m = rng.random(ps.shape) < 0.3
-        if m.any() and not any((m == old).all() for old in masks):
-            masks.append(m)
-    for m in masks:
-        _pool(ps, OpenSet.from_mask(ps, m))
-        assert len(ps._memo) <= MEMO_ENTRIES
-    keys = [k for k in ps._memo if k[0] == "pool"]
-    assert ("pool", masks[-1].tobytes()) in keys
-    assert ("pool", masks[0].tobytes()) not in keys       # least recently used went first
+    for _ in range(5):
+        dec = atomic_decompose(ps, ps.random_function(rng), 1.0, 2.0)
+        assert dec.terms and all(verify_atom(ps, t.atom)["passed"] for t in dec.terms)
+    equivalence_report(ps, [ps.random_function(rng) for _ in range(3)], 1.0, 2.0)
+    assert set(vars(ps)) <= {"x1", "x2", "systems", "bases", "p0", "weights", "half_measures"}
 
 
-def test_memo_dies_with_its_space():
+def test_a_space_dies_with_its_decomposition():
     space = line_space([0.0, 1.0, 3.0, 4.0])
     ps = ProductSpace(space, space, delta=0.5)
     dec = atomic_decompose(ps, ps.random_function(np.random.default_rng(0)), 1.0, 2.0)
-    assert dec.terms and ps._memo
-    refs = weakref.ref(ps), weakref.ref(space)
+    assert dec.terms and dec.terms[0].atom.pool is not None
+    refs = weakref.ref(ps), weakref.ref(space), weakref.ref(dec.terms[0].atom.pool[2])
     del space, ps, dec
     gc.collect()
     assert all(r() is None for r in refs)
 
 
-def test_view_keeps_its_own_entries(pspace8):
-    ps = ProductSpace(pspace8.x1, pspace8.x2, *pspace8.systems)
-    om = OpenSet.from_mask(ps, np.random.default_rng(4).random(ps.shape) < 0.3)
-    _pool(ps, om)
-    parent_keys = list(ps._memo)
+def test_a_view_builds_its_pool_on_its_own_grids(pspace8):
+    ps = pspace8
     grids = tuple(build_system(x, 0.5) for x in (ps.x1, ps.x2))
     view = _view_on(ps, grids)
-    assert view is not ps and not view._memo
-    eps0, omega_t, family = _pool(view, om)
-    assert list(ps._memo) == parent_keys and view._memo
-    fresh = maximal_rectangles(view, omega_t, "both")
-    assert family.m_all == fresh.m_all
-    assert family is not _pool(ps, om)[2]
-    assert _view_on(ps, ps.systems) is ps
+    assert view is not ps and _view_on(ps, ps.systems) is ps
+    atom = None
+    rng = np.random.default_rng(4)
+    while atom is None:
+        atom = generate_atom(ps, rng, 1.0, 2.0, 0, 0, grids=grids)
+    eps0, omega_t, family = atom.pool
+    assert omega_t.mask.tobytes() == enlarge(view, atom.omega, eps0).mask.tobytes()
+    assert family.m_all == maximal_rectangles(view, omega_t, "both").m_all
+    assert family.m_all != _pools(ps, [atom.omega])[0][2].m_all
+    assert verify_atom(ps, atom)["passed"]
 
 
-def test_memo_hit_equals_a_fresh_computation(pspace8):
-    ps = ProductSpace(pspace8.x1, pspace8.x2, *pspace8.systems)
-    om = OpenSet.from_mask(ps, np.random.default_rng(6).random(ps.shape) < 0.2)
-    first = _pool(ps, om)
-    hit = _pool(ps, OpenSet.from_mask(ps, om.mask.copy()))
-    assert hit is first
+def test_pools_share_by_mask_and_equal_a_fresh_computation(pspace8):
+    ps = pspace8
+    rng = np.random.default_rng(6)
+    om, other = (OpenSet.from_mask(ps, rng.random(ps.shape) < 0.2) for _ in range(2))
+    first, again, second = _pools(ps, [om, OpenSet.from_mask(ps, om.mask.copy()), other])
+    assert again is first and second is not first
     eps0 = epsilon0(ps)
     omega_t = enlarge(ps, om, eps0)
     fam = maximal_rectangles(ps, omega_t, "both")
-    assert hit[0] == eps0
-    np.testing.assert_array_equal(hit[1].mask, omega_t.mask)
-    assert hit[1].measure == omega_t.measure
-    assert hit[2].m_all == fam.m_all
+    assert first[0] == eps0
+    np.testing.assert_array_equal(first[1].mask, omega_t.mask)
+    assert first[1].measure == omega_t.measure
+    assert first[2].m_all == fam.m_all
     for name in ("rows", "cols", "hat1", "hat2"):
-        np.testing.assert_array_equal(getattr(hit[2], name), getattr(fam, name))
+        np.testing.assert_array_equal(getattr(first[2], name), getattr(fam, name))
+    # two sets with one enlargement, the whole grid: two pools, one family
+    whole = np.ones(ps.shape, dtype=bool)
+    almost = whole.copy()
+    almost[0, 0] = False
+    a, b = _pools(ps, [OpenSet.from_mask(ps, almost), OpenSet.from_mask(ps, whole)])
+    assert a is not b and a[1].mask.all() and a[2] is b[2]
 
     gamma = ps.x1.omega * 2.0 + 1.0
-    counts, kphi = _block_stack(ps, 0, gamma)
-    assert _block_stack(ps, 0, gamma)[1] is kphi
+    (counts, kphi), _ = _block_stacks(ps, (gamma, gamma))
     for i, w in enumerate(ps.bases[0].wavelets):
         bs = building_blocks(ps.x1, w, gamma, cbar=1.0)
         assert counts[i] == bs.n_blocks
@@ -172,27 +191,25 @@ def test_memo_hit_equals_a_fresh_computation(pspace8):
 def test_decompose_enlarges_without_the_maximal_function(monkeypatch):
     space = weighted_line24()
     ps = ProductSpace(space, space, delta=0.25)
-    calls = {"strong_maximal": 0, "maximal_rectangles": []}
-
-    def counted_strong_maximal(*args, **kwargs):
-        calls["strong_maximal"] += 1
-        return strong_maximal(*args, **kwargs)
-
-    def counted_family(pspace, omega, direction="both"):
-        calls["maximal_rectangles"].append(omega.key())
-        return maximal_rectangles(pspace, omega, direction)
-
-    strong_maximal = maximal_mod.strong_maximal
-    monkeypatch.setattr(maximal_mod, "strong_maximal", counted_strong_maximal)
-    monkeypatch.setattr(atoms_mod, "maximal_rectangles", counted_family)
-    dec = atomic_decompose(ps, ps.random_function(np.random.default_rng(3)), 1.0, 2.0)
-    assert all(verify_atom(ps, t.atom)["passed"] for t in dec.terms)
-    pools = [v for k, v in ps._memo.items() if k[0] == "pool"]     # one per level set
-    enlarged = {omega_t.key() for _, omega_t, _ in pools}
-    assert dec.terms and calls["strong_maximal"] == 0
+    calls = counted(monkeypatch, maximal_mod, "strong_maximal")
+    calls.update(counted(monkeypatch, atoms_mod, "enlarge", "maximal_rectangles"))
+    rng = np.random.default_rng(3)
+    f = ps.random_function(rng)
+    gammas = _gammas(ps, 1.0, 2.0, None, None)
+    # f and 2f have the same level sets, one index apart: they share pools
+    terms, *_, reports = _decompose_stack(ps, np.stack([f, 2.0 * f, ps.random_function(rng)]),
+                                          1.0, 2.0, gammas, _block_stacks(ps, gammas))
+    assert terms and calls["strong_maximal"] == []
+    pools = {}
+    for omega, pool, *_ in terms:
+        assert pools.setdefault(omega.key(), pool) is pool
+    n0, n1 = reports[0]["n_terms"], reports[1]["n_terms"]
+    assert {o.key() for o, *_ in terms[:n0]} & {o.key() for o, *_ in terms[n0:n0 + n1]}
+    sets = [omega.key() for _, omega, *_ in calls["enlarge"]]
+    assert len(sets) == len(set(sets))
+    enlarged = [enlarge(ps, omega, eps0).key() for _, omega, eps0 in calls["enlarge"]]
     # one family per distinct enlargement, so at most one per level set
-    assert sorted(calls["maximal_rectangles"]) == sorted(enlarged)
-    assert len(enlarged) <= len(pools)
+    assert sorted(omega.key() for _, omega in calls["maximal_rectangles"]) == sorted(set(enlarged))
 
 
 def test_a_repeated_factor_has_one_system_and_one_basis():
@@ -201,15 +218,18 @@ def test_a_repeated_factor_has_one_system_and_one_basis():
     assert ps.systems[0] is ps.systems[1] and ps.bases[0] is ps.bases[1]
     assert _view_on(ps, ps.systems) is ps
     gamma = space.omega * 2.0 + 1.0
-    assert _block_stack(ps, 1, gamma) is _block_stack(ps, 0, gamma)
-    assert _block_stack(ps, 1, gamma + 1.0) is not _block_stack(ps, 0, gamma)
+    first, second = _block_stacks(ps, (gamma, gamma))
+    assert second is first
+    first, second = _block_stacks(ps, (gamma, gamma + 1.0))
+    assert second is not first and second[1].tobytes() != first[1].tobytes()
     # an equal space that is another object, and systems passed in, stay apart
     apart = ProductSpace(space, line_space([0.0, 1.0, 3.0, 4.0]), delta=0.5)
     assert apart.systems[0] is not apart.systems[1] and apart.bases[0] is not apart.bases[1]
     s1, s2 = build_system(space, 0.5), build_system(space, 0.5)
     given = ProductSpace(space, space, s1, s2)
     assert given.systems[0] is s1 and given.systems[1] is s2
-    assert _block_stack(given, 1, gamma) is not _block_stack(given, 0, gamma)
+    first, second = _block_stacks(given, (gamma, gamma))
+    assert second is not first
 
 
 def test_decompose_and_verify_build_one_system_and_each_block_set_once(monkeypatch):
@@ -234,58 +254,87 @@ def test_decompose_and_verify_build_one_system_and_each_block_set_once(monkeypat
     assert sorted(calls["building_blocks"]) == sorted((w.id, gamma) for w in ps.bases[0].wavelets)
 
 
-def test_verify_reuses_each_ell_enlargement(monkeypatch):
-    calls = []
-
-    def counted_ell_enlarge(pspace, omega_tilde, ell1, ell2, lam1=None, lam2=None):
-        calls.append((omega_tilde.key(), ell1, ell2))
-        return ell_enlarge(pspace, omega_tilde, ell1, ell2, lam1, lam2)
-
-    monkeypatch.setattr(atoms_mod, "ell_enlarge", counted_ell_enlarge)
+def test_verify_enlarges_each_atom_pool_once(monkeypatch):
     space = weighted_line24()
     ps = ProductSpace(space, space, delta=0.25)
     dec = atomic_decompose(ps, ps.random_function(np.random.default_rng(3)), 1.0, 2.0)
+    calls = counted(monkeypatch, atoms_mod, "ell_enlarge")["ell_enlarge"]
     assert all(verify_atom(ps, t.atom)["passed"] for t in dec.terms)
-    assert len(calls) == len(set(calls)) < len(dec.terms)
-    assert len(ps._memo) <= MEMO_ENTRIES
-    enlarged = {v[1].key(): v[1] for k, v in ps._memo.items() if k[0] == "pool"}
-    hits = [(k, v) for k, v in ps._memo.items() if k[0] == "ell"]
-    assert len(hits) == len(calls)
-    for (_, key, ell1, ell2), (support, _) in hits:
-        fresh, _ = ell_enlarge(ps, enlarged[key], ell1, ell2,
-                               *_boxes(ps, ell1, ell2)[0])
-        np.testing.assert_array_equal(support.mask, fresh.mask)
-        assert support.measure == fresh.measure
+    assert len(calls) == len(dec.terms)
+    for (_, omega_t, ell1, ell2, lam1, lam2), t in zip(calls, dec.terms):
+        assert omega_t is t.atom.pool[1] and (ell1, ell2) == (t.atom.ell1, t.atom.ell2)
+        assert (lam1, lam2) == _boxes(ps, ell1, ell2)[0]
 
 
-def test_memoized_is_thread_safe_while_it_evicts(monkeypatch):
-    # 8 threads cycle through 8 keys of a 4-key memo, each from its own
-    # start, switching as often as the interpreter allows: a key another
-    # thread evicts between the lookup and the read must not raise, and each
-    # call gets its own key's value
-    monkeypatch.setattr(product_mod, "MEMO_ENTRIES", 4)
-    ps = ProductSpace(line_space([0.0, 1.0]), line_space([0.0, 1.0]), delta=0.5)
-    failures = []
+def test_verify_after_100_decompositions_builds_no_pool(monkeypatch):
+    space = weighted_line24()
+    ps = ProductSpace(space, space, delta=0.25)
+    rng = np.random.default_rng(0)
+    decs = [atomic_decompose(ps, ps.random_function(rng), 1.0, 2.0) for _ in range(101)]
+    calls = counted(monkeypatch, atoms_mod, "enlarge", "maximal_rectangles")
+    assert decs[0].terms and all(verify_atom(ps, t.atom)["passed"] for t in decs[0].terms)
+    assert calls == {"enlarge": [], "maximal_rectangles": []}
 
-    def cycle(start):
+
+def test_verify_of_a_generated_atom_builds_no_pool(pspace8, monkeypatch):
+    rng = np.random.default_rng(1)
+    atoms = [a for a in (generate_atom(pspace8, rng, 1.0, 2.0, 1, 0) for _ in range(6)) if a]
+    calls = counted(monkeypatch, atoms_mod, "enlarge", "maximal_rectangles")
+    assert atoms and all(verify_atom(pspace8, a)["passed"] for a in atoms)
+    assert calls == {"enlarge": [], "maximal_rectangles": []}
+
+
+def decompose_and_verify(ps, seed, p, q):
+    """JSON bytes of one seed's decomposition and its atoms' certificates."""
+    dec = atomic_decompose(ps, ps.random_function(np.random.default_rng(seed)), p, q)
+    return json.dumps({
+        "residual": dec.residual, "summary": dec.report,
+        "terms": [[t.lam, t.lam_raw, t.provenance, t.atom.values.tolist(),
+                   sorted(t.atom.rectangle_atoms), verify_atom(ps, t.atom)] for t in dec.terms],
+    }, default=str).encode()
+
+
+@pytest.mark.parametrize("p, q", [(1.0, 2.0), (0.8, 1.5)])
+def test_threads_sharing_a_space_write_the_serial_reports(p, q):
+    # 8 threads decompose and verify a different seed each on one space,
+    # switching as often as the interpreter allows
+    space = weighted_line24()
+    ps = ProductSpace(space, space, delta=0.25)
+    serial = [decompose_and_verify(ProductSpace(space, space, delta=0.25), seed, p, q)
+              for seed in range(8)]
+    got, failures = [None] * 8, []
+
+    def run(seed):
         try:
-            for i in range(start, start + 20000):
-                key = ("k", i % 8)
-                if ps.memoized(key, lambda: ("value", key)) != ("value", key):
-                    failures.append(key)
+            got[seed] = decompose_and_verify(ps, seed, p, q)
         except Exception as exc:
             failures.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=cycle, args=(t,)) for t in range(8)]
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(8)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join(timeout=60)
+            t.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not failures, failures[:3]
-    assert len(ps._memo) <= 4
+    assert got == serial
+
+
+def test_hardy_threads_changes_no_byte(monkeypatch, tmp_path):
+    src = Path(prodhardy.__file__).parent
+    assert not any("HARDY_THREADS" in f.read_text() for f in src.glob("*.py"))
+    written = []
+    for value in (None, "1", "4"):
+        if value is None:
+            monkeypatch.delenv("HARDY_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("HARDY_THREADS", value)
+        out = tmp_path / f"dec-{value}.json"
+        assert main(["decompose", "--seed", "3", "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1] == written[2]

@@ -64,6 +64,30 @@ def test_majority_matrix_is_the_per_rectangle_half_test(inst):
 @example(NEAR_TIES[0])
 @example(NEAR_TIES[1])
 @example(NEAR_TIES[2])
+def test_majority_of_a_stack_reads_one_half_table(inst):
+    # mu(Q1 x Q2)/2 is one read-only table per space, shared by every call;
+    # each set of a stack still gets the per-rectangle half test
+    ps, om = inst
+    half = ps.half_measures
+    assert ps.half_measures is half and not half.flags.writeable
+    masks = np.stack([om.mask, ~om.mask, np.ones(ps.shape, dtype=bool)])
+    passes = journe._majority(ps, masks)
+    assert ps.half_measures is half
+    for a, c1 in enumerate(ps.systems[0].all_cubes()):
+        m1 = np.isin(np.arange(ps.x1.n), c1.members)
+        for b, c2 in enumerate(ps.systems[1].all_cubes()):
+            m2 = np.isin(np.arange(ps.x2.n), c2.members)
+            mu = c1.measure * c2.measure
+            assert half[a, b] == mu / 2.0
+            for i, mask in enumerate(masks):
+                assert passes[i, a, b] == (_measure_in(ps, mask, m1, m2) > mu / 2.0)
+
+
+@CHECK
+@given(instances(weighted_spaces()))
+@example(NEAR_TIES[0])
+@example(NEAR_TIES[1])
+@example(NEAR_TIES[2])
 def test_stretches_match_oracle(inst):
     ps, om = inst
     fam = maximal_rectangles(ps, om, "both")
