@@ -371,19 +371,21 @@ def _classified(pspace: ProductSpace, cw: np.ndarray, cmax: np.ndarray, busy: np
 
     A pair is live when its coefficient is above COEFF_TOL of its
     function's largest (``cmax``); its B_j is its function's last level set
-    on which the pair's rectangle keeps its majority, from half tests over
-    every function's level sets in stacks of at most SUM_BATCH cube pairs
-    (one set at least), each keeping only its sets' hits on their pairs.
+    on which the pair's rectangle keeps its majority, from half tests on the
+    wavelet cubes over every function's level sets in stacks of at most
+    SUM_BATCH wavelet pairs (one set at least), each keeping only its sets'
+    hits on their pairs.
     """
     fn, ii, jw = np.nonzero((np.abs(cw) > COEFF_TOL * cmax[:, None, None]) & busy[:, None, None])
-    rows, cols = pspace.bases[0].cube_rows[ii], pspace.bases[1].cube_rows[jw]
+    b1, b2 = pspace.bases
+    rows, cols = b1.cube_rows[ii], b2.cube_rows[jw]
     pairs = {k: slice(*np.searchsorted(fn, (k, k + 1)).tolist()) for k in fams}
     sets = [(k, jj) for k, fam in fams.items() for jj in fam.js()]     # function by function
     hits = []                   # each set's half test on its function's pairs
-    s1, s2 = pspace.systems
-    for s in stack_slices(pspace, len(sets), s1.n_cubes() * s2.n_cubes()):
-        passes = _majority(pspace, np.array([fams[k].sets[jj].mask for k, jj in sets[s]]))
-        hits += [passes[i, rows[pairs[k]], cols[pairs[k]]] for i, (k, _) in enumerate(sets[s])]
+    for s in stack_slices(pspace, len(sets), b1.n_wavelets * b2.n_wavelets):
+        passes = _majority(pspace, np.array([fams[k].sets[jj].mask for k, jj in sets[s]]),
+                           b1.cube_rows, b2.cube_rows)
+        hits += [passes[i, ii[pairs[k]], jw[pairs[k]]] for i, (k, _) in enumerate(sets[s])]
     j_of = np.empty(len(fn), dtype=int)
     at = 0
     for k, fam in fams.items():

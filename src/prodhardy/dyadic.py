@@ -23,9 +23,11 @@ extremes; per-cube loops are kept as their oracles (``_*_by_cube``,
 array operations, not a few per level.
 
 The arrays are the only representation of the cubes the pipeline reads:
-each cube's measure is computed once, and the cube x point incidence and
-ancestor-or-self matrices are built on first use; ``Cube`` records are
-built only when asked for, by the oracles and the tests.
+each cube's measure is computed once, and the cube x point incidence
+matrix is built on first use; ``Cube`` records are built only when asked
+for, by the oracles and the tests.  A cube with one child has that child's
+members, so single-child chains repeat a member set; the rectangle layers
+ask their questions of each chain's top only (``maximal._tops``).
 """
 
 from __future__ import annotations
@@ -79,8 +81,9 @@ class DyadicSystem:
     ``labels[l, x]``, the cube of level k_min + l holding point x.  Cube a
     has ``sizes[a]`` members, ``members[member_first[a]:member_first[a + 1]]``
     (ids ascending), and measure ``measures[a]``; an ancestor's flat index is
-    below its descendants'.  ``parents[k]`` gives each point of ``nets[k]``
-    its parent's position in ``nets[k - 1]``."""
+    below its descendants'.  ``incidence``, built on first use, holds the
+    member sets.  ``parents[k]`` gives each point of ``nets[k]`` its
+    parent's position in ``nets[k - 1]``."""
 
     def __init__(self, space: FiniteSpace, delta: float, k_min: int, k_max: int,
                  nets: dict[int, list[int]], parents: dict[int, list[int]], mode: str):
@@ -178,16 +181,6 @@ class DyadicSystem:
         incidence[self.labels, np.arange(self.space.n)] = 1.0
         incidence.flags.writeable = False
         return incidence
-
-    @cached_property
-    def ancestors(self) -> np.ndarray:
-        """(n_cubes, n_cubes) bool, True where cube b is a or an ancestor; built on first use."""
-        # a cube holds its center: the center's cubes up to its level are its ancestors-or-self
-        up, a = np.nonzero(np.arange(len(self.labels))[:, None] <= self.level_rows)
-        ancestors = np.zeros((self.n_cubes(), self.n_cubes()), dtype=bool)
-        ancestors[a, self.labels[up, self.centers[a]]] = True
-        ancestors.flags.writeable = False
-        return ancestors
 
     def dilate_matrix(self, lam: float) -> np.ndarray:
         """Row ``a`` is ``dilate_mask`` of cube ``a`` (flat order), bit for bit."""

@@ -20,6 +20,13 @@ factors' dyadic systems, and tau answers with positions in the family; the
 show them.  The families and covering sums of a whole stack of sets come
 from one pass (``_families``); a single set is its stack of one.
 
+Every cube of a single-child chain holds one member set, and containment,
+the half test and the measures depend only on it.  So a maximal rectangle's
+factors are chain tops (``maximal._tops``: a lower cube's parent extension
+stays inside), and so are its stretches (the coarsest passing cube of a
+chain is its top).  The family pass asks its questions of tops only, and
+ancestry among them is member containment (``_covers``).
+
 The CMO^p candidate suprema (``cmo_p``) range over unions of maximal
 rectangles, so they live here too.
 """
@@ -34,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .maximal import OpenSet, _inside
+from .maximal import OpenSet, _inside, _tops
 from .product import ProductCoefficients, ProductSpace
 from .space import _exact_sums
 
@@ -91,27 +98,32 @@ class _Families(NamedTuple):
 def _families(pspace: ProductSpace, masks: np.ndarray, deltas=()) -> _Families:
     """Every set's maximal family and, for each exponent delta, its sums
     L1 = sum mu(R) (l(Q2)/l(Q2^))^delta and L2 (with Q1^), for a stack of
-    masks (K, n1, n2): one containment product, one majority matrix and one
-    stretch pass per direction for the whole stack.
+    masks (K, n1, n2): containment of the chain tops and of their parent
+    extensions, one majority matrix of the tops and one stretch pass per
+    direction for the whole stack.
 
     Each set's family is in level-then-index order (row-major over its cube
-    pairs), and each sum adds its family's terms m * r^delta one after
-    another from +0.0, the order of a Python ``sum`` over the family: the
-    terms fill a zero-padded row per set, and ``np.cumsum`` along a row adds
-    left to right.  The ratios r = delta^drop are Python powers, one per
-    distinct level drop.
+    pairs; the tops are an ascending subset of the flat order), and each sum
+    adds its family's terms m * r^delta one after another from +0.0, the
+    order of a Python ``sum`` over the family: the terms fill a zero-padded
+    row per set, and ``np.cumsum`` along a row adds left to right.  The
+    ratios r = delta^drop are Python powers, one per distinct level drop.
     """
     s1, s2 = pspace.systems
-    inside = _inside(pspace, masks)
-    # inside[:, -1] (the root's parent) reads the last row; parent >= 0 masks it out
-    grows1 = (s1.parent >= 0)[:, None] & inside[:, s1.parent, :]
-    grows2 = (s2.parent >= 0)[None, :] & inside[:, :, s2.parent]
-    sets, rows, cols = np.nonzero(inside & ~grows1 & ~grows2)   # row-major: set, level, index
+    t1, t2 = _tops(s1), _tops(s2)
+    up1, up2 = s1.parent[t1], s2.parent[t2]
+    inside = _inside(pspace, masks, t1, t2)
+    # the root's parent -1 reads the last row; parent >= 0 masks it out
+    grows1 = (up1 >= 0)[:, None] & _inside(pspace, masks, up1, t2)
+    grows2 = (up2 >= 0)[None, :] & _inside(pspace, masks, t1, up2)
+    sets, r, c = np.nonzero(inside & ~grows1 & ~grows2)   # row-major: set, level, index
     # stretches: the coarsest ancestor-or-self along each rectangle's row or
-    # column that keeps the majority; the rectangle itself, inside Omega, does
-    passes = _majority(pspace, masks)
-    hat2 = (s2.ancestors[cols] & passes[sets, rows]).argmax(axis=1)
-    hat1 = (s1.ancestors[rows] & passes[sets, :, cols]).argmax(axis=1)
+    # column that keeps the majority, a top (its chain passes alike); the
+    # rectangle itself, inside Omega, does
+    passes = _majority(pspace, masks, t1, t2)
+    hat2 = t2[(_covers(s2, t2[c], t2) & passes[sets, r]).argmax(axis=1)]
+    hat1 = t1[(_covers(s1, t1[r], t1) & passes[sets, :, c]).argmax(axis=1)]
+    rows, cols = t1[r], t2[c]
     sums = np.zeros((2, len(deltas), len(masks)))
     if len(deltas) and len(sets):
         counts = np.bincount(sets, minlength=len(masks))
@@ -143,23 +155,32 @@ def majority_matrix(pspace: ProductSpace, omega: OpenSet) -> np.ndarray:
     sums exact, so none are.  (Summing the factor weights first would not
     do: 1e-3 and 1e3 have integer products but inexact factor sums.)
     """
-    return _majority(pspace, omega.mask)
+    return _majority(pspace, omega.mask, slice(None), slice(None))
 
 
-def _majority(pspace: ProductSpace, masks: np.ndarray) -> np.ndarray:
-    """``majority_matrix`` of each set of a stack of masks (..., n1, n2)."""
+def _majority(pspace: ProductSpace, masks: np.ndarray, rows1, rows2) -> np.ndarray:
+    """``majority_matrix`` at the cubes ``rows1`` x ``rows2`` (flat indices
+    or slices) of each set of a stack of masks (..., n1, n2)."""
     s1, s2 = pspace.systems
     weights = pspace.weights
-    meas = s1.incidence @ np.where(masks, weights, 0.0) @ s2.incidence.T
-    half = pspace.half_measures
+    inc1, inc2 = s1.incidence[rows1], s2.incidence[rows2]
+    meas = inc1 @ np.where(masks, weights, 0.0) @ inc2.T
+    half = np.outer(s1.measures[rows1], s2.measures[rows2]) / 2.0
     passes = meas > half
     if not _exact_sums(weights.ravel()):
         k = weights.size + sum(weights.shape)
         margin = 2.0 * k * (np.finfo(float).eps * meas + np.finfo(float).tiny)
         for *lead, a, b in np.argwhere(np.abs(meas - half) <= margin):
-            passes[(*lead, a, b)] = _measure_in(pspace, masks[tuple(lead)], s1.incidence[a] > 0,
-                                                s2.incidence[b] > 0) > half[a, b]
+            passes[(*lead, a, b)] = _measure_in(pspace, masks[tuple(lead)], inc1[a] > 0,
+                                                inc2[b] > 0) > half[a, b]
     return passes
+
+
+def _covers(system: DyadicSystem, rows, cols) -> np.ndarray:
+    """covers[i, j] is True when cube cols[j] holds every member of cube
+    rows[i] (flat indices); for a top cols[j] that is ancestry-or-self."""
+    inc = system.incidence
+    return inc[rows] @ inc[cols].T == system.sizes[rows][:, None]
 
 
 def _measure_in(pspace: ProductSpace, mask: np.ndarray, mask1, mask2) -> float:
@@ -220,13 +241,12 @@ def tau(pspace: ProductSpace, family: MaximalRectangleFamily, rows, cols) -> np.
     whose factors are ancestors-or-self of the rectangle's factors.
 
     A maximal rectangle's factors are the coarsest cubes of their
-    single-child chains, so for them ancestry and member containment agree:
-    this is the lexicographically smallest maximal rectangle containing the
-    given one.
+    single-child chains, so for them ancestry and member containment agree
+    (``_covers``): this is the lexicographically smallest maximal rectangle
+    containing the given one.
     """
     s1, s2 = pspace.systems
-    covers = (s1.ancestors[np.ix_(rows, family.rows)]
-              & s2.ancestors[np.ix_(cols, family.cols)])
+    covers = _covers(s1, rows, family.rows) & _covers(s2, cols, family.cols)
     found = covers.any(axis=1)
     if not found.all():
         at = int(np.argmin(found))

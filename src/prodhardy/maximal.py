@@ -10,8 +10,11 @@ dilates and the 2 a0^2 2^ell variants.
 
 Dyadic-rectangle geometry runs on each system's cube x point incidence
 matrix and dilate matrix (``DyadicSystem.incidence``, ``dilate_matrix``):
-containment of every cube pair is one matrix product, and the enlargement
-another.  The per-pair loops they replace are kept beside them as oracles
+containment of the requested cube pairs is one matrix product, and the
+enlargement another.  Every cube of a single-child chain holds one member
+set, so the enlargement, like the maximal families, asks only of the chain
+tops (``_tops``); ``containment_matrix`` answers for every cube pair.  The
+per-pair loops they replace are kept beside them as oracles
 (``rectangles_inside_exhaustive``, ``ell_enlarge_exhaustive``,
 ``strong_maximal_exhaustive``) and are not called by the fast paths.
 """
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import dilate_mask
+from .dyadic import DyadicSystem, dilate_mask
 from .product import ProductSpace, _left_sum, cell_scale
 from .space import _normal
 from .space import realized_ball_masks  # re-exported: the balls M_s ranges over
@@ -166,18 +169,25 @@ def containment_matrix(pspace: ProductSpace, omega_set: OpenSet) -> np.ndarray:
     """inside[a, b] is True when cubes1[a] x cubes2[b] lies in the set, for
     every cube pair at once (flat indices of each system's cubes).
 
-    (M1 chi M2^T)[a, b] counts the grid points of the rectangle that lie in
-    the set, which is |Q1||Q2| exactly when the rectangle is contained.  The
-    counts are small integers, so float64 holds them exactly.
+    (M1 (1 - chi) M2^T)[a, b] counts the grid points of the rectangle that
+    lie outside the set, which is 0 exactly when the rectangle is contained.
+    The counts are small integers, so float64 holds them exactly.
     """
-    return _inside(pspace, omega_set.mask)
+    return _inside(pspace, omega_set.mask, slice(None), slice(None))
 
 
-def _inside(pspace: ProductSpace, masks: np.ndarray) -> np.ndarray:
-    """``containment_matrix`` of a mask, or of each mask of a stack (..., n1, n2)."""
+def _inside(pspace: ProductSpace, masks: np.ndarray, rows1, rows2) -> np.ndarray:
+    """``containment_matrix`` at the cubes ``rows1`` x ``rows2`` (flat
+    indices or slices) of a mask, or of each mask of a stack (..., n1, n2)."""
     s1, s2 = pspace.systems
-    counts = s1.incidence @ masks.astype(float) @ s2.incidence.T
-    return counts == np.outer(s1.sizes, s2.sizes)
+    return s1.incidence[rows1] @ (~masks).astype(float) @ s2.incidence[rows2].T == 0
+
+
+def _tops(system: DyadicSystem) -> np.ndarray:
+    """Flat indices, ascending, of the root and of every cube whose parent
+    has other members: the coarsest cube of each single-child chain, whose
+    cubes all hold one member set."""
+    return np.flatnonzero((system.parent < 0) | (system.sizes[system.parent] != system.sizes))
 
 
 def rectangles_inside(pspace: ProductSpace, omega_set: OpenSet):
@@ -213,9 +223,13 @@ def ell_enlarge(pspace: ProductSpace, omega_tilde: OpenSet, ell1: int, ell2: int
     lam2 = 2.0 ** ell2 if lam2 is None else lam2
     s1, s2 = pspace.systems
     # (x1, x2) is covered when some contained Q1 x Q2 has x1 in lam1 Q1 and
-    # x2 in lam2 Q2: a boolean product D1^T [inside] D2
-    mask = (s1.dilate_matrix(lam1).T @ containment_matrix(pspace, omega_tilde)
-            @ s2.dilate_matrix(lam2))
+    # x2 in lam2 Q2: a boolean product D1^T [inside] D2.  A single-child
+    # chain shares its members and its center (the parent's center is in the
+    # finer net and attaches to itself), and its top has the largest side,
+    # so the tops' dilates hold the chain's and the union runs over tops.
+    t1, t2 = _tops(s1), _tops(s2)
+    mask = (s1.dilate_matrix(lam1)[t1].T @ _inside(pspace, omega_tilde.mask, t1, t2)
+            @ s2.dilate_matrix(lam2)[t2])
     result = OpenSet.from_mask(pspace, mask)
     growth = growth_factor(pspace, ell1, ell2)
     measured_c = (result.measure / (growth * omega_tilde.measure)

@@ -69,14 +69,6 @@ class ProductSpace:
         w.flags.writeable = False
         return w
 
-    @cached_property
-    def half_measures(self) -> np.ndarray:
-        """mu(Q1 x Q2) / 2 of every cube pair (flat indices), the threshold of
-        the half test, built once and read-only."""
-        half = np.outer(self.systems[0].measures, self.systems[1].measures) / 2.0
-        half.flags.writeable = False
-        return half
-
     def total_measure(self) -> float:
         return self.x1.total_measure * self.x2.total_measure
 

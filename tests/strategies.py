@@ -7,6 +7,7 @@ so the two factors of a product usually differ in size.  ``decade_spaces``
 draws points at powers of 3 with weights over twelve decades.  ``weighted_spaces``
 gives such a factor integer, decimal or decade weights; decimal weights
 such as 0.1, 0.2, 0.3, 0.7 make many half tests tie in exact arithmetic.
+``inexact_spaces`` gives it weights 10^u for real u in [-3, 3].
 """
 
 import numpy as np
@@ -60,12 +61,20 @@ def weighted_spaces(draw):
 
 
 @st.composite
-def instances(draw, factors=None):
-    """A product space of two ``factors`` (default ``spaces()``) and an open
-    set on it, sometimes enlarged."""
+def inexact_spaces(draw):
+    """A ``spaces()`` factor with weights 10^u, u uniform in [-3, 3]: sums
+    of them round, so half tests near their half go to the rescan."""
+    base = draw(spaces())
+    logw = draw(st.lists(st.floats(-3.0, 3.0), min_size=base.n, max_size=base.n))
+    return make_space(base.dist, 10.0 ** np.asarray(logw))
+
+
+@st.composite
+def instances(draw, factors=None, deltas=(0.25, 0.5, 0.9)):
+    """A product space of two ``factors`` (default ``spaces()``) at one of
+    ``deltas`` and an open set on it, sometimes enlarged."""
     factors = spaces() if factors is None else factors
-    ps = ProductSpace(draw(factors), draw(factors),
-                      delta=draw(st.sampled_from([0.25, 0.5, 0.9])))
+    ps = ProductSpace(draw(factors), draw(factors), delta=draw(st.sampled_from(deltas)))
     n1, n2 = ps.shape
     bits = draw(st.lists(st.booleans(), min_size=n1 * n2, max_size=n1 * n2))
     om = OpenSet.from_mask(ps, np.reshape(bits, ps.shape))

@@ -168,16 +168,15 @@ def test_geometry_is_built_on_first_use(canon):
     verify_system(system)
     export_system(system)
     basis = build_haar(system)
-    for name in ("incidence", "ancestors", "cubes"):    # building a system never needs them
+    for name in ("incidence", "cubes"):    # building a system never needs them
         assert name not in vars(system)
     incidence = system.incidence
     np.testing.assert_array_equal(incidence[basis.cube_rows[0]] > 0,
                                   system.member_mask(*basis.wavelets[0].cube))
-    assert incidence is system.incidence and system.ancestors is system.ancestors
+    assert incidence is system.incidence
     assert incidence.shape == (system.n_cubes(), canon.n)
-    assert system.ancestors.shape == (system.n_cubes(), system.n_cubes())
     assert system.parent[0] == -1 and (system.parent[1:] >= 0).all()
-    assert not incidence.flags.writeable and not system.ancestors.flags.writeable
+    assert not incidence.flags.writeable
     assert system.cubes is system.cubes and len(system.cubes) == len(system.levels())
 
 
@@ -190,7 +189,7 @@ def test_geometry_first_use_from_threads(line8):
         return [c.members.tolist() for level in cubes.values() for c in level]
 
     expect = build_system(line8, 0.25)
-    names = ("incidence", "ancestors", "cubes") * 3
+    names = ("incidence", "cubes") * 3
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from prodhardy import (build_system, ell_enlarge, enlarge, maximal_rectangles,
                        strong_maximal, strong_maximal_exhaustive)
 from prodhardy.dyadic import dilate_mask
-from prodhardy.maximal import (ell_enlarge_exhaustive, realized_ball_masks,
+from prodhardy.journe import _covers
+from prodhardy.maximal import (_tops, ell_enlarge_exhaustive, realized_ball_masks,
                                rectangles_inside, rectangles_inside_exhaustive)
 
 from strategies import CHECK, instances, spaces
@@ -81,6 +82,7 @@ def test_geometry_rows_are_the_cubes(space, delta, lam):
     assert system.measures.tobytes() == np.array(
         [space.weight[c.members].sum() for c in cubes]).tobytes()
     dil = system.dilate_matrix(lam)
+    tops = _tops(system)
     for a, c in enumerate(cubes):
         members = np.isin(np.arange(space.n), c.members)
         np.testing.assert_array_equal(system.incidence[a] == 1.0, members)
@@ -95,7 +97,11 @@ def test_geometry_rows_are_the_cubes(space, delta, lam):
         while system.parent[up] >= 0:
             up = system.parent[up]
             chain.add(up)
-        assert set(np.flatnonzero(system.ancestors[a])) == chain
+        # a top's members hold cube a's exactly when it is a or an ancestor
+        assert set(tops[_covers(system, np.array([a]), tops)[0]].tolist()) == chain & set(tops)
+        # the tops are the root and the cubes with fewer members than their parent
+        assert (a in tops) == (system.parent[a] < 0 or len(cubes[system.parent[a]].members)
+                                                      > len(c.members))
 
 
 @CHECK

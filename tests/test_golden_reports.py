@@ -7,14 +7,19 @@ deep pair and the snowflake pair, the two cases with 1 < q < 2 (where
 ``verify_atom`` weighs rectangle atoms by the stretch ratio), before stretch
 and tau moved onto the cube geometry; the certify run on the snowflake pair
 (unequal weighted factors, p < 1 < q < 2) before certify's corpus ran in
-stacked passes.  A change that moves any of them changes a number some user
-sees, so it needs a deliberate update.  Each golden runs with builtin ``sum``
-refusing floats, so every report sum adds in one order on every Python.
+stacked passes; the two deep runs on the built-in line (delta 0.999) before
+the rectangle questions moved onto the chain tops, and those must also
+finish within ``SECONDS``.  A change that moves any of them changes a
+number some user sees, so it needs a deliberate update.  Each golden runs
+with builtin ``sum`` refusing floats, so every report sum adds in one order
+on every Python.
 """
 
 import builtins
 import hashlib
 import json
+import math
+import time
 
 import numpy as np
 import pytest
@@ -72,7 +77,16 @@ CASES = {
         ["certify", "--delta", "0.5", "--p", "0.8", "--q", "1.5", "--corpus", "30",
          "--seed", "4"],
         _snowflake_pair, "df0fc4ffe6387146c3b3bfaef5a63a89c8585ea7eb26474e15f016dbbe6ffa4b"),
+    "certify-line-deep": (["certify", "--delta", "0.999", "--seed", "0"], None,
+                          "3bec436595f6254c7677fd2af85af2c64807e142e7f7148dd4b1ba22d539db93"),
+    "decompose-line-deep": (["decompose", "--delta", "0.999", "--seed", "0"], None,
+                            "0f46c7c56aae725f4dd2a783aea028175e579cdba126c0e345cdcf0f8d1817bb"),
 }
+
+# The built-in 8-point line at delta 0.999 has 5695 cubes per factor over
+# 14 member sets.  Asked once per member set, its rectangle questions take
+# well under a second; asked of every cube pair, they took over a minute.
+SECONDS = {"certify-line-deep": 10.0, "decompose-line-deep": 10.0}
 
 
 def report_digest(name, tmp_path, run=main):
@@ -105,7 +119,9 @@ def test_golden_report(name, monkeypatch, tmp_path):
             patch.setattr(builtins, "sum", sum_without_floats)
             return main(argv)
 
+    start = time.perf_counter()
     assert report_digest(name, tmp_path, run) == CASES[name][2]
+    assert time.perf_counter() - start < SECONDS.get(name, math.inf)
 
 
 @pytest.mark.parametrize("name", ["certify-corpus5", "certify-snowflake-pair"])
@@ -119,17 +135,19 @@ def test_certify_report_is_the_same_one_grid_per_stack(name, monkeypatch, tmp_pa
 
 @pytest.mark.parametrize("name", ["decompose-line12", "decompose-deep-pair"])
 def test_decompose_report_is_the_same_one_level_set_per_stack(name, monkeypatch, tmp_path):
-    # each B_j half test runs over stacks of level sets of at most SUM_BATCH
-    # cube pairs, one set at least: one stack here, and with a budget below
-    # one set's pairs one stack per set, with the same report
+    # each B_j half test runs on the wavelet cubes over stacks of level sets
+    # of at most SUM_BATCH wavelet pairs, one set at least: one stack here,
+    # and with a budget below one set's pairs one stack per set, with the
+    # same report
     stacks = []
     original = atoms._majority
 
-    def bounded(pspace, masks):
-        s1, s2 = pspace.systems
-        assert len(masks) <= max(1, product.SUM_BATCH // (s1.n_cubes() * s2.n_cubes()))
+    def bounded(pspace, masks, rows1, rows2):
+        b1, b2 = pspace.bases
+        assert rows1 is b1.cube_rows and rows2 is b2.cube_rows
+        assert len(masks) <= max(1, product.SUM_BATCH // (b1.n_wavelets * b2.n_wavelets))
         stacks.append(len(masks))
-        return original(pspace, masks)
+        return original(pspace, masks, rows1, rows2)
 
     monkeypatch.setattr(atoms, "_majority", bounded)
     assert report_digest(name, tmp_path) == CASES[name][2]

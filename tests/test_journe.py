@@ -207,4 +207,4 @@ def test_member_mask_oracles_never_build_the_geometry():
     assert rects and ps.rectangle_mask(*rects[0]).sum() > 0
     c1, c2 = rects[-1]
     assert stretch_exhaustive(ps, om, c1.id + c2.id, 1).level <= c2.level
-    assert all("incidence" not in vars(s) and "ancestors" not in vars(s) for s in ps.systems)
+    assert all("incidence" not in vars(s) for s in ps.systems)

@@ -1,11 +1,12 @@
 """Property tests: the stacked family pass (``journe._families``) against the
 per-set maximal family and covering sums it replaces.
 
-``family_oracle`` and ``sums_oracle`` are the per-set code: one containment
-matrix, one majority matrix and two stretch passes per set, then each
-exponent's sums added term by term in family order.  The sums use an explicit
-``acc += t`` loop, not ``sum()``: Python 3.12's ``sum`` of floats is
-compensated, and the loop is the order the stacked pass must reproduce.
+``per_cube.family`` and ``sums_oracle`` are the per-set code over every
+cube pair: one containment matrix, one majority matrix and two stretch
+passes per set, then each exponent's sums added term by term in family
+order.  The sums use an explicit ``acc += t`` loop, not ``sum()``: Python
+3.12's ``sum`` of floats is compensated, and the loop is the order the
+stacked pass must reproduce.
 """
 
 import contextlib
@@ -21,27 +22,13 @@ from hypothesis import strategies as st
 from prodhardy import OpenSet, ProductSpace, journe_check, make_space, maximal_rectangles
 from prodhardy import atoms, cli, journe, product
 from prodhardy.cli import main
-from prodhardy.journe import _families, _largest_constants, majority_matrix
-from prodhardy.maximal import containment_matrix
+from prodhardy.journe import _families, _largest_constants
 
+import per_cube
 from strategies import CHECK, instances, weighted_spaces
 from test_stretch_properties import NEAR_TIES
 
 DELTAS = (0.5, 1.0, 2.0)
-
-
-def family_oracle(ps, mask):
-    """rows, cols, hat1, hat2 of one set's maximal family, one set at a time."""
-    om = OpenSet.from_mask(ps, mask)
-    s1, s2 = ps.systems
-    inside = containment_matrix(ps, om)
-    grows1 = (s1.parent >= 0)[:, None] & inside[s1.parent, :]
-    grows2 = (s2.parent >= 0)[None, :] & inside[:, s2.parent]
-    rows, cols = np.nonzero(inside & ~grows1 & ~grows2)
-    passes = majority_matrix(ps, om)
-    hat2 = (s2.ancestors[cols] & passes[rows]).argmax(axis=1)
-    hat1 = (s1.ancestors[rows] & passes[:, cols].T).argmax(axis=1)
-    return rows, cols, hat1, hat2
 
 
 def ordered_sum(terms) -> float:
@@ -77,7 +64,7 @@ def assert_stack_matches_oracle(ps, masks):
     s1, s2 = ps.systems
     for k, mask in enumerate(masks):
         at = fam.sets == k
-        want = family_oracle(ps, mask)
+        want = per_cube.family(ps, mask)
         for got, exp in zip((fam.rows, fam.cols, fam.hat1, fam.hat2), want):
             assert got[at].tolist() == exp.tolist()
         sums = sums_oracle(ps, *want, DELTAS)
@@ -138,7 +125,7 @@ def test_wide_families_keep_the_per_set_order():
     ps = ProductSpace(x, x, delta=0.5)
     masks = rng.random((6, *ps.shape)) < 0.6
     assert_stack_matches_oracle(ps, masks)
-    terms = [family_terms(ps, *family_oracle(ps, mask), 0.5)[0] for mask in masks]
+    terms = [family_terms(ps, *per_cube.family(ps, mask), 0.5)[0] for mask in masks]
     assert min(len(t) for t in terms) > 8
     assert any(bits(np.sum(t)) != bits(ordered_sum(t)) for t in terms)
 

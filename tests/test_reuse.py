@@ -118,7 +118,7 @@ def counted(monkeypatch, module, *names):
 
 
 def test_a_space_holds_no_values_of_its_calls(pspace8):
-    # a space keeps what it was built from and its two read-only tables;
+    # a space keeps what it was built from and its read-only weight grid;
     # pools, families, enlargements and block stacks live in the calls
     ps = ProductSpace(pspace8.x1, pspace8.x2, *pspace8.systems)
     rng = np.random.default_rng(2)
@@ -126,7 +126,7 @@ def test_a_space_holds_no_values_of_its_calls(pspace8):
         dec = atomic_decompose(ps, ps.random_function(rng), 1.0, 2.0)
         assert dec.terms and all(verify_atom(ps, t.atom)["passed"] for t in dec.terms)
     equivalence_report(ps, [ps.random_function(rng) for _ in range(3)], 1.0, 2.0)
-    assert set(vars(ps)) <= {"x1", "x2", "systems", "bases", "p0", "weights", "half_measures"}
+    assert set(vars(ps)) <= {"x1", "x2", "systems", "bases", "p0", "weights"}
 
 
 def test_a_space_dies_with_its_decomposition():

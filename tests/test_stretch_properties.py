@@ -17,6 +17,7 @@ from prodhardy import dyadic, journe, maximal
 from prodhardy.journe import _measure_in, majority_matrix, stretch_exhaustive, tau
 from prodhardy.maximal import containment_matrix, rectangles_inside
 
+import per_cube
 from strategies import CHECK, instances, weighted_spaces
 from test_golden_reports import CASES, report_digest
 
@@ -60,27 +61,33 @@ def test_majority_matrix_is_the_per_rectangle_half_test(inst):
 
 
 @CHECK
-@given(instances(weighted_spaces()))
-@example(NEAR_TIES[0])
-@example(NEAR_TIES[1])
-@example(NEAR_TIES[2])
-def test_majority_of_a_stack_reads_one_half_table(inst):
-    # mu(Q1 x Q2)/2 is one read-only table per space, shared by every call;
-    # each set of a stack still gets the per-rectangle half test
+@given(instances(weighted_spaces()), st.data())
+@example(NEAR_TIES[0], None)
+@example(NEAR_TIES[1], None)
+@example(NEAR_TIES[2], None)
+def test_majority_on_some_rows_is_the_full_matrix_at_those_rows(inst, data):
+    # the half threshold is built for the requested rows only, and the
+    # near-half rescan decides each pair as the per-rectangle sum does, so a
+    # smaller product changes no decision; each set of a stack gets its own
     ps, om = inst
-    half = ps.half_measures
-    assert ps.half_measures is half and not half.flags.writeable
+    s1, s2 = ps.systems
     masks = np.stack([om.mask, ~om.mask, np.ones(ps.shape, dtype=bool)])
-    passes = journe._majority(ps, masks)
-    assert ps.half_measures is half
-    for a, c1 in enumerate(ps.systems[0].all_cubes()):
-        m1 = np.isin(np.arange(ps.x1.n), c1.members)
-        for b, c2 in enumerate(ps.systems[1].all_cubes()):
-            m2 = np.isin(np.arange(ps.x2.n), c2.members)
-            mu = c1.measure * c2.measure
-            assert half[a, b] == mu / 2.0
-            for i, mask in enumerate(masks):
-                assert passes[i, a, b] == (_measure_in(ps, mask, m1, m2) > mu / 2.0)
+    full = per_cube.majority(ps, masks)
+    if data is None:                 # every row, in reverse order
+        rows1, rows2 = np.arange(s1.n_cubes())[::-1], np.arange(s2.n_cubes())[::-1]
+    else:
+        rows1, rows2 = (np.array(data.draw(st.lists(st.integers(0, s.n_cubes() - 1),
+                                                    min_size=1, max_size=8)))
+                        for s in ps.systems)
+    passes = journe._majority(ps, masks, rows1, rows2)
+    np.testing.assert_array_equal(passes, full[:, rows1][:, :, rows2])
+    np.testing.assert_array_equal(majority_matrix(ps, om), full[0])
+    for i, a in enumerate(rows1):
+        for j, b in enumerate(rows2):
+            mu = s1.measures[a] * s2.measures[b]
+            for k, mask in enumerate(masks):
+                assert passes[k, i, j] == (_measure_in(ps, mask, s1.incidence[a] > 0,
+                                                       s2.incidence[b] > 0) > mu / 2.0)
 
 
 @CHECK
@@ -134,13 +141,18 @@ def test_tau_matches_member_scan(inst, seed):
 def test_tau_covers_exactly_the_contained_rectangles(inst):
     # the decomposition checks that each classified rectangle lies in its
     # enlargement by tau alone: some family rectangle has ancestors-or-self
-    # of both factors exactly when the rectangle lies in the set
+    # of both factors exactly when the rectangle lies in the set, and
+    # tau's member containment finds the first of them
     ps, om = inst
     fam = maximal_rectangles(ps, om, "both")
     s1, s2 = ps.systems
-    covered = (s1.ancestors[:, fam.rows].astype(int)
-               @ s2.ancestors[:, fam.cols].T.astype(int)) > 0
-    np.testing.assert_array_equal(covered, containment_matrix(ps, om))
+    covered = (per_cube.ancestors(s1)[:, fam.rows].astype(int)
+               @ per_cube.ancestors(s2)[:, fam.cols].T.astype(int)) > 0
+    inside = containment_matrix(ps, om)
+    np.testing.assert_array_equal(covered, inside)
+    np.testing.assert_array_equal(inside, per_cube.containment(ps, om.mask))
+    rows, cols = np.nonzero(inside)
+    np.testing.assert_array_equal(tau(ps, fam, rows, cols), per_cube.tau(ps, fam, rows, cols))
 
 def test_fast_paths_never_call_the_oracles(monkeypatch, tmp_path):
     def refuse(*args):
