@@ -169,12 +169,19 @@ def _size_budget(view: ProductSpace, omega_t: OpenSet, ell1: int, ell2: int,
     return _budget_measure(view, omega_t, ell1, ell2) ** (1.0 / q - 1.0 / p)
 
 
-def _boxes(view: ProductSpace, ell1: int, ell2: int):
-    """The cell's support multipliers lam_i = 2 a0_i^2 2^l_i (the rectangle
-    atoms' support constants, scaled by the cell) and each factor's dilate
-    matrix at them: row a of factor i's matrix is the box lam_i Q of cube a."""
-    lams = (2.0 * view.x1.a0 ** 2 * 2.0 ** ell1, 2.0 * view.x2.a0 ** 2 * 2.0 ** ell2)
-    return lams, tuple(s.dilate_matrix(lam) for s, lam in zip(view.systems, lams))
+def _lams(view: ProductSpace, ell1: int, ell2: int) -> tuple[float, float]:
+    """The cell's support multipliers lam_i = 2 a0_i^2 2^l_i: the rectangle
+    atoms' support constants, scaled by the cell."""
+    return 2.0 * view.x1.a0 ** 2 * 2.0 ** ell1, 2.0 * view.x2.a0 ** 2 * 2.0 ** ell2
+
+
+def _boxes(view: ProductSpace, family: MaximalRectangleFamily, ell1: int, ell2: int):
+    """The cell's multipliers (``_lams``) and each factor's dilates at them
+    over the family: row i of factor 1's (2's) matrix is the box lam_i Q of
+    rectangle i's first (second) cube."""
+    lams = _lams(view, ell1, ell2)
+    return lams, tuple(s.dilate_matrix(lam, rows) for s, lam, rows
+                       in zip(view.systems, lams, (family.rows, family.cols)))
 
 
 def _gammas(pspace: ProductSpace, p: float, q: float, gamma1: float | None,
@@ -464,7 +471,7 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom) -> dict:
     p, q = atom.p, atom.q
     failures: list[str] = []
     eps0, omega_t, family = atom.pool or _pools(view, [atom.omega])[0]
-    (lam1, lam2), (dil1, dil2) = _boxes(view, atom.ell1, atom.ell2)
+    (lam1, lam2), (dil1, dil2) = _boxes(view, family, atom.ell1, atom.ell2)
     support, _ = ell_enlarge(view, omega_t, atom.ell1, atom.ell2, lam1, lam2)
 
     scale = float(np.abs(atom.values).max())
@@ -484,7 +491,7 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom) -> dict:
         if key not in at:
             failures.append(f"condition (3): rectangle {key} is not in the maximal family")
             continue
-        box = np.outer(dil1[family.rows[at[key]]], dil2[family.cols[at[key]]])
+        box = np.outer(dil1[at[key]], dil2[at[key]])
         vscale = float(np.abs(vals).max())
         if vscale == 0:
             continue
@@ -555,11 +562,11 @@ def generate_atom(pspace: ProductSpace, rng, p: float, q: float,
     _, omega_t, family = pool
     if not family.m_all:
         return None
-    _, (dil1, dil2) = _boxes(view, ell1, ell2)
+    _, (dil1, dil2) = _boxes(view, family, ell1, ell2)
     rect_atoms = {}
     values = np.zeros(view.shape)
     for i in rng.permutation(len(family.m_all))[:MAX_RECTS]:
-        u, v = dil1[family.rows[i]], dil2[family.cols[i]]
+        u, v = dil1[i], dil2[i]
         if u.sum() < 2 or v.sum() < 2:
             continue
         block = _mean_zero(rng.standard_normal((int(u.sum()), int(v.sum()))),

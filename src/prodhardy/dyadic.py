@@ -13,21 +13,27 @@ c0.  Without a given delta the reference rule chooses it ("reference" mode);
 a given delta may be any value in (0,1) ("desk" mode), and non-conformance
 is recorded instead of failing.
 
-The measured constants come from one pass over the distance rows of the
-cube centers, 64 at a time, against the labels.  It gives each cube its
-largest center-member and smallest center-non-member distance, and each
-point its distance to the nearest center of each level.  C0_measured, the
-tight c1 and C1 and both ball certificates of ``verify_system`` read these
-extremes; per-cube loops are kept as their oracles (``_*_by_cube``,
-``_covering_constant_by_net``).  Deep chains of small levels cost a few
-array operations, not a few per level.
+Construction costs per distinct net and per distinct member set, not per
+level or per cube.  The nets grow level by level from one vector of each
+point's distance to the net, updated only when a point joins; a level where
+no point lies delta^k from the net keeps the net above, and each of its
+cubes is its own parent's only child.  A cube with one child has that
+child's members and center, so a single-child chain repeats one member set;
+its top is its coarsest cube (``DyadicSystem.tops``).  Each member set's
+measure is summed once, and the measured constants come from one pass over
+the distance rows of the tops' centers, 64 at a time, against the labels.
+It gives each cube its largest center-member and smallest
+center-non-member distance, and each point its distance to the nearest
+center of each level, a running minimum over the levels since the nets are
+nested.  C0_measured, the tight c1 and C1 and both ball certificates of
+``verify_system`` read these extremes; per-cube loops are kept as their
+oracles (``_*_by_cube``, ``_covering_constant_by_net``).
 
 The arrays are the only representation of the cubes the pipeline reads:
-each cube's measure is computed once, and the cube x point incidence
-matrix is built on first use; ``Cube`` records are built only when asked
-for, by the oracles and the tests.  A cube with one child has that child's
-members, so single-child chains repeat a member set; the rectangle layers
-ask their questions of each chain's top only (``maximal._tops``).
+the cube x point incidence matrix is built on first use, dilate matrices
+only for the rows asked, and ``Cube`` records only when asked for, by the
+oracles and the tests.  The rectangle layers ask their questions of the
+chain tops only.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -81,9 +88,12 @@ class DyadicSystem:
     ``labels[l, x]``, the cube of level k_min + l holding point x.  Cube a
     has ``sizes[a]`` members, ``members[member_first[a]:member_first[a + 1]]``
     (ids ascending), and measure ``measures[a]``; an ancestor's flat index is
-    below its descendants'.  ``incidence``, built on first use, holds the
-    member sets.  ``parents[k]`` gives each point of ``nets[k]`` its
-    parent's position in ``nets[k - 1]``."""
+    below its descendants'.  ``tops`` lists, ascending, the root and every
+    cube whose parent has other members: the coarsest cube of each
+    single-child chain, whose cubes share one member set.  ``incidence``,
+    built on first use, holds the member sets.  ``parents[k]`` gives each
+    point of ``nets[k]`` its parent's position in ``nets[k - 1]``; a level
+    may share its net list with the level above."""
 
     def __init__(self, space: FiniteSpace, delta: float, k_min: int, k_max: int,
                  nets: dict[int, list[int]], parents: dict[int, list[int]], mode: str):
@@ -96,9 +106,10 @@ class DyadicSystem:
         level_sizes = [len(nets[k]) for k in self.levels()]
         self.first = np.cumsum([0, *level_sizes])
         self.level_rows = np.repeat(np.arange(len(level_sizes)), level_sizes)
-        self.centers = np.concatenate([np.asarray(nets[k], dtype=int) for k in self.levels()])
+        self.centers = np.fromiter(chain.from_iterable(nets[k] for k in self.levels()), int)
         self.parent = np.concatenate([np.full(level_sizes[0], -1)] + [
-            self.first[k - k_min - 1] + np.asarray(parents[k], int) for k in self.levels()[1:]])
+            np.asarray(parents[k], int) for k in self.levels()[1:]])
+        self.parent[level_sizes[0]:] += np.repeat(self.first[:-2], level_sizes[1:])
         # the singletons of k_max, then each level's cubes through the parents
         self.labels = np.empty((len(level_sizes), space.n), dtype=int)
         self.labels[-1, nets[k_max]] = np.arange(self.first[-2], self.first[-1])
@@ -107,15 +118,27 @@ class DyadicSystem:
         # one stable argsort of the labels lists each cube's members, ids ascending
         self.members = np.argsort(self.labels, axis=1, kind="stable").ravel()
         self.sizes = np.bincount(self.labels.ravel(), minlength=self.n_cubes())
-        self.member_first = np.cumsum([0, *self.sizes])
-        ends = self.member_first.tolist()         # each cube's own pairwise sum
-        self.measures = np.array([space.weight[self.members[lo:hi]].sum()
-                                  for lo, hi in zip(ends, ends[1:])])
+        self.member_first = np.concatenate([[0], np.cumsum(self.sizes)])
+        # a nested tree's member set is fixed by its first member and its
+        # size, so one member set's cubes form a single-child chain, top first
+        self.tops = np.flatnonzero((self.parent < 0) | (self.sizes[self.parent] != self.sizes))
+        # the first cube in flat order of each member set and center (a built
+        # chain shares its center, so these are the tops) and each cube's row
+        # among them; an empty cube, which only an imported tree has, reads any id
+        first_member = self.members[np.minimum(self.member_first[:-1], self.members.size - 1)]
+        _, first, inverse = np.unique(
+            (first_member * (space.n + 1) + self.sizes) * space.n + self.centers,
+            return_index=True, return_inverse=True)
+        distinct = np.sort(first)
+        which = np.searchsorted(distinct, first[inverse])
+        ends = self.member_first.tolist()         # each member set's own pairwise sum
+        self.measures = np.array([space.weight[self.members[ends[a]:ends[a + 1]]].sum()
+                                  for a in distinct.tolist()])[which]
         for arr in (self.first, self.level_rows, self.centers, self.parent, self.labels,
-                    self.members, self.sizes, self.member_first, self.measures):
+                    self.members, self.sizes, self.member_first, self.tops, self.measures):
             arr.flags.writeable = False       # shared by every record and view
         self.c0 = 1.0                         # greedy guarantees delta^k separation
-        self._measure()
+        self._measure(distinct, which)
         self.C0_cert = 2.0 * space.a0
         self.inner_cert = (1.0 / (3.0 * space.a0 ** 2)) * self.c0
         self.outer_cert = 2.0 * space.a0 * max(self.C0_measured, 1.0)
@@ -182,9 +205,12 @@ class DyadicSystem:
         incidence.flags.writeable = False
         return incidence
 
-    def dilate_matrix(self, lam: float) -> np.ndarray:
-        """Row ``a`` is ``dilate_mask`` of cube ``a`` (flat order), bit for bit."""
-        return self.space.dist[self.centers] < (lam * self.outer_eff * self._sides)[:, None]
+    def dilate_matrix(self, lam: float, rows=slice(None)) -> np.ndarray:
+        """Row i is ``dilate_mask`` of cube ``rows[i]`` (flat indices or a
+        slice; all cubes in flat order by default), bit for bit; only those
+        rows are built."""
+        return (self.space.dist[self.centers[rows]]
+                < (lam * self.outer_eff * self._sides[rows])[:, None])
 
     def member_mask(self, k: int, alpha: int) -> np.ndarray:
         """Points of cube (k, alpha), read off the labels."""
@@ -193,13 +219,15 @@ class DyadicSystem:
 
     # -- measured constants --------------------------------------------------
 
-    def _measure(self):
+    def _measure(self, distinct: np.ndarray, which: np.ndarray):
         """C0_measured and the tightest c1, C1 making inner/outer ball
-        containment true, from one ``_center_pass`` over every cube.  The
-        per-cube extremes are kept, in flat order, for ``verify_system``'s
-        certificates."""
-        self._far, self._near, cover = _center_pass(
-            self.space.dist, self.centers, self.level_rows, self.labels)
+        containment true, from one ``_center_pass`` over the ``distinct``
+        cubes, one per member set and center; ``which`` gives each cube
+        its row.  The per-cube extremes are kept, in flat order, for
+        ``verify_system``'s certificates."""
+        far, near, cover = _center_pass(
+            self.space.dist, self.centers, self.level_rows, self.labels, distinct)
+        self._far, self._near = far[which], near[which]
         level_sides = np.array([self.side(k) for k in self.levels()])
         self._sides = level_sides[self.level_rows]
         self.C0_measured = float((cover.max(axis=1) / level_sides).max())
@@ -215,28 +243,31 @@ _BLOCK = 64
 
 
 def _center_pass(dist: np.ndarray, centers: np.ndarray, row: np.ndarray,
-                 labels: np.ndarray):
-    """One pass over the distance rows of every cube center (flat order;
-    ``row`` is each cube's level row of ``labels``), 64 at a time.
+                 labels: np.ndarray, cubes: np.ndarray):
+    """One pass over the distance rows of the centers of ``cubes`` (flat
+    indices, ascending; ``row`` is each cube's level row of ``labels``), 64
+    at a time.
 
-    Per cube: ``far``, the largest center-member distance (0 for a
+    Per cube asked: ``far``, the largest center-member distance (0 for a
     singleton), and ``near``, the smallest center-non-member distance (inf
     for a cube holding every point); per level and point: ``cover``, the
-    distance to the level's nearest center.  All three are minima or maxima
-    of distances, so they are exact in any order.
+    distance to the nearest center of the level or a coarser one, which is
+    the level's own while the nets are nested.  A cube not asked has an
+    asked cube's center a level or more above, so a running minimum over
+    the levels reaches every center.  All three are minima or maxima of
+    distances, so they are exact in any order.
     """
-    far, near = np.empty(len(centers)), np.empty(len(centers))
+    far, near = np.empty(len(cubes)), np.empty(len(cubes))
     cover = np.full(labels.shape, np.inf)
-    for a0 in range(0, len(centers), _BLOCK):
-        d = dist[centers[a0:a0 + _BLOCK]]
-        r = row[a0:a0 + _BLOCK]
-        inside = labels[r] == np.arange(a0, a0 + len(d))[:, None]
-        np.max(d, axis=1, where=inside, initial=0.0, out=far[a0:a0 + len(d)])
-        np.min(d, axis=1, where=~inside, initial=np.inf, out=near[a0:a0 + len(d)])
-        cuts = [0, *(np.flatnonzero(np.diff(r)) + 1), len(d)]   # the block's levels
-        for lo, hi in zip(cuts, cuts[1:]):
-            np.minimum(cover[r[lo]], d[lo:hi].min(axis=0), out=cover[r[lo]])
-    return far, near, cover
+    for i in range(0, len(cubes), _BLOCK):
+        a = cubes[i:i + _BLOCK]
+        d, r = dist[centers[a]], row[a]
+        inside = labels[r] == a[:, None]
+        np.max(d, axis=1, where=inside, initial=0.0, out=far[i:i + len(a)])
+        np.min(d, axis=1, where=~inside, initial=np.inf, out=near[i:i + len(a)])
+        cuts = np.flatnonzero(np.diff(r, prepend=-1))         # the block's levels
+        cover[r[cuts]] = np.minimum(cover[r[cuts]], np.minimum.reduceat(d, cuts, axis=0))
+    return far, near, np.minimum.accumulate(cover, axis=0)
 
 
 def _covering_constant_by_net(system: "DyadicSystem") -> float:
@@ -278,19 +309,17 @@ def _certificates_by_cube(system: "DyadicSystem") -> tuple[bool, bool]:
     return inner_ok, outer_ok
 
 
-def _seed_rows(space: FiniteSpace, delta: float, k: int, seed: list) -> tuple[float, np.ndarray]:
-    """delta^k and the seed net's rows of the distance matrix, once delta and
-    the seed's delta^k-separation are checked."""
+def _check_seed(space: FiniteSpace, delta: float, k: int, seed: list) -> float:
+    """delta^k, once delta and the seed net's delta^k-separation are checked."""
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     r = delta ** k
-    rows = space.dist.take(np.asarray(seed, dtype=np.intp), axis=0)
     if len(seed) > 1:
-        d = rows.take(seed, axis=1)
+        d = space.dist.take(seed, axis=0).take(seed, axis=1)
         np.fill_diagonal(d, np.inf)
         if d.min() < r:
             raise ValueError(f"seed net is not {r}-separated")
-    return r, rows
+    return r
 
 
 def build_net(space: FiniteSpace, delta: float, k: int, seed_net=(), order=None) -> list[int]:
@@ -298,22 +327,31 @@ def build_net(space: FiniteSpace, delta: float, k: int, seed_net=(), order=None)
 
     Candidates are scanned in ascending point id (or the supplied order), so
     the net is deterministic.  The result covers X within delta^k (measured
-    C0 = 1) because any uncovered point would have been added.  The scan
-    jumps from one added point to the next: ``argmax`` over the remaining
-    candidates finds the first one still delta^k from the net, so Python
-    runs once per added point, and only the remaining candidates' distances
-    to the net are updated, from the added point's row (the matrix is
-    symmetric; with an order, its columns are permuted once).  A candidate
-    at distance 0 from the net is in it already, also when delta^k
-    underflows to 0.  ``_build_net_by_point`` is the per-point scan it
-    equals.
+    C0 = 1) because any uncovered point would have been added.  The scan is
+    ``_jump_scan``, which ``build_system`` runs too, level after level, on
+    one vector of distances to the net.  ``_build_net_by_point`` is the
+    per-point scan it equals.
     """
     net = list(seed_net)
-    r, seed_rows = _seed_rows(space, delta, k, net)
-    r = max(r, math.ulp(0.0))
+    r = _check_seed(space, delta, k, net)
     scan = np.arange(space.n) if order is None else np.asarray(order, dtype=np.intp)
     rows = space.dist if order is None else space.dist[:, scan]
-    mind = seed_rows.min(axis=0)[scan] if net else np.full(scan.size, np.inf)
+    mind = space.dist[net].min(axis=0)[scan] if net else np.full(scan.size, np.inf)
+    return _jump_scan(net, mind, rows, scan, max(r, math.ulp(0.0)))
+
+
+def _jump_scan(net: list, mind: np.ndarray, rows: np.ndarray, scan: np.ndarray,
+               r: float) -> list:
+    """Append to ``net`` each candidate of ``scan`` still r from it, in turn.
+
+    ``mind[i]`` is candidate ``scan[i]``'s distance to the net and ``rows[x]``
+    point x's distances to the candidates (the distance matrix, its columns
+    in scan order).  The scan jumps from one added point to the next:
+    ``argmax`` over the remaining candidates finds the first one still r
+    from the net, so Python runs once per added point, and ``mind`` takes
+    the added point's row.  A candidate at distance 0 from the net is in it
+    already, also when delta^k underflows to 0 (r is at least ``ulp(0)``).
+    """
     pos = 0
     while pos < scan.size:
         step = int(np.argmax(mind[pos:] >= r))
@@ -322,7 +360,7 @@ def build_net(space: FiniteSpace, delta: float, k: int, seed_net=(), order=None)
         x = int(scan[pos + step])
         net.append(x)
         pos += step + 1
-        np.minimum(mind[pos:], rows[x, pos:], out=mind[pos:])
+        np.minimum(mind, rows[x], out=mind)
     return net
 
 
@@ -330,7 +368,7 @@ def _build_net_by_point(space: FiniteSpace, delta: float, k: int, seed_net=(),
                         order=None) -> list[int]:
     """Specification of ``build_net``: every candidate tested in turn."""
     net = list(seed_net)
-    r = _seed_rows(space, delta, k, net)[0]
+    r = _check_seed(space, delta, k, net)
     in_net = set(net)
     mind = np.full(space.n, np.inf) if not net else space.dist[:, net].min(axis=1)
     for x in (range(space.n) if order is None else order):
@@ -371,19 +409,30 @@ def build_system(space: FiniteSpace, delta: float | None = None,
             k_max += 1
         k_max = max(k_max, k_min + 1)
 
+    # one vector of each candidate's distance to the net shrinks as the net
+    # grows; a level with no candidate delta^k from the net keeps the net above
+    scan = np.arange(space.n) if order is None else np.asarray(order, dtype=np.intp)
+    rows = space.dist if order is None else space.dist[:, scan]
+    mind = np.full(scan.size, np.inf)
+    reach = math.inf                          # mind.max(), which only a scan changes
     nets: dict[int, list[int]] = {}
     prev: list[int] = []
     for k in range(k_min, k_max + 1):
-        nets[k] = build_net(space, delta, k, seed_net=prev, order=order)
-        prev = nets[k]
+        r = max(delta ** k, math.ulp(0.0))
+        if reach >= r:
+            _check_seed(space, delta, k, prev)
+            prev = _jump_scan(list(prev), mind, rows, scan, r)
+            reach = mind.max()
+        nets[k] = prev
     # exactly one top cube: decrement k_min on the (measure-zero) equality edge
     while len(nets[k_min]) > 1:
         k_min -= 1
         nets[k_min] = build_net(space, delta, k_min, seed_net=[], order=order)
 
-    # argmin takes the first minimum of each row: net-order ties
-    parents = {k: np.argmin(space.dist.take(nets[k], axis=0).take(nets[k - 1], axis=1),
-                            axis=1).tolist()
+    # argmin takes the first minimum of each row: net-order ties; a kept net
+    # is its own parent net, each point 0 from itself and no other
+    parents = {k: (np.arange(len(nets[k])) if nets[k] is nets[k - 1] else
+                   np.argmin(space.dist.take(nets[k], axis=0).take(nets[k - 1], axis=1), axis=1))
                for k in range(k_min + 1, k_max + 1)}
     return DyadicSystem(space, delta, k_min, k_max, nets, parents, mode)
 

@@ -22,7 +22,7 @@ from one pass (``_families``); a single set is its stack of one.
 
 Every cube of a single-child chain holds one member set, and containment,
 the half test and the measures depend only on it.  So a maximal rectangle's
-factors are chain tops (``maximal._tops``: a lower cube's parent extension
+factors are chain tops (``DyadicSystem.tops``: a lower cube's parent extension
 stays inside), and so are its stretches (the coarsest passing cube of a
 chain is its top).  The family pass asks its questions of tops only, and
 ancestry among them is member containment (``_covers``).
@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .maximal import OpenSet, _inside, _tops
+from .maximal import OpenSet, _inside
 from .product import ProductCoefficients, ProductSpace
 from .space import _exact_sums
 
@@ -110,7 +110,7 @@ def _families(pspace: ProductSpace, masks: np.ndarray, deltas=()) -> _Families:
     ratios r = delta^drop are Python powers, one per distinct level drop.
     """
     s1, s2 = pspace.systems
-    t1, t2 = _tops(s1), _tops(s2)
+    t1, t2 = s1.tops, s2.tops
     up1, up2 = s1.parent[t1], s2.parent[t2]
     inside = _inside(pspace, masks, t1, t2)
     # the root's parent -1 reads the last row; parent >= 0 masks it out

@@ -13,8 +13,9 @@ matrix and dilate matrix (``DyadicSystem.incidence``, ``dilate_matrix``):
 containment of the requested cube pairs is one matrix product, and the
 enlargement another.  Every cube of a single-child chain holds one member
 set, so the enlargement, like the maximal families, asks only of the chain
-tops (``_tops``); ``containment_matrix`` answers for every cube pair.  The
-per-pair loops they replace are kept beside them as oracles
+tops (``DyadicSystem.tops``) and builds only their dilates;
+``containment_matrix`` answers for every cube pair.  The per-pair loops
+they replace are kept beside them as oracles
 (``rectangles_inside_exhaustive``, ``ell_enlarge_exhaustive``,
 ``strong_maximal_exhaustive``) and are not called by the fast paths.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicSystem, dilate_mask
+from .dyadic import dilate_mask
 from .product import ProductSpace, _left_sum, cell_scale
 from .space import _normal
 from .space import realized_ball_masks  # re-exported: the balls M_s ranges over
@@ -183,13 +184,6 @@ def _inside(pspace: ProductSpace, masks: np.ndarray, rows1, rows2) -> np.ndarray
     return s1.incidence[rows1] @ (~masks).astype(float) @ s2.incidence[rows2].T == 0
 
 
-def _tops(system: DyadicSystem) -> np.ndarray:
-    """Flat indices, ascending, of the root and of every cube whose parent
-    has other members: the coarsest cube of each single-child chain, whose
-    cubes all hold one member set."""
-    return np.flatnonzero((system.parent < 0) | (system.sizes[system.parent] != system.sizes))
-
-
 def rectangles_inside(pspace: ProductSpace, omega_set: OpenSet):
     """All dyadic rectangles (cube pairs) contained in the set, level then index."""
     cubes1, cubes2 = (list(s.all_cubes()) for s in pspace.systems)
@@ -227,9 +221,9 @@ def ell_enlarge(pspace: ProductSpace, omega_tilde: OpenSet, ell1: int, ell2: int
     # chain shares its members and its center (the parent's center is in the
     # finer net and attaches to itself), and its top has the largest side,
     # so the tops' dilates hold the chain's and the union runs over tops.
-    t1, t2 = _tops(s1), _tops(s2)
-    mask = (s1.dilate_matrix(lam1)[t1].T @ _inside(pspace, omega_tilde.mask, t1, t2)
-            @ s2.dilate_matrix(lam2)[t2])
+    t1, t2 = s1.tops, s2.tops
+    mask = (s1.dilate_matrix(lam1, t1).T @ _inside(pspace, omega_tilde.mask, t1, t2)
+            @ s2.dilate_matrix(lam2, t2))
     result = OpenSet.from_mask(pspace, mask)
     growth = growth_factor(pspace, ell1, ell2)
     measured_c = (result.measure / (growth * omega_tilde.measure)

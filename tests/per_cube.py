@@ -1,18 +1,84 @@
 """Per-cube oracles: the rectangle questions asked of every cube pair.
 
 The package asks containment, the half test and the stretches only of the
-tops of single-child chains (``maximal._tops``), since every cube of a
+tops of single-child chains (``DyadicSystem.tops``), since every cube of a
 chain holds one member set.  These are the all-cube forms it replaced, kept
 here as the specification: the ancestor-or-self matrix read off the labels,
 containment as a point count against |Q1||Q2|, the half test against a
 mu(Q1 x Q2)/2 table of every cube pair, and the maximal family with its
 stretches from them.
+
+The construction is kept the same way: ``build_system`` here builds a
+fresh greedy net on the net above at every level and takes the parents of
+every level by ``argmin``, and its ``PerCubeSystem`` sums each cube's
+weights and reads each cube's center row, where the package builds each
+distinct net once and asks each distinct member set once.
 """
+
+import math
 
 import numpy as np
 
+from prodhardy.dyadic import DyadicSystem, build_net
 from prodhardy.journe import _measure_in
 from prodhardy.space import _exact_sums
+
+
+class PerCubeSystem(DyadicSystem):
+    """A ``DyadicSystem`` whose measures and measured constants come from
+    every cube: each cube's own pairwise sum and each cube's center row."""
+
+    def _measure(self, distinct, which):
+        ends = self.member_first.tolist()
+        self.measures = np.array([self.space.weight[self.members[lo:hi]].sum()
+                                  for lo, hi in zip(ends, ends[1:])])
+        self._far, self._near, cover = center_pass(self)
+        level_sides = np.array([self.side(k) for k in self.levels()])
+        self._sides = level_sides[self.level_rows]
+        self.C0_measured = float((cover.max(axis=1) / level_sides).max())
+        self.inner_tight = float((self._near / self._sides).min())
+        self.outer_tight = float((self._far / self._sides).max())
+
+
+def center_pass(system):
+    """far and near of every cube, and cover of every level and point: the
+    largest center-member and smallest center-non-member distance, and the
+    distance to the level's nearest center, one cube's row at a time."""
+    far, near = np.empty(system.n_cubes()), np.empty(system.n_cubes())
+    cover = np.full(system.labels.shape, np.inf)
+    for a, (z, l) in enumerate(zip(system.centers, system.level_rows)):
+        d, inside = system.space.dist[z], system.labels[l] == a
+        far[a] = d.max(where=inside, initial=0.0)
+        near[a] = d.min(where=~inside, initial=np.inf)
+        np.minimum(cover[l], d, out=cover[l])
+    return far, near, cover
+
+
+def build_system(space, delta, order_seed=None) -> PerCubeSystem:
+    """``dyadic.build_system`` one level at a time: every level's net is a
+    fresh ``build_net`` on the net above, and every level's parents an
+    ``argmin`` over the distances between the two nets."""
+    order = (None if order_seed is None
+             else list(np.random.default_rng(order_seed).permutation(space.n)))
+    if space.n == 1 or space.diameter == 0:
+        k_min = k_max = 0
+    else:
+        k_min = math.floor(math.log(space.diameter) / math.log(delta))
+        while delta ** k_min < space.diameter:
+            k_min -= 1
+        k_max = math.floor(math.log(space.min_positive_distance()) / math.log(delta)) + 1
+        while delta ** k_max >= space.min_positive_distance():
+            k_max += 1
+        k_max = max(k_max, k_min + 1)
+    nets, prev = {}, []
+    for k in range(k_min, k_max + 1):
+        nets[k] = prev = build_net(space, delta, k, seed_net=prev, order=order)
+    while len(nets[k_min]) > 1:
+        k_min -= 1
+        nets[k_min] = build_net(space, delta, k_min, order=order)
+    parents = {k: np.argmin(space.dist[np.ix_(nets[k], nets[k - 1])], axis=1)
+               for k in range(k_min + 1, k_max + 1)}
+    return PerCubeSystem(space, delta, k_min, k_max, nets, parents, "desk")
 
 
 def ancestors(system) -> np.ndarray:

@@ -7,7 +7,7 @@ from prodhardy import (ChannelError, OpenSet, ProductSpace, atom_hp_bound,
                        atomic_decompose, double_center, enlarge, epsilon0,
                        equivalence_report, generate_atom, hp_seminorm, level_sets,
                        make_space, product_transform, square_function, verify_atom)
-from prodhardy.atoms import ProductAtom, _boxes
+from prodhardy.atoms import ProductAtom, _lams
 from prodhardy.dyadic import build_system
 
 
@@ -309,7 +309,7 @@ def test_verify_hand_built_single_rectangle_atom(pspace8):
     om_t = enlarge(pspace8, om, epsilon0(pspace8))
     from prodhardy import maximal_rectangles
     key = sorted(maximal_rectangles(pspace8, om_t, "both").m_all)[0]
-    lam1, lam2 = _boxes(pspace8, 0, 0)[0]
+    lam1, lam2 = _lams(pspace8, 0, 0)
     from prodhardy.dyadic import dilate_mask
     u = dilate_mask(s1, s1.cube(*key[:2]), lam1)
     v = dilate_mask(s2, s2.cube(*key[2:]), lam2)

@@ -10,8 +10,8 @@ from prodhardy import (build_system, ell_enlarge, enlarge, maximal_rectangles,
                        strong_maximal, strong_maximal_exhaustive)
 from prodhardy.dyadic import dilate_mask
 from prodhardy.journe import _covers
-from prodhardy.maximal import (_tops, ell_enlarge_exhaustive, realized_ball_masks,
-                               rectangles_inside, rectangles_inside_exhaustive)
+from prodhardy.maximal import (ell_enlarge_exhaustive, realized_ball_masks, rectangles_inside,
+                               rectangles_inside_exhaustive)
 
 from strategies import CHECK, instances, spaces
 from test_journe import maximal_oracle
@@ -82,7 +82,7 @@ def test_geometry_rows_are_the_cubes(space, delta, lam):
     assert system.measures.tobytes() == np.array(
         [space.weight[c.members].sum() for c in cubes]).tobytes()
     dil = system.dilate_matrix(lam)
-    tops = _tops(system)
+    tops = system.tops
     for a, c in enumerate(cubes):
         members = np.isin(np.arange(space.n), c.members)
         np.testing.assert_array_equal(system.incidence[a] == 1.0, members)

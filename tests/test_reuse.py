@@ -26,7 +26,7 @@ import prodhardy.product as product_mod
 from prodhardy import (OpenSet, ProductSpace, atomic_decompose, build_system,
                        building_blocks, enlarge, epsilon0, equivalence_report, generate_atom,
                        maximal_rectangles, verify_atom)
-from prodhardy.atoms import _block_stacks, _boxes, _decompose_stack, _gammas, _pools, _view_on
+from prodhardy.atoms import _block_stacks, _decompose_stack, _gammas, _lams, _pools, _view_on
 from prodhardy.cli import main
 from prodhardy.product import SUM_BATCH, _outer_sum
 
@@ -263,7 +263,7 @@ def test_verify_enlarges_each_atom_pool_once(monkeypatch):
     assert len(calls) == len(dec.terms)
     for (_, omega_t, ell1, ell2, lam1, lam2), t in zip(calls, dec.terms):
         assert omega_t is t.atom.pool[1] and (ell1, ell2) == (t.atom.ell1, t.atom.ell2)
-        assert (lam1, lam2) == _boxes(ps, ell1, ell2)[0]
+        assert (lam1, lam2) == _lams(ps, ell1, ell2)
 
 
 def test_verify_after_100_decompositions_builds_no_pool(monkeypatch):

@@ -3,7 +3,7 @@ against the per-cube oracles of ``per_cube``, on deep systems.
 
 A cube with one child has that child's members, so containment, the half
 test, the stretches, tau and the enlargement are asked only of the chain
-tops (``maximal._tops``).  At delta 0.99 a 5-point factor has hundreds to
+tops (``DyadicSystem.tops``).  At delta 0.99 a 5-point factor has hundreds to
 thousands of cubes over a few distinct member sets, and weights 10^u for
 real u make the half tests near their half go to the per-rectangle rescan.
 """
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from prodhardy import OpenSet, ProductSpace, ell_enlarge, maximal_rectangles
 from prodhardy import journe
 from prodhardy.journe import _families, tau
-from prodhardy.maximal import _tops, ell_enlarge_exhaustive
+from prodhardy.maximal import ell_enlarge_exhaustive
 
 import per_cube
 from strategies import CHECK, inexact_spaces, instances
@@ -37,7 +37,7 @@ def test_the_rescan_runs_once_per_chain_on_its_top(monkeypatch):
     ps, om = TOP_TIE
     s1 = ps.systems[0]
     chain = np.flatnonzero(s1.sizes == ps.x1.n)
-    assert len(chain) == 8 and _tops(s1)[0] == 0 and 1 not in _tops(s1)
+    assert len(chain) == 8 and s1.tops[0] == 0 and 1 not in s1.tops
     rescans = {journe: [], per_cube: []}
     for module, calls in rescans.items():
         def counted(*args, calls=calls, original=module._measure_in):
