@@ -14,15 +14,16 @@ a given delta may be any value in (0,1) ("desk" mode), and non-conformance
 is recorded instead of failing.
 
 Construction costs per distinct net and per distinct member set, not per
-level or per cube.  The nets grow level by level from one vector of each
-point's distance to the net, updated only when a point joins; a level where
-no point lies delta^k from the net keeps the net above, and each of its
-cubes is its own parent's only child.  A cube with one child has that
-child's members and center, so a single-child chain repeats one member set;
-its top is its coarsest cube (``DyadicSystem.tops``).  Each member set's
-measure is summed once, and the measured constants come from one pass over
-the distance rows of the tops' centers, 64 at a time, against the labels.
-It gives each cube its largest center-member and smallest
+level or per cube.  The nets grow from one vector of each point's distance
+to the net, updated only when a point joins; the levels where no point lies
+delta^k from the net (found by bisection) keep the net above, and each of
+their cubes is its own parent's only child, so the tree fills each run of
+them at once, its labels shifted by a constant.  A cube with one child has
+that child's members and center, so a single-child chain repeats one member
+set; its top is its coarsest cube (``DyadicSystem.tops``).  Each member
+set's measure is summed once, and the measured constants come from one pass
+over the distance rows of the tops' centers, 64 at a time, against the
+labels.  It gives each cube its largest center-member and smallest
 center-non-member distance, and each point its distance to the nearest
 center of each level, a running minimum over the levels since the nets are
 nested.  C0_measured, the tight c1 and C1 and both ball certificates of
@@ -38,11 +39,11 @@ chain tops only.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +94,7 @@ class DyadicSystem:
     single-child chain, whose cubes share one member set.  ``incidence``,
     built on first use, holds the member sets.  ``parents[k]`` gives each
     point of ``nets[k]`` its parent's position in ``nets[k - 1]``; a level
-    may share its net list with the level above."""
+    without an entry keeps the net above, each point its own parent."""
 
     def __init__(self, space: FiniteSpace, delta: float, k_min: int, k_max: int,
                  nets: dict[int, list[int]], parents: dict[int, list[int]], mode: str):
@@ -106,15 +107,26 @@ class DyadicSystem:
         level_sizes = [len(nets[k]) for k in self.levels()]
         self.first = np.cumsum([0, *level_sizes])
         self.level_rows = np.repeat(np.arange(len(level_sizes)), level_sizes)
-        self.centers = np.fromiter(chain.from_iterable(nets[k] for k in self.levels()), int)
-        self.parent = np.concatenate([np.full(level_sizes[0], -1)] + [
-            np.asarray(parents[k], int) for k in self.levels()[1:]])
-        self.parent[level_sizes[0]:] += np.repeat(self.first[:-2], level_sizes[1:])
-        # the singletons of k_max, then each level's cubes through the parents
+        # runs of levels from k_min or a level with parents; a level without
+        # keeps the net above, each cube its own position there
+        lows = [0, *sorted(k - k_min for k in parents if k_min < k <= k_max)]
+        runs = list(zip(lows, [*lows[1:], len(level_sizes)]))
+        self.centers = np.concatenate([np.asarray(nets[k_min + lo] * (hi - lo), int)
+                                       for lo, hi in runs])
+        self.parent = np.arange(self.n_cubes()) - np.repeat([0, *level_sizes[:-1]], level_sizes)
+        self.parent[:level_sizes[0]] = -1
+        for lo in lows[1:]:
+            self.parent[self.first[lo]:self.first[lo + 1]] = (
+                np.asarray(parents[k_min + lo], int) + self.first[lo - 1])
+        # the singletons of k_max, then each run's last level through the
+        # parents, and the levels above it in the run shifted by their offset
         self.labels = np.empty((len(level_sizes), space.n), dtype=int)
         self.labels[-1, nets[k_max]] = np.arange(self.first[-2], self.first[-1])
-        for l in range(len(level_sizes) - 2, -1, -1):
-            self.labels[l] = self.parent[self.labels[l + 1]]
+        for lo, hi in reversed(runs):
+            if hi < len(level_sizes):
+                self.labels[hi - 1] = self.parent[self.labels[hi]]
+            self.labels[lo:hi - 1] = self.labels[hi - 1] + (self.first[lo:hi - 1]
+                                                            - self.first[hi - 1])[:, None]
         # one stable argsort of the labels lists each cube's members, ids ascending
         self.members = np.argsort(self.labels, axis=1, kind="stable").ravel()
         self.sizes = np.bincount(self.labels.ravel(), minlength=self.n_cubes())
@@ -228,7 +240,7 @@ class DyadicSystem:
         far, near, cover = _center_pass(
             self.space.dist, self.centers, self.level_rows, self.labels, distinct)
         self._far, self._near = far[which], near[which]
-        level_sides = np.array([self.side(k) for k in self.levels()])
+        level_sides = np.array([self.delta ** k for k in self.levels()])
         self._sides = level_sides[self.level_rows]
         self.C0_measured = float((cover.max(axis=1) / level_sides).max())
         # B(z, r) subset cube for all r <= inner_tight*side
@@ -410,30 +422,32 @@ def build_system(space: FiniteSpace, delta: float | None = None,
         k_max = max(k_max, k_min + 1)
 
     # one vector of each candidate's distance to the net shrinks as the net
-    # grows; a level with no candidate delta^k from the net keeps the net above
+    # grows; the levels down to the next with a candidate delta^k from the
+    # net (found by bisection, the sides falling with k) keep the net above
     scan = np.arange(space.n) if order is None else np.asarray(order, dtype=np.intp)
     rows = space.dist if order is None else space.dist[:, scan]
     mind = np.full(scan.size, np.inf)
-    reach = math.inf                          # mind.max(), which only a scan changes
     nets: dict[int, list[int]] = {}
-    prev: list[int] = []
-    for k in range(k_min, k_max + 1):
-        r = max(delta ** k, math.ulp(0.0))
-        if reach >= r:
-            _check_seed(space, delta, k, prev)
-            prev = _jump_scan(list(prev), mind, rows, scan, r)
-            reach = mind.max()
-        nets[k] = prev
+    changed, prev, k = [], [], k_min
+    while k <= k_max:
+        _check_seed(space, delta, k, prev)
+        prev = _jump_scan(list(prev), mind, rows, scan, max(delta ** k, math.ulp(0.0)))
+        reach = mind.max()
+        nxt = k + 1 + bisect.bisect_left(range(k + 1, k_max + 1), True,
+                                         key=lambda j: max(delta ** j, math.ulp(0.0)) <= reach)
+        nets.update(dict.fromkeys(range(k, nxt), prev))
+        changed.append(k)
+        k = nxt
     # exactly one top cube: decrement k_min on the (measure-zero) equality edge
     while len(nets[k_min]) > 1:
         k_min -= 1
         nets[k_min] = build_net(space, delta, k_min, seed_net=[], order=order)
+        changed.append(k_min)
 
-    # argmin takes the first minimum of each row: net-order ties; a kept net
-    # is its own parent net, each point 0 from itself and no other
-    parents = {k: (np.arange(len(nets[k])) if nets[k] is nets[k - 1] else
-                   np.argmin(space.dist.take(nets[k], axis=0).take(nets[k - 1], axis=1), axis=1))
-               for k in range(k_min + 1, k_max + 1)}
+    # argmin takes the first minimum of each row: net-order ties; only the
+    # levels whose net changed have parents
+    parents = {k: np.argmin(space.dist.take(nets[k], axis=0).take(nets[k - 1], axis=1), axis=1)
+               for k in changed if k > k_min}
     return DyadicSystem(space, delta, k_min, k_max, nets, parents, mode)
 
 
@@ -574,7 +588,8 @@ def import_system(space: FiniteSpace, text: str | Path) -> DyadicSystem:
         _check_entries(f"nets[{k}]", nets.setdefault(k, []), space.n if k == k_max else None,
                        space.n)
         if k > k_min:
-            _check_entries(f"parents[{k}]", parents.get(k, []), len(nets[k]), len(nets[k - 1]))
+            _check_entries(f"parents[{k}]", parents.setdefault(k, []), len(nets[k]),
+                           len(nets[k - 1]))
     count = np.bincount(nets[k_max], minlength=space.n)
     if count.max() > 1:
         raise ValueError(f"nets[{k_max}] holds point {int(count.argmax())} more than once")

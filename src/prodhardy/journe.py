@@ -140,12 +140,14 @@ def _families(pspace: ProductSpace, masks: np.ndarray, deltas=()) -> _Families:
     return _Families(sets, rows, cols, hat1, hat2, sums[0], sums[1])
 
 
-def majority_matrix(pspace: ProductSpace, omega: OpenSet) -> np.ndarray:
-    """The half test passes[a, b] = mu((Q1 x Q2) cap Omega) > mu(Q1 x Q2)/2
-    for every cube pair (flat indices), as the per-rectangle sum decides it:
-    it gives the stretch maps and each coefficient rectangle's B_j.
+def _majority(pspace: ProductSpace, masks: np.ndarray, rows1, rows2) -> np.ndarray:
+    """The half test passes[..., i, j] = mu((Q1 x Q2) cap Omega) > mu(Q1 x Q2)/2
+    for Q1 x Q2 = cubes1[rows1[i]] x cubes2[rows2[j]] (flat indices or
+    slices) and each set of a stack of masks (..., n1, n2), as the
+    per-rectangle sum decides it: it gives the stretch maps and each
+    coefficient rectangle's B_j.
 
-    One matrix product gives mu((Q1 x Q2) cap Omega) for every cube pair.
+    One matrix product gives mu((Q1 x Q2) cap Omega) for every pair asked.
     It adds the per-rectangle sum's nonnegative terms, the products
     w1[i] w2[j], in another order, so with k = n1 n2 + n1 + n2 terms and
     roundings the two differ by at most k eps of the value, plus k
@@ -155,12 +157,6 @@ def majority_matrix(pspace: ProductSpace, omega: OpenSet) -> np.ndarray:
     sums exact, so none are.  (Summing the factor weights first would not
     do: 1e-3 and 1e3 have integer products but inexact factor sums.)
     """
-    return _majority(pspace, omega.mask, slice(None), slice(None))
-
-
-def _majority(pspace: ProductSpace, masks: np.ndarray, rows1, rows2) -> np.ndarray:
-    """``majority_matrix`` at the cubes ``rows1`` x ``rows2`` (flat indices
-    or slices) of each set of a stack of masks (..., n1, n2)."""
     s1, s2 = pspace.systems
     weights = pspace.weights
     inc1, inc2 = s1.incidence[rows1], s2.incidence[rows2]

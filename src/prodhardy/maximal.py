@@ -13,9 +13,8 @@ matrix and dilate matrix (``DyadicSystem.incidence``, ``dilate_matrix``):
 containment of the requested cube pairs is one matrix product, and the
 enlargement another.  Every cube of a single-child chain holds one member
 set, so the enlargement, like the maximal families, asks only of the chain
-tops (``DyadicSystem.tops``) and builds only their dilates;
-``containment_matrix`` answers for every cube pair.  The per-pair loops
-they replace are kept beside them as oracles
+tops (``DyadicSystem.tops``) and builds only their dilates.  The per-pair
+loops they replace are kept beside them as oracles
 (``rectangles_inside_exhaustive``, ``ell_enlarge_exhaustive``,
 ``strong_maximal_exhaustive``) and are not called by the fast paths.
 """
@@ -166,29 +165,32 @@ def _clears_everywhere(pspace: ProductSpace, mask: np.ndarray, eps: float) -> bo
             > eps * pspace.total_measure() * (1.0 + 8.0 * k * u) + 4.0 * k * tiny)
 
 
-def containment_matrix(pspace: ProductSpace, omega_set: OpenSet) -> np.ndarray:
-    """inside[a, b] is True when cubes1[a] x cubes2[b] lies in the set, for
-    every cube pair at once (flat indices of each system's cubes).
+def _inside(pspace: ProductSpace, masks: np.ndarray, rows1, rows2) -> np.ndarray:
+    """inside[..., i, j] is True when cubes1[rows1[i]] x cubes2[rows2[j]]
+    lies in the set, for the cubes ``rows1`` x ``rows2`` (flat indices or
+    slices) of a mask, or of each mask of a stack (..., n1, n2).
 
     (M1 (1 - chi) M2^T)[a, b] counts the grid points of the rectangle that
     lie outside the set, which is 0 exactly when the rectangle is contained.
     The counts are small integers, so float64 holds them exactly.
     """
-    return _inside(pspace, omega_set.mask, slice(None), slice(None))
-
-
-def _inside(pspace: ProductSpace, masks: np.ndarray, rows1, rows2) -> np.ndarray:
-    """``containment_matrix`` at the cubes ``rows1`` x ``rows2`` (flat
-    indices or slices) of a mask, or of each mask of a stack (..., n1, n2)."""
     s1, s2 = pspace.systems
     return s1.incidence[rows1] @ (~masks).astype(float) @ s2.incidence[rows2].T == 0
 
 
+MAX_PAIRS = 1 << 22     # cube pairs rectangles_inside may test: a 32 MB float table
+
+
 def rectangles_inside(pspace: ProductSpace, omega_set: OpenSet):
-    """All dyadic rectangles (cube pairs) contained in the set, level then index."""
+    """All dyadic rectangles (cube pairs) contained in the set, level then
+    index; a ValueError when the systems have more than MAX_PAIRS cube pairs."""
+    s1, s2 = pspace.systems
+    if s1.n_cubes() * s2.n_cubes() > MAX_PAIRS:
+        raise ValueError(f"{s1.n_cubes()} x {s2.n_cubes()} = {s1.n_cubes() * s2.n_cubes()} "
+                         f"cube pairs exceed rectangles_inside's bound of {MAX_PAIRS}")
     cubes1, cubes2 = (list(s.all_cubes()) for s in pspace.systems)
-    return [(cubes1[a], cubes2[b])
-            for a, b in np.argwhere(containment_matrix(pspace, omega_set))]
+    return [(cubes1[a], cubes2[b]) for a, b in
+            np.argwhere(_inside(pspace, omega_set.mask, slice(None), slice(None)))]
 
 
 def rectangles_inside_exhaustive(pspace: ProductSpace, omega_set: OpenSet):

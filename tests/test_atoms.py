@@ -206,6 +206,35 @@ def test_hand_centred_function_on_a_one_point_factor_gets_no_terms():
         assert dec.residual == (1.0 if f.any() else 0.0)     # the residue is left over
 
 
+@pytest.mark.parametrize("two_first", [False, True], ids=["1x2", "2x1"])
+def test_hand_centred_x1_first_in_both_factor_orders_never_gets_terms(two_first):
+    # centred over x1 and then over x2: on 1 x 2 the one-point mean comes
+    # first, and the last centring leaves the mean over both factors at the
+    # rounding of the residue; on 2 x 1 the one-point mean comes last and
+    # leaves a residue whose mean over both factors is as large as itself,
+    # which the scale-free channel test cannot tell from an uncentred draw,
+    # so some of these raise
+    rng = np.random.default_rng(0)
+    raised = 0
+    for _ in range(300):
+        w = 10.0 ** rng.uniform(-2, 2, 3)
+        d = 10.0 ** rng.uniform(-2, 1)
+        one = make_space(np.zeros((1, 1)), w[2:] if two_first else w[:1])
+        two = make_space(np.array([[0.0, d], [d, 0.0]]), w[:2] if two_first else w[1:])
+        ps = ProductSpace(two, one) if two_first else ProductSpace(one, two)
+        g = rng.standard_normal(ps.shape)
+        f = g - (ps.x1.weight @ g)[None, :] / ps.x1.weight.sum()
+        f = f - (f @ ps.x2.weight)[:, None] / ps.x2.weight.sum()
+        try:
+            dec = atomic_decompose(ps, f, 1.0, 2.0)
+        except ChannelError:
+            raised += 1
+            continue
+        assert dec.terms == [] and dec.residual == (1.0 if f.any() else 0.0)
+    if not two_first:
+        assert raised == 0
+
+
 @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (1, 3), (3, 1)])
 def test_mass_over_a_one_point_factor_is_left_over_in_full(shape):
     # centred along the factor of several points only, f is all in the mean

@@ -125,3 +125,6 @@ def test_seed_checks_and_center_rows_run_once_per_net_and_member_set(
     # one center pass over one row per member set: the tops
     assert len(passes) == 1 and len(system.tops) == tops
     np.testing.assert_array_equal(passes[0][-1], system.tops)
+    # the kept levels' runs, filled at once, equal the per-level construction
+    monkeypatch.undo()
+    assert_same_system(system, per_cube.build_system(system.space, delta))

@@ -22,8 +22,8 @@ from prodhardy import (ChannelError, OpenSet, atomic_decompose, atoms, epsilon0,
                        product_transform, square_function)
 from prodhardy.atoms import (COEFF_TOL, _block_stacks, _budget_measure, _decompose_stack,
                              _gammas, _pools, _recancelled, _records)
-from prodhardy.journe import majority_matrix, tau
-from prodhardy.maximal import containment_matrix
+from prodhardy.journe import _majority, tau
+from prodhardy.maximal import _inside
 from prodhardy.product import cell_scale
 
 from strategies import CHECK, instances
@@ -63,7 +63,7 @@ def decompose_by_cells(ps, f, p, q):
     rows, cols = b1.cube_rows[live[:, 0]], b2.cube_rows[live[:, 1]]
     j_of = np.full(len(live), fam.j_lo - 1)
     for jj in fam.js():
-        j_of[majority_matrix(ps, fam.sets[jj])[rows, cols]] = jj
+        j_of[_majority(ps, fam.sets[jj].mask, slice(None), slice(None))[rows, cols]] = jj
     assert (j_of >= fam.j_lo).all()
     (nb1, kphi1), (nb2, kphi2) = _block_stacks(ps, (g1, g2))
     r = q if q >= 2 else 2.0
@@ -73,7 +73,7 @@ def decompose_by_cells(ps, f, p, q):
         ii, jw, ra, rb = live[sel, 0], live[sel, 1], rows[sel], cols[sel]
         cs = cw[ii, jw]
         eps0, omega_t, family = _pools(ps, [fam.sets[jj]])[0]
-        assert containment_matrix(ps, omega_t)[ra, rb].all()
+        assert _inside(ps, omega_t.mask, slice(None), slice(None))[ra, rb].all()
         group = tau(ps, family, ra, rb)
         sq = np.array([c ** 2 for c in cs.tolist()])
         sfb2 = loop_sum(sq / (s1.measures[ra] * s2.measures[rb]), s1.incidence[ra],

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ from prodhardy import (OpenSet, ProductSpace, ell_enlarge, enlarge, epsilon0,
                        level_sets, strong_maximal, strong_maximal_exhaustive)
 import prodhardy.maximal as maximal_mod
 from prodhardy.dyadic import dilate_mask
-from prodhardy.maximal import rectangles_inside_exhaustive
+from prodhardy.maximal import MAX_PAIRS, rectangles_inside, rectangles_inside_exhaustive
 
 from conftest import line_space
 
@@ -182,6 +183,23 @@ def test_weak_type_certificate(pspace8):
             til = enlarge(pspace8, om, eps)
             worst = max(worst, til.measure * eps ** 2 / om.measure)
     assert math.isfinite(worst) and worst > 0
+
+
+def test_rectangles_inside_names_too_many_pairs_before_it_allocates():
+    # the built-in 8-point line at delta 0.999 has 5695 cubes per factor:
+    # its pair table would hold 5695^2 ~ 32.4M floats, 259 MB
+    x = line_space(np.arange(8.0))
+    ps = ProductSpace(x, x, delta=0.999)
+    om = OpenSet.from_mask(ps, np.ones(ps.shape, dtype=bool))
+    assert ps.systems[0].n_cubes() ** 2 > MAX_PAIRS
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"5695 x 5695 = 32433025 cube pairs"):
+            rectangles_inside(ps, om)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 def test_ell_enlarge_zero_is_outer_ball_union(pspace8):
