@@ -149,6 +149,9 @@ class DyadicSystem:
         for arr in (self.first, self.level_rows, self.centers, self.parent, self.labels,
                     self.members, self.sizes, self.member_first, self.tops, self.measures):
             arr.flags.writeable = False       # shared by every record and view
+        # each level's side delta^k, one Python power per level, taken once
+        self.level_sides = np.array([delta ** k for k in self.levels()])
+        self.level_sides.flags.writeable = False
         self.c0 = 1.0                         # greedy guarantees delta^k separation
         self._measure(distinct, which)
         self.C0_cert = 2.0 * space.a0
@@ -240,9 +243,8 @@ class DyadicSystem:
         far, near, cover = _center_pass(
             self.space.dist, self.centers, self.level_rows, self.labels, distinct)
         self._far, self._near = far[which], near[which]
-        level_sides = np.array([self.delta ** k for k in self.levels()])
-        self._sides = level_sides[self.level_rows]
-        self.C0_measured = float((cover.max(axis=1) / level_sides).max())
+        self._sides = self.level_sides[self.level_rows]
+        self.C0_measured = float((cover.max(axis=1) / self.level_sides).max())
         # B(z, r) subset cube for all r <= inner_tight*side
         self.inner_tight = float((self._near / self._sides).min())
         # cube subset B(z, r) for all r > outer_tight*side
@@ -485,13 +487,12 @@ def verify_system(system: DyadicSystem) -> dict:
     if not nested.all():
         k = system.k_min + int(np.argmin(nested))
         raise AssertionError(f"nets not nested between levels {k} and {k + 1}")
-    level_sides = np.array([system.side(k) for k in system.levels()])
     for a0 in range(0, len(points), _BLOCK):
         z, r = points[a0:a0 + _BLOCK], net_rows[a0:a0 + _BLOCK]
         others = in_net[r] > 0
         others[np.arange(len(z)), z] = in_net[r, z] > 1      # a point listed twice
         closest = np.min(space.dist[z], axis=1, where=others, initial=np.inf)
-        crowded = closest < system.c0 * level_sides[r]
+        crowded = closest < system.c0 * system.level_sides[r]
         if crowded.any():
             k = system.k_min + int(r[np.argmax(crowded)])
             raise AssertionError(f"net at level {k} is not separated")

@@ -10,11 +10,19 @@ pairs (x, y): each tile adds rows of x to rows of y over all z at once and
 takes the minimum along the contiguous z axis, about 2**16 sums a tile (on a
 512-point cloud, tiles of 8 x 16 pairs).  Reordering the points so that
 tiles could skip blocks of z ran slower, because nine in ten blocks survive,
-and so did tiles split into chunks of z.  cmu comes from per-center prefix
-measures, 64 centers per row block: each ball is a prefix of the points
-sorted by distance to its center, and the positive distances are the only
-radii needed.  The few centers within rounding of the maximum are rescanned
-in the exhaustive scan's own arithmetic.  Both equal the exhaustive scans
+and so did tiles split into chunks of z.  No tile size made one core's scan
+faster, so its rows of tiles are shared out: helper threads, one per further
+usable CPU, take rows from one lock-guarded iterator while the calling
+thread computes cmu, and then the calling thread takes rows too.  A row's
+arithmetic is the same whichever thread runs it, so a0 does not depend on
+the number of CPUs.  cmu stays on the calling thread, because its rescan
+allocates masks of up to 2n x n entries and a pool thread's buffers would
+raise the peak memory.  A space with one row of tiles (up to 32 points)
+starts no thread.  cmu comes from per-center prefix measures, 64 centers
+per row block: each ball is a prefix of the points sorted by distance to
+its center, and the positive distances are the only radii needed.  The few
+centers within rounding of the maximum are rescanned in the exhaustive
+scan's own arithmetic.  Both equal the exhaustive scans
 kept beside them (``*_exhaustive``) bit for bit.  Point distances equal
 the broadcast (n, n, D) forms bit for bit: below 8 coordinate axes they are
 built one (n, n) term per axis, added in order as NumPy adds so few terms,
@@ -28,7 +36,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -112,7 +122,15 @@ def realized_ball_masks(space: FiniteSpace) -> np.ndarray:
 _A0_TILE = 1 << 16
 
 
-def _quasi_triangle_constant(dist: np.ndarray) -> float:
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _quasi_triangle_constant(dist: np.ndarray, meanwhile=None) -> float:
     """Minimal a0 with d(x,y) <= a0 (d(x,z)+d(z,y)) over all triples.
 
     best(x,y) = min_z d(x,z)+d(z,y) is symmetric for a symmetric matrix, so
@@ -120,17 +138,67 @@ def _quasi_triangle_constant(dist: np.ndarray) -> float:
     is one ``np.add`` of rows of x against rows of y (d(z,y) = d(y,z)) into
     a (bx, by, n) buffer, then one ``np.minimum.reduce`` along its
     contiguous z axis into the tile's block of best; one division and one
-    max per row of tiles follow.  Min, max and each single sum are exact in
-    any order, so the result is the exhaustive value bit for bit.
-    Degenerate (n = 1) spaces get a0 = 1.
+    max per row of tiles follow.
+
+    The rows of tiles are independent, and NumPy lets go of the GIL inside
+    the add and the reduce, so one thread per usable CPU (``_cpus``), at
+    most one per row, takes rows from one lock-guarded iterator, coarsest
+    (longest) rows first, until none is left: the work balances itself.
+    Helper threads start first; the calling thread runs ``meanwhile`` (the
+    doubling constant, in ``make_space``) and then scans rows too.  A space
+    of one row of tiles, every space up to 32 points, starts no thread.
+    Every helper is joined before this returns, also when ``meanwhile`` or
+    a helper raises; a helper's exception is raised here.  Each row runs
+    the same arithmetic whichever thread takes it, and min, max and each
+    single sum are exact in any order, so a0, the largest of the threads'
+    maxima, is the exhaustive value bit for bit for any number of threads
+    and any interleaving.  Degenerate (n = 1) spaces get a0 = 1.
     """
     n = dist.shape[0]
     pairs = max(1, _A0_TILE // n)
     bx = min(n, max(1, math.isqrt(pairs // 2)))
     by = min(n, max(1, pairs // bx))
+    starts = range(0, n, bx)
+    todo, lock = iter(starts), threading.Lock()
+    worst, failures = [1.0], []
+
+    def helper():
+        try:
+            worst.append(_scan_tile_rows(dist, todo, lock, bx, by))
+        except BaseException as exc:            # raised again by the calling thread
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=helper) for _ in range(min(_cpus(), len(starts)) - 1)]
+    try:
+        for t in helpers:
+            t.start()
+        if meanwhile is not None:
+            meanwhile()
+        worst.append(_scan_tile_rows(dist, todo, lock, bx, by))
+    finally:
+        with lock:
+            for _ in todo:                      # leave no row for a helper still running
+                pass
+        for t in helpers:
+            if t.ident is not None:             # started
+                t.join()
+    if failures:
+        raise failures[0]
+    return max(worst)
+
+
+def _scan_tile_rows(dist: np.ndarray, todo, lock, bx: int, by: int) -> float:
+    """The largest d(x,y) / best(x,y) over the rows of tiles taken from
+    ``todo`` (their first x), one at a time under ``lock``, in a buffer and
+    a strip of this thread's own; 1.0 when it gets none."""
+    n = dist.shape[0]
     buf, strip = np.empty((bx, by, n)), np.empty((bx, n))
     worst = 1.0
-    for x0 in range(0, n, bx):
+    while True:
+        with lock:
+            x0 = next(todo, None)
+        if x0 is None:
+            return worst
         rows = dist[x0:x0 + bx]
         best = strip[:rows.shape[0], x0:]       # best(x, y) for y >= x0
         for y0 in range(x0, n, by):
@@ -141,7 +209,6 @@ def _quasi_triangle_constant(dist: np.ndarray) -> float:
         diag = np.arange(rows.shape[0])
         best[diag, diag] = np.inf               # x = y: ratio 0, below every a0
         worst = max(worst, float(np.divide(rows[:, x0:], best, out=best).max()))
-    return worst
 
 
 def _quasi_triangle_constant_exhaustive(dist: np.ndarray) -> float:
@@ -327,11 +394,14 @@ def make_space(dist, weight=None) -> FiniteSpace:
     if n > 1 and not (dist[off] > 0).all():
         i, j = np.argwhere((dist == 0) & off)[0]
         raise SpaceValidationError(f"zero distance between distinct points {i} and {j}")
-    cmu = _max_growth(dist, weight, [2.0])[0]
+    # cmu and its rescan stay on this thread while helpers scan a0's tiles
+    growth = []
+    a0 = _quasi_triangle_constant(dist, lambda: growth.extend(_max_growth(dist, weight, [2.0])))
+    cmu = growth[0]
     return FiniteSpace(
         dist=dist,
         weight=weight,
-        a0=_quasi_triangle_constant(dist),
+        a0=a0,
         cmu=cmu,
         omega=math.log2(cmu),
     )

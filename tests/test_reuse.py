@@ -325,6 +325,40 @@ def test_threads_sharing_a_space_write_the_serial_reports(p, q):
     assert got == serial
 
 
+def test_threads_making_one_space_at_once_get_the_serial_constants():
+    # 8 threads each make the space of one 64-point cloud at once, each
+    # with a0's own helpers, switching as often as the interpreter allows
+    rng = np.random.default_rng(64)
+    pts = rng.uniform(0.0, 1.0, (64, 2))
+    dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
+    np.fill_diagonal(dist, 0.0)
+    weight = 10.0 ** rng.uniform(-1.0, 1.0, 64)
+    serial = prodhardy.make_space(dist, weight)
+    got, failures = [None] * 8, []
+    before = threading.active_count()
+
+    def run(i):
+        try:
+            got[i] = prodhardy.make_space(dist, weight)
+        except Exception as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert threading.active_count() == before
+    assert not failures, failures[:3]
+    assert [(sp.a0, sp.cmu) for sp in got] == [(serial.a0, serial.cmu)] * 8
+
+
 def test_hardy_threads_changes_no_byte(monkeypatch, tmp_path):
     src = Path(prodhardy.__file__).parent
     assert not any("HARDY_THREADS" in f.read_text() for f in src.glob("*.py"))
