@@ -11,8 +11,8 @@ takes the minimum along the contiguous z axis, about 2**16 sums a tile (on a
 512-point cloud, tiles of 8 x 16 pairs).  Reordering the points so that
 tiles could skip blocks of z ran slower, because nine in ten blocks survive,
 and so did tiles split into chunks of z.  No tile size made one core's scan
-faster, so its rows of tiles are shared out: helper threads, one per further
-usable CPU, take rows from one lock-guarded iterator while the calling
+faster, so its rows of tiles are shared out: when a second CPU is usable, a
+helper thread takes rows from one lock-guarded iterator while the calling
 thread computes cmu, and then the calling thread takes rows too.  A row's
 arithmetic is the same whichever thread runs it, so a0 does not depend on
 the number of CPUs.  cmu stays on the calling thread, because its rescan
@@ -121,6 +121,11 @@ def realized_ball_masks(space: FiniteSpace) -> np.ndarray:
 # n = 512), so it stays in cache while it is reduced over z.
 _A0_TILE = 1 << 16
 
+# Threads that scan a0's rows of tiles: the calling thread and one helper,
+# the one configuration measured (two CPUs).  Each further helper would keep
+# a tile buffer live during cmu's rescan, which sets the peak memory.
+_A0_THREADS = 2
+
 
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
@@ -141,17 +146,19 @@ def _quasi_triangle_constant(dist: np.ndarray, meanwhile=None) -> float:
     max per row of tiles follow.
 
     The rows of tiles are independent, and NumPy lets go of the GIL inside
-    the add and the reduce, so one thread per usable CPU (``_cpus``), at
-    most one per row, takes rows from one lock-guarded iterator, coarsest
-    (longest) rows first, until none is left: the work balances itself.
-    Helper threads start first; the calling thread runs ``meanwhile`` (the
-    doubling constant, in ``make_space``) and then scans rows too.  A space
-    of one row of tiles, every space up to 32 points, starts no thread.
-    Every helper is joined before this returns, also when ``meanwhile`` or
-    a helper raises; a helper's exception is raised here.  Each row runs
-    the same arithmetic whichever thread takes it, and min, max and each
-    single sum are exact in any order, so a0, the largest of the threads'
-    maxima, is the exhaustive value bit for bit for any number of threads
+    the add and the reduce, so up to ``_A0_THREADS`` threads, no more than
+    the usable CPUs (``_cpus``) or the rows, take rows from one lock-guarded
+    iterator, coarsest (longest) rows first, until none is left: the work
+    balances itself.  Helpers start first; when the process is at its thread
+    limit, a helper that cannot start leaves its rows to the threads that
+    did.  The calling thread runs ``meanwhile`` (the doubling constant, in
+    ``make_space``) and then scans rows too.  A space of one row of tiles,
+    every space up to 32 points, starts no thread.  Every helper is joined
+    before this returns, also when ``meanwhile`` or a helper raises; a
+    helper's exception is raised here.  Each row runs the same arithmetic
+    whichever thread takes it, and min, max and each single sum are exact
+    in any order, so a0, the largest of the threads' maxima, is the
+    exhaustive value bit for bit for any number of threads
     and any interleaving.  Degenerate (n = 1) spaces get a0 = 1.
     """
     n = dist.shape[0]
@@ -168,10 +175,15 @@ def _quasi_triangle_constant(dist: np.ndarray, meanwhile=None) -> float:
         except BaseException as exc:            # raised again by the calling thread
             failures.append(exc)
 
-    helpers = [threading.Thread(target=helper) for _ in range(min(_cpus(), len(starts)) - 1)]
+    helpers = []
     try:
-        for t in helpers:
-            t.start()
+        for _ in range(min(_cpus(), len(starts), _A0_THREADS) - 1):
+            t = threading.Thread(target=helper)
+            try:
+                t.start()
+            except RuntimeError:                # at the thread limit: the started ones scan
+                break
+            helpers.append(t)
         if meanwhile is not None:
             meanwhile()
         worst.append(_scan_tile_rows(dist, todo, lock, bx, by))
@@ -180,8 +192,7 @@ def _quasi_triangle_constant(dist: np.ndarray, meanwhile=None) -> float:
             for _ in todo:                      # leave no row for a helper still running
                 pass
         for t in helpers:
-            if t.ident is not None:             # started
-                t.join()
+            t.join()
     if failures:
         raise failures[0]
     return max(worst)

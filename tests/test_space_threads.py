@@ -1,13 +1,16 @@
 """a0's rows of tiles shared between threads: the same constants for every
 CPU count, and no thread left behind.
 
-``make_space`` scans a0 on one thread per usable CPU (``space._cpus``), at
-most one per row of tiles, while the calling thread computes cmu.  33 points
-is the first size with two rows; up to 32 points no thread starts.  The CPU
-count is patched, so these run the same on a machine of any size.
+``make_space`` scans a0 on up to ``space._A0_THREADS`` threads (two), no
+more than the usable CPUs (``space._cpus``) or the rows of tiles, while the
+calling thread computes cmu.  33 points is the first size with two rows; up
+to 32 points no thread starts.  The CPU count is patched, so these run the
+same on a machine of any size; some tests raise the thread cap, to run
+several helpers at once.
 """
 
 import math
+import os
 import threading
 import time
 
@@ -39,6 +42,10 @@ def tile_rows(n):
     return len(range(0, n, min(n, max(1, math.isqrt(space_mod._A0_TILE // n // 2)))))
 
 
+def helpers(n, cpus):
+    return min(cpus, tile_rows(n), space_mod._A0_THREADS) - 1
+
+
 @pytest.fixture
 def started(monkeypatch):
     """Every thread started while the test runs."""
@@ -62,14 +69,14 @@ def test_clouds_give_the_serial_constants_for_every_cpu_count(monkeypatch, start
     sp = make_space(dist, weight)
     assert threading.active_count() == before
     assert not any(t.is_alive() for t in started)
-    assert len(started) == min(cpus, tile_rows(n)) - 1
+    assert len(started) == helpers(n, cpus) <= 1
     assert sp.a0 == _quasi_triangle_constant_exhaustive(sp.dist) > 1.0
     assert sp.cmu == _doubling_constant_exhaustive(sp.dist, sp.weight)
 
 
-@pytest.mark.parametrize("cpus", [2, 3, 8])
+@pytest.mark.parametrize("cpus, threads", [(2, 2), (8, 2), (3, 4), (8, 4)])
 @pytest.mark.parametrize("n", [33, 140])
-def test_helpers_alone_give_a0(monkeypatch, n, cpus):
+def test_helpers_alone_give_a0(monkeypatch, n, cpus, threads):
     # the calling thread waits in ``meanwhile`` until every helper has run
     # out of rows, so every row is scanned by a helper
     scan, done = space_mod._scan_tile_rows, []
@@ -81,9 +88,10 @@ def test_helpers_alone_give_a0(monkeypatch, n, cpus):
 
     def wait():
         deadline = time.monotonic() + 60.0
-        while len(done) < min(cpus, tile_rows(n)) - 1 and time.monotonic() < deadline:
+        while len(done) < helpers(n, cpus) and time.monotonic() < deadline:
             time.sleep(1e-3)
 
+    monkeypatch.setattr(space_mod, "_A0_THREADS", threads)
     monkeypatch.setattr(space_mod, "_scan_tile_rows", counted)
     monkeypatch.setattr(space_mod, "_cpus", lambda: cpus)
     dist, _ = cloud(n)
@@ -125,12 +133,26 @@ def test_a_helper_that_raises_raises_in_the_caller(monkeypatch, cpus):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("cpus", [2, 8])
-def test_a_failing_cmu_joins_every_helper(monkeypatch, started, cpus):
-    # the helpers are left no more rows once cmu has failed
-    scan, taken = space_mod._scan_tile_rows, []
+@pytest.mark.parametrize("threads", [2, 4])
+def test_a_failing_cmu_joins_every_helper(monkeypatch, threads):
+    # each helper waits until it is joined, so it is joined only after cmu
+    # has failed, and it must then find no row left
+    scan, taken, started = space_mod._scan_tile_rows, [], []
+    caller, joined = threading.current_thread(), threading.Event()
+
+    class Held(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+        def join(self, timeout=None):
+            joined.set()
+            super().join(timeout)
 
     def counted(dist, todo, *args):
+        if threading.current_thread() is not caller:
+            joined.wait(60.0)
+
         def rows():
             for x0 in todo:
                 taken.append(x0)
@@ -140,15 +162,49 @@ def test_a_failing_cmu_joins_every_helper(monkeypatch, started, cpus):
     def failing(*args):
         raise MemoryError("cmu failed")
 
+    monkeypatch.setattr(threading, "Thread", Held)
+    monkeypatch.setattr(space_mod, "_A0_THREADS", threads)
     monkeypatch.setattr(space_mod, "_scan_tile_rows", counted)
     monkeypatch.setattr(space_mod, "_max_growth", failing)
-    monkeypatch.setattr(space_mod, "_cpus", lambda: cpus)
+    monkeypatch.setattr(space_mod, "_cpus", lambda: 8)
     before = threading.active_count()
     with pytest.raises(MemoryError, match="cmu failed"):
-        make_space(*cloud(512))
-    assert started and not any(t.is_alive() for t in started)
+        make_space(*cloud(140))
+    assert len(started) == threads - 1
+    assert not any(t.is_alive() for t in started)
     assert threading.active_count() == before
-    assert len(taken) < tile_rows(512) // 2
+    assert taken == []
+
+
+@pytest.mark.parametrize("ok", [0, 1, 2])
+def test_a_helper_that_cannot_start_leaves_its_rows_to_the_others(monkeypatch, ok):
+    # the process is at its thread limit after ``ok`` helpers
+    started = []
+
+    class Limited(threading.Thread):
+        def start(self):
+            if len(started) == ok:
+                raise RuntimeError("can't start new thread")
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Limited)
+    monkeypatch.setattr(space_mod, "_A0_THREADS", 4)
+    monkeypatch.setattr(space_mod, "_cpus", lambda: 8)
+    before = threading.active_count()
+    sp = make_space(*cloud(140))
+    assert len(started) == ok
+    assert not any(t.is_alive() for t in started)
+    assert threading.active_count() == before
+    assert sp.a0 == _quasi_triangle_constant_exhaustive(sp.dist) > 1.0
+    assert sp.cmu == _doubling_constant_exhaustive(sp.dist, sp.weight)
+
+
+def test_cpus_counts_the_cpus_this_process_may_run_on():
+    if hasattr(os, "sched_getaffinity"):
+        assert space_mod._cpus() == len(os.sched_getaffinity(0))
+    else:
+        assert space_mod._cpus() == (os.cpu_count() or 1)
 
 
 def test_spaces_of_at_most_32_points_start_no_thread(monkeypatch, tmp_path):
