@@ -337,12 +337,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
     checks["lp_le_hp"] = {"C_p": cps,
                           "exact_pass": all(math.isfinite(v) for v in cps.values())}
 
-    # random open sets, in stacks whose (sets, cubes1, cubes2) arrays hold at
-    # most SUM_BATCH entries: one (k, n1, n2) draw reads the stream as k
-    # draws of (n1, n2) do
+    # random open sets, in stacks whose (sets, tops1, tops2) arrays, the
+    # cube pairs _families tests, hold at most SUM_BATCH entries: one
+    # (k, n1, n2) draw reads the stream as k draws of (n1, n2) do
     jc = {"0.5": 0.0, "1": 0.0, "2": 0.0}
     s1, s2 = pspace.systems
-    for s in stack_slices(pspace, args.corpus, s1.n_cubes() * s2.n_cubes()):
+    for s in stack_slices(pspace, args.corpus, len(s1.tops) * len(s2.tops)):
         masks = rng.random((s.stop - s.start, *pspace.shape)) < 0.35
         for key, c in zip(jc, _largest_constants(pspace, masks, (0.5, 1.0, 2.0))):
             jc[key] = max(jc[key], c)

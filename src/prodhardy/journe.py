@@ -27,8 +27,8 @@ stays inside), and so are its stretches (the coarsest passing cube of a
 chain is its top).  The family pass asks its questions of tops only, and
 ancestry among them is member containment (``_covers``).
 
-The CMO^p candidate suprema (``cmo_p``) range over unions of maximal
-rectangles, so they live here too.
+The CMO^p candidate supremum (``cmo_p``) ranges over single rectangles and
+unions of maximal rectangles, so it lives here too.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .dyadic import DyadicSystem
 from .maximal import OpenSet, _inside
-from .product import ProductCoefficients, ProductSpace
+from .product import ProductCoefficients, ProductSpace, stack_slices
 from .space import _exact_sums
 
 
@@ -299,61 +299,67 @@ CMO_MAX_UNION = 3      # unions of up to this many maximal rectangles are candid
 CMO_MICRO_LIMIT = 15   # up to this many energy rectangles, every union of them is one
 
 
-def cmo_p(pspace: ProductSpace, coeffs: ProductCoefficients, p: float,
-          candidates=None) -> float:
+def cmo_p(pspace: ProductSpace, coeffs: ProductCoefficients, p: float) -> float:
     """Lower bound for the CMO^p supremum over a structured candidate family.
 
     Candidate value: (mu(Omega)^(1-2/p) * sum_{R in Omega} |<f,psi psi>|^2)^(1/2),
-    the sum over wavelet rectangles contained in Omega.  Default candidates:
-    every single dyadic rectangle, unions of <= CMO_MAX_UNION maximal rectangles
-    of the coefficient support, and -- when at most CMO_MICRO_LIMIT rectangles
-    carry nonzero coefficients -- all unions of those rectangles, which makes
+    the sum over wavelet rectangles contained in Omega.  Candidates: every
+    single dyadic rectangle, unions of <= CMO_MAX_UNION maximal rectangles
+    of the coefficient support, and -- when at most CMO_MICRO_LIMIT
+    rectangles carry energy -- all unions of those rectangles, which makes
     the candidate supremum equal to the exhaustive all-subsets supremum (the
     optimum is always attained at such a union: dropping points outside the
     contained rectangles shrinks mu(Omega) without losing energy).
+
+    Energy is kept once per distinct wavelet rectangle.  A single rectangle
+    holds the members of a pair of chain tops, so one product over their
+    covers scores them all; unions are masks, tested a stack at a time.
     """
     s1, s2 = pspace.systems
     b1, b2 = pspace.bases
-    energy = np.zeros((s1.n_cubes(), s2.n_cubes()))      # sum of |<f,psi psi>|^2 per cube pair
-    np.add.at(energy, (b1.cube_rows[:, None], b2.cube_rows[None, :]), coeffs.ww ** 2)
-    ra, rb = np.nonzero(energy > 0)
-    rects = pspace.rectangle_indicators(ra, rb)           # the rectangles carrying energy
-
-    if candidates is None:
-        stacks = [pspace.rectangle_indicators(*np.indices(energy.shape).reshape(2, -1)) > 0]
-        if len(ra):
-            support = OpenSet.from_mask(pspace, rects.any(axis=0).reshape(pspace.shape))
-            fam = maximal_rectangles(pspace, support)
-            stacks.append(_unions(pspace.rectangle_indicators(fam.rows, fam.cols), CMO_MAX_UNION))
-            if len(ra) <= CMO_MICRO_LIMIT:
-                stacks.append(_unions(rects, len(ra)))
-        cands = np.concatenate(stacks).astype(float)
-    else:
-        candidates = list(candidates)
-        cands = (np.array(candidates, dtype=bool)
-                 .reshape(len(candidates), pspace.x1.n * pspace.x2.n).astype(float))
-    mu = cands @ pspace.weights.ravel()
-    if candidates is not None and (mu <= 0).any():
-        raise ValueError("empty candidate set")
-    # a rectangle lies in a candidate when all of its points do
-    inside = cands @ rects.T == rects.sum(axis=1)
-    keep = mu > 0
-    vals = np.sqrt(mu[keep] ** (1.0 - 2.0 / p) * (inside[keep] @ energy[ra, rb]))
-    return float(vals.max(initial=0.0))
+    # energy[i, j]: sum of |<f,psi psi>|^2 over the wavelets on cubes ra[i] x rb[j]
+    ra, at1 = np.unique(b1.cube_rows, return_inverse=True)
+    rb, at2 = np.unique(b2.cube_rows, return_inverse=True)
+    energy = np.bincount((at1[:, None] * len(rb) + at2).ravel(), (coeffs.ww ** 2).ravel(),
+                         len(ra) * len(rb)).reshape(len(ra), len(rb))
+    best = _cmo_best(np.outer(s1.measures[s1.tops], s2.measures[s2.tops]),
+                     _covers(s1, ra, s1.tops).T @ energy @ _covers(s2, rb, s2.tops), p)
+    if not energy.any():
+        return best
+    inc1, inc2 = s1.incidence[ra], s2.incidence[rb]
+    fam = maximal_rectangles(pspace, OpenSet.from_mask(pspace, inc1.T @ (energy > 0) @ inc2 > 0))
+    groups = [(s1.incidence[fam.rows], s2.incidence[fam.cols], CMO_MAX_UNION)]
+    a, b = np.nonzero(energy)
+    if len(a) <= CMO_MICRO_LIMIT:
+        groups.append((inc1[a], inc2[b], len(a)))
+    for rows, cols, max_size in groups:
+        for masks in _unions(pspace, rows[:, :, None] * cols[:, None, :] > 0, max_size):
+            contained = _inside(pspace, masks, ra, rb)
+            best = max(best, _cmo_best(np.where(masks, pspace.weights, 0.0).sum(axis=(1, 2)),
+                                       (contained * energy).sum(axis=(1, 2)), p))
+    return best
 
 
-def _unions(rects: np.ndarray, max_size: int) -> np.ndarray:
-    """Every union of one to ``max_size`` of the indicator rows."""
-    combos = [list(c) for r in range(1, min(max_size, len(rects)) + 1)
-              for c in itertools.combinations(range(len(rects)), r)]
-    pick = np.zeros((len(combos), len(rects)))
-    for row, combo in enumerate(combos):
-        pick[row, combo] = 1.0
-    return pick @ rects > 0
+def _cmo_best(mu: np.ndarray, energy: np.ndarray, p: float) -> float:
+    """The largest candidate value (mu^(1-2/p) energy)^(1/2) among the
+    candidates that hold energy; 0.0 without one."""
+    held = energy > 0
+    return float(np.sqrt(mu[held] ** (1.0 - 2.0 / p) * energy[held]).max(initial=0.0))
+
+
+def _unions(pspace: ProductSpace, rects: np.ndarray, max_size: int):
+    """Every union of one to ``max_size`` of the masks ``rects`` (m, n1, n2),
+    in stacks of at most SUM_BATCH grid entries."""
+    m = len(rects)
+    sizes = range(1, min(max_size, m) + 1)
+    combos = itertools.chain.from_iterable(itertools.combinations(range(m), r) for r in sizes)
+    for cut in stack_slices(pspace, sum(math.comb(m, r) for r in sizes)):
+        yield np.array([rects[list(c)].any(axis=0)
+                        for c in itertools.islice(combos, cut.stop - cut.start)])
 
 
 def cmo_p_exhaustive(pspace: ProductSpace, coeffs: ProductCoefficients, p: float) -> float:
-    """All-subsets oracle; only feasible on micro instances (n1*n2 <= ~14)."""
+    """All-subsets oracle; micro instances only (n1*n2 <= 16 cells)."""
     n1, n2 = pspace.shape
     cells = n1 * n2
     if cells > 16:

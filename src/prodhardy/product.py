@@ -86,13 +86,6 @@ class ProductSpace:
         return np.outer(self.systems[0].member_mask(*cube1.id),
                         self.systems[1].member_mask(*cube2.id))
 
-    def rectangle_indicators(self, rows, cols) -> np.ndarray:
-        """0/1 indicators of the rectangles cubes1[rows[k]] x cubes2[cols[k]]
-        (flat indices of each system's cubes), one flattened grid per row."""
-        s1, s2 = self.systems
-        return (s1.incidence[rows][:, :, None]
-                * s2.incidence[cols][:, None, :]).reshape(len(rows), self.x1.n * self.x2.n)
-
     def wavelet_rectangle(self, i: int, j: int):
         """Supporting dyadic rectangle of the (i, j) product wavelet pair."""
         c1 = self.systems[0].cube(*self.bases[0].wavelets[i].cube)

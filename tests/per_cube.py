@@ -13,14 +13,21 @@ fresh greedy net on the net above at every level and takes the parents of
 every level by ``argmin``, and its ``PerCubeSystem`` sums each cube's
 weights and reads each cube's center row, where the package builds each
 distinct net once and asks each distinct member set once.
+
+``cmo_p`` is the CMO^p candidate supremum as it was first written: a
+(C1, C2) energy table of every cube pair and a point mask of every cube
+pair's rectangle, where the package keeps one energy per distinct wavelet
+rectangle and scores the single rectangles at the chain tops.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from prodhardy.dyadic import DyadicSystem, build_net
-from prodhardy.journe import _measure_in
+from prodhardy.journe import CMO_MAX_UNION, CMO_MICRO_LIMIT, _measure_in, maximal_rectangles
+from prodhardy.maximal import OpenSet
 from prodhardy.space import _exact_sums
 
 
@@ -136,3 +143,53 @@ def tau(ps, fam, rows, cols) -> np.ndarray:
     covers = ancestors(s1)[np.ix_(rows, fam.rows)] & ancestors(s2)[np.ix_(cols, fam.cols)]
     assert covers.any(axis=1).all()
     return covers.argmax(axis=1) if len(rows) else np.zeros(0, dtype=int)
+
+
+def indicators(ps, rows, cols) -> np.ndarray:
+    """0/1 indicators of the rectangles cubes1[rows[k]] x cubes2[cols[k]]
+    (flat indices of each system's cubes), one flattened grid per row."""
+    s1, s2 = ps.systems
+    return (s1.incidence[rows][:, :, None]
+            * s2.incidence[cols][:, None, :]).reshape(len(rows), ps.x1.n * ps.x2.n)
+
+
+def cmo_p(ps, coeffs, p) -> float:
+    """The CMO^p candidate supremum over every cube pair's rectangle, the
+    unions of <= CMO_MAX_UNION maximal rectangles of the coefficient support
+    and, with at most CMO_MICRO_LIMIT energy rectangles, every union of
+    them: a rectangle lies in a candidate when all of its points do.  The
+    cube pairs go 4096 at a time, so the masks of a deep system fit."""
+    s1, s2 = ps.systems
+    b1, b2 = ps.bases
+    energy = np.zeros((s1.n_cubes(), s2.n_cubes()))      # sum of |<f,psi psi>|^2 per cube pair
+    np.add.at(energy, (b1.cube_rows[:, None], b2.cube_rows[None, :]), coeffs.ww ** 2)
+    ra, rb = np.nonzero(energy > 0)
+    rects = indicators(ps, ra, rb)                        # the rectangles carrying energy
+    pairs = np.indices(energy.shape).reshape(2, -1)
+    stacks = (indicators(ps, *pairs[:, lo:lo + 4096]) > 0
+              for lo in range(0, pairs.shape[1], 4096))
+    if len(ra):
+        support = OpenSet.from_mask(ps, rects.any(axis=0).reshape(ps.shape))
+        fam = maximal_rectangles(ps, support)
+        unions = [union_masks(indicators(ps, fam.rows, fam.cols), CMO_MAX_UNION)]
+        if len(ra) <= CMO_MICRO_LIMIT:
+            unions.append(union_masks(rects, len(ra)))
+        stacks = itertools.chain(stacks, unions)
+    best = 0.0
+    for cands in stacks:
+        cands = cands.astype(float)
+        mu = cands @ ps.weights.ravel()
+        inside = cands @ rects.T == rects.sum(axis=1)
+        vals = np.sqrt(mu ** (1.0 - 2.0 / p) * (inside @ energy[ra, rb]))
+        best = max(best, float(vals.max(initial=0.0)))
+    return best
+
+
+def union_masks(rects: np.ndarray, max_size: int) -> np.ndarray:
+    """Every union of one to ``max_size`` of the indicator rows."""
+    combos = [list(c) for r in range(1, min(max_size, len(rects)) + 1)
+              for c in itertools.combinations(range(len(rects)), r)]
+    pick = np.zeros((len(combos), len(rects)))
+    for row, combo in enumerate(combos):
+        pick[row, combo] = 1.0
+    return pick @ rects > 0

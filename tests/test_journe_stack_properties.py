@@ -202,9 +202,10 @@ def test_certify_keeps_no_family_of_its_random_sets(monkeypatch, tmp_path):
 
 
 def test_certify_draws_its_sets_in_stacks_within_the_budget(monkeypatch, tmp_path):
-    # at 8 points each factor has 11 cubes: the 50 masks are one stack under
-    # the default budget, and a budget of one mask's (11, 11) arrays gives
-    # one stack per mask with the same report
+    # the stacks are sized by the chain-top pairs _families tests; at 8
+    # points each factor has 17 cubes and 9 tops: the 50 masks are one stack
+    # under the default budget, and budgets of one and two masks' (9, 9)
+    # arrays give stacks of one and two masks with the same report
     stacks = []
     original = cli._largest_constants
 
@@ -214,13 +215,13 @@ def test_certify_draws_its_sets_in_stacks_within_the_budget(monkeypatch, tmp_pat
 
     monkeypatch.setattr(cli, "_largest_constants", constants)
     reports = []
-    for budget in (product.SUM_BATCH, 11 * 11):
+    for budget in (product.SUM_BATCH, 9 * 9, 2 * 9 * 9):
         monkeypatch.setattr(product, "SUM_BATCH", budget)
         out = tmp_path / f"{budget}.json"
         assert main(["certify", "--corpus", "50", "--seed", "3", "--out", str(out)]) == 0
         reports.append(out.read_bytes())
-    assert stacks == [50] + [1] * 50
-    assert reports[0] == reports[1]
+    assert stacks == [50] + [1] * 50 + [2] * 25
+    assert reports[0] == reports[1] == reports[2]
 
 
 @pytest.mark.parametrize("weight, product_range", [(1e-200, "0.0 to 0.0"), (1e200, "inf to inf")])

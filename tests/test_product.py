@@ -6,13 +6,16 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from prodhardy import journe, product
 from prodhardy import (ProductCoefficients, ProductSpace, block_square_function,
                        building_blocks, cmo_p, cmo_p_exhaustive, double_center, hp_seminorm,
                        inverse_product_transform, level_sets, product_transform,
                        square_function)
+from prodhardy.cli import _default_space
 
+import per_cube
 from conftest import line_space
-from strategies import CHECK, spaces
+from strategies import CHECK, decade_spaces, inexact_spaces, instances, spaces
 
 
 def product_pair(pspace, i, j):
@@ -160,6 +163,16 @@ def test_cmo_zero(pspace8):
     assert cmo_p(pspace8, co, 1.0) == 0.0
 
 
+def rectangle_value(ps, co, c1, c2, p):
+    """The candidate value of the single rectangle c1 x c2: (mu^(1-2/p) times
+    the energy of the wavelet rectangles inside it)^(1/2), pair by pair."""
+    mask = ps.rectangle_mask(c1, c2)
+    energy = sum(float(co.ww[i, j]) ** 2
+                 for i in range(co.n_wav[0]) for j in range(co.n_wav[1])
+                 if mask[ps.rectangle_mask(*ps.wavelet_rectangle(i, j))].all())
+    return math.sqrt((c1.measure * c2.measure) ** (1.0 - 2.0 / p) * energy)
+
+
 def test_cmo_candidate_vs_exhaustive_micro():
     s3 = line_space([0.0, 1.0, 2.0])
     s4 = line_space([0.0, 1.0, 2.0, 3.0])
@@ -170,9 +183,8 @@ def test_cmo_candidate_vs_exhaustive_micro():
         co = product_transform(ps, f)
         cand = cmo_p(ps, co, 1.0)
         exact = cmo_p_exhaustive(ps, co, 1.0)
-        single_best = max(
-            cmo_p(ps, co, 1.0, candidates=[ps.rectangle_mask(c1, c2)])
-            for c1 in ps.systems[0].all_cubes() for c2 in ps.systems[1].all_cubes())
+        single_best = max(rectangle_value(ps, co, c1, c2, 1.0)
+                          for c1 in ps.systems[0].all_cubes() for c2 in ps.systems[1].all_cubes())
         assert single_best <= cand + 1e-12
         assert cand == pytest.approx(exact, rel=1e-10)
 
@@ -187,10 +199,72 @@ def test_cmo_matches_exhaustive_on_micro_products(x1, x2, delta, p, seed):
     assert cmo_p(ps, co, p) == pytest.approx(cmo_p_exhaustive(ps, co, p), rel=1e-10)
 
 
-def test_cmo_rejects_empty_candidate(pspace8):
-    co = product_transform(pspace8, np.zeros(pspace8.shape))
-    with pytest.raises(ValueError, match="empty candidate"):
-        cmo_p(pspace8, co, 1.0, candidates=[np.zeros(pspace8.shape, dtype=bool)])
+@CHECK
+@given(st.one_of(instances(), instances(inexact_spaces()), instances(decade_spaces())),
+       st.sampled_from([0.6, 1.0]), st.sampled_from([1.0, 0.2]), st.integers(0, 2 ** 32 - 1))
+def test_cmo_matches_the_all_pairs_oracle(instance, p, density, seed):
+    """Dense coefficients and sparse ones, whose few energy rectangles make
+    every union of them a candidate on larger grids too."""
+    ps, _ = instance
+    rng = np.random.default_rng(seed)
+    co = product_transform(ps, ps.random_function(rng))
+    co.matrix[rng.random(co.matrix.shape) >= density] = 0.0
+    assert cmo_p(ps, co, p) == pytest.approx(per_cube.cmo_p(ps, co, p), rel=1e-12, abs=0.0)
+
+
+def test_cmo_on_the_built_in_line_matches_the_all_pairs_oracle():
+    ps = ProductSpace(_default_space(), _default_space(), delta=0.99)
+    assert [(s.n_cubes(), len(s.tops)) for s in ps.systems] == [(580, 14)] * 2
+    co = product_transform(ps, ps.random_function(np.random.default_rng(0)))
+    assert cmo_p(ps, co, 1.0) == pytest.approx(per_cube.cmo_p(ps, co, 1.0), rel=1e-12)
+
+
+def test_cmo_unions_in_several_stacks_keep_the_value(monkeypatch):
+    ps = ProductSpace(line_space([0.0, 1.0, 2.0]), line_space([0.0, 1.0, 2.0, 3.0]), delta=0.5)
+    co = product_transform(ps, ps.random_function(np.random.default_rng(8)))
+    want = cmo_p(ps, co, 1.0)
+    stacks, inside = [], journe._inside
+
+    def counted(pspace, masks, rows1, rows2):
+        stacks.append(len(masks))
+        return inside(pspace, masks, rows1, rows2)
+
+    monkeypatch.setattr(journe, "_inside", counted)
+    monkeypatch.setattr(product, "SUM_BATCH", 2 * 12)      # two masks of the 3 x 4 grid
+    assert cmo_p(ps, co, 1.0) == want
+    assert max(stacks) == 2 and stacks.count(2) > 1
+
+
+def test_cmo_takes_an_l_shaped_union_of_maximal_rectangles(pspace8, monkeypatch):
+    """Energy 1 on Q x X2 and on X1 x Q: the support's maximal rectangles
+    are the two arms, and their union beats every single rectangle (p = 1:
+    2/mu(L) against 1/mu(arm) and 2/mu(X)).  With the all-unions candidates
+    cut to one rectangle, the unions of maximal rectangles still find it.
+    The two factors of pspace8 share one system and basis."""
+    s1 = pspace8.systems[0]
+    b1 = pspace8.bases[0]
+    rows = b1.cube_rows
+    small = int(np.argmin(s1.sizes[rows]))                  # a wavelet on a small cube Q
+    root = int(np.flatnonzero(rows == 0)[0])                # a wavelet on the whole line
+    matrix = np.zeros(pspace8.shape)
+    matrix[small, root] = matrix[root, small] = 1.0
+    co = ProductCoefficients(matrix=matrix, n_wav=(b1.n_wavelets, b1.n_wavelets))
+    q = s1.incidence[rows[small]] > 0
+    arms = np.zeros(pspace8.shape, dtype=bool)
+    arms[q, :] = arms[:, q] = True
+    want = math.sqrt(2.0 / pspace8.set_measure(arms))
+    assert cmo_p(pspace8, co, 1.0) == pytest.approx(want, rel=1e-12)
+    monkeypatch.setattr(journe, "CMO_MICRO_LIMIT", 1)
+    assert cmo_p(pspace8, co, 1.0) == pytest.approx(want, rel=1e-12)
+    monkeypatch.setattr(journe, "CMO_MAX_UNION", 1)
+    assert cmo_p(pspace8, co, 1.0) < want
+
+
+def test_cmo_with_a_one_point_factor_is_zero():
+    ps = ProductSpace(line_space([0.0]), line_space([0.0, 1.0, 2.0]), delta=0.5)
+    co = product_transform(ps, np.arange(3.0)[None, :])
+    assert co.n_wav[0] == 0
+    assert cmo_p(ps, co, 1.0) == 0.0
 
 
 def test_block_square_function_zero(pspace8):
