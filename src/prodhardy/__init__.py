@@ -4,13 +4,10 @@ bases, product square functions, strong-maximal level sets, the Journe
 covering check, and a fully constructive atomic decomposition -- every step
 verifiable by brute force."""
 
-from .space import Ball, FiniteSpace, SpaceValidationError, ball, doubling_profile, load_space, make_space
-from .dyadic import (Cube, DyadicSystem, build_net,
-                     build_system, dilate_cube, export_system, import_system,
-                     verify_system)
-from .wavelet import (BuildingBlockSet, CutoffFunction, Wavelet, WaveletBasis,
-                      build_haar, building_blocks, block_certificates, cutoff,
-                      inverse_transform, transform)
+from .space import FiniteSpace, SpaceValidationError, load_space, make_space
+from .dyadic import Cube, DyadicSystem, build_net, build_system, verify_system
+from .wavelet import (BuildingBlockSet, Wavelet, WaveletBasis, build_haar, building_blocks,
+                      block_certificates)
 from .product import (ProductCoefficients, ProductSpace, block_square_function,
                       double_center, hp_seminorm, inverse_product_transform,
                       product_transform, square_function)
@@ -18,8 +15,7 @@ from .maximal import (LevelSetFamily, OpenSet, ell_enlarge, enlarge, epsilon0,
                       level_sets, strong_maximal, strong_maximal_exhaustive)
 from .journe import (MaximalRectangleFamily, cmo_p, cmo_p_exhaustive, journe_check,
                      maximal_rectangles, stretch)
-from .atoms import (AtomicDecomposition, ChannelError, ProductAtom,
-                    atom_hp_bound, atomic_decompose, equivalence_report,
-                    generate_atom, verify_atom)
+from .atoms import (AtomicDecomposition, ChannelError, ProductAtom, atomic_decompose,
+                    equivalence_report, generate_atom, verify_atom)
 
 __version__ = "0.1.0"

@@ -79,12 +79,6 @@ class AtomicDecomposition:
     def lam_sum(self) -> float:
         return self.report["lam_sum"]
 
-    def reconstruct(self, shape) -> np.ndarray:
-        out = np.zeros(shape)
-        for t in self.terms:
-            out += t.lam * t.atom.values
-        return out
-
 
 def _cancels(w1: np.ndarray, w2: np.ndarray, vals: np.ndarray, tol: float):
     """Each column's |int a dmu1| and each row's |int a dmu2| is at most
@@ -531,11 +525,6 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom) -> dict:
         cert["C_q_delta_iii_b"] = ratios
         cert["delta_default"] = delta_default
     return cert
-
-
-def atom_hp_bound(pspace: ProductSpace, atom: ProductAtom, p: float) -> float:
-    """||S(a)||_{L^p} computed directly with the reference wavelet basis."""
-    return hp_seminorm(pspace, atom.values, p)
 
 
 def generate_atom(pspace: ProductSpace, rng, p: float, q: float,

@@ -40,15 +40,13 @@ chain tops only.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .space import Ball, FiniteSpace, ball
+from .space import FiniteSpace
 
 def _reference_power(c: float, a0: float, k: int) -> float:
     """c a0^k, or a ValueError naming a0 when that is no finite float."""
@@ -94,7 +92,8 @@ class DyadicSystem:
     single-child chain, whose cubes share one member set.  ``incidence``,
     built on first use, holds the member sets.  ``parents[k]`` gives each
     point of ``nets[k]`` its parent's position in ``nets[k - 1]``; a level
-    without an entry keeps the net above, each point its own parent."""
+    without an entry keeps the net above, each point its own parent.  The
+    nets and parents are ``build_system``'s, so every cube holds its center."""
 
     def __init__(self, space: FiniteSpace, delta: float, k_min: int, k_max: int,
                  nets: dict[int, list[int]], parents: dict[int, list[int]], mode: str):
@@ -136,8 +135,8 @@ class DyadicSystem:
         self.tops = np.flatnonzero((self.parent < 0) | (self.sizes[self.parent] != self.sizes))
         # the first cube in flat order of each member set and center (a built
         # chain shares its center, so these are the tops) and each cube's row
-        # among them; an empty cube, which only an imported tree has, reads any id
-        first_member = self.members[np.minimum(self.member_first[:-1], self.members.size - 1)]
+        # among them
+        first_member = self.members[self.member_first[:-1]]
         _, first, inverse = np.unique(
             (first_member * (space.n + 1) + self.sizes) * space.n + self.centers,
             return_index=True, return_inverse=True)
@@ -224,8 +223,13 @@ class DyadicSystem:
         """Row i is ``dilate_mask`` of cube ``rows[i]`` (flat indices or a
         slice; all cubes in flat order by default), bit for bit; only those
         rows are built."""
-        return (self.space.dist[self.centers[rows]]
-                < (lam * self.outer_eff * self._sides[rows])[:, None])
+        radius = self.dilate_radius(lam, self._sides[rows])
+        return self.space.dist[self.centers[rows]] < radius[:, None]
+
+    def dilate_radius(self, lam: float, side):
+        """lam C1_eff side, the radius of the lambda-dilate of a cube of ``side``
+        (a float or an array of sides)."""
+        return lam * self.outer_eff * side
 
     def member_mask(self, k: int, alpha: int) -> np.ndarray:
         """Points of cube (k, alpha), read off the labels."""
@@ -529,23 +533,15 @@ def verify_system(system: DyadicSystem) -> dict:
     return report
 
 
-def dilate_cube(system: DyadicSystem, cube: Cube, lam: float) -> Ball:
-    """lambda-dilate of the cube = the lambda-dilate of its outer ball."""
-    if lam < 1:
-        raise ValueError("dilation factor must be >= 1")
-    return ball(system.space, cube.center, lam * system.outer_eff * cube.side)
-
-
 def dilate_mask(system: DyadicSystem, cube: Cube, lam: float) -> np.ndarray:
-    return system.space.ball_mask(cube.center, lam * system.outer_eff * cube.side)
-
-
-def export_system(system: DyadicSystem) -> str:
-    return json.dumps(_system_document(system), sort_keys=True)
+    """Points of the lambda-dilate of ``cube``, the ball B(center, lam C1_eff side)."""
+    return system.space.ball_mask(cube.center, system.dilate_radius(lam, cube.side))
 
 
 def _system_document(system: DyadicSystem) -> dict:
-    """The JSON document of ``export_system``, before it is written as text."""
+    """The system's JSON document: its header, nets, parents (each cube's
+    position in the level above, -1 at k_min) and constants; ``build``
+    writes it for each factor."""
     first, parent = system.first.tolist(), system.parent
     up = [alpha if a >= 0 else -1 for a, (_, alpha) in zip(parent.tolist(), system.keys(parent))]
     return {
@@ -563,44 +559,3 @@ def _system_document(system: DyadicSystem) -> dict:
             "C1_effective": system.outer_eff,
         },
     }
-
-
-def import_system(space: FiniteSpace, text: str | Path) -> DyadicSystem:
-    """Rebuild a system from its export; parent arrays round-trip bit-exact.
-    A header value of the wrong type or range (``delta`` in (0, 1), integer
-    ``k_min`` <= ``k_max``, a known ``mode``), a net entry that is no point
-    id, a finest net without every point once or a parent that is no position
-    in the level above raises a ValueError naming it."""
-    doc = json.loads(Path(text).read_text() if isinstance(text, Path) else text)
-    delta, k_min, k_max = doc["delta"], doc["k_min"], doc["k_max"]
-    mode = doc.get("mode", "desk")
-    if type(delta) not in (int, float) or not 0 < delta < 1:
-        raise ValueError(f"delta = {delta!r} is not a number in (0, 1)")
-    for name, k in (("k_min", k_min), ("k_max", k_max)):
-        if type(k) is not int:
-            raise ValueError(f"{name} = {k!r} is not an integer")
-    if k_min > k_max:
-        raise ValueError(f"k_min = {k_min} lies above k_max = {k_max}")
-    if mode not in ("desk", "reference"):
-        raise ValueError(f"mode = {mode!r} is neither 'desk' nor 'reference'")
-    nets = {int(k): list(v) for k, v in doc["nets"].items()}
-    parents = {int(k): list(v) for k, v in doc["parents"].items()}
-    for k in range(k_min, k_max + 1):
-        _check_entries(f"nets[{k}]", nets.setdefault(k, []), space.n if k == k_max else None,
-                       space.n)
-        if k > k_min:
-            _check_entries(f"parents[{k}]", parents.setdefault(k, []), len(nets[k]),
-                           len(nets[k - 1]))
-    count = np.bincount(nets[k_max], minlength=space.n)
-    if count.max() > 1:
-        raise ValueError(f"nets[{k_max}] holds point {int(count.argmax())} more than once")
-    return DyadicSystem(space, delta, k_min, k_max, nets, parents, mode)
-
-
-def _check_entries(name: str, entries: list, size: int | None, bound: int) -> None:
-    """A ValueError naming the entry unless all are ints in [0, bound), ``size`` if given."""
-    if size is not None and len(entries) != size:
-        raise ValueError(f"{name} must have {size} entries, got {len(entries)}")
-    for i, v in enumerate(entries):
-        if type(v) is not int or not 0 <= v < bound:
-            raise ValueError(f"{name}[{i}] = {v!r} is not an index below {bound}")

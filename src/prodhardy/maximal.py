@@ -43,13 +43,6 @@ class OpenSet:
         mask = np.asarray(mask, dtype=bool)
         return cls(mask=mask, measure=pspace.set_measure(mask))
 
-    @classmethod
-    def from_pairs(cls, pspace: ProductSpace, pairs) -> "OpenSet":
-        mask = np.zeros(pspace.shape, dtype=bool)
-        for i, j in pairs:
-            mask[i, j] = True
-        return cls.from_mask(pspace, mask)
-
     def is_empty(self) -> bool:
         return not self.mask.any()
 

@@ -235,15 +235,6 @@ class ProductCoefficients:
             norms[c] = norm.reshape(lead) if lead else float(norm[0])
         return norms
 
-    def entries(self, pspace: ProductSpace, tol: float = 0.0):
-        """Sparse view of the ww channel: ((k1, a1, k2, a2), value) tuples."""
-        b1, b2 = pspace.bases
-        for i in range(self.n_wav[0]):
-            for j in range(self.n_wav[1]):
-                v = float(self.ww[i, j])
-                if abs(v) > tol:
-                    yield (b1.wavelets[i].id + b2.wavelets[j].id), v
-
 
 def _check_grids(pspace: ProductSpace, a: np.ndarray) -> None:
     """A ValueError unless the two trailing axes of ``a`` are the grid's."""

@@ -51,16 +51,6 @@ class SpaceValidationError(ValueError):
 
 
 @dataclass(frozen=True)
-class Ball:
-    """Quasi-metric ball B(x, r) = {y : d(x, y) < r} (strict inequality)."""
-
-    center: int
-    radius: float
-    members: np.ndarray          # sorted point ids
-    measure: float
-
-
-@dataclass(frozen=True)
 class FiniteSpace:
     """Immutable finite surrogate of a space of homogeneous type."""
 
@@ -235,8 +225,8 @@ def _quasi_triangle_constant_exhaustive(dist: np.ndarray) -> float:
     return max(1.0, float(ratio.max()))
 
 
-def _ball_radius_candidates(drow: np.ndarray, extra_scale: float = 2.0) -> np.ndarray:
-    """Radii at which B(x,r) or B(x,extra_scale*r) changes membership.
+def _ball_radius_candidates(drow: np.ndarray) -> np.ndarray:
+    """Radii at which B(x,r) or B(x,2r) changes membership.
 
     Both member sets are constant between consecutive candidates, so
     evaluating at the candidates covers every realized (x, r) pair.
@@ -244,15 +234,15 @@ def _ball_radius_candidates(drow: np.ndarray, extra_scale: float = 2.0) -> np.nd
     pos = np.unique(drow[drow > 0])
     if pos.size == 0:
         return np.asarray([1.0])
-    return np.unique(np.concatenate([pos, pos / extra_scale]))
+    return np.unique(np.concatenate([pos, pos / 2.0]))
 
 
-def _growth_by_masks(drow: np.ndarray, weight: np.ndarray, lam: float) -> float:
-    """max mu(B(x, lam r)) / mu(B(x, r)) at one center, with one mask row per
-    candidate radius: the exhaustive scans' own arithmetic."""
-    radii = _ball_radius_candidates(drow, extra_scale=max(lam, 2.0))
+def _growth_by_masks(drow: np.ndarray, weight: np.ndarray) -> float:
+    """max mu(B(x, 2r)) / mu(B(x, r)) at one center, with one mask row per
+    candidate radius: the exhaustive scan's own arithmetic."""
+    radii = _ball_radius_candidates(drow)
     small = (drow[None, :] < radii[:, None]) @ weight
-    big = (drow[None, :] < lam * radii[:, None]) @ weight
+    big = (drow[None, :] < 2.0 * radii[:, None]) @ weight
     ok = small > 0
     return float((big[ok] / small[ok]).max()) if ok.any() else 1.0
 
@@ -273,10 +263,10 @@ def _exact_sums(weight: np.ndarray) -> bool:
 _GROWTH_BLOCK = 64
 
 
-def _prefix_growth(dist: np.ndarray, weight: np.ndarray, lambdas) -> np.ndarray:
-    """Row i, column x: max mu(B(x, lam_i r)) / mu(B(x, r)) over the realized
-    radii r, from prefix sums of x's weights taken in ascending distance
-    (ties by point id).  Needs n >= 2.
+def _prefix_growth(dist: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Entry x: max mu(B(x, 2r)) / mu(B(x, r)) over the realized radii r,
+    from prefix sums of x's weights taken in ascending distance (ties by
+    point id).  Needs n >= 2.
 
     Centers go in row blocks of at most 64.  Sorting a block's rows makes
     every ball {d(x,.) < r} a prefix of its row, so its measure is a prefix
@@ -292,7 +282,7 @@ def _prefix_growth(dist: np.ndarray, weight: np.ndarray, lambdas) -> np.ndarray:
     stable sort gives, so the sums are always added in the same order.
     """
     n = dist.shape[0]
-    fast = np.empty((len(lambdas), n))
+    fast = np.empty(n)
     cols = np.arange(n)
     for x0 in range(0, n, _GROWTH_BLOCK):
         rows = dist[x0:x0 + _GROWTH_BLOCK]
@@ -311,17 +301,16 @@ def _prefix_growth(dist: np.ndarray, weight: np.ndarray, lambdas) -> np.ndarray:
         # column 0 is the center itself, the only zero distance of its row
         left = np.maximum.accumulate(np.where(starts, cols, 0), axis=1)
         small = flat[left[:, 1:] + base]
-        for i, lam in enumerate(lambdas):
-            ends = np.stack([np.searchsorted(row, big)
-                             for row, big in zip(nearest, lam * nearest[:, 1:])])
-            fast[i, x0:x0 + b] = (flat[ends + base] / small).max(axis=1)
+        ends = np.stack([np.searchsorted(row, big)
+                         for row, big in zip(nearest, 2.0 * nearest[:, 1:])])
+        fast[x0:x0 + b] = (flat[ends + base] / small).max(axis=1)
     return fast
 
 
-def _max_growth(dist: np.ndarray, weight: np.ndarray, lambdas) -> list[float]:
-    """For each lam >= 1, max mu(B(x, lam r)) / mu(B(x, r)) over all centers
-    and realized radii, equal bit for bit to ``_growth_by_masks`` maximized
-    over every center (and 1.0).
+def _max_growth(dist: np.ndarray, weight: np.ndarray) -> float:
+    """cmu: max mu(B(x, 2r)) / mu(B(x, r)) over all centers and realized
+    radii, equal bit for bit to ``_growth_by_masks`` maximized over every
+    center (and 1.0).
 
     ``_prefix_growth`` adds the weights in another order than the masked
     BLAS products, which themselves round a row differently depending on
@@ -333,25 +322,20 @@ def _max_growth(dist: np.ndarray, weight: np.ndarray, lambdas) -> list[float]:
     growth.  Rescanning every center within 1 - 8n eps of it with masks
     makes the result exact; usually that is one center, but on a symmetric
     space with inexact weights it is every center.  No rescan is needed when
-    the sums are exact, nor for lam = 1, where each ball is divided by itself.
+    the sums are exact.
     """
     n = dist.shape[0]
     if n == 1:
-        return [1.0] * len(lambdas)          # every ball is the one point
-    exact = _exact_sums(weight)
-    margin = 1.0 - 8.0 * n * np.finfo(float).eps
-    worst = []
-    for lam, row in zip(lambdas, _prefix_growth(dist, weight, lambdas)):
-        if exact or lam == 1.0:
-            worst.append(max(1.0, float(row.max())))
-        else:
-            near = np.flatnonzero(row >= row.max() * margin)
-            worst.append(max([1.0] + [_growth_by_masks(dist[x], weight, lam) for x in near]))
-    return worst
+        return 1.0                           # every ball is the one point
+    row = _prefix_growth(dist, weight)
+    if _exact_sums(weight):
+        return max(1.0, float(row.max()))
+    near = np.flatnonzero(row >= row.max() * (1.0 - 8.0 * n * np.finfo(float).eps))
+    return max([1.0] + [_growth_by_masks(dist[x], weight) for x in near])
 
 
 def _doubling_constant_exhaustive(dist: np.ndarray, weight: np.ndarray) -> float:
-    """Specification of cmu (``_max_growth`` at lam = 2): two 2n x n masks per center."""
+    """Specification of cmu (``_max_growth``): two 2n x n masks per center."""
     n = dist.shape[0]
     worst = 1.0
     for x in range(n):
@@ -407,7 +391,7 @@ def make_space(dist, weight=None) -> FiniteSpace:
         raise SpaceValidationError(f"zero distance between distinct points {i} and {j}")
     # cmu and its rescan stay on this thread while helpers scan a0's tiles
     growth = []
-    a0 = _quasi_triangle_constant(dist, lambda: growth.extend(_max_growth(dist, weight, [2.0])))
+    a0 = _quasi_triangle_constant(dist, lambda: growth.append(_max_growth(dist, weight)))
     cmu = growth[0]
     return FiniteSpace(
         dist=dist,
@@ -508,16 +492,13 @@ def load_space(source) -> FiniteSpace:
         if not isinstance(pts, list) or not pts:
             raise SpaceValidationError("points: must be a nonempty list")
         coords, weight = [], []
-        seen = set()
         for i, rec in enumerate(pts):
             if not isinstance(rec, dict) or "coords" not in rec:
                 raise SpaceValidationError(f"points[{i}]: expected an object with 'coords'")
             pid = rec.get("id", i)
-            if pid != i:
-                raise SpaceValidationError(f"points[{i}].id: ids must be 0..n-1 in order, got {pid}")
-            if pid in seen:
-                raise SpaceValidationError(f"points[{i}].id: duplicate id {pid}")
-            seen.add(pid)
+            if type(pid) is not int or pid != i:
+                raise SpaceValidationError(f"points[{i}].id: ids must be the ints 0..n-1 in order, "
+                                           f"got {pid!r}")
             try:
                 c = np.atleast_1d(np.asarray(rec["coords"], dtype=float))
             except (TypeError, ValueError):
@@ -556,38 +537,3 @@ def load_space(source) -> FiniteSpace:
         i, j = np.argwhere(~np.isfinite(dist))[0]
         raise SpaceValidationError(f"points[{i}] and points[{j}]: their distance overflows")
     return make_space(dist, weight)
-
-
-def ball(space: FiniteSpace, center: int, radius: float) -> Ball:
-    """Ball with strict-inequality membership and its measure."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    mask = space.ball_mask(center, radius)
-    return Ball(
-        center=center,
-        radius=radius,
-        members=np.flatnonzero(mask),
-        measure=float(space.weight[mask].sum()),
-    )
-
-
-def doubling_profile(space: FiniteSpace, lambdas=(1.0, 2.0, 4.0, 8.0)) -> list[dict]:
-    """Measured growth mu(B(x, lam*r))/mu(B(x, r)) over all realized (x, r).
-
-    Each row certifies the exhaustive maximum against cmu * lam^omega, which
-    is a theorem for omega = log2(cmu) (iterate doubling ceil(log2 lam) times).
-    """
-    lambdas = [float(lam) for lam in lambdas]
-    if any(lam < 1 for lam in lambdas):
-        raise ValueError("dilation factor must be >= 1")
-    worst = _max_growth(space.dist, space.weight, lambdas)
-    rows = []
-    for lam, growth in zip(lambdas, worst):
-        bound = space.cmu * lam ** space.omega
-        rows.append({
-            "lambda": lam,
-            "max_ratio": growth,
-            "bound": bound,
-            "certified": growth <= bound * (1 + 1e-12),
-        })
-    return rows

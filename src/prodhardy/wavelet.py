@@ -110,61 +110,12 @@ def _abnormal(system: DyadicSystem, where: str, what: str) -> ValueError:
                       f"normal float ({what}); rescale the weights")
 
 
-def transform(basis: WaveletBasis, f: np.ndarray) -> np.ndarray:
-    """Weighted pairings <f, psi>; last entry is the scaling coefficient."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (basis.space.n,):
-        raise ValueError(f"expected {basis.space.n} values, got {f.shape}")
-    return basis.matrix @ (f * basis.space.weight)
-
-
-def inverse_transform(basis: WaveletBasis, coeffs: np.ndarray) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (basis.space.n,):
-        raise ValueError(f"expected {basis.space.n} coefficients, got {coeffs.shape}")
-    return basis.matrix.T @ coeffs
-
-
-def coefficient_triples(basis: WaveletBasis, coeffs, tol: float = 0.0):
-    """Coefficient export as (k, alpha, value) triples, scaling keyed as
-    ('scaling', 0); inverse of the keying used in the basis export."""
-    out = []
-    for w, v in zip(basis.wavelets, coeffs):
-        if abs(v) > tol:
-            out.append((w.level, w.index, float(v)))
-    if abs(coeffs[-1]) > tol:
-        out.append(("scaling", 0, float(coeffs[-1])))
-    return out
-
-
-@dataclass
-class CutoffFunction:
-    values: np.ndarray
-    holder_constant: float       # measured over all pairs
-
-
-def cutoff(space: FiniteSpace, x0: int, r0: float, eta: float = 1.0) -> CutoffFunction:
+def _ramp(space: FiniteSpace, x0: int, r0: float) -> np.ndarray:
     """Ramp cut-off: 1 on B(x0, r0/4), 0 off B(x0, a0^2 r0), linear between.
 
-    h(x) = clamp((a0^2 r0 - d(x, x0)) / (a0^2 r0 - r0/4), 0, 1).  The measured
-    Holder constant sup |h(x)-h(y)| (r0/d(x,y))^eta is reported; the ramp is
+    h(x) = clamp((a0^2 r0 - d(x, x0)) / (a0^2 r0 - r0/4), 0, 1); the ramp is
     Lipschitz, hence eta-Holder for every eta <= 1.
     """
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
-    if not 0 < eta <= 1:
-        raise ValueError("eta must lie in (0, 1]")
-    vals = _ramp(space, x0, r0)
-    cst = 0.0
-    if space.n > 1:
-        off = ~np.eye(space.n, dtype=bool)
-        diffs = np.abs(vals[:, None] - vals[None, :])[off]
-        cst = float((diffs / (space.dist[off] / r0) ** eta).max())
-    return CutoffFunction(values=vals, holder_constant=cst)
-
-
-def _ramp(space: FiniteSpace, x0: int, r0: float) -> np.ndarray:
-    """The values of ``cutoff(space, x0, r0)``, without its Holder scan."""
     top = space.a0 ** 2 * r0
     return np.clip((top - space.dist[x0]) / (top - r0 / 4.0), 0.0, 1.0)
 
@@ -175,7 +126,6 @@ class BuildingBlockSet:
 
     psi / kappa = sum_l (cbar 2^l)^(-gamma) phi_l exactly (finite telescoping),
     each phi_l mean-zero with supp phi_l inside B(y, 2 a0^2 cbar 2^l delta^k).
-    The integrals a_l of the Lambda_l are retained for audit.
     """
 
     gamma: float
@@ -185,7 +135,6 @@ class BuildingBlockSet:
     scale: float
     kappa: float
     blocks: list[np.ndarray]
-    a_ell: list[float] = field(default_factory=list)
     support_radii: list[float] = field(default_factory=list)
 
     @property
@@ -262,7 +211,7 @@ def building_blocks(space: FiniteSpace, wavelet: Wavelet, gamma: float,
     # the ramp cut-offs are Lipschitz, so the blocks are certified 1-Holder
     return BuildingBlockSet(gamma=gamma, cbar=cbar, eta=1.0, center=wavelet.center,
                             scale=wavelet.scale, kappa=kappa, blocks=blocks,
-                            a_ell=a_ell, support_radii=radii)
+                            support_radii=radii)
 
 
 def block_certificates(space: FiniteSpace, bset: BuildingBlockSet) -> dict:

@@ -1,13 +1,17 @@
-"""The benchmark's tracer reads some arguments by name (``bench/tracer.py``
-binds each traced call to its signature); a renamed parameter would break
-``bench/run.py --trace 1`` without failing any other test."""
+"""The benchmark's tracer reads functions and some of their arguments by
+name (``bench/tracer.py`` binds each traced call to its signature); a
+renamed function or parameter would break ``bench/run.py --trace 1``
+without failing any other test."""
 
+import importlib
 import inspect
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from prodhardy import OpenSet, dyadic, space, wavelet
+from prodhardy import OpenSet, dyadic
 from prodhardy.cli import emit
 from prodhardy.journe import maximal_rectangles
 from prodhardy.maximal import ell_enlarge, rectangles_inside
@@ -32,15 +36,24 @@ def test_emit_is_the_traced_report_writer():
     assert list(inspect.signature(emit).parameters) == ["report", "out"]
 
 
-@pytest.mark.parametrize("module, name", [
-    (space, "make_space"), (space, "load_space"), (dyadic, "build_system"),
-    (dyadic, "verify_system"), (wavelet, "build_haar"),
-])
+def traced_functions() -> list[tuple]:
+    """(module, function name) of every per-layer metric of ``BENCHMARK.json``
+    that times or counts calls of one function: ``<layer>.<function>.calls``
+    and ``<layer>.<function>.self_s``."""
+    spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    pairs = {tuple(m["name"].split(".")[:2]) for m in spec["per_layer"]
+             if m["name"].endswith((".calls", ".self_s"))}
+    return [(importlib.import_module(f"prodhardy.{layer}"), name) for layer, name in sorted(pairs)]
+
+
+@pytest.mark.parametrize("module, name", traced_functions())
 def test_build_layers_are_traced_by_name(module, name):
-    # build-cloud's per-layer metrics (space.make_space.self_s, ...) time these:
-    # the tracer wraps every public module-level function of each layer
-    fn = getattr(module, name)
+    # the tracer wraps every public module-level function of each layer, and
+    # ``bench/run.py --trace 1`` reads each metric's function by name, so a
+    # missing one is a KeyError there
+    fn = vars(module).get(name)
     assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+    assert not name.startswith("_")
 
 
 def test_build_system_result_feeds_the_dyadic_probe(canon):

@@ -216,8 +216,9 @@ def test_build_export_matches_tree_oracle(tmp_path):
     assert run(["build", "--space", str(path), "--delta", "0.25",
                 "--out", str(out)]) == 0
     from conftest import line_space
-    from prodhardy import build_system, export_system
-    expected = json.loads(export_system(build_system(line_space(pts), 0.25)))
+    from prodhardy import build_system
+    from prodhardy.dyadic import _system_document
+    expected = _system_document(build_system(line_space(pts), 0.25))
     got = json.loads(out.read_text())["factors"][0]["system"]
     assert got["parents"] == expected["parents"]
     assert got["nets"] == expected["nets"]

@@ -10,14 +10,12 @@ to 0.99 (hundreds of levels over a few distinct nets), on tied distances,
 weights over six decades and permuted scan orders.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from prodhardy import ProductSpace, build_net, build_system, import_system, verify_system
+from prodhardy import DyadicSystem, ProductSpace, build_net, build_system, verify_system
 from prodhardy import dyadic as dyadic_mod
 
 import per_cube
@@ -80,13 +78,12 @@ def test_the_k_min_edge_adds_a_one_point_level():
     assert_same_system(system, per_cube.build_system(space, 0.5))
 
 
-def test_an_imported_chain_that_changes_center_is_measured_per_center():
-    # crossed parents, which a document may give: each level-0 cube holds
-    # the other point, so one member set has a cube at each of two centers
-    doc = {"delta": 0.5, "k_min": 0, "k_max": 1, "nets": {"0": [0, 1], "1": [0, 1]},
-           "parents": {"1": [1, 0]}}
+def test_a_chain_that_changes_center_is_measured_per_center():
+    # crossed parents, which build_system never gives: each level-0 cube
+    # holds the other point, so one member set has a cube at each of two
+    # centers, and each center's distances are measured
     space = line_space([0.0, 10.0])
-    got = import_system(space, json.dumps(doc))
+    got = DyadicSystem(space, 0.5, 0, 1, {0: [0, 1], 1: [0, 1]}, {1: [1, 0]}, "desk")
     want = per_cube.PerCubeSystem(space, 0.5, 0, 1, {0: [0, 1], 1: [0, 1]}, {1: [1, 0]},
                                   "desk")
     assert got.members.tolist() == [1, 0, 0, 1] and got._far.tolist() == [10.0, 10.0, 0.0, 0.0]

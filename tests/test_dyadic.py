@@ -1,12 +1,10 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
-from prodhardy import (build_haar, build_net, build_system, dilate_cube, export_system,
-                       import_system, verify_system)
-from prodhardy.dyadic import _build_net_by_point
+from prodhardy import DyadicSystem, build_haar, build_net, build_system, verify_system
+from prodhardy.dyadic import _build_net_by_point, _system_document, dilate_mask
 
 from conftest import line_space
 
@@ -128,24 +126,20 @@ def test_quasi_metric_certificates():
 def test_dilate_contains_cube(canon):
     system = build_system(canon, 0.25)
     for cube in system.all_cubes():
-        b = dilate_cube(system, cube, 1.0)
-        assert set(cube.members.tolist()) <= set(b.members.tolist())
+        assert dilate_mask(system, cube, 1.0)[cube.members].all()
 
 
 def test_dilate_top_cube_catches_all(canon):
     system = build_system(canon, 0.25)
     top = system.cubes[system.k_min][0]
-    assert dilate_cube(system, top, 2.0).measure == canon.total_measure
+    assert dilate_mask(system, top, 2.0).all()
 
 
 def test_dilate_singleton_stays_singleton(canon):
     system = build_system(canon, 0.25)
     # level k_max: side 1/4, effective C1 = 2, radius 1/2 < min distance 1
     leaf = system.cubes[system.k_max][0]
-    b = dilate_cube(system, leaf, 1.0)
-    assert b.measure == leaf.measure
-    with pytest.raises(ValueError):
-        dilate_cube(system, leaf, 0.5)
+    assert np.flatnonzero(dilate_mask(system, leaf, 1.0)).tolist() == leaf.members.tolist()
 
 
 def test_cube_lookups_reject_a_cube_the_system_lacks(line8):
@@ -166,7 +160,7 @@ def test_cube_lookups_reject_a_cube_the_system_lacks(line8):
 def test_geometry_is_built_on_first_use(canon):
     system = build_system(canon, 0.25)
     verify_system(system)
-    export_system(system)
+    _system_document(system)
     basis = build_haar(system)
     for name in ("incidence", "cubes"):    # building a system never needs them
         assert name not in vars(system)
@@ -215,15 +209,23 @@ def test_doubling_of_dilates(canon):
         ratio = system.outer_cert / system.inner_cert
         for cube in system.all_cubes():
             for lam in (1.0, 2.0, 4.0):
-                b = dilate_cube(system, cube, lam)
-                assert b.measure <= (lam * ratio) ** sp.omega * cube.measure + 1e-12
+                measure = sp.weight[dilate_mask(system, cube, lam)].sum()
+                assert measure <= (lam * ratio) ** sp.omega * cube.measure + 1e-12
+
+
+def from_document(space, doc) -> DyadicSystem:
+    """The tree ``DyadicSystem`` builds from a system document's nets and parents."""
+    return DyadicSystem(space, doc["delta"], doc["k_min"], doc["k_max"],
+                        {int(k): v for k, v in doc["nets"].items()},
+                        {int(k): v for k, v in doc["parents"].items()}, doc["mode"])
 
 
 def test_export_import_round_trip(canon):
+    # the document's nets and parents rebuild the same tree, bit for bit
     system = build_system(canon, 0.25)
-    text = export_system(system)
-    back = import_system(canon, text)
-    assert export_system(back) == text      # bit-exact, parent arrays included
+    doc = _system_document(system)
+    back = from_document(canon, doc)
+    assert _system_document(back) == doc     # parent arrays and constants included
     for k in system.levels():
         for a, c in enumerate(system.cubes[k]):
             assert back.cubes[k][a].parent == c.parent
@@ -299,26 +301,18 @@ def test_cube_records_are_read_only():
         assert not arr.flags.writeable
 
 
-def doctored_export(space, edit) -> str:
-    """The export of ``build_system(space, 0.25)`` after ``edit`` changes its document."""
-    doc = json.loads(export_system(build_system(space, 0.25)))
-    edit(doc)
-    return json.dumps(doc)
-
-
 def test_verify_system_rejects_an_empty_cube(line8):
     # every level-0 cube under cube (-1, 0) leaves (-1, 1) with no point
-    def all_under_cube_0(doc):
-        doc["parents"]["0"] = [0] * len(doc["parents"]["0"])
-
-    system = import_system(line8, doctored_export(line8, all_under_cube_0))
+    doc = _system_document(build_system(line8, 0.25))
+    doc["parents"]["0"] = [0] * len(doc["parents"]["0"])
+    system = from_document(line8, doc)
     assert system.cubes[-1][1].members.size == 0
     with pytest.raises(AssertionError, match="level -1: cube 1 does not hold its center"):
         verify_system(system)
 
 
 def test_verify_system_rejects_a_parent_two_levels_up(line8):
-    # import_system refuses such a document, so the parent array is
+    # no level's parents can reach two levels up, so the parent array is
     # replaced after construction, as the net tests replace a net
     system = build_system(line8, 0.25)
     parent = system.parent.copy()
@@ -326,42 +320,6 @@ def test_verify_system_rejects_a_parent_two_levels_up(line8):
     system.parent = parent
     with pytest.raises(AssertionError, match="level 0: cube 0 has no parent one level up"):
         verify_system(system)
-
-
-def _set(table, level, entry, value):
-    def edit(doc):
-        doc[table][level][entry] = value
-    return edit
-
-
-def _header(key, value):
-    def edit(doc):
-        doc[key] = value(doc[key]) if callable(value) else value
-    return edit
-
-
-@pytest.mark.parametrize("edit, message", [
-    (_header("k_min", lambda k: 2), r"k_min = 2 lies above k_max = 1"),
-    (_header("delta", "0.25"), r"delta = '0.25' is not a number in \(0, 1\)"),
-    (_header("delta", 1.5), r"delta = 1.5 is not a number in \(0, 1\)"),
-    (_header("k_max", float), r"k_max = 1.0 is not an integer"),
-    (_header("mode", "fast"), r"mode = 'fast' is neither 'desk' nor 'reference'"),
-    (_set("parents", "0", 0, -1), r"parents\[0\]\[0\] = -1 is not an index below 2"),
-    (_set("parents", "-1", 0, 99), r"parents\[-1\]\[0\] = 99 is not an index below 1"),
-    (_set("parents", "1", 3, 1.0), r"parents\[1\]\[3\] = 1.0 is not an index"),
-    (_set("parents", "1", 3, True), r"parents\[1\]\[3\] = True is not an index"),
-    (lambda doc: doc["parents"]["0"].pop(), r"parents\[0\] must have 8 entries, got 7"),
-    (lambda doc: doc["parents"].pop("1"), r"parents\[1\] must have 8 entries, got 0"),
-    (_set("nets", "-1", 1, 8), r"nets\[-1\]\[1\] = 8 is not an index below 8"),
-    (lambda doc: doc["nets"]["1"].pop(), r"nets\[1\] must have 8 entries, got 7"),
-    (_set("nets", "1", 1, 0), r"nets\[1\] holds point 0 more than once"),
-], ids=["k-min-above-k-max", "delta-string", "delta-past-one", "k-max-float", "mode-unknown",
-        "parent-minus-one", "parent-past-the-level", "parent-float", "parent-bool",
-        "parents-short", "parents-missing", "net-point-past-n", "finest-net-short",
-        "finest-net-repeat"])
-def test_import_system_rejects_a_malformed_document(line8, edit, message):
-    with pytest.raises(ValueError, match=message):
-        import_system(line8, doctored_export(line8, edit))
 
 
 def test_verify_system_rejects_nets_that_are_not_nested():

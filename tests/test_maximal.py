@@ -133,7 +133,9 @@ def test_enlarge_contains_and_nests(pspace8):
 
 
 def test_enlarge_single_point_via_oracle(micro22):
-    om = OpenSet.from_pairs(micro22, [(0, 1)])
+    mask = np.zeros(micro22.shape, dtype=bool)
+    mask[0, 1] = True
+    om = OpenSet.from_mask(micro22, mask)
     eps = epsilon0(micro22)
     ms = strong_maximal_exhaustive(micro22, om.mask.astype(float))
     expect = ms > eps

@@ -1,10 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from prodhardy import SpaceValidationError, ball, doubling_profile, load_space, make_space
+from prodhardy import SpaceValidationError, load_space, make_space
 
 from conftest import line_space
 
@@ -77,33 +78,14 @@ def test_quasi_triangle_at_scale_200():
 
 
 def test_ball_members_and_measures(canon):
-    b = ball(canon, 0, 1.5)
-    assert list(b.members) == [0, 1] and b.measure == 2.0
-    b = ball(canon, 0, 0.5)
-    assert list(b.members) == [0] and b.measure == 1.0
+    # B(x, r) = {y : d(x, y) < r}, strict
+    for center, radius, members in ((0, 1.5, [0, 1]), (0, 1.0, [0]), (0, 0.5, [0]),
+                                    (2, 9.0, [0, 1, 2, 3])):
+        mask = canon.ball_mask(center, radius)
+        assert np.flatnonzero(mask).tolist() == members
+        assert canon.weight[mask].sum() == len(members)
     # distance oracle: d(2,10)=8 < 9 and d(2,0)=2 < 9, so everything is inside
     assert canon.dist[2, 3] == 8.0 < 9 and canon.dist[2, 0] == 2.0 < 9
-    b = ball(canon, 2, 9.0)
-    assert list(b.members) == [0, 1, 2, 3] and b.measure == 4.0
-
-
-def test_ball_requires_positive_radius(canon):
-    with pytest.raises(ValueError):
-        ball(canon, 0, 0.0)
-
-
-def test_doubling_profile_single_point():
-    sp = make_space([[0.0]])
-    for row in doubling_profile(sp):
-        assert row["max_ratio"] == 1.0 and row["certified"]
-
-
-def test_doubling_profile_certified(canon):
-    rows = doubling_profile(canon, lambdas=(1.0, 2.0, 3.0, 4.0))
-    assert rows[0]["lambda"] == 1.0 and rows[0]["max_ratio"] == 1.0
-    for row in rows:
-        assert row["certified"]
-        assert row["max_ratio"] <= canon.cmu * row["lambda"] ** canon.omega + 1e-12
 
 
 def test_every_realized_ball_doubles(canon):
@@ -183,6 +165,29 @@ def test_load_space_names_a_bad_entry(doc, msg):
         load_space(doc)
 
 
+@pytest.mark.parametrize("ids, bad, got", [
+    ([1, 0], 0, "1"),
+    ([0, 0], 1, "0"),
+    ([0.0, 1], 0, "0.0"),
+    ([0, 1.0], 1, "1.0"),
+    ([0, True], 1, "True"),
+    ([False, 1], 0, "False"),
+    ([0, "1"], 1, "'1'"),
+], ids=["out-of-order", "repeated", "float-zero", "float-one", "true", "false", "string"])
+def test_load_space_point_ids_are_the_ints_in_order(ids, bad, got):
+    # an id equal by value to its position is not enough: 0.0 == 0 and True == 1
+    doc = json.dumps({"points": [{"id": pid, "coords": [float(i)]} for i, pid in enumerate(ids)]})
+    with pytest.raises(SpaceValidationError,
+                       match=rf"^points\[{bad}\]\.id: ids must be the ints 0..n-1 in order, "
+                             rf"got {re.escape(got)}$"):
+        load_space(doc)
+
+
+def test_load_space_point_ids_may_be_left_out():
+    doc = {"points": [{"id": 0, "coords": [0.0]}, {"coords": [1.0]}, {"id": 2, "coords": [3.0]}]}
+    assert load_space(doc).n == 3
+
+
 @pytest.mark.parametrize("dist,weight,msg", [
     ([[0.0, math.inf], [math.inf, 0.0]], None, r"matrix\[0\]\[1\] = inf is not finite"),
     ([[0.0, 1.0], [1.0, 0.0]], [1.0, math.inf], r"weights\[1\] = inf is not finite"),
@@ -212,4 +217,4 @@ def test_snowflake_rejects_bad_exponent():
 def test_weighted_space():
     sp = line_space([0.0, 1.0], weights=[1.0, 3.0])
     assert sp.total_measure == 4.0
-    assert ball(sp, 0, 2.0).measure == 4.0
+    assert sp.weight[sp.ball_mask(0, 2.0)].sum() == 4.0

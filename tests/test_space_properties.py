@@ -1,7 +1,6 @@
 """Property tests: the space constants against their exhaustive oracles.
 
-a0, cmu and every ``doubling_profile`` row must equal the exhaustive scans
-bit for bit (``==``, no tolerance).  The a0 scan changes only which entries
+a0 and cmu must equal the exhaustive scans bit for bit (``==``, no tolerance).  The a0 scan changes only which entries
 are computed; the growth scan rounds its prefix sums differently and must
 rescan every center that could hold the maximum in the masked arithmetic.
 Wide weight ranges make those last-bit differences common.
@@ -20,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prodhardy import doubling_profile, make_space
+from prodhardy import make_space
 from prodhardy import dyadic as dyadic_mod
 from prodhardy import space as space_mod
 from prodhardy.cli import main
@@ -28,24 +27,6 @@ from prodhardy.space import (_ball_radius_candidates, _doubling_constant_exhaust
                              _quasi_triangle_constant_exhaustive)
 
 from strategies import CHECK
-
-LAMBDAS = (1.0, 1.5, 2.0, 3.0, 4.0, 8.0)
-
-
-def profile_oracle(space, lam):
-    """The per-lambda loop ``doubling_profile`` ran before prefix measures:
-    two masks over all candidate radii per center."""
-    worst = 1.0
-    for x in range(space.n):
-        drow = space.dist[x]
-        radii = _ball_radius_candidates(drow, extra_scale=max(lam, 2.0))
-        small = (drow[None, :] < radii[:, None]) @ space.weight
-        big = (drow[None, :] < lam * radii[:, None]) @ space.weight
-        ok = small > 0
-        if ok.any():
-            worst = max(worst, float((big[ok] / small[ok]).max()))
-    return worst
-
 
 def circle(n):
     """Chords between n equally spaced points on the unit circle: d(i, j)
@@ -135,26 +116,16 @@ def test_cmu_equals_exhaustive(space):
     assert space.cmu == _doubling_constant_exhaustive(space.dist, space.weight)
 
 
-@CHECK
-@given(spaces())
-def test_doubling_profile_equals_oracle(space):
-    rows = doubling_profile(space, LAMBDAS)
-    assert [r["lambda"] for r in rows] == list(LAMBDAS)
-    for row in rows:
-        assert row["max_ratio"] == profile_oracle(space, row["lambda"])
-    assert rows[LAMBDAS.index(2.0)]["max_ratio"] == space.cmu
-
-
-def candidate_scan(space, lam):
+def candidate_scan(space):
     """Per-center prefix-sum growth over every candidate radius of
     ``_ball_radius_candidates``, one center at a time, ties by point id."""
     out = []
     for drow in space.dist:
         order = np.argsort(drow, kind="stable")
         prefix = np.concatenate([[0.0], np.cumsum(space.weight[order])])
-        radii = _ball_radius_candidates(drow, extra_scale=max(lam, 2.0))
+        radii = _ball_radius_candidates(drow)
         small = prefix[np.searchsorted(drow[order], radii)]
-        big = prefix[np.searchsorted(drow[order], lam * radii)]
+        big = prefix[np.searchsorted(drow[order], 2.0 * radii)]
         out.append((big / small).max())
     return out
 
@@ -165,9 +136,8 @@ def test_prefix_growth_equals_the_candidate_scan(space):
     # positive distances as the only radii, blocks of 64 centers and the
     # unstable sort change no per-center value
     if space.n > 1:
-        fast = space_mod._prefix_growth(space.dist, space.weight, LAMBDAS)
-        for row, lam in zip(fast, LAMBDAS):
-            assert row.tolist() == candidate_scan(space, lam)
+        fast = space_mod._prefix_growth(space.dist, space.weight)
+        assert fast.tolist() == candidate_scan(space)
 
 
 def test_fast_path_never_calls_the_oracles(monkeypatch, tmp_path):
@@ -182,7 +152,6 @@ def test_fast_path_never_calls_the_oracles(monkeypatch, tmp_path):
     dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1)) ** 1.5
     np.fill_diagonal(dist, 0.0)
     sp = make_space(dist, 10.0 ** rng.uniform(-6, 6, 70))
-    doubling_profile(sp)
     assert sp.a0 > 1.0 and sp.cmu > 1.0
     # a build of a cloud document: load_space, make_space and build_system
     doc = {"metric": "euclidean", "snowflake": 1.5,
@@ -195,13 +164,13 @@ def test_fast_path_never_calls_the_oracles(monkeypatch, tmp_path):
 def test_a_circle_with_decimal_weights_rescans_every_center(monkeypatch):
     masked, rescanned = space_mod._growth_by_masks, []
 
-    def counted(drow, weight, lam):
-        rescanned.append(lam)
-        return masked(drow, weight, lam)
+    def counted(drow, weight):
+        rescanned.append(len(drow))
+        return masked(drow, weight)
 
     monkeypatch.setattr(space_mod, "_growth_by_masks", counted)
     sp = make_space(circle(70), np.full(70, 0.1))
-    assert rescanned == [2.0] * 70
+    assert rescanned == [70] * 70
     assert sp.cmu == _doubling_constant_exhaustive(sp.dist, sp.weight)
 
 
@@ -212,5 +181,3 @@ def test_one_and_two_points(dist, weight):
     sp = make_space(dist, np.full(len(dist), weight))
     assert sp.a0 == _quasi_triangle_constant_exhaustive(sp.dist)
     assert sp.cmu == _doubling_constant_exhaustive(sp.dist, sp.weight)
-    for row in doubling_profile(sp, LAMBDAS):
-        assert row["max_ratio"] == profile_oracle(sp, row["lambda"])

@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from prodhardy import (block_certificates, build_haar, build_system,
-                       building_blocks, cutoff, inverse_transform, transform)
-from prodhardy import wavelet
-from prodhardy.wavelet import coefficient_triples
+from prodhardy import block_certificates, build_haar, build_system, building_blocks
+from prodhardy.wavelet import _ramp
 
 from conftest import line_space
 
@@ -64,12 +62,13 @@ def test_gram_identity(line8):
 
 
 def test_transform_of_scaling_and_wavelets(line8):
+    # the weighted pairings <f, psi> are one product with the basis matrix
     basis = build_haar(build_system(line8, 0.25))
-    c = transform(basis, basis.scaling)
+    c = basis.matrix @ (basis.scaling * line8.weight)
     expect = np.zeros(line8.n)
     expect[-1] = 1.0
     np.testing.assert_allclose(c, expect, atol=1e-12)
-    c = transform(basis, basis.wavelets[2].values)
+    c = basis.matrix @ (basis.wavelets[2].values * line8.weight)
     expect = np.zeros(line8.n)
     expect[2] = 1.0
     np.testing.assert_allclose(c, expect, atol=1e-12)
@@ -80,8 +79,8 @@ def test_reconstruction_and_parseval(line8):
     rng = np.random.default_rng(0)
     for _ in range(100):
         f = rng.standard_normal(line8.n)
-        c = transform(basis, f)
-        back = inverse_transform(basis, c)
+        c = basis.matrix @ (f * line8.weight)
+        back = basis.matrix.T @ c
         fn = math.sqrt(float((f ** 2 * line8.weight).sum()))
         err = math.sqrt(float(((back - f) ** 2 * line8.weight).sum()))
         assert err <= 1e-10 * fn
@@ -89,29 +88,13 @@ def test_reconstruction_and_parseval(line8):
         assert abs(float((c ** 2).sum()) - fn ** 2) <= 1e-10 * fn ** 2
 
 
-def test_transform_shape_mismatch(line8):
-    basis = build_haar(build_system(line8, 0.25))
-    with pytest.raises(ValueError):
-        transform(basis, np.zeros(3))
-    with pytest.raises(ValueError):
-        inverse_transform(basis, np.zeros(3))
-
-
 def test_cutoff_plateau_and_vanishing(canon):
-    h = cutoff(canon, 0, 4.0)
-    assert h.values[0] == 1.0                      # d = 0 <= R0/4
-    assert h.values[1] == 1.0                      # d = 1 = R0/4
-    assert h.values[3] == 0.0                      # d = 10 >= a0^2 R0 = 4
+    h = _ramp(canon, 0, 4.0)
+    assert h[0] == 1.0                             # d = 0 <= R0/4
+    assert h[1] == 1.0                             # d = 1 = R0/4
+    assert h[3] == 0.0                             # d = 10 >= a0^2 R0 = 4
     # mid ramp, by the formula: (4 - 2) / (4 - 1)
-    assert h.values[2] == pytest.approx((4.0 - 2.0) / (4.0 - 1.0), abs=1e-15)
-    assert math.isfinite(h.holder_constant)
-
-
-def test_cutoff_parameter_validation(canon):
-    with pytest.raises(ValueError):
-        cutoff(canon, 0, -1.0)
-    with pytest.raises(ValueError):
-        cutoff(canon, 0, 1.0, eta=0.0)
+    assert h[2] == pytest.approx((4.0 - 2.0) / (4.0 - 1.0), abs=1e-15)
 
 
 def blocks_oracle(space, wavelet, gamma, cbar):
@@ -151,23 +134,6 @@ def test_blocks_match_hand_telescoping(two_pt):
         np.testing.assert_allclose(got, want, atol=1e-13)
 
 
-def test_blocks_never_measure_the_holder_constant(monkeypatch, line8):
-    # the blocks read only the ramp values; cutoff's Holder constant is an
-    # n x n scan per call
-    basis = build_haar(build_system(line8, 0.25))
-    gamma = line8.omega + 1.0
-    want = [building_blocks(line8, w, gamma, cbar=1.0).blocks for w in basis.wavelets]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("building_blocks measured a Holder constant")
-
-    monkeypatch.setattr(wavelet, "cutoff", refuse)
-    for w, blocks in zip(basis.wavelets, want):
-        got = building_blocks(line8, w, gamma, cbar=1.0).blocks
-        assert len(got) == len(blocks)
-        assert all(np.array_equal(a, b) for a, b in zip(got, blocks))
-
-
 def test_blocks_telescoping_mean_zero_support(canon):
     basis = build_haar(build_system(canon, 0.25))
     for w in basis.wavelets:
@@ -190,19 +156,9 @@ def test_single_block_case(two_pt):
     # support radius from the center is 1 = scale; cbar/4 * scale >= 1 forces L = 0
     bset = building_blocks(two_pt, w, gamma=two_pt.omega + 1.0, cbar=4.0 / w.scale)
     assert bset.n_blocks == 1
-    assert all(a == 0.0 for a in bset.a_ell)
     np.testing.assert_allclose(bset.blocks[0],
                                bset.cbar ** bset.gamma * w.values / bset.kappa,
                                atol=1e-12)
-
-
-def test_coefficient_triples_round_key(line8):
-    basis = build_haar(build_system(line8, 0.25))
-    c = transform(basis, basis.wavelets[4].values + 2.0 * basis.scaling)
-    triples = coefficient_triples(basis, c, tol=1e-12)
-    assert (basis.wavelets[4].level, 4, pytest.approx(1.0)) in [
-        (k, a, v) for k, a, v in triples]
-    assert triples[-1][0] == "scaling" and triples[-1][2] == pytest.approx(2.0)
 
 
 def test_blocks_reject_small_gamma(canon):
