@@ -6,15 +6,13 @@ verifiable by brute force."""
 
 from .space import FiniteSpace, SpaceValidationError, load_space, make_space
 from .dyadic import Cube, DyadicSystem, build_net, build_system, verify_system
-from .wavelet import (BuildingBlockSet, Wavelet, WaveletBasis, build_haar, building_blocks,
-                      block_certificates)
-from .product import (ProductCoefficients, ProductSpace, block_square_function,
-                      double_center, hp_seminorm, inverse_product_transform,
-                      product_transform, square_function)
+from .wavelet import Wavelet, WaveletBasis, build_haar, building_blocks
+from .product import (ProductCoefficients, ProductSpace, double_center, hp_seminorm,
+                      inverse_product_transform, product_transform, square_function)
 from .maximal import (LevelSetFamily, OpenSet, ell_enlarge, enlarge, epsilon0,
                       level_sets, strong_maximal, strong_maximal_exhaustive)
 from .journe import (MaximalRectangleFamily, cmo_p, cmo_p_exhaustive, journe_check,
-                     maximal_rectangles, stretch)
+                     maximal_rectangles)
 from .atoms import (AtomicDecomposition, ChannelError, ProductAtom, atomic_decompose,
                     equivalence_report, generate_atom, verify_atom)
 

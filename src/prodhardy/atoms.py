@@ -144,10 +144,10 @@ def _block_stacks(pspace: ProductSpace, gammas: tuple[float, float]) -> list:
         if (basis, gamma) not in stacks:
             space = basis.system.space
             sets = [building_blocks(space, w, gamma, cbar=1.0) for w in basis.wavelets]
-            counts = np.array([b.n_blocks for b in sets], dtype=int)
+            counts = np.array([len(phi) for _, phi in sets], dtype=int)
             kphi = np.zeros((len(sets), counts.max(initial=0), space.n))
-            for i, b in enumerate(sets):
-                kphi[i, :b.n_blocks] = b.kappa * np.asarray(b.blocks)
+            for i, (kappa, phi) in enumerate(sets):
+                kphi[i, :len(phi)] = kappa * phi
             stacks[basis, gamma] = counts, kphi
     return [stacks[key] for key in zip(pspace.bases, gammas)]
 

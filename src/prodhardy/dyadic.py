@@ -133,18 +133,15 @@ class DyadicSystem:
         # a nested tree's member set is fixed by its first member and its
         # size, so one member set's cubes form a single-child chain, top first
         self.tops = np.flatnonzero((self.parent < 0) | (self.sizes[self.parent] != self.sizes))
-        # the first cube in flat order of each member set and center (a built
-        # chain shares its center, so these are the tops) and each cube's row
-        # among them
+        # the first cube in flat order of each member set is its chain's top;
+        # each cube's row among the tops
         first_member = self.members[self.member_first[:-1]]
-        _, first, inverse = np.unique(
-            (first_member * (space.n + 1) + self.sizes) * space.n + self.centers,
-            return_index=True, return_inverse=True)
-        distinct = np.sort(first)
-        which = np.searchsorted(distinct, first[inverse])
+        _, first, inverse = np.unique(first_member * (space.n + 1) + self.sizes,
+                                      return_index=True, return_inverse=True)
+        which = np.searchsorted(self.tops, first[inverse])
         ends = self.member_first.tolist()         # each member set's own pairwise sum
         self.measures = np.array([space.weight[self.members[ends[a]:ends[a + 1]]].sum()
-                                  for a in distinct.tolist()])[which]
+                                  for a in self.tops.tolist()])[which]
         for arr in (self.first, self.level_rows, self.centers, self.parent, self.labels,
                     self.members, self.sizes, self.member_first, self.tops, self.measures):
             arr.flags.writeable = False       # shared by every record and view
@@ -152,7 +149,7 @@ class DyadicSystem:
         self.level_sides = np.array([delta ** k for k in self.levels()])
         self.level_sides.flags.writeable = False
         self.c0 = 1.0                         # greedy guarantees delta^k separation
-        self._measure(distinct, which)
+        self._measure(which)
         self.C0_cert = 2.0 * space.a0
         self.inner_cert = (1.0 / (3.0 * space.a0 ** 2)) * self.c0
         self.outer_cert = 2.0 * space.a0 * max(self.C0_measured, 1.0)
@@ -238,14 +235,14 @@ class DyadicSystem:
 
     # -- measured constants --------------------------------------------------
 
-    def _measure(self, distinct: np.ndarray, which: np.ndarray):
+    def _measure(self, which: np.ndarray):
         """C0_measured and the tightest c1, C1 making inner/outer ball
-        containment true, from one ``_center_pass`` over the ``distinct``
-        cubes, one per member set and center; ``which`` gives each cube
-        its row.  The per-cube extremes are kept, in flat order, for
+        containment true, from one ``_center_pass`` over the tops, one per
+        member set (a chain shares its center); ``which`` gives each cube its
+        top's row.  The per-cube extremes are kept, in flat order, for
         ``verify_system``'s certificates."""
         far, near, cover = _center_pass(
-            self.space.dist, self.centers, self.level_rows, self.labels, distinct)
+            self.space.dist, self.centers, self.level_rows, self.labels, self.tops)
         self._far, self._near = far[which], near[which]
         self._sides = self.level_sides[self.level_rows]
         self.C0_measured = float((cover.max(axis=1) / self.level_sides).max())

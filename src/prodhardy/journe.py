@@ -186,18 +186,6 @@ def _measure_in(pspace: ProductSpace, mask: np.ndarray, mask1, mask2) -> float:
     return float(w[mask[np.ix_(mask1, mask2)]].sum())
 
 
-def stretch(pspace: ProductSpace, family: MaximalRectangleFamily,
-            key: tuple[int, int, int, int], direction: int = 1):
-    """Public stretch map (direction 1: Q2^, else Q1^) of the rectangle with
-    key (k1, a1, k2, a2), which must belong to the family."""
-    if key not in family.m_all:
-        raise ValueError(f"rectangle {key} is not in this family")
-    i = family.m_all.index(key)
-    system, hat = ((pspace.systems[1], family.hat2) if direction == 1
-                   else (pspace.systems[0], family.hat1))
-    return system.cube(*system.keys(hat[i:i + 1])[0])
-
-
 def stretch_exhaustive(pspace: ProductSpace, omega: OpenSet,
                        key: tuple[int, int, int, int], direction: int):
     """Specification of the stretch maps: for R = Q1 x Q2 in m(Omega) with

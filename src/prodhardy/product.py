@@ -1,5 +1,5 @@
 """Product-space structure on X1 x X2: transforms, the product square
-function, H^p seminorms and the block square function.
+function and H^p seminorms.
 
 Functions on the product grid are (n1, n2) matrices; the product measure is
 the weight outer product.  Coefficients carry four channels: wavelet x
@@ -28,7 +28,7 @@ import numpy as np
 
 from .dyadic import DyadicSystem, build_system
 from .space import FiniteSpace, _normal
-from .wavelet import BuildingBlockSet, WaveletBasis, build_haar
+from .wavelet import WaveletBasis, build_haar
 
 SUM_BATCH = 1 << 16          # grid entries per stacked pass (a corpus stack, an ordered sum)
 
@@ -289,29 +289,3 @@ def hp_seminorm(pspace: ProductSpace, f: np.ndarray, p: float,
 def cell_scale(pspace: ProductSpace, ell1: int, ell2: int) -> float:
     """2^(l1 w1 + l2 w2), the scale of cell (l1, l2)."""
     return 2.0 ** (ell1 * pspace.x1.omega + ell2 * pspace.x2.omega)
-
-
-def block_square_function(pspace: ProductSpace, g: np.ndarray,
-                          blocks1: list[BuildingBlockSet], blocks2: list[BuildingBlockSet],
-                          ell1: int, ell2: int):
-    """Square function built from building blocks at cell (ell1, ell2).
-
-    Evaluates (sum_R |<phi_{ell1} phi_{ell2}, g>|^2 chi_R / mu(R))^(1/2) over
-    all wavelet rectangles (skipping wavelets whose block series ended before
-    the requested index) and returns the values together with the measured
-    ratio against 2^(ell1 omega1 + ell2 omega2) ||g||_2.
-    """
-    if not blocks1 or not blocks2:
-        raise ValueError("building blocks missing for one factor")
-    g = np.asarray(g, dtype=float)
-    w1, w2 = pspace.x1.weight, pspace.x2.weight
-    phi1 = np.array([b.blocks[ell1] if ell1 < b.n_blocks else 0.0 * w1 for b in blocks1])
-    phi2 = np.array([b.blocks[ell2] if ell2 < b.n_blocks else 0.0 * w2 for b in blocks2])
-    inner = (phi1 * w1) @ g @ (phi2 * w2).T            # <phi_ell1 phi_ell2, g> per pair
-    u1, u2 = (_indicator_over_measure(b) for b in pspace.bases)
-    vals = np.sqrt(u1.T @ inner ** 2 @ u2)
-    norm = pspace.lq_norm(vals, 2.0)
-    gnorm = pspace.lq_norm(g, 2.0)
-    scale = cell_scale(pspace, ell1, ell2)
-    ratio = norm / (scale * gnorm) if gnorm > 0 else 0.0
-    return vals, {"lq_norm": norm, "g_norm": gnorm, "scale": scale, "ratio": ratio}

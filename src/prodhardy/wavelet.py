@@ -6,13 +6,14 @@ functions spanning the mean-zero span of its child indicators; one global
 scaling function (constant mu(X)^{-1/2}) completes the basis.  Haar functions
 are exactly supported in their cube, so the size/support/cancellation/
 orthonormality facts the downstream theory needs hold with equality rather
-than up to exponential tails.
+than up to exponential tails.  A wavelet's building blocks are its kappa and
+one read-only array, a block per row; the decomposition reads nothing else.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,39 +121,8 @@ def _ramp(space: FiniteSpace, x0: int, r0: float) -> np.ndarray:
     return np.clip((top - space.dist[x0]) / (top - r0 / 4.0), 0.0, 1.0)
 
 
-@dataclass
-class BuildingBlockSet:
-    """Decomposition of a normalized wavelet into compactly supported blocks.
-
-    psi / kappa = sum_l (cbar 2^l)^(-gamma) phi_l exactly (finite telescoping),
-    each phi_l mean-zero with supp phi_l inside B(y, 2 a0^2 cbar 2^l delta^k).
-    """
-
-    gamma: float
-    cbar: float
-    eta: float
-    center: int
-    scale: float
-    kappa: float
-    blocks: list[np.ndarray]
-    support_radii: list[float] = field(default_factory=list)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    def weight(self, ell: int) -> float:
-        return (self.cbar * 2.0 ** ell) ** -self.gamma
-
-    def recombine(self) -> np.ndarray:
-        out = np.zeros_like(self.blocks[0])
-        for ell, phi in enumerate(self.blocks):
-            out += self.weight(ell) * phi
-        return out
-
-
 def building_blocks(space: FiniteSpace, wavelet: Wavelet, gamma: float,
-                    cbar: float) -> BuildingBlockSet:
+                    cbar: float) -> tuple[float, np.ndarray]:
     """Split a wavelet into blocks via nested cut-offs (telescoping construction).
 
     With h_l the ramp cut-off at radius cbar 2^l delta^k centered at the
@@ -163,12 +133,19 @@ def building_blocks(space: FiniteSpace, wavelet: Wavelet, gamma: float,
         xi_l = h_l / integral of h_l
         phi_l = (cbar 2^l)^gamma (Lambda_l + s_{l-1} xi_l - s_l xi_{l+1})
 
-    The series stops at the first L with h_L identically 1 on the wavelet's
-    support: there s_L = 0 (it equals the integral of h_L psi~ = 0) and the
-    trailing xi_{L+1} term is dropped, which keeps the telescoping exact.
-    A block that is a small difference of large pieces (weights over many
-    decades on few points) keeps their rounding in its mean: up to ~1e-10
-    of its L1 mass, where a directly rounded block would keep ~1e-16.
+    where psi~ = psi / kappa and kappa = mu(B(y, delta^k))^(1/2).  So
+    psi~ = sum_l (cbar 2^l)^(-gamma) phi_l exactly, and each phi_l is mean-zero
+    and vanishes off B(y, 2 a0^2 cbar 2^l delta^k).  The series stops at the
+    first L with h_L identically 1 on the wavelet's support: there s_L = 0
+    (it equals the integral of h_L psi~ = 0) and the trailing xi_{L+1} term
+    is dropped, which keeps the telescoping exact.  A block that is a small
+    difference of large pieces (weights over many decades on few points)
+    keeps their rounding in its mean: up to ~1e-10 of its L1 mass, where a
+    directly rounded block would keep ~1e-16.
+
+    Returns kappa and the blocks as one read-only (L + 1, n) array, row l
+    holding phi_l.  A cut-off radius a0^2 cbar 2^l delta^k that overflows is a
+    ValueError naming a0, the factor and the wavelet's cube.
     """
     if gamma <= space.omega:
         raise ValueError(f"gamma = {gamma} must exceed the upper dimension {space.omega}")
@@ -177,69 +154,20 @@ def building_blocks(space: FiniteSpace, wavelet: Wavelet, gamma: float,
     kappa = float(np.sqrt(space.weight[space.ball_mask(wavelet.center, wavelet.scale)].sum()))
     psi_t = wavelet.values / kappa
     supp = wavelet.values != 0
-
     hs = []
-    L = 0
-    while True:
-        h = _ramp(space, wavelet.center, cbar * 2.0 ** L * wavelet.scale)
-        hs.append(h)
-        if supp.any() and (h[supp] == 1.0).all():
-            break
-        if not supp.any():
-            break
-        L += 1
-        if L > 300:
-            raise RuntimeError("cut-off never saturates the wavelet support")
-
-    lambdas = [hs[0] * psi_t]
-    for ell in range(1, L + 1):
-        lambdas.append((hs[ell] - hs[ell - 1]) * psi_t)
-    a_ell = [float((lam * space.weight).sum()) for lam in lambdas]
-    s_ell = list(np.cumsum(a_ell))
-    xis = [h / float((h * space.weight).sum()) for h in hs]
-
-    blocks = []
-    for ell in range(L + 1):
-        lt = lambdas[ell].copy()
-        if ell > 0:
-            lt += s_ell[ell - 1] * xis[ell]
-        if ell < L:
-            lt -= s_ell[ell] * xis[ell + 1]
-        blocks.append((cbar * 2.0 ** ell) ** gamma * lt)
-
-    radii = [2.0 * space.a0 ** 2 * cbar * 2.0 ** ell * wavelet.scale for ell in range(L + 1)]
-    # the ramp cut-offs are Lipschitz, so the blocks are certified 1-Holder
-    return BuildingBlockSet(gamma=gamma, cbar=cbar, eta=1.0, center=wavelet.center,
-                            scale=wavelet.scale, kappa=kappa, blocks=blocks,
-                            support_radii=radii)
-
-
-def block_certificates(space: FiniteSpace, bset: BuildingBlockSet) -> dict:
-    """Measured boundedness and Holder constants for a block set.
-
-    Boundedness: |phi_l(x)| <= C (cbar 2^l)^omega / mu(B(y, cbar 2^l delta^k)).
-    Holder, over pairs with d(x,y) <= delta^k:
-    |phi_l(x)-phi_l(y)| <= C (cbar 2^l delta^k)^-eta (cbar 2^l)^omega d(x,y)^eta
-                            / mu(B(y, cbar 2^l delta^k)).
-    The construction only guarantees such constants exist; the certificate
-    pins the realized values.
-    """
-    c_bound = 0.0
-    c_holder = 0.0
-    d_y = space.dist[bset.center]
-    close = space.dist <= bset.scale
-    np.fill_diagonal(close, False)
-    for ell, phi in enumerate(bset.blocks):
-        t = bset.cbar * 2.0 ** ell
-        mu_ball = float(space.weight[d_y < t * bset.scale].sum())
-        c_bound = max(c_bound, float(np.abs(phi).max()) * mu_ball / t ** space.omega)
-        if close.any():
-            i, j = np.nonzero(close)
-            num = np.abs(phi[i] - phi[j]) * mu_ball
-            den = (t * bset.scale) ** -bset.eta * t ** space.omega * space.dist[i, j] ** bset.eta
-            c_holder = max(c_holder, float((num / den).max()))
-        # support check is exact: points outside the stated ball carry 0
-        outside = d_y >= bset.support_radii[ell]
-        if np.abs(phi[outside]).max(initial=0.0) != 0.0:
-            raise AssertionError(f"block {ell} leaks outside its support ball")
-    return {"boundedness": c_bound, "holder": c_holder}
+    while not hs or not (hs[-1][supp] == 1.0).all():
+        r0 = cbar * 2.0 ** len(hs) * wavelet.scale
+        if not math.isfinite(space.a0 ** 2 * r0):
+            raise ValueError(f"a0 = {space.a0!r} is too large: the cut-off radius a0^2 * {r0!r} "
+                             f"of the wavelet on cube {wavelet.cube} of the {space.n}-point "
+                             "factor overflows")
+        hs.append(_ramp(space, wavelet.center, r0))
+    hs = np.array(hs)
+    blocks = np.diff(hs, axis=0, prepend=0.0) * psi_t          # the Lambda_l
+    carry = np.cumsum((blocks * space.weight).sum(axis=1))[:-1, None] * (
+        hs[1:] / (hs[1:] * space.weight).sum(axis=1)[:, None])  # s_l xi_{l+1}, l < L
+    blocks[1:] += carry
+    blocks[:-1] -= carry
+    blocks *= np.array([(cbar * 2.0 ** ell) ** gamma for ell in range(len(hs))])[:, None]
+    blocks.flags.writeable = False
+    return kappa, blocks

@@ -35,7 +35,7 @@ class PerCubeSystem(DyadicSystem):
     """A ``DyadicSystem`` whose measures and measured constants come from
     every cube: each cube's own pairwise sum and each cube's center row."""
 
-    def _measure(self, distinct, which):
+    def _measure(self, which):
         ends = self.member_first.tolist()
         self.measures = np.array([self.space.weight[self.members[lo:hi]].sum()
                                   for lo, hi in zip(ends, ends[1:])])

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from datetime import timedelta
 from pathlib import Path
 
@@ -304,6 +305,21 @@ def test_build_reference_constant_overflow_named(tmp_path, capsys):
     assert run(["build", "--delta", "0.5", "--space", str(path)]) == 2
     err = capsys.readouterr().err
     assert "a0 = 5e+39" in err and "overflows" in err
+
+
+@pytest.mark.parametrize("delta", ["0.5", "0.9"])
+def test_decompose_cut_off_overflow_named(delta, tmp_path, capsys):
+    # a 4-point line under snowflake 300 (a0 = 1.02e90): a0^2 times a
+    # building block's cut-off radius is past the largest float
+    path = tmp_path / "line4-snowflake300.json"
+    path.write_text(json.dumps({"points": [{"coords": [x]} for x in range(4)],
+                                "snowflake": 300}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["decompose", "--space", str(path), "--delta", delta]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a0 = 1.0185") and "e+90 is too large" in err
+    assert "cut-off radius" in err and "4-point factor" in err and "on cube (" in err
 
 
 def test_flags_a_subcommand_does_not_read_are_usage_errors(space_file, capsys):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from prodhardy import DyadicSystem, ProductSpace, build_net, build_system, verify_system
+from prodhardy import ProductSpace, build_net, build_system, verify_system
 from prodhardy import dyadic as dyadic_mod
 
 import per_cube
@@ -76,19 +76,6 @@ def test_the_k_min_edge_adds_a_one_point_level():
     assert system.k_min == -1 and len(build_net(space, 0.5, 0)) == 2
     assert system.nets[-1] == [0] and system.parent[:3].tolist() == [-1, 0, 0]
     assert_same_system(system, per_cube.build_system(space, 0.5))
-
-
-def test_a_chain_that_changes_center_is_measured_per_center():
-    # crossed parents, which build_system never gives: each level-0 cube
-    # holds the other point, so one member set has a cube at each of two
-    # centers, and each center's distances are measured
-    space = line_space([0.0, 10.0])
-    got = DyadicSystem(space, 0.5, 0, 1, {0: [0, 1], 1: [0, 1]}, {1: [1, 0]}, "desk")
-    want = per_cube.PerCubeSystem(space, 0.5, 0, 1, {0: [0, 1], 1: [0, 1]}, {1: [1, 0]},
-                                  "desk")
-    assert got.members.tolist() == [1, 0, 0, 1] and got._far.tolist() == [10.0, 10.0, 0.0, 0.0]
-    for name in ARRAYS:
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def counted(monkeypatch, name) -> list:

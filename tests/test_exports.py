@@ -13,13 +13,11 @@ SRC = Path(__file__).parents[1] / "src" / "prodhardy"
 
 # exported, reached by no code path of the package, and kept for the tests
 KEPT_FOR_TESTS = {
-    "block_certificates": "criterion 3 measures the building blocks' constants with it",
-    "block_square_function": "the converse proof's block square function, pinned by a golden",
     "strong_maximal_exhaustive": "the oracle of strong_maximal (criterion 9)",
     "cmo_p": "the CMO^p duality check (criterion 9, CI's memory guard)",
     "cmo_p_exhaustive": "the oracle of cmo_p (criterion 9)",
-    "journe_check": "the covering-lemma check of criterion 6",
-    "stretch": "the stretch map by key, checked against its oracle",
+    "journe_check": ("the covering-lemma check of criterion 6, and the function the "
+                     "journe.journe_check.* metrics of BENCHMARK.json trace by name"),
     "generate_atom": "the random atoms of the converse bound (criterion 8)",
 }
 

@@ -24,11 +24,13 @@ import time
 import numpy as np
 import pytest
 
-from prodhardy import (ProductSpace, block_square_function, building_blocks, cmo_p,
-                       generate_atom, make_space, product_transform, verify_atom)
+from prodhardy import (ProductSpace, building_blocks, cmo_p, generate_atom, make_space,
+                       product_transform, verify_atom)
 from prodhardy import atoms, cli, product
 from prodhardy.dyadic import Cube
 from prodhardy.cli import main
+
+from blocks import block_square_function
 
 
 def _points_doc(coords, weights, **extra):
@@ -197,7 +199,7 @@ def test_reports_need_no_rectangle_masks(monkeypatch, tmp_path):
     f = ps.random_function(rng)
     assert cmo_p(ps, product_transform(ps, f), 1.0) > 0
     gamma = x.omega + 1.0
-    blocks = [building_blocks(x, w, gamma, 1.0) for w in ps.bases[0].wavelets]
+    blocks = [building_blocks(x, w, gamma, 1.0)[1] for w in ps.bases[0].wavelets]
     vals, _ = block_square_function(ps, f, blocks, blocks, 0, 0)
     assert vals.any()
     atoms = [generate_atom(ps, rng, 1.0, 2.0, 1, 0) for _ in range(4)]

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from prodhardy import (OpenSet, ProductSpace, journe_check, maximal_rectangles,
-                       stretch)
+from prodhardy import OpenSet, ProductSpace, journe_check, maximal_rectangles
+from prodhardy.journe import stretch_exhaustive
 
 from conftest import line_space
 
@@ -87,6 +87,12 @@ def test_every_contained_rectangle_is_covered(pspace8):
                 assert any((m1 <= a).all() and (m2 <= b).all() for a, b in members)
 
 
+def stretches(pspace, family, i):
+    """The keys of Q2^ and Q1^, the stretches of the family's rectangle i."""
+    s1, s2 = pspace.systems
+    return s2.keys(family.hat2[i:i + 1])[0], s1.keys(family.hat1[i:i + 1])[0]
+
+
 def test_stretch_thin_omega_stays_put(pspace8):
     # omega exactly one rectangle whose factor-2 parent more than doubles it:
     # the half test fails at the parent, so the stretch stays at Q2
@@ -97,15 +103,19 @@ def test_stretch_thin_omega_stays_put(pspace8):
     assert parent2.measure > 2.0 * c2.measure
     om = OpenSet.from_mask(pspace8, pspace8.rectangle_mask(c1, c2))
     fam = maximal_rectangles(pspace8, om, "both")
-    assert stretch(pspace8, fam, c1.id + c2.id, 1).id == c2.id
+    assert fam.m_all == [c1.id + c2.id]
+    assert stretches(pspace8, fam, 0)[0] == c2.id == stretch_exhaustive(
+        pspace8, om, c1.id + c2.id, 1).id
 
 
 def test_stretch_full_grid_reaches_top(pspace8):
     om = OpenSet.from_mask(pspace8, np.ones(pspace8.shape, dtype=bool))
     fam = maximal_rectangles(pspace8, om, "both")
     (key,) = fam.m_all
-    assert stretch(pspace8, fam, key, 1).id == (pspace8.systems[1].k_min, 0)
-    assert stretch(pspace8, fam, key, 2).id == (pspace8.systems[0].k_min, 0)
+    s1, s2 = pspace8.systems
+    assert stretches(pspace8, fam, 0) == ((s2.k_min, 0), (s1.k_min, 0))
+    assert stretch_exhaustive(pspace8, om, key, 1).id == (s2.k_min, 0)
+    assert stretch_exhaustive(pspace8, om, key, 2).id == (s1.k_min, 0)
 
 
 def test_stretch_ratio_range(pspace8):
@@ -115,24 +125,24 @@ def test_stretch_ratio_range(pspace8):
         if om.is_empty():
             continue
         fam = maximal_rectangles(pspace8, om, "both")
-        for key in fam.m_all:
+        for i, key in enumerate(fam.m_all):
             k2 = key[2]
-            khat = stretch(pspace8, fam, key, 1).level
+            khat = stretches(pspace8, fam, i)[0][0]
+            assert khat == stretch_exhaustive(pspace8, om, key, 1).level
             assert khat <= k2                      # l(Q2) <= l(Q2^)
             ratio = pspace8.systems[1].delta ** (k2 - khat)
             assert 0 < ratio <= 1
 
 
-def test_public_stretch_membership(pspace8):
+def test_stretch_of_a_single_rectangle_family(pspace8):
     c1 = pspace8.systems[0].cube(-1, 0)
     c2 = pspace8.systems[1].cube(-1, 1)
     om = OpenSet.from_mask(pspace8, pspace8.rectangle_mask(c1, c2))
     fam = maximal_rectangles(pspace8, om, "both")
-    key = fam.m_all[0]
-    assert stretch(pspace8, fam, key, 1).id == list(pspace8.systems[1].all_cubes())[fam.hat2[0]].id
-    alien = (0, 0, 0, 0)
-    with pytest.raises(ValueError, match="not in this family"):
-        stretch(pspace8, fam, alien, 1)
+    (key,) = fam.m_all
+    assert key == c1.id + c2.id
+    assert stretches(pspace8, fam, 0) == (stretch_exhaustive(pspace8, om, key, 1).id,
+                                          stretch_exhaustive(pspace8, om, key, 2).id)
 
 
 def test_journe_single_rectangle_constant_below_one(pspace8):

@@ -7,13 +7,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from prodhardy import journe, product
-from prodhardy import (ProductCoefficients, ProductSpace, block_square_function,
-                       building_blocks, cmo_p, cmo_p_exhaustive, double_center, hp_seminorm,
+from prodhardy import (ProductCoefficients, ProductSpace, building_blocks, cmo_p,
+                       cmo_p_exhaustive, double_center, hp_seminorm,
                        inverse_product_transform, level_sets, product_transform,
                        square_function)
 from prodhardy.cli import _default_space
 
 import per_cube
+from blocks import block_square_function
 from conftest import line_space
 from strategies import CHECK, decade_spaces, inexact_spaces, instances, spaces
 
@@ -267,10 +268,16 @@ def test_cmo_with_a_one_point_factor_is_zero():
     assert cmo_p(ps, co, 1.0) == 0.0
 
 
+def factor_blocks(pspace, factor, gamma, cbar):
+    """kappa and the block array of each wavelet of one factor."""
+    basis = pspace.bases[factor]
+    return [building_blocks(basis.space, w, gamma, cbar) for w in basis.wavelets]
+
+
 def test_block_square_function_zero(pspace8):
     g1, g2 = pspace8.x1.omega + 1, pspace8.x2.omega + 1
-    blocks1 = [building_blocks(pspace8.x1, w, g1, 2.0) for w in pspace8.bases[0].wavelets]
-    blocks2 = [building_blocks(pspace8.x2, w, g2, 2.0) for w in pspace8.bases[1].wavelets]
+    blocks1 = [phi for _, phi in factor_blocks(pspace8, 0, g1, 2.0)]
+    blocks2 = [phi for _, phi in factor_blocks(pspace8, 1, g2, 2.0)]
     vals, rep = block_square_function(pspace8, np.zeros(pspace8.shape),
                                       blocks1, blocks2, 0, 0)
     assert not vals.any() and rep["ratio"] == 0.0
@@ -281,22 +288,18 @@ def test_block_square_function_single_block_reduction(micro22):
     cb = 16.0
     g1 = micro22.x1.omega + 1.0
     g2 = micro22.x2.omega + 1.0
-    blocks1 = [building_blocks(micro22.x1, w, g1, cb) for w in micro22.bases[0].wavelets]
-    blocks2 = [building_blocks(micro22.x2, w, g2, cb) for w in micro22.bases[1].wavelets]
-    assert all(b.n_blocks == 1 for b in blocks1 + blocks2)
+    (kappa1, phi1), = factor_blocks(micro22, 0, g1, cb)
+    (kappa2, phi2), = factor_blocks(micro22, 1, g2, cb)
+    assert len(phi1) == len(phi2) == 1
     rng = np.random.default_rng(9)
     g = rng.standard_normal(micro22.shape)
-    vals, rep = block_square_function(micro22, g, blocks1, blocks2, 0, 0)
+    vals, rep = block_square_function(micro22, g, [phi1], [phi2], 0, 0)
     # phi_0 = cbar^gamma psi/kappa, so the values are the ordinary square
     # function of the kappa-normalized coefficients scaled by cbar^(g1+g2)
     co = product_transform(micro22, g)
-    s2 = np.zeros(micro22.shape)
-    for i in range(1):
-        for j in range(1):
-            c1, c2 = micro22.wavelet_rectangle(i, j)
-            kap = blocks1[i].kappa * blocks2[j].kappa
-            s2 += ((co.ww[i, j] / kap) ** 2 / (c1.measure * c2.measure)
-                   * micro22.rectangle_mask(c1, c2))
+    c1, c2 = micro22.wavelet_rectangle(0, 0)
+    s2 = ((co.ww[0, 0] / (kappa1 * kappa2)) ** 2 / (c1.measure * c2.measure)
+          * micro22.rectangle_mask(c1, c2))
     expect = cb ** g1 * cb ** g2 * np.sqrt(s2)
     np.testing.assert_allclose(vals, expect, rtol=1e-10)
     assert math.isfinite(rep["ratio"])
@@ -304,8 +307,8 @@ def test_block_square_function_single_block_reduction(micro22):
 
 def test_block_square_function_random_ratio(pspace8):
     g1, g2 = pspace8.x1.omega + 1, pspace8.x2.omega + 1
-    blocks1 = [building_blocks(pspace8.x1, w, g1, 2.0) for w in pspace8.bases[0].wavelets]
-    blocks2 = [building_blocks(pspace8.x2, w, g2, 2.0) for w in pspace8.bases[1].wavelets]
+    blocks1 = [phi for _, phi in factor_blocks(pspace8, 0, g1, 2.0)]
+    blocks2 = [phi for _, phi in factor_blocks(pspace8, 1, g2, 2.0)]
     rng = np.random.default_rng(10)
     g = rng.standard_normal(pspace8.shape)
     for (l1, l2) in [(0, 0), (1, 0), (1, 2)]:

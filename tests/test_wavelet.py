@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from prodhardy import block_certificates, build_haar, build_system, building_blocks
+from prodhardy import build_haar, build_system, building_blocks
 from prodhardy.wavelet import _ramp
 
+from blocks import block_certificates, recombine
 from conftest import line_space
 
 
@@ -124,28 +125,33 @@ def blocks_oracle(space, wavelet, gamma, cbar):
     return out
 
 
-def test_blocks_match_hand_telescoping(two_pt):
-    basis = build_haar(build_system(two_pt, 0.5))
-    w = basis.wavelets[0]
-    bset = building_blocks(two_pt, w, gamma=1.0 + two_pt.omega, cbar=2.0)
-    oracle = blocks_oracle(two_pt, w, 1.0 + two_pt.omega, 2.0)
-    assert bset.n_blocks == len(oracle)
-    for got, want in zip(bset.blocks, oracle):
-        np.testing.assert_allclose(got, want, atol=1e-13)
+def test_blocks_match_hand_telescoping(two_pt, canon):
+    # the block array holds the floats of the formulas evaluated block by block
+    decades = line_space([0.0, 1.0, 3.0, 7.0, 15.0, 40.0], [1e-4, 1.0, 1e3, 10.0, 1e-2, 5.0])
+    for space, delta in ((two_pt, 0.5), (canon, 0.25), (decades, 0.5)):
+        for w in build_haar(build_system(space, delta)).wavelets:
+            for gamma, cbar in ((space.omega + 1.0, 2.0), (2.0 * space.omega + 1.0, 1.0)):
+                kappa, blocks = building_blocks(space, w, gamma, cbar)
+                oracle = np.array(blocks_oracle(space, w, gamma, cbar))
+                assert kappa == math.sqrt(float(space.weight[
+                    space.ball_mask(w.center, w.scale)].sum()))
+                assert blocks.shape == oracle.shape and not blocks.flags.writeable
+                assert blocks.tobytes() == oracle.tobytes()
 
 
 def test_blocks_telescoping_mean_zero_support(canon):
     basis = build_haar(build_system(canon, 0.25))
+    gamma = canon.omega + 1.0
     for w in basis.wavelets:
-        bset = building_blocks(canon, w, gamma=canon.omega + 1.0, cbar=2.0)
-        psi_t = w.values / bset.kappa
-        recon = bset.recombine()
+        kappa, blocks = building_blocks(canon, w, gamma, cbar=2.0)
+        psi_t = w.values / kappa
+        recon = recombine(blocks, gamma, 2.0)
         scale = np.abs(psi_t).max()
         assert np.abs(recon - psi_t).max() <= 1e-12 * scale
-        for phi in bset.blocks:
+        for phi in blocks:
             mean = abs(float((phi * canon.weight).sum()))
             assert mean <= 1e-12 * max(np.abs(phi).max(), 1e-300)
-        certs = block_certificates(canon, bset)   # raises if support leaks
+        certs = block_certificates(canon, w, blocks, 2.0)   # raises if support leaks
         assert math.isfinite(certs["boundedness"])
         assert math.isfinite(certs["holder"])
 
@@ -154,11 +160,10 @@ def test_single_block_case(two_pt):
     basis = build_haar(build_system(two_pt, 0.5))
     w = basis.wavelets[0]
     # support radius from the center is 1 = scale; cbar/4 * scale >= 1 forces L = 0
-    bset = building_blocks(two_pt, w, gamma=two_pt.omega + 1.0, cbar=4.0 / w.scale)
-    assert bset.n_blocks == 1
-    np.testing.assert_allclose(bset.blocks[0],
-                               bset.cbar ** bset.gamma * w.values / bset.kappa,
-                               atol=1e-12)
+    cbar, gamma = 4.0 / w.scale, two_pt.omega + 1.0
+    kappa, blocks = building_blocks(two_pt, w, gamma, cbar)
+    assert len(blocks) == 1
+    np.testing.assert_allclose(blocks[0], cbar ** gamma * w.values / kappa, atol=1e-12)
 
 
 def test_blocks_reject_small_gamma(canon):
