@@ -29,7 +29,7 @@ import numpy as np
 
 from .dyadic import DyadicSystem
 from .journe import MaximalRectangleFamily, _level_drops, _majority, maximal_rectangles, tau
-from .maximal import OpenSet, ell_enlarge, enlarge, epsilon0, growth_factor, level_sets
+from .maximal import OpenSet, ell_enlarge, enlarge, epsilon0, level_sets
 from .product import (ProductCoefficients, ProductSpace, _left_sum, _mean_zero, _ordered_sums,
                       _outer_sum, _run_starts, cell_scale, hp_seminorm, product_transform,
                       square_function, stack_slices)
@@ -75,9 +75,6 @@ class AtomicDecomposition:
     gammas: tuple[float, float]
     residual: float
     report: dict = field(default_factory=dict)
-
-    def lam_sum(self) -> float:
-        return self.report["lam_sum"]
 
 
 def _cancels(w1: np.ndarray, w2: np.ndarray, vals: np.ndarray, tol: float):
@@ -154,7 +151,8 @@ def _block_stacks(pspace: ProductSpace, gammas: tuple[float, float]) -> list:
 
 def _budget_measure(view: ProductSpace, omega_t: OpenSet, ell1: int, ell2: int) -> float:
     """(1 + l1 w1 + l2 w2) 2^(l1 w1 + l2 w2) mu(Omega~), the (l1, l2) atom budget's measure."""
-    return growth_factor(view, ell1, ell2) * omega_t.measure
+    return ((1.0 + ell1 * view.x1.omega + ell2 * view.x2.omega) * cell_scale(view, ell1, ell2)
+            * omega_t.measure)
 
 
 def _size_budget(view: ProductSpace, omega_t: OpenSet, ell1: int, ell2: int,
@@ -265,13 +263,13 @@ def _decompose_stack(pspace: ProductSpace, fs: np.ndarray, p: float, q: float,
         none = np.zeros((0, *pspace.shape))
         return [], none, none, [1.0 if v > 0 else 0.0 for v in fq], [dict(empty) for _ in fs]
     sf = square_function(pspace, coeffs)
-    fams = {k: level_sets(pspace, sf[k])[0] for k in np.flatnonzero(busy).tolist()}
+    fams = {k: level_sets(pspace, sf[k]) for k in np.flatnonzero(busy).tolist()}
     fn, ii, jw, rows, cols, j_of = _classified(pspace, coeffs.ww, cmax, busy, fams)
     s1, s2 = pspace.systems
     new = _run_starts(fn, j_of)
     shell = np.cumsum(new) - 1                  # shells: the pairs of one (function, j)
     shells = list(zip(fn[new].tolist(), j_of[new].tolist()))
-    pools = _pools(pspace, [fams[k].sets[jj] for k, jj in shells])
+    pools = _pools(pspace, [fams[k][jj] for k, jj in shells])
     group = _covering(pspace, pools, shell, rows, cols)
 
     # c ** 2 on scalars is C pow; an array's ** 2 is c * c, which can
@@ -311,7 +309,7 @@ def _decompose_stack(pspace: ProductSpace, fs: np.ndarray, p: float, q: float,
         m_all, u = pools[t][2].m_all, first_rect[c]
         weight = 2.0 ** (-l1 * gamma1 - l2 * gamma2)
         lams.append(weight * lam_raw[c])
-        terms.append((fams[k].sets[jj], pools[t], (jj, l1, l2), lams[-1], lam_raw[c], weight,
+        terms.append((fams[k][jj], pools[t], (jj, l1, l2), lams[-1], lam_raw[c], weight,
                       [m_all[g] for g in unit_rect[u:u + rects[c]]], u))
         fn_of.append(k)
 
@@ -381,16 +379,16 @@ def _classified(pspace: ProductSpace, cw: np.ndarray, cmax: np.ndarray, busy: np
     b1, b2 = pspace.bases
     rows, cols = b1.cube_rows[ii], b2.cube_rows[jw]
     pairs = {k: slice(*np.searchsorted(fn, (k, k + 1)).tolist()) for k in fams}
-    sets = [(k, jj) for k, fam in fams.items() for jj in fam.js()]     # function by function
+    sets = [(k, jj) for k, fam in fams.items() for jj in fam]     # function by function
     hits = []                   # each set's half test on its function's pairs
     for s in stack_slices(pspace, len(sets), b1.n_wavelets * b2.n_wavelets):
-        passes = _majority(pspace, np.array([fams[k].sets[jj].mask for k, jj in sets[s]]),
+        passes = _majority(pspace, np.array([fams[k][jj].mask for k, jj in sets[s]]),
                            b1.cube_rows, b2.cube_rows)
         hits += [passes[i, ii[pairs[k]], jw[pairs[k]]] for i, (k, _) in enumerate(sets[s])]
     j_of = np.empty(len(fn), dtype=int)
     at = 0
     for k, fam in fams.items():
-        js = np.array(fam.js())
+        js = np.array(list(fam))
         hit = np.array(hits[at:at + len(js)])         # (set, pair) of function k
         at += len(js)
         if not hit.any(axis=0).all():
@@ -466,7 +464,7 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom) -> dict:
     failures: list[str] = []
     eps0, omega_t, family = atom.pool or _pools(view, [atom.omega])[0]
     (lam1, lam2), (dil1, dil2) = _boxes(view, family, atom.ell1, atom.ell2)
-    support, _ = ell_enlarge(view, omega_t, atom.ell1, atom.ell2, lam1, lam2)
+    support = ell_enlarge(view, omega_t, atom.ell1, atom.ell2, lam1, lam2)
 
     scale = float(np.abs(atom.values).max())
     if scale > 0 and (np.abs(atom.values) > 1e-14 * scale)[~support.mask].any():

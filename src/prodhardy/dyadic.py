@@ -71,7 +71,6 @@ class Cube:
     measure: float
     side: float                  # delta^level
     parent: int | None = None    # alpha of the parent at level-1
-    children: tuple[int, ...] = ()   # alphas at level+1, ascending
 
     @property
     def id(self) -> tuple[int, int]:
@@ -151,9 +150,10 @@ class DyadicSystem:
         self.c0 = 1.0                         # greedy guarantees delta^k separation
         self._measure(which)
         self.C0_cert = 2.0 * space.a0
-        self.inner_cert = (1.0 / (3.0 * space.a0 ** 2)) * self.c0
+        self.inner_cert = (1.0 / _reference_power(3.0, space.a0, 2)) * self.c0
         self.outer_cert = 2.0 * space.a0 * max(self.C0_measured, 1.0)
-        self.conformant = 12.0 * space.a0 ** 3 * max(self.C0_measured, 1.0) * delta <= self.c0
+        self.conformant = (_reference_power(12.0, space.a0, 3) * max(self.C0_measured, 1.0)
+                           * delta <= self.c0)
         # Effective outer constant for dilates: the lambda = 1 dilate must
         # contain its cube even when the certified constant fails (desk mode).
         self.outer_eff = max(self.outer_cert, self.outer_tight * (1.0 + 1e-9))
@@ -165,17 +165,12 @@ class DyadicSystem:
         """``Cube`` records by level, built on first use: the pipeline reads
         the arrays, and only the oracles and the tests ask for records."""
         keys, ups = self.keys(np.arange(self.n_cubes())), self.parent.tolist()
-        kids = [[] for _ in ups]
-        for (_, alpha), up in zip(keys, ups):        # flat order: alphas ascend
-            if up >= 0:
-                kids[up].append(alpha)
         ends, cubes = self.member_first.tolist(), {k: [] for k in self.levels()}
         for a, ((k, alpha), center, measure, up) in enumerate(zip(
                 keys, self.centers.tolist(), self.measures.tolist(), ups)):
             cubes[k].append(Cube(level=k, index=alpha, center=center,
                                  members=self.members[ends[a]:ends[a + 1]], measure=measure,
-                                 side=self.side(k), parent=keys[up][1] if up >= 0 else None,
-                                 children=tuple(kids[a])))
+                                 side=self.side(k), parent=keys[up][1] if up >= 0 else None))
         return cubes
 
     def side(self, k: int) -> float:
@@ -324,40 +319,10 @@ def _certificates_by_cube(system: "DyadicSystem") -> tuple[bool, bool]:
     return inner_ok, outer_ok
 
 
-def _check_seed(space: FiniteSpace, delta: float, k: int, seed: list) -> float:
-    """delta^k, once delta and the seed net's delta^k-separation are checked."""
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    r = delta ** k
-    if len(seed) > 1:
-        d = space.dist.take(seed, axis=0).take(seed, axis=1)
-        np.fill_diagonal(d, np.inf)
-        if d.min() < r:
-            raise ValueError(f"seed net is not {r}-separated")
-    return r
-
-
-def build_net(space: FiniteSpace, delta: float, k: int, seed_net=(), order=None) -> list[int]:
-    """Greedy maximal delta^k-separated superset of seed_net.
-
-    Candidates are scanned in ascending point id (or the supplied order), so
-    the net is deterministic.  The result covers X within delta^k (measured
-    C0 = 1) because any uncovered point would have been added.  The scan is
-    ``_jump_scan``, which ``build_system`` runs too, level after level, on
-    one vector of distances to the net.  ``_build_net_by_point`` is the
-    per-point scan it equals.
-    """
-    net = list(seed_net)
-    r = _check_seed(space, delta, k, net)
-    scan = np.arange(space.n) if order is None else np.asarray(order, dtype=np.intp)
-    rows = space.dist if order is None else space.dist[:, scan]
-    mind = space.dist[net].min(axis=0)[scan] if net else np.full(scan.size, np.inf)
-    return _jump_scan(net, mind, rows, scan, max(r, math.ulp(0.0)))
-
-
 def _jump_scan(net: list, mind: np.ndarray, rows: np.ndarray, scan: np.ndarray,
                r: float) -> list:
-    """Append to ``net`` each candidate of ``scan`` still r from it, in turn.
+    """Append to ``net`` each candidate of ``scan`` still r from it, in turn:
+    a greedy maximal r-separated superset of ``net``, so it covers X within r.
 
     ``mind[i]`` is candidate ``scan[i]``'s distance to the net and ``rows[x]``
     point x's distances to the candidates (the distance matrix, its columns
@@ -381,9 +346,11 @@ def _jump_scan(net: list, mind: np.ndarray, rows: np.ndarray, scan: np.ndarray,
 
 def _build_net_by_point(space: FiniteSpace, delta: float, k: int, seed_net=(),
                         order=None) -> list[int]:
-    """Specification of ``build_net``: every candidate tested in turn."""
+    """Specification of the nets ``build_system`` grows with ``_jump_scan``:
+    the greedy maximal delta^k-separated superset of ``seed_net``, every
+    candidate (ascending point id, or ``order``) tested in turn."""
     net = list(seed_net)
-    r = _check_seed(space, delta, k, net)
+    r = delta ** k
     in_net = set(net)
     mind = np.full(space.n, np.inf) if not net else space.dist[:, net].min(axis=1)
     for x in (range(space.n) if order is None else order):
@@ -403,6 +370,9 @@ def build_system(space: FiniteSpace, delta: float | None = None,
     mode = "desk" if delta is not None else "reference"
     if delta is None:
         delta = min(0.5, 1e-3 * space.a0 ** -10)
+        if delta == 0:
+            raise ValueError(f"a0 = {space.a0!r} is too large: the reference rule's delta "
+                             "1e-3 a0^-10 underflows to 0")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
 
@@ -433,7 +403,6 @@ def build_system(space: FiniteSpace, delta: float | None = None,
     nets: dict[int, list[int]] = {}
     changed, prev, k = [], [], k_min
     while k <= k_max:
-        _check_seed(space, delta, k, prev)
         prev = _jump_scan(list(prev), mind, rows, scan, max(delta ** k, math.ulp(0.0)))
         reach = mind.max()
         nxt = k + 1 + bisect.bisect_left(range(k + 1, k_max + 1), True,
@@ -444,7 +413,8 @@ def build_system(space: FiniteSpace, delta: float | None = None,
     # exactly one top cube: decrement k_min on the (measure-zero) equality edge
     while len(nets[k_min]) > 1:
         k_min -= 1
-        nets[k_min] = build_net(space, delta, k_min, seed_net=[], order=order)
+        nets[k_min] = _jump_scan([], np.full(scan.size, np.inf), rows, scan,
+                                 max(delta ** k_min, math.ulp(0.0)))
         changed.append(k_min)
 
     # argmin takes the first minimum of each row: net-order ties; only the

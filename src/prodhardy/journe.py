@@ -337,13 +337,19 @@ def _cmo_best(mu: np.ndarray, energy: np.ndarray, p: float) -> float:
 
 def _unions(pspace: ProductSpace, rects: np.ndarray, max_size: int):
     """Every union of one to ``max_size`` of the masks ``rects`` (m, n1, n2),
-    in stacks of at most SUM_BATCH grid entries."""
+    size by size in stacks of at most SUM_BATCH grid entries.  A stack's
+    combinations are the rows of a 0/1 selection matrix, and its unions the
+    nonzero entries of one product with the flattened masks (counts of at
+    most m, exact in floats)."""
     m = len(rects)
-    sizes = range(1, min(max_size, m) + 1)
-    combos = itertools.chain.from_iterable(itertools.combinations(range(m), r) for r in sizes)
-    for cut in stack_slices(pspace, sum(math.comb(m, r) for r in sizes)):
-        yield np.array([rects[list(c)].any(axis=0)
-                        for c in itertools.islice(combos, cut.stop - cut.start)])
+    flat = rects.reshape(m, -1).astype(float)
+    for r in range(1, min(max_size, m) + 1):
+        combos = itertools.chain.from_iterable(itertools.combinations(range(m), r))
+        for cut in stack_slices(pspace, math.comb(m, r)):
+            k = cut.stop - cut.start
+            pick = np.zeros((k, m))
+            pick[np.arange(k)[:, None], np.fromiter(combos, np.intp, k * r).reshape(k, r)] = 1.0
+            yield (pick @ flat > 0).reshape(k, *rects.shape[1:])
 
 
 def cmo_p_exhaustive(pspace: ProductSpace, coeffs: ProductCoefficients, p: float) -> float:

@@ -4,9 +4,8 @@ The strong maximal function is computed by brute force over all realized
 balls in each factor (every distinct member set a quasi-metric ball can have
 on the finite space), not via dyadic majorization.  Enlargements are
 superlevel sets of the strong maximal function of an indicator; the
-(ell1, ell2)-enlargement is a union of dilated rectangles with per-call
-dilation multipliers, since the atom machinery needs both the plain 2^ell
-dilates and the 2 a0^2 2^ell variants.
+(ell1, ell2)-enlargement is a union of dilated rectangles with the caller's
+dilation multipliers (the atoms pass 2 a0^2 2^ell).
 
 Dyadic-rectangle geometry runs on each system's cube x point incidence
 matrix and dilate matrix (``DyadicSystem.incidence``, ``dilate_matrix``):
@@ -23,12 +22,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dyadic import dilate_mask
-from .product import ProductSpace, _left_sum, cell_scale
+from .product import ProductSpace, _left_sum
 from .space import _normal
 from .space import realized_ball_masks  # re-exported: the balls M_s ranges over
 
@@ -198,18 +197,13 @@ def rectangles_inside_exhaustive(pspace: ProductSpace, omega_set: OpenSet):
 
 
 def ell_enlarge(pspace: ProductSpace, omega_tilde: OpenSet, ell1: int, ell2: int,
-                lam1: float | None = None, lam2: float | None = None) -> tuple[OpenSet, dict]:
-    """Union of lam1 Q1 x lam2 Q2 over dyadic rectangles inside omega_tilde.
-
-    Default multipliers are 2^ell1, 2^ell2; the atoms pipeline passes
-    2 a0^2 2^ell instead (the constants the rectangle-atom support condition
-    carries).  The report records the multipliers used and the measured
-    constant in mu(result) <= C (1 + l1 w1 + l2 w2) 2^(l1 w1 + l2 w2) mu(input).
-    """
+                lam1: float, lam2: float) -> OpenSet:
+    """Union of lam1 Q1 x lam2 Q2 over dyadic rectangles inside omega_tilde,
+    the (ell1, ell2)-enlargement at the multipliers lam1, lam2 (the atoms
+    pass 2 a0^2 2^ell, the constants the rectangle-atom support condition
+    carries)."""
     if ell1 < 0 or ell2 < 0:
         raise ValueError("enlargement parameters must be nonnegative")
-    lam1 = 2.0 ** ell1 if lam1 is None else lam1
-    lam2 = 2.0 ** ell2 if lam2 is None else lam2
     s1, s2 = pspace.systems
     # (x1, x2) is covered when some contained Q1 x Q2 has x1 in lam1 Q1 and
     # x2 in lam2 Q2: a boolean product D1^T [inside] D2.  A single-child
@@ -219,20 +213,7 @@ def ell_enlarge(pspace: ProductSpace, omega_tilde: OpenSet, ell1: int, ell2: int
     t1, t2 = s1.tops, s2.tops
     mask = (s1.dilate_matrix(lam1, t1).T @ _inside(pspace, omega_tilde.mask, t1, t2)
             @ s2.dilate_matrix(lam2, t2))
-    result = OpenSet.from_mask(pspace, mask)
-    growth = growth_factor(pspace, ell1, ell2)
-    measured_c = (result.measure / (growth * omega_tilde.measure)
-                  if omega_tilde.measure > 0 else 0.0)
-    report = {"lam1": lam1, "lam2": lam2, "growth_factor": growth,
-              "measured_constant": measured_c}
-    return result, report
-
-
-def growth_factor(pspace: ProductSpace, ell1: int, ell2: int) -> float:
-    """(1 + l1 w1 + l2 w2) 2^(l1 w1 + l2 w2): the factor by which the
-    (l1, l2)-enlargement may grow a set's measure, and the atom budget's."""
-    w1, w2 = pspace.x1.omega, pspace.x2.omega
-    return (1.0 + ell1 * w1 + ell2 * w2) * cell_scale(pspace, ell1, ell2)
+    return OpenSet.from_mask(pspace, mask)
 
 
 def ell_enlarge_exhaustive(pspace: ProductSpace, omega_tilde: OpenSet,
@@ -246,42 +227,25 @@ def ell_enlarge_exhaustive(pspace: ProductSpace, omega_tilde: OpenSet,
     return OpenSet.from_mask(pspace, mask)
 
 
-@dataclass
-class LevelSetFamily:
-    j_lo: int
-    sets: dict[int, OpenSet] = field(default_factory=dict)
-
-    def js(self) -> list[int]:
-        return sorted(self.sets)
-
-
-def level_sets(pspace: ProductSpace, sf: np.ndarray) -> tuple[LevelSetFamily, dict]:
-    """Nested level sets Omega_j = {S > 2^j} over the realized dynamic range.
+def level_sets(pspace: ProductSpace, sf: np.ndarray) -> dict[int, OpenSet]:
+    """Nested level sets Omega_j = {S > 2^j} over the realized dynamic range,
+    by j ascending.
 
     j runs from floor(log2 min positive S) - 1 to ceil(log2 max S); empty top
-    sets are dropped.  The report compares the layer-cake sum
-    sum_j 2^j mu(Omega_j) with the exact integral ||S||_1; the ratio is
-    provably within [1/2, 2].
+    sets are dropped, and S = 0 has none.
     """
     sf = np.asarray(sf, dtype=float)
     if (sf < 0).any():
         raise ValueError("square function values must be nonnegative")
     pos = sf[sf > 0]
     if pos.size == 0:
-        fam = LevelSetFamily(j_lo=0)
-        return fam, {"dyadic_sum": 0.0, "exact_integral": 0.0, "ratio": 1.0}
+        return {}
     j_lo = math.floor(math.log2(pos.min())) - 1
     j_hi = math.ceil(math.log2(sf.max()))
-    fam = LevelSetFamily(j_lo=j_lo)
+    sets = {}
     for j in range(j_lo, j_hi + 1):
         s = OpenSet.from_mask(pspace, sf > 2.0 ** j)
         if s.is_empty() and j > j_lo:
             break
-        fam.sets[j] = s
-    dyadic = _left_sum(2.0 ** j * fam.sets[j].measure for j in fam.sets)
-    # exact integral of S (layer-cake without shells)
-    w = pspace.weights.ravel()
-    exact = float((sf.ravel() * w).sum())
-    report = {"dyadic_sum": dyadic, "exact_integral": exact,
-              "ratio": dyadic / exact if exact > 0 else 1.0}
-    return fam, report
+        sets[j] = s
+    return sets

@@ -54,9 +54,6 @@ class ProductSpace:
         basis1 = build_haar(self.systems[0])
         self.bases = (basis1, basis1 if self.systems[1] is self.systems[0]
                       else build_haar(self.systems[1]))
-        # p0 = max omega_i / (omega_i + eta) with Holder exponent eta = 1:
-        # the ramp cut-offs are Lipschitz
-        self.p0 = max(x1.omega / (x1.omega + 1.0), x2.omega / (x2.omega + 1.0))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -274,15 +271,10 @@ def _indicator_over_measure(basis: WaveletBasis) -> np.ndarray:
     return system.incidence[rows] / system.measures[rows, None]
 
 
-def hp_seminorm(pspace: ProductSpace, f: np.ndarray, p: float,
-                warn: list | None = None) -> float | np.ndarray:
-    """||S(f)||_{L^p} for p in (0, 1], of a grid or of each grid of a stack;
-    defined for p > p0; below it a note is appended to ``warn`` when a list
-    is given."""
+def hp_seminorm(pspace: ProductSpace, f: np.ndarray, p: float) -> float | np.ndarray:
+    """||S(f)||_{L^p} for p in (0, 1], of a grid or of each grid of a stack."""
     if not 0 < p <= 1:
         raise ValueError("p must lie in (0, 1]")
-    if p <= pspace.p0 and warn is not None:
-        warn.append(f"p = {p} is at or below p0 = {pspace.p0:.6g}; outside the theory's range")
     return pspace.lq_norm(square_function(pspace, product_transform(pspace, f)), p)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prodhardy import ProductSpace, make_space
+from prodhardy import ProductSpace, level_sets, make_space
 
 
 def line_space(coords, weights=None):
@@ -35,6 +35,14 @@ def pspace8(line8):
 def micro22(two_pt):
     """2 x 2 product of 2-point spaces (the 9-ball-pair micro instance)."""
     return ProductSpace(two_pt, two_pt, delta=0.5)
+
+
+def layer_cake_ratio(pspace, sf) -> float:
+    """The layer-cake sum sum_j 2^j mu(Omega_j) over ``level_sets``' Omega_j
+    divided by ||S||_1, which is provably within [1/2, 2]; 1 for S = 0."""
+    exact = float((np.asarray(sf) * pspace.weights).sum())
+    dyadic = sum(2.0 ** j * s.measure for j, s in level_sets(pspace, sf).items())
+    return dyadic / exact if exact > 0 else 1.0
 
 
 def epsilon0_underflow_docs():

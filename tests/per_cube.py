@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from prodhardy.dyadic import DyadicSystem, build_net
+from prodhardy.dyadic import DyadicSystem, _build_net_by_point
 from prodhardy.journe import CMO_MAX_UNION, CMO_MICRO_LIMIT, _measure_in, maximal_rectangles
 from prodhardy.maximal import OpenSet
 from prodhardy.space import _exact_sums
@@ -63,8 +63,8 @@ def center_pass(system):
 
 def build_system(space, delta, order_seed=None) -> PerCubeSystem:
     """``dyadic.build_system`` one level at a time: every level's net is a
-    fresh ``build_net`` on the net above, and every level's parents an
-    ``argmin`` over the distances between the two nets."""
+    fresh ``_build_net_by_point`` on the net above, and every level's parents
+    an ``argmin`` over the distances between the two nets."""
     order = (None if order_seed is None
              else list(np.random.default_rng(order_seed).permutation(space.n)))
     if space.n == 1 or space.diameter == 0:
@@ -79,10 +79,10 @@ def build_system(space, delta, order_seed=None) -> PerCubeSystem:
         k_max = max(k_max, k_min + 1)
     nets, prev = {}, []
     for k in range(k_min, k_max + 1):
-        nets[k] = prev = build_net(space, delta, k, seed_net=prev, order=order)
+        nets[k] = prev = _build_net_by_point(space, delta, k, seed_net=prev, order=order)
     while len(nets[k_min]) > 1:
         k_min -= 1
-        nets[k_min] = build_net(space, delta, k_min, order=order)
+        nets[k_min] = _build_net_by_point(space, delta, k_min, order=order)
     parents = {k: np.argmin(space.dist[np.ix_(nets[k], nets[k - 1])], axis=1)
                for k in range(k_min + 1, k_max + 1)}
     return PerCubeSystem(space, delta, k_min, k_max, nets, parents, "desk")

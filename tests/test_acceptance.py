@@ -10,12 +10,12 @@ import pytest
 from prodhardy import (OpenSet, ProductSpace, atomic_decompose, build_haar,
                        build_system, building_blocks, cmo_p, cmo_p_exhaustive, generate_atom,
                        hp_seminorm, inverse_product_transform, journe_check,
-                       level_sets, make_space, product_transform,
+                       make_space, product_transform,
                        square_function, strong_maximal,
                        strong_maximal_exhaustive, verify_atom, verify_system)
 
 from blocks import block_certificates, recombine
-from conftest import line_space
+from conftest import layer_cake_ratio, line_space
 
 
 def report(num, name, ok, detail):
@@ -77,10 +77,10 @@ def test_criterion_2_basis():
     counts = {}
     for w in basis.wavelets:
         counts[w.cube] = counts.get(w.cube, 0) + 1
-    counts_ok = True
-    for k in range(system.k_min, system.k_max):
-        for c in system.cubes[k]:
-            counts_ok &= counts.get(c.id, 0) == max(len(c.children) - 1, 0)
+    # N(Q) - 1 wavelets on each cube Q, N(Q) its children in system.parent
+    kids = np.bincount(system.parent[system.parent >= 0], minlength=system.n_cubes())
+    counts_ok = all(counts.get(c.id, 0) == max(kids[system.flat(*c.id)] - 1, 0)
+                    for c in system.all_cubes())
     counts_ok &= basis.n_wavelets == sp.n - 1
     recon_err = 0.0
     for _ in range(100):
@@ -134,8 +134,7 @@ def test_criterion_4_square_function(pspace8):
         sf = square_function(pspace8, product_transform(pspace8, f))
         fn = pspace8.lq_norm(f, 2.0)
         worst = max(worst, abs(pspace8.lq_norm(sf, 2.0) - fn) / fn)
-        _, rep = level_sets(pspace8, sf)
-        ratios.append(rep["ratio"])
+        ratios.append(layer_cake_ratio(pspace8, sf))
     elapsed = time.time() - t0
     bracket_ok = all(0.5 <= r <= 2.0 for r in ratios)
     report(4, "square function",

@@ -33,7 +33,7 @@ def reconstruct(dec, shape) -> np.ndarray:
 def test_zero_function_empty_decomposition(pspace8):
     dec = atomic_decompose(pspace8, np.zeros(pspace8.shape), 1.0, 2.0)
     assert not dec.terms and dec.residual == 0.0
-    assert dec.lam_sum() == 0.0
+    assert dec.report["lam_sum"] == 0.0
 
 
 def assert_exact_verified(pspace, f, dec, q):
@@ -124,7 +124,7 @@ def test_single_wavelet_hand_trace(pspace8):
     # reconstruction is exact and the lambda-sum compares to ||Sf||_p^p = mu^(1-p/2)
     assert dec.residual <= 1e-12
     assert dec.report["sf_p_norm"] == pytest.approx(mu ** 0.5, rel=1e-12)
-    assert 0 < dec.lam_sum() < math.inf
+    assert 0 < dec.report["lam_sum"] < math.inf
     for t in dec.terms:
         assert verify_atom(pspace8, t.atom)["passed"]
 
@@ -299,9 +299,8 @@ def test_classification_membership_facts(pspace8):
     f = pspace8.random_function(rng)
     co = product_transform(pspace8, f)
     sf = square_function(pspace8, co)
-    fam, _ = level_sets(pspace8, sf)
+    sets = level_sets(pspace8, sf)
     eps0 = epsilon0(pspace8)
-    js = fam.js()
     seen = set()
     for i in range(co.n_wav[0]):
         for j in range(co.n_wav[1]):
@@ -314,14 +313,14 @@ def test_classification_membership_facts(pspace8):
             rm = pspace8.rectangle_mask(c1, c2)
             mu = c1.measure * c2.measure
             w = pspace8.weights
-            hits = [jj for jj in js if w[rm & fam.sets[jj].mask].sum() > mu / 2.0]
+            hits = [jj for jj in sets if w[rm & sets[jj].mask].sum() > mu / 2.0]
             assert hits, "every nonzero rectangle must classify"
             jstar = max(hits)
-            nxt = fam.sets[jstar + 1].mask if jstar + 1 in fam.sets else np.zeros_like(rm)
+            nxt = sets[jstar + 1].mask if jstar + 1 in sets else np.zeros_like(rm)
             inside_next = w[rm & nxt].sum()
             assert inside_next <= mu / 2.0            # unique B_j
             assert mu - inside_next >= mu / 2.0       # mu(R minus Omega_{j+1}) >= mu(R)/2
-            om_t = enlarge(pspace8, fam.sets[jstar], eps0)
+            om_t = enlarge(pspace8, sets[jstar], eps0)
             assert not (rm & ~om_t.mask).any()        # R inside the enlargement
 
 
@@ -340,7 +339,7 @@ def test_scaling_homogeneity_power_of_two(pspace8):
     hp = hp_seminorm(pspace8, f, 1.0)
     for t in (4.0, 1024.0):
         dec = atomic_decompose(pspace8, t * f, 1.0, 2.0)
-        assert dec.lam_sum() == pytest.approx(t * base.lam_sum(), rel=1e-10)
+        assert dec.report["lam_sum"] == pytest.approx(t * base.report["lam_sum"], rel=1e-10)
         assert hp_seminorm(pspace8, t * f, 1.0) == pytest.approx(t * hp, rel=1e-12)
 
 

@@ -322,6 +322,23 @@ def test_decompose_cut_off_overflow_named(delta, tmp_path, capsys):
     assert "cut-off radius" in err and "4-point factor" in err and "on cube (" in err
 
 
+@pytest.mark.parametrize("command", ["build", "decompose", "certify"])
+@pytest.mark.parametrize("delta", [None, "0.5"])
+@pytest.mark.parametrize("snowflake", [400, 600])
+def test_a_large_a0_is_named(snowflake, delta, command, tmp_path, capsys):
+    # a 4-point line under snowflake 400 (a0 = 1.29e120) or 600 (a0 = 2.07e180):
+    # the reference rule's delta 1e-3 a0^-10 underflows to 0, and 12 a0^3
+    # (and at 600 also 3 a0^2) is past the largest float
+    path = tmp_path / f"line4-snowflake{snowflake}.json"
+    path.write_text(json.dumps({"points": [{"coords": [x]} for x in range(4)],
+                                "snowflake": snowflake}))
+    argv = [command, "--space", str(path), "--out", str(tmp_path / "out.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + (["--delta", delta] if delta else [])) == 2
+    assert capsys.readouterr().err.startswith("error: a0 = ")
+
+
 def test_flags_a_subcommand_does_not_read_are_usage_errors(space_file, capsys):
     # build reads no --p, --q or gammas and certify no gammas: argparse
     # rejects them rather than letting them pass unread

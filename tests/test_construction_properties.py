@@ -2,9 +2,9 @@
 construction of ``per_cube``, and counts of how often it does the work.
 
 ``build_system`` grows one vector of distances to the net and runs the
-greedy scan and the seed check only at levels whose net changes; a kept net
-is its own parent net.  It sums the weights of each distinct member set once
-and reads one center row per chain top.  Every array, constant and report
+greedy scan only at levels whose net changes; a kept net is its own parent
+net.  It sums the weights of each distinct member set once and reads one
+center row per chain top.  Every array, constant and report
 must equal the per-level, per-cube construction bit for bit, at deltas up
 to 0.99 (hundreds of levels over a few distinct nets), on tied distances,
 weights over six decades and permuted scan orders.
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from prodhardy import ProductSpace, build_net, build_system, verify_system
+from prodhardy import ProductSpace, build_system, verify_system
 from prodhardy import dyadic as dyadic_mod
 
 import per_cube
@@ -73,7 +73,7 @@ def test_a_kept_net_is_the_net_above_with_identity_parents():
 def test_the_k_min_edge_adds_a_one_point_level():
     space = EDGE.x1
     system = build_system(space, 0.5)
-    assert system.k_min == -1 and len(build_net(space, 0.5, 0)) == 2
+    assert system.k_min == -1 and len(dyadic_mod._build_net_by_point(space, 0.5, 0)) == 2
     assert system.nets[-1] == [0] and system.parent[:3].tolist() == [-1, 0, 0]
     assert_same_system(system, per_cube.build_system(space, 0.5))
 
@@ -96,16 +96,17 @@ def counted(monkeypatch, name) -> list:
 ], ids=["deep-3", "deep-5", "line8-0.999"])
 def test_seed_checks_and_center_rows_run_once_per_net_and_member_set(
         monkeypatch, coords, delta, levels, nets, tops):
-    checks = counted(monkeypatch, "_check_seed")
+    scans = counted(monkeypatch, "_jump_scan")
     passes = counted(monkeypatch, "_center_pass")
     system = build_system(line_space(coords), delta)
     assert len(system.levels()) == levels
     assert len({tuple(net) for net in system.nets.values()}) == nets
-    # one seed check per level whose net changes, the first level's included
-    assert [args[2] for args in checks] == [k for k in system.levels()
+    # one seed check per level whose net changes, the first level's included:
+    # a scan, at radius delta^k, of the candidates against the net above
+    assert [args[-1] for args in scans] == [delta ** k for k in system.levels()
                                             if k == system.k_min
                                             or system.nets[k] != system.nets[k - 1]]
-    assert len(checks) == nets
+    assert len(scans) == nets
     # one center pass over one row per member set: the tops
     assert len(passes) == 1 and len(system.tops) == tops
     np.testing.assert_array_equal(passes[0][-1], system.tops)

@@ -58,13 +58,14 @@ def decompose_by_cells(ps, f, p, q):
         return [], residual, {"n_terms": 0, "lam_sum": 0.0, "sf_p_norm": 0.0}
     live = np.argwhere(np.abs(cw) > COEFF_TOL * cmax)
     sf = square_function(ps, coeffs)
-    fam, _ = level_sets(ps, sf)
+    omegas = level_sets(ps, sf)
+    j_lo = min(omegas)
     (b1, b2), (s1, s2) = ps.bases, ps.systems
     rows, cols = b1.cube_rows[live[:, 0]], b2.cube_rows[live[:, 1]]
-    j_of = np.full(len(live), fam.j_lo - 1)
-    for jj in fam.js():
-        j_of[_majority(ps, fam.sets[jj].mask, slice(None), slice(None))[rows, cols]] = jj
-    assert (j_of >= fam.j_lo).all()
+    j_of = np.full(len(live), j_lo - 1)
+    for jj, omega in omegas.items():
+        j_of[_majority(ps, omega.mask, slice(None), slice(None))[rows, cols]] = jj
+    assert (j_of >= j_lo).all()
     (nb1, kphi1), (nb2, kphi2) = _block_stacks(ps, (g1, g2))
     r = q if q >= 2 else 2.0
     terms, recon = [], np.zeros(ps.shape)
@@ -72,7 +73,7 @@ def decompose_by_cells(ps, f, p, q):
         sel = j_of == jj
         ii, jw, ra, rb = live[sel, 0], live[sel, 1], rows[sel], cols[sel]
         cs = cw[ii, jw]
-        eps0, omega_t, family = _pools(ps, [fam.sets[jj]])[0]
+        eps0, omega_t, family = _pools(ps, [omegas[jj]])[0]
         assert _inside(ps, omega_t.mask, slice(None), slice(None))[ra, rb].all()
         group = tau(ps, family, ra, rb)
         sq = np.array([c ** 2 for c in cs.tolist()])

@@ -1,27 +1,29 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from prodhardy import DyadicSystem, build_haar, build_net, build_system, verify_system
-from prodhardy.dyadic import _build_net_by_point, _system_document, dilate_mask
+from prodhardy import DyadicSystem, build_haar, build_system, verify_system
+from prodhardy.dyadic import _build_net_by_point, _jump_scan, _system_document, dilate_mask
 
 from conftest import line_space
 
 
 def test_net_single_point():
     sp = line_space([0.0])
-    assert build_net(sp, 0.5, 0, []) == [0]
+    assert build_system(sp, 0.5).nets == {0: [0]}
 
 
 def test_net_greedy_hand_simulation(canon):
     # radius 3 = (1/3)^-1: greedy takes 0, skips 1 and 2 (within 3), takes 10
-    assert build_net(canon, 1.0 / 3.0, -1, []) == [0, 3]
+    assert build_system(canon, 1.0 / 3.0).nets[-1] == [0, 3]
 
 
 def test_net_finest_scale_takes_everything(canon):
-    # radius 0.5: all pairwise distances >= 1
-    assert build_net(canon, 0.5, 1, []) == [0, 1, 2, 3]
+    # radius 0.5: all pairwise distances >= 1, so the finest net holds every
+    # point, in the order the coarser nets took them
+    assert build_system(canon, 0.5).nets[1] == [0, 3, 2, 1]
 
 
 @pytest.mark.parametrize("k,seed,order", [
@@ -31,13 +33,12 @@ def test_net_finest_scale_takes_everything(canon):
     (-1, [3], [2, 1, 0]),
 ])
 def test_net_edge_cases_equal_the_per_point_scan(canon, k, seed, order):
-    assert (build_net(canon, 0.5, k, seed, order)
-            == _build_net_by_point(canon, 0.5, k, seed, order))
-
-
-def test_net_rejects_unseparated_seed(canon):
-    with pytest.raises(ValueError, match="separated"):
-        build_net(canon, 1.0 / 3.0, -1, seed_net=[0, 1])
+    # the scan as build_system runs it: candidates in scan order, each with
+    # its distance to the seed net
+    scan = np.arange(canon.n) if order is None else np.asarray(order, dtype=np.intp)
+    mind = canon.dist[seed].min(axis=0)[scan] if seed else np.full(scan.size, np.inf)
+    net = _jump_scan(list(seed), mind, canon.dist[:, scan], scan, max(0.5 ** k, math.ulp(0.0)))
+    assert net == _build_net_by_point(canon, 0.5, k, seed, order)
 
 
 def test_single_point_system():
@@ -276,8 +277,10 @@ def corruptible_system():
     d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
     np.fill_diagonal(d, 0.0)
     system = build_system(make_space(d), 0.25)
+    kids = np.bincount(system.parent[system.parent >= 0], minlength=system.n_cubes())
     k = next(k for k in range(system.k_min, system.k_max)
-             if sum(len(c.children) >= 2 for c in system.cubes[k]) >= 2)
+             if (kids[system.first[k - system.k_min]:system.first[k - system.k_min + 1]]
+                 >= 2).sum() >= 2)
     return system, k
 
 
@@ -288,12 +291,11 @@ def test_verify_system_accepts_the_uncorrupted_system():
 
 def test_cube_records_are_read_only():
     system, k = corruptible_system()
-    cube = next(c for c in system.cubes[k] if len(c.children) >= 2)
+    cube = next(c for c in system.cubes[k] if len(c.members) >= 2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cube.members = cube.members[1:]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cube.children = cube.children[:1]
-    assert isinstance(cube.children, tuple)
+        cube.parent = None
     assert not cube.members.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         cube.members[0] = cube.members[-1]

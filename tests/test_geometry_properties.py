@@ -36,9 +36,8 @@ def test_ell_enlarge_matches_oracle(inst, ells, atom_lams):
     if atom_lams:                # the 2 a0^2 2^ell multipliers of the atoms pipeline
         lam1 *= 2.0 * ps.x1.a0 ** 2
         lam2 *= 2.0 * ps.x2.a0 ** 2
-    out, rep = ell_enlarge(ps, om, ell1, ell2, lam1, lam2)
+    out = ell_enlarge(ps, om, ell1, ell2, lam1, lam2)
     np.testing.assert_array_equal(out.mask, ell_enlarge_exhaustive(ps, om, lam1, lam2).mask)
-    assert (rep["lam1"], rep["lam2"]) == (lam1, lam2)
 
 
 @CHECK

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 from prodhardy import journe, product
 from prodhardy import (ProductCoefficients, ProductSpace, building_blocks, cmo_p,
                        cmo_p_exhaustive, double_center, hp_seminorm,
-                       inverse_product_transform, level_sets, product_transform,
+                       inverse_product_transform, product_transform,
                        square_function)
 from prodhardy.cli import _default_space
 
 import per_cube
 from blocks import block_square_function
-from conftest import line_space
+from conftest import layer_cake_ratio, line_space
 from strategies import CHECK, decade_spaces, inexact_spaces, instances, spaces
 
 
@@ -126,16 +127,12 @@ def test_hp_seminorm_layer_cake_bracket(pspace8):
     for _ in range(10):
         f = pspace8.random_function(rng)
         sf = square_function(pspace8, product_transform(pspace8, f))
-        _, rep = level_sets(pspace8, sf)
-        assert 0.5 <= rep["ratio"] <= 2.0
+        assert 0.5 <= layer_cake_ratio(pspace8, sf) <= 2.0
 
 
-def test_hp_p_range_and_warning(pspace8):
+def test_hp_p_range(pspace8):
     with pytest.raises(ValueError):
         hp_seminorm(pspace8, np.zeros(pspace8.shape), 1.5)
-    warns = []
-    hp_seminorm(pspace8, np.zeros(pspace8.shape), min(0.5, pspace8.p0), warn=warns)
-    assert warns and "p0" in warns[0]
 
 
 def test_lp_below_hp_measured_constant(pspace8):
@@ -234,6 +231,19 @@ def test_cmo_unions_in_several_stacks_keep_the_value(monkeypatch):
     monkeypatch.setattr(product, "SUM_BATCH", 2 * 12)      # two masks of the 3 x 4 grid
     assert cmo_p(ps, co, 1.0) == want
     assert max(stacks) == 2 and stacks.count(2) > 1
+
+
+@pytest.mark.parametrize("batch", [product.SUM_BATCH, 3 * 12])    # 3 x 4 masks a stack
+@pytest.mark.parametrize("m", range(1, 7))
+def test_unions_are_the_unions_of_every_combination(m, batch, monkeypatch):
+    ps = ProductSpace(line_space([0.0, 1.0, 2.0]), line_space([0.0, 1.0, 2.0, 3.0]), delta=0.5)
+    rects = np.random.default_rng(m).random((m, *ps.shape)) < 0.3
+    monkeypatch.setattr(product, "SUM_BATCH", batch)
+    for max_size in range(1, m + 2):
+        got = [u.tobytes() for stack in journe._unions(ps, rects, max_size) for u in stack]
+        want = [rects[list(c)].any(axis=0).tobytes() for r in range(1, min(max_size, m) + 1)
+                for c in itertools.combinations(range(m), r)]
+        assert sorted(got) == sorted(want)
 
 
 def test_cmo_takes_an_l_shaped_union_of_maximal_rectangles(pspace8, monkeypatch):

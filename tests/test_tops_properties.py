@@ -75,8 +75,8 @@ def test_tops_families_and_tau_are_the_per_cube_ones(inst, seed):
 def test_ell_enlarge_on_tops_is_the_per_cube_union(inst, ells):
     ps, om = inst
     s1, s2 = ps.systems
-    got, _ = ell_enlarge(ps, om, *ells)
     lam1, lam2 = 2.0 ** ells[0], 2.0 ** ells[1]
+    got = ell_enlarge(ps, om, *ells, lam1, lam2)
     union = s1.dilate_matrix(lam1).T @ per_cube.containment(ps, om.mask) @ s2.dilate_matrix(lam2)
     np.testing.assert_array_equal(got.mask, union)
     if s1.n_cubes() * s2.n_cubes() <= 3000:

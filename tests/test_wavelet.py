@@ -37,11 +37,10 @@ def test_counts_match_children_cube_by_cube(canon):
     per_cube = {}
     for w in basis.wavelets:
         per_cube[w.cube] = per_cube.get(w.cube, 0) + 1
-    for k in range(system.k_min, system.k_max):
-        for c in system.cubes[k]:
-            n_children = len(c.children)
-            expected = max(n_children - 1, 0)
-            assert per_cube.get(c.id, 0) == expected
+    # each cube's children, read off the parent array
+    kids = np.bincount(system.parent[system.parent >= 0], minlength=system.n_cubes())
+    for c in system.all_cubes():
+        assert per_cube.get(c.id, 0) == max(kids[system.flat(*c.id)] - 1, 0)
 
 
 def test_wavelets_mean_zero_unit_norm_supported(canon):
