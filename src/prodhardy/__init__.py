@@ -9,10 +9,8 @@ from .dyadic import Cube, DyadicSystem, build_system, verify_system
 from .wavelet import Wavelet, WaveletBasis, build_haar, building_blocks
 from .product import (ProductCoefficients, ProductSpace, double_center, hp_seminorm,
                       inverse_product_transform, product_transform, square_function)
-from .maximal import (OpenSet, ell_enlarge, enlarge, epsilon0, level_sets, strong_maximal,
-                      strong_maximal_exhaustive)
-from .journe import (MaximalRectangleFamily, cmo_p, cmo_p_exhaustive, journe_check,
-                     maximal_rectangles)
+from .maximal import OpenSet, ell_enlarge, enlarge, epsilon0, level_sets, strong_maximal
+from .journe import MaximalRectangleFamily, cmo_p, journe_check, maximal_rectangles
 from .atoms import (AtomicDecomposition, ChannelError, ProductAtom, atomic_decompose,
                     equivalence_report, generate_atom, verify_atom)
 

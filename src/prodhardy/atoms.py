@@ -30,9 +30,9 @@ import numpy as np
 from .dyadic import DyadicSystem
 from .journe import MaximalRectangleFamily, _level_drops, _majority, maximal_rectangles, tau
 from .maximal import OpenSet, ell_enlarge, enlarge, epsilon0, level_sets
-from .product import (ProductCoefficients, ProductSpace, _left_sum, _mean_zero, _ordered_sums,
-                      _outer_sum, _run_starts, cell_scale, hp_seminorm, product_transform,
-                      square_function, stack_slices)
+from .product import (ProductCoefficients, ProductSpace, _cancels, _left_sum, _mean_zero,
+                      _ordered_sums, _outer_sum, _run_starts, cell_scale, hp_seminorm,
+                      product_transform, square_function, stack_slices)
 from .space import _normal
 from .wavelet import building_blocks
 
@@ -75,15 +75,6 @@ class AtomicDecomposition:
     gammas: tuple[float, float]
     residual: float
     report: dict = field(default_factory=dict)
-
-
-def _cancels(w1: np.ndarray, w2: np.ndarray, vals: np.ndarray, tol: float):
-    """Each column's |int a dmu1| and each row's |int a dmu2| is at most
-    ``tol`` times that column's or row's own int |a|: a bool for one grid,
-    an array for each grid of a stack."""
-    mag = np.abs(vals)
-    return ~((np.abs(w1 @ vals) > tol * (w1 @ mag)).any(axis=-1)
-             | (np.abs(vals @ w2) > tol * (mag @ w2)).any(axis=-1))
 
 
 def _recancelled(pspace: ProductSpace, vals: np.ndarray) -> np.ndarray:

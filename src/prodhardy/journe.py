@@ -186,39 +186,6 @@ def _measure_in(pspace: ProductSpace, mask: np.ndarray, mask1, mask2) -> float:
     return float(w[mask[np.ix_(mask1, mask2)]].sum())
 
 
-def stretch_exhaustive(pspace: ProductSpace, omega: OpenSet,
-                       key: tuple[int, int, int, int], direction: int):
-    """Specification of the stretch maps: for R = Q1 x Q2 in m(Omega) with
-    key (k1, a1, k2, a2), the coarsest ancestor Q^ of the other factor
-    keeping mu((stretched R) cap Omega) > mu(stretched R)/2.
-
-    The rectangle itself satisfies the condition (it lies inside Omega), so
-    the chain scan from the root down returns the first ancestor that does.
-    """
-    s1, s2 = pspace.systems
-    k1, a1, k2, a2 = key
-    c1, c2 = s1.cube(k1, a1), s2.cube(k2, a2)
-    if direction == 1:
-        fixed_mask = s1.member_mask(*c1.id)
-        fixed_measure = c1.measure
-        moving, system, axis = c2, s2, 1
-    else:
-        fixed_mask = s2.member_mask(*c2.id)
-        fixed_measure = c2.measure
-        moving, system, axis = c1, s1, 0
-
-    chain = [moving]
-    while chain[-1].level > system.k_min and chain[-1].parent is not None:
-        chain.append(system.cube(chain[-1].level - 1, chain[-1].parent))
-    for cand in reversed(chain):         # coarsest first
-        cand_mask = system.member_mask(*cand.id)
-        inter_measure = (_measure_in(pspace, omega.mask, fixed_mask, cand_mask) if axis == 1
-                         else _measure_in(pspace, omega.mask, cand_mask, fixed_mask))
-        if inter_measure > fixed_measure * cand.measure / 2.0:
-            return cand
-    raise AssertionError("rectangle inside Omega must satisfy its own half test")
-
-
 def tau(pspace: ProductSpace, family: MaximalRectangleFamily, rows, cols) -> np.ndarray:
     """For each rectangle cubes1[rows[k]] x cubes2[cols[k]] (flat cube
     indices), the position in ``family`` of its first rectangle (key order)
@@ -350,27 +317,3 @@ def _unions(pspace: ProductSpace, rects: np.ndarray, max_size: int):
             pick = np.zeros((k, m))
             pick[np.arange(k)[:, None], np.fromiter(combos, np.intp, k * r).reshape(k, r)] = 1.0
             yield (pick @ flat > 0).reshape(k, *rects.shape[1:])
-
-
-def cmo_p_exhaustive(pspace: ProductSpace, coeffs: ProductCoefficients, p: float) -> float:
-    """All-subsets oracle; micro instances only (n1*n2 <= 16 cells)."""
-    n1, n2 = pspace.shape
-    cells = n1 * n2
-    if cells > 16:
-        raise ValueError("exhaustive CMO oracle limited to micro instances")
-    best = 0.0
-    c2 = coeffs.ww ** 2
-    rects = []
-    for i in range(coeffs.n_wav[0]):
-        for j in range(coeffs.n_wav[1]):
-            if c2[i, j] > 0:
-                r1, r2 = pspace.wavelet_rectangle(i, j)
-                rects.append((pspace.rectangle_mask(r1, r2), float(c2[i, j])))
-    for bits in range(1, 2 ** cells):
-        mask = np.asarray([(bits >> c) & 1 for c in range(cells)],
-                          dtype=bool).reshape(n1, n2)
-        mu = pspace.set_measure(mask)
-        energy = sum(e for rm, e in rects if (rm & ~mask).sum() == 0)
-        if energy > 0:
-            best = max(best, math.sqrt(mu ** (1.0 - 2.0 / p) * energy))
-    return best

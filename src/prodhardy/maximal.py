@@ -13,20 +13,19 @@ containment of the requested cube pairs is one matrix product, and the
 enlargement another.  Every cube of a single-child chain holds one member
 set, so the enlargement, like the maximal families, asks only of the chain
 tops (``DyadicSystem.tops``) and builds only their dilates.  The per-pair
-loops they replace are kept beside them as oracles
+loops they replace, and a loop over centers and radii for the maximal
+function, are the oracles of ``prodhardy.oracles``
 (``rectangles_inside_exhaustive``, ``ell_enlarge_exhaustive``,
-``strong_maximal_exhaustive``) and are not called by the fast paths.
+``strong_maximal_exhaustive``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import dilate_mask
 from .product import ProductSpace, _left_sum
 from .space import _normal
 from .space import realized_ball_masks  # re-exported: the balls M_s ranges over
@@ -63,34 +62,6 @@ def strong_maximal(pspace: ProductSpace, g: np.ndarray) -> np.ndarray:
     # then over the balls containing x2; max picks values, so nothing rounds
     rows = np.stack([avg[b1[:, p]].max(axis=0) for p in range(x1.n)])
     return np.stack([rows[:, b2[:, p]].max(axis=1) for p in range(x2.n)], axis=1)
-
-
-def strong_maximal_exhaustive(pspace: ProductSpace, g: np.ndarray) -> np.ndarray:
-    """Independent oracle: plain loops over centers and radii, no caching."""
-    g = np.abs(np.asarray(g, dtype=float))
-    x1, x2 = pspace.x1, pspace.x2
-    out = np.zeros(pspace.shape)
-    balls1 = [(c, r) for c in range(x1.n) for r in np.unique(x1.dist[c]) ]
-    balls2 = [(c, r) for c in range(x2.n) for r in np.unique(x2.dist[c]) ]
-    for p1 in range(x1.n):
-        for p2 in range(x2.n):
-            best = 0.0
-            for (c1, r1) in balls1:
-                m1 = x1.dist[c1] <= r1
-                if not m1[p1]:
-                    continue
-                w1 = x1.weight[m1]
-                g1 = g[m1]
-                for (c2, r2) in balls2:
-                    m2 = x2.dist[c2] <= r2
-                    if not m2[p2]:
-                        continue
-                    w2 = x2.weight[m2]
-                    num = float(w1 @ g1[:, m2] @ w2)
-                    den = float(w1.sum() * w2.sum())
-                    best = max(best, num / den)
-            out[p1, p2] = best
-    return out
 
 
 def epsilon0(pspace: ProductSpace) -> float:
@@ -173,27 +144,15 @@ def _inside(pspace: ProductSpace, masks: np.ndarray, rows1, rows2) -> np.ndarray
 MAX_PAIRS = 1 << 22     # cube pairs rectangles_inside may test: a 32 MB float table
 
 
-def rectangles_inside(pspace: ProductSpace, omega_set: OpenSet):
-    """All dyadic rectangles (cube pairs) contained in the set, level then
-    index; a ValueError when the systems have more than MAX_PAIRS cube pairs."""
+def rectangles_inside(pspace: ProductSpace, omega_set: OpenSet) -> np.ndarray:
+    """All dyadic rectangles contained in the set, as rows (a1, a2) of flat
+    cube indices, level then index; a ValueError when the systems have more
+    than MAX_PAIRS cube pairs."""
     s1, s2 = pspace.systems
     if s1.n_cubes() * s2.n_cubes() > MAX_PAIRS:
         raise ValueError(f"{s1.n_cubes()} x {s2.n_cubes()} = {s1.n_cubes() * s2.n_cubes()} "
                          f"cube pairs exceed rectangles_inside's bound of {MAX_PAIRS}")
-    cubes1, cubes2 = (list(s.all_cubes()) for s in pspace.systems)
-    return [(cubes1[a], cubes2[b]) for a, b in
-            np.argwhere(_inside(pspace, omega_set.mask, slice(None), slice(None)))]
-
-
-def rectangles_inside_exhaustive(pspace: ProductSpace, omega_set: OpenSet):
-    """Oracle for rectangles_inside: one membership test per cube pair."""
-    out = []
-    for c1, c2 in itertools.product(*(s.all_cubes() for s in pspace.systems)):
-        sub = omega_set.mask[np.ix_(pspace.systems[0].member_mask(*c1.id),
-                                    pspace.systems[1].member_mask(*c2.id))]
-        if sub.all():
-            out.append((c1, c2))
-    return out
+    return np.argwhere(_inside(pspace, omega_set.mask, slice(None), slice(None)))
 
 
 def ell_enlarge(pspace: ProductSpace, omega_tilde: OpenSet, ell1: int, ell2: int,
@@ -213,17 +172,6 @@ def ell_enlarge(pspace: ProductSpace, omega_tilde: OpenSet, ell1: int, ell2: int
     t1, t2 = s1.tops, s2.tops
     mask = (s1.dilate_matrix(lam1, t1).T @ _inside(pspace, omega_tilde.mask, t1, t2)
             @ s2.dilate_matrix(lam2, t2))
-    return OpenSet.from_mask(pspace, mask)
-
-
-def ell_enlarge_exhaustive(pspace: ProductSpace, omega_tilde: OpenSet,
-                           lam1: float, lam2: float) -> OpenSet:
-    """Oracle for ell_enlarge's set: one dilated rectangle at a time over
-    rectangles_inside_exhaustive."""
-    mask = np.zeros(pspace.shape, dtype=bool)
-    for c1, c2 in rectangles_inside_exhaustive(pspace, omega_tilde):
-        mask |= np.outer(dilate_mask(pspace.systems[0], c1, lam1),
-                         dilate_mask(pspace.systems[1], c2, lam2))
     return OpenSet.from_mask(pspace, mask)
 
 

@@ -79,16 +79,6 @@ class ProductSpace:
             return float(sums ** (1.0 / q))
         return np.array([s ** (1.0 / q) for s in sums.ravel()]).reshape(sums.shape)
 
-    def rectangle_mask(self, cube1, cube2) -> np.ndarray:
-        return np.outer(self.systems[0].member_mask(*cube1.id),
-                        self.systems[1].member_mask(*cube2.id))
-
-    def wavelet_rectangle(self, i: int, j: int):
-        """Supporting dyadic rectangle of the (i, j) product wavelet pair."""
-        c1 = self.systems[0].cube(*self.bases[0].wavelets[i].cube)
-        c2 = self.systems[1].cube(*self.bases[1].wavelets[j].cube)
-        return c1, c2
-
     def random_function(self, rng) -> np.ndarray:
         return double_center(self, rng.standard_normal(self.shape))
 
@@ -184,12 +174,34 @@ def double_center(pspace: ProductSpace, f: np.ndarray) -> np.ndarray:
 
 
 def _mean_zero(f: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """f minus its w1-mean down each column, then minus its w2-mean along each row."""
+    """f minus its w1-mean down each column, then minus its w2-mean along each
+    row, pass after pass for each grid until no column's or row's integral
+    keeps more than 1e-12 of that line's integral of |f| (``_cancels``).
+
+    Weights over many decades leave the rounding of a heavy point's mean in
+    the light points' lines, which one more pass takes out; a grid that
+    cancels after a pass keeps its floats.
+    """
     if w1.size == 1 or w2.size == 1:
         # the mean of one value is that value: exact zeros, not rounding residue
         return np.zeros(f.shape)
-    f = f - (w1 @ f)[..., None, :] / w1.sum()
-    return f - (f @ w2)[..., :, None] / w2.sum()
+    done = np.zeros(f.shape[:-2], dtype=bool)
+    for _ in range(50):     # at most as many passes as _recancelled makes
+        g = f - (w1 @ f)[..., None, :] / w1.sum()
+        f = np.where(done[..., None, None], f, g - (g @ w2)[..., :, None] / w2.sum())
+        done = _cancels(w1, w2, f, 1e-12)
+        if done.all():
+            break
+    return f
+
+
+def _cancels(w1: np.ndarray, w2: np.ndarray, vals: np.ndarray, tol: float):
+    """Each column's |int a dmu1| and each row's |int a dmu2| is at most
+    ``tol`` times that column's or row's own int |a|: a bool for one grid,
+    an array for each grid of a stack."""
+    mag = np.abs(vals)
+    return ~((np.abs(w1 @ vals) > tol * (w1 @ mag)).any(axis=-1)
+             | (np.abs(vals @ w2) > tol * (mag @ w2)).any(axis=-1))
 
 
 @dataclass

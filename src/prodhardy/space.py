@@ -22,8 +22,8 @@ starts no thread.  cmu comes from per-center prefix measures, 64 centers
 per row block: each ball is a prefix of the points sorted by distance to
 its center, and the positive distances are the only radii needed.  The few
 centers within rounding of the maximum are rescanned in the exhaustive
-scan's own arithmetic.  Both equal the exhaustive scans
-kept beside them (``*_exhaustive``) bit for bit.  Point distances equal
+scan's own arithmetic.  Both equal the exhaustive scans of
+``prodhardy.oracles`` (``*_exhaustive``) bit for bit.  Point distances equal
 the broadcast (n, n, D) forms bit for bit: below 8 coordinate axes they are
 built one (n, n) term per axis, added in order as NumPy adds so few terms,
 and from 8 axes the broadcast form is summed itself, in row blocks.
@@ -212,19 +212,6 @@ def _scan_tile_rows(dist: np.ndarray, todo, lock, bx: int, by: int) -> float:
         worst = max(worst, float(np.divide(rows[:, x0:], best, out=best).max()))
 
 
-def _quasi_triangle_constant_exhaustive(dist: np.ndarray) -> float:
-    """Specification of ``_quasi_triangle_constant``: the full scan over z."""
-    n = dist.shape[0]
-    if n == 1:
-        return 1.0
-    best = np.full((n, n), np.inf)
-    for z in range(n):
-        best = np.minimum(best, dist[:, z][:, None] + dist[z, :][None, :])
-    off = ~np.eye(n, dtype=bool)
-    ratio = dist[off] / best[off]
-    return max(1.0, float(ratio.max()))
-
-
 def _ball_radius_candidates(drow: np.ndarray) -> np.ndarray:
     """Radii at which B(x,r) or B(x,2r) changes membership.
 
@@ -332,20 +319,6 @@ def _max_growth(dist: np.ndarray, weight: np.ndarray) -> float:
         return max(1.0, float(row.max()))
     near = np.flatnonzero(row >= row.max() * (1.0 - 8.0 * n * np.finfo(float).eps))
     return max([1.0] + [_growth_by_masks(dist[x], weight) for x in near])
-
-
-def _doubling_constant_exhaustive(dist: np.ndarray, weight: np.ndarray) -> float:
-    """Specification of cmu (``_max_growth``): two 2n x n masks per center."""
-    n = dist.shape[0]
-    worst = 1.0
-    for x in range(n):
-        drow = dist[x]
-        radii = _ball_radius_candidates(drow)
-        small = (drow[None, :] < radii[:, None]) @ weight
-        big = (drow[None, :] < 2.0 * radii[:, None]) @ weight
-        ok = small > 0
-        worst = max(worst, float((big[ok] / small[ok]).max()))
-    return worst
 
 
 def make_space(dist, weight=None) -> FiniteSpace:

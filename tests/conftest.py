@@ -9,6 +9,45 @@ def line_space(coords, weights=None):
     return make_space(np.abs(pts[:, None] - pts[None, :]), weights)
 
 
+def level_cubes(system, k):
+    """The ``Cube`` records of level k, by index."""
+    l = k - system.k_min
+    return list(system.all_cubes())[system.first[l]:system.first[l + 1]]
+
+
+def cube(system, k, alpha):
+    """The ``Cube`` record of cube (k, alpha)."""
+    return level_cubes(system, k)[alpha]
+
+
+def key(c):
+    """The (k, alpha) key of a ``Cube`` record."""
+    return (c.level, c.index)
+
+
+def flat(system, c):
+    """The flat index of the cube whose ``Cube`` record is ``c``."""
+    return int(system.first[c.level - system.k_min]) + c.index
+
+
+def member_mask(system, c):
+    """The points of the cube whose ``Cube`` record is ``c``, as a mask."""
+    mask = np.zeros(system.space.n, dtype=bool)
+    mask[c.members] = True
+    return mask
+
+
+def rectangle_mask(pspace, c1, c2):
+    """The grid points of the rectangle c1 x c2 of ``Cube`` records."""
+    return np.outer(member_mask(pspace.systems[0], c1), member_mask(pspace.systems[1], c2))
+
+
+def wavelet_rectangle(pspace, i, j):
+    """The ``Cube`` records supporting the (i, j) product wavelet pair."""
+    return tuple(list(s.all_cubes())[b.cube_rows[w]]
+                 for s, b, w in zip(pspace.systems, pspace.bases, (i, j)))
+
+
 @pytest.fixture(scope="session")
 def canon():
     """The 4-point line {0, 1, 2, 10} with unit weights."""

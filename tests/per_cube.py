@@ -25,9 +25,10 @@ import math
 
 import numpy as np
 
-from prodhardy.dyadic import DyadicSystem, _build_net_by_point
+from prodhardy.dyadic import DyadicSystem
 from prodhardy.journe import CMO_MAX_UNION, CMO_MICRO_LIMIT, _measure_in, maximal_rectangles
 from prodhardy.maximal import OpenSet
+from prodhardy.oracles import _build_net_by_point
 from prodhardy.space import _exact_sums
 
 

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from prodhardy import (OpenSet, ProductSpace, atomic_decompose, build_haar,
-                       build_system, building_blocks, cmo_p, cmo_p_exhaustive, generate_atom,
-                       hp_seminorm, inverse_product_transform, journe_check,
+                       build_system, building_blocks, cmo_p, generate_atom,
+                       hp_seminorm, journe_check,
                        make_space, product_transform,
-                       square_function, strong_maximal,
-                       strong_maximal_exhaustive, verify_atom, verify_system)
+                       square_function, strong_maximal, verify_atom, verify_system)
+from prodhardy.oracles import cmo_p_exhaustive, strong_maximal_exhaustive
 
 from blocks import block_certificates, recombine
-from conftest import layer_cake_ratio, line_space
+from conftest import cube, flat, key, layer_cake_ratio, line_space, rectangle_mask
 
 
 def report(num, name, ok, detail):
@@ -79,7 +79,7 @@ def test_criterion_2_basis():
         counts[w.cube] = counts.get(w.cube, 0) + 1
     # N(Q) - 1 wavelets on each cube Q, N(Q) its children in system.parent
     kids = np.bincount(system.parent[system.parent >= 0], minlength=system.n_cubes())
-    counts_ok = all(counts.get(c.id, 0) == max(kids[system.flat(*c.id)] - 1, 0)
+    counts_ok = all(counts.get(key(c), 0) == max(kids[flat(system, c)] - 1, 0)
                     for c in system.all_cubes())
     counts_ok &= basis.n_wavelets == sp.n - 1
     recon_err = 0.0
@@ -178,9 +178,9 @@ def test_criterion_6_journe(pspace8):
         om = OpenSet.from_mask(pspace8, mask)
         for d, rep in zip(list(worst), journe_check(pspace8, om, worst)):
             worst[d] = max(worst[d], rep["C1"], rep["C2"])
-    c1 = pspace8.systems[0].cube(-1, 0)
-    c2 = pspace8.systems[1].cube(-1, 1)
-    single = OpenSet.from_mask(pspace8, pspace8.rectangle_mask(c1, c2))
+    c1 = cube(pspace8.systems[0], -1, 0)
+    c2 = cube(pspace8.systems[1], -1, 1)
+    single = OpenSet.from_mask(pspace8, rectangle_mask(pspace8, c1, c2))
     single_ok = True
     for rep in journe_check(pspace8, single, worst):
         single_ok &= rep["C1"] <= 1.0 and rep["C2"] <= 1.0

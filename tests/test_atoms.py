@@ -9,6 +9,8 @@ from prodhardy import (ChannelError, OpenSet, ProductSpace, atomic_decompose,
 from prodhardy.atoms import ProductAtom, _lams
 from prodhardy.dyadic import build_system
 
+from conftest import cube, key, rectangle_mask, wavelet_rectangle
+
 
 def product_pair(pspace, i, j):
     return np.outer(pspace.bases[0].wavelets[i].values,
@@ -116,7 +118,7 @@ def test_single_wavelet_hand_trace(pspace8):
     # one classified rectangle, one j-shell: provenance j identical across terms
     js = {t.provenance[0] for t in dec.terms}
     assert len(js) == 1
-    c1, c2 = pspace8.wavelet_rectangle(1, 3)
+    c1, c2 = wavelet_rectangle(pspace8, 1, 3)
     mu = c1.measure * c2.measure
     # the j-shell is the largest j with 2^j < mu^(-1/2)
     (jstar,) = js
@@ -306,11 +308,11 @@ def test_classification_membership_facts(pspace8):
         for j in range(co.n_wav[1]):
             if abs(co.ww[i, j]) < 1e-12:
                 continue
-            c1, c2 = pspace8.wavelet_rectangle(i, j)
-            if c1.id + c2.id in seen:
+            c1, c2 = wavelet_rectangle(pspace8, i, j)
+            if key(c1) + key(c2) in seen:
                 continue
-            seen.add(c1.id + c2.id)
-            rm = pspace8.rectangle_mask(c1, c2)
+            seen.add(key(c1) + key(c2))
+            rm = rectangle_mask(pspace8, c1, c2)
             mu = c1.measure * c2.measure
             w = pspace8.weights
             hits = [jj for jj in sets if w[rm & sets[jj].mask].sum() > mu / 2.0]
@@ -346,15 +348,15 @@ def test_scaling_homogeneity_power_of_two(pspace8):
 def test_verify_hand_built_single_rectangle_atom(pspace8):
     rng = np.random.default_rng(5)
     s1, s2 = pspace8.systems
-    c1, c2 = s1.cube(-1, 0), s2.cube(-1, 1)
-    om = OpenSet.from_mask(pspace8, pspace8.rectangle_mask(c1, c2))
+    c1, c2 = cube(s1, -1, 0), cube(s2, -1, 1)
+    om = OpenSet.from_mask(pspace8, rectangle_mask(pspace8, c1, c2))
     om_t = enlarge(pspace8, om, epsilon0(pspace8))
     from prodhardy import maximal_rectangles
-    key = sorted(maximal_rectangles(pspace8, om_t, "both").m_all)[0]
+    k1, a1, k2, a2 = sorted(maximal_rectangles(pspace8, om_t, "both").m_all)[0]
     lam1, lam2 = _lams(pspace8, 0, 0)
     from prodhardy.dyadic import dilate_mask
-    u = dilate_mask(s1, s1.cube(*key[:2]), lam1)
-    v = dilate_mask(s2, s2.cube(*key[2:]), lam2)
+    u = dilate_mask(s1, cube(s1, k1, a1), lam1)
+    v = dilate_mask(s2, cube(s2, k2, a2), lam2)
     block = rng.standard_normal((int(u.sum()), int(v.sum())))
     wu, wv = pspace8.x1.weight[u], pspace8.x2.weight[v]
     block -= np.outer(np.ones(len(wu)), wu @ block) / wu.sum()
@@ -362,7 +364,7 @@ def test_verify_hand_built_single_rectangle_atom(pspace8):
     vals = np.zeros(pspace8.shape)
     vals[np.ix_(u, v)] = block
     atom = ProductAtom(values=vals, omega=om, ell1=0, ell2=0, p=1.0, q=2.0,
-                       grids=pspace8.systems, rectangle_atoms={key: vals})
+                       grids=pspace8.systems, rectangle_atoms={(k1, a1, k2, a2): vals})
     cert = verify_atom(pspace8, atom)
     assert cert["passed"], cert["failures"]
     growth = om_t.measure      # ell = 0: growth factor 1
@@ -427,7 +429,7 @@ def test_atom_hp_bound_single_wavelet_two_paths(pspace8):
     # path 1: the module's seminorm of f, normalized
     assert got == pytest.approx(hp_seminorm(pspace8, f, 1.0) / lam, rel=1e-12)
     # path 2: closed form for a single term, mu(R)^(1/p - 1/2) / lam
-    c1, c2 = pspace8.wavelet_rectangle(2, 2)
+    c1, c2 = wavelet_rectangle(pspace8, 2, 2)
     mu = c1.measure * c2.measure
     assert got == pytest.approx(mu ** 0.5 / lam, rel=1e-12)
 

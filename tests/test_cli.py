@@ -339,6 +339,43 @@ def test_a_large_a0_is_named(snowflake, delta, command, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: a0 = ")
 
 
+BOUNDARY_DOCS = {
+    **{f"snowflake{s}": {"points": [{"coords": [x]} for x in range(4)], "snowflake": s}
+       for s in (10, 30, 40, 100, 280, 290, 640, 650)},
+    **{f"weights1e{u}": {"matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+                         "weights": [10.0 ** -u, 1, 10.0 ** u]}
+       for u in (8, 10, 12, 16, 20, 30)},
+}
+PASS_FLAG = {"build": None, "decompose": "all_certificates_pass", "certify": "all_exact_pass"}
+
+
+@pytest.mark.parametrize("command", sorted(PASS_FLAG))
+@pytest.mark.parametrize("delta", [None, "0.5"])
+@pytest.mark.parametrize("name", sorted(BOUNDARY_DOCS))
+def test_accepted_input_boundary_passes_or_names_the_error(name, delta, command, tmp_path,
+                                                           capsys):
+    # the 4-point line from where snowflakes decompose to where its distances
+    # overflow, and 3 points with weights over 16 to 60 decades: exit 0 with
+    # the command's pass flag, or exit 2 with a named error, and no numeric
+    # warning (at snowflake 100 the reference delta is about 1e-301, and
+    # wide weights leave one centring pass short of cancelling)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(BOUNDARY_DOCS[name]))
+    out = tmp_path / "out.json"
+    argv = [command, "--space", str(path), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv + (["--delta", delta] if delta else []))
+    err = capsys.readouterr().err
+    if code == 2:
+        # every command centres the functions it draws, so a channel error
+        # would name no fault of the input
+        assert err.startswith("error: ") and "channels" not in err
+    else:
+        assert code == 0, err
+        assert PASS_FLAG[command] is None or json.loads(out.read_text())[PASS_FLAG[command]]
+
+
 def test_flags_a_subcommand_does_not_read_are_usage_errors(space_file, capsys):
     # build reads no --p, --q or gammas and certify no gammas: argparse
     # rejects them rather than letting them pass unread

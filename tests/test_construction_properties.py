@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from prodhardy import ProductSpace, build_system, verify_system
 from prodhardy import dyadic as dyadic_mod
+from prodhardy.oracles import _build_net_by_point
 
 import per_cube
 from conftest import line_space
@@ -73,7 +74,7 @@ def test_a_kept_net_is_the_net_above_with_identity_parents():
 def test_the_k_min_edge_adds_a_one_point_level():
     space = EDGE.x1
     system = build_system(space, 0.5)
-    assert system.k_min == -1 and len(dyadic_mod._build_net_by_point(space, 0.5, 0)) == 2
+    assert system.k_min == -1 and len(_build_net_by_point(space, 0.5, 0)) == 2
     assert system.nets[-1] == [0] and system.parent[:3].tolist() == [-1, 0, 0]
     assert_same_system(system, per_cube.build_system(space, 0.5))
 

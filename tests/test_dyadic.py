@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from prodhardy import DyadicSystem, build_haar, build_system, verify_system
-from prodhardy.dyadic import _build_net_by_point, _jump_scan, _system_document, dilate_mask
+from prodhardy.dyadic import _jump_scan, _system_document, dilate_mask
+from prodhardy.oracles import _build_net_by_point
 
-from conftest import line_space
+from conftest import cube, level_cubes, line_space, member_mask
 
 
 def test_net_single_point():
@@ -45,7 +46,7 @@ def test_single_point_system():
     sp = line_space([0.0])
     system = build_system(sp, 0.25)
     assert system.k_min == system.k_max == 0
-    assert len(system.cubes[0]) == 1
+    assert len(level_cubes(system, 0)) == 1
     verify_system(system)
 
 
@@ -62,17 +63,17 @@ def test_line_system_hand_trace(canon):
     system = build_system(canon, 0.25)
     # delta^k first drops below 8 at k = -1 (4 < 8 <= 16), splitting {0,1,2} | {10}
     assert system.k_min == -2 and system.k_max == 1
-    top = system.cubes[-2]
+    top = level_cubes(system, -2)
     assert len(top) == 1 and list(top[0].members) == [0, 1, 2, 3]
-    level = {tuple(c.members) for c in system.cubes[-1]}
+    level = {tuple(c.members) for c in level_cubes(system, -1)}
     assert level == {(0, 1, 2), (3,)}
-    assert all(len(c.members) == 1 for c in system.cubes[1])
+    assert all(len(c.members) == 1 for c in level_cubes(system, 1))
 
 
 def test_disjoint_union_measures(canon):
     system = build_system(canon, 0.25)
     for k in system.levels():
-        assert sum(c.measure for c in system.cubes[k]) == pytest.approx(
+        assert sum(c.measure for c in level_cubes(system, k)) == pytest.approx(
             canon.total_measure, abs=0)
 
 
@@ -132,30 +133,15 @@ def test_dilate_contains_cube(canon):
 
 def test_dilate_top_cube_catches_all(canon):
     system = build_system(canon, 0.25)
-    top = system.cubes[system.k_min][0]
+    top = level_cubes(system, system.k_min)[0]
     assert dilate_mask(system, top, 2.0).all()
 
 
 def test_dilate_singleton_stays_singleton(canon):
     system = build_system(canon, 0.25)
     # level k_max: side 1/4, effective C1 = 2, radius 1/2 < min distance 1
-    leaf = system.cubes[system.k_max][0]
+    leaf = level_cubes(system, system.k_max)[0]
     assert np.flatnonzero(dilate_mask(system, leaf, 1.0)).tolist() == leaf.members.tolist()
-
-
-def test_cube_lookups_reject_a_cube_the_system_lacks(line8):
-    # levels -2..1 hold 1, 2, 8 and 8 cubes; unchecked, flat(-1, 2) gives
-    # cube (0, 0), cube(-1, -1) gives (-1, 1) and member_mask(-3, 0) reads
-    # level 1's labels and comes back all False
-    system = build_system(line8, 0.25)
-    assert system.first.tolist() == [0, 1, 3, 11, 19]
-    for k, alpha in ((-1, 2), (-1, -1), (-3, 0), (2, 0)):
-        message = rf"no cube \({k}, {alpha}\): levels -2..1 hold 1, 2, 8, 8 cubes"
-        for lookup in (system.flat, system.cube, system.member_mask):
-            with pytest.raises(ValueError, match=message):
-                lookup(k, alpha)
-    assert system.flat(-1, 1) == 2 and system.cube(-1, 1).id == (-1, 1)
-    assert system.member_mask(1, 7).sum() == 1
 
 
 def test_geometry_is_built_on_first_use(canon):
@@ -163,40 +149,31 @@ def test_geometry_is_built_on_first_use(canon):
     verify_system(system)
     _system_document(system)
     basis = build_haar(system)
-    for name in ("incidence", "cubes"):    # building a system never needs them
-        assert name not in vars(system)
+    assert "incidence" not in vars(system)     # building a system never needs it
     incidence = system.incidence
     np.testing.assert_array_equal(incidence[basis.cube_rows[0]] > 0,
-                                  system.member_mask(*basis.wavelets[0].cube))
+                                  member_mask(system, cube(system, *basis.wavelets[0].cube)))
     assert incidence is system.incidence
     assert incidence.shape == (system.n_cubes(), canon.n)
     assert system.parent[0] == -1 and (system.parent[1:] >= 0).all()
     assert not incidence.flags.writeable
-    assert system.cubes is system.cubes and len(system.cubes) == len(system.levels())
 
 
 def test_geometry_first_use_from_threads(line8):
-    # threads racing on the first use of each lazy view each get a complete one
+    # threads racing on the first use of the lazy incidence matrix each get a complete one
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
-    def members(cubes):
-        return [c.members.tolist() for level in cubes.values() for c in level]
-
     expect = build_system(line8, 0.25)
-    names = ("incidence", "cubes") * 3
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
             for _ in range(5):
                 system = build_system(line8, 0.25)
-                views = list(pool.map(lambda name: getattr(system, name), names, timeout=60))
-                for name, view in zip(names, views):
-                    if name == "cubes":
-                        assert members(view) == members(expect.cubes)
-                    else:
-                        np.testing.assert_array_equal(view, getattr(expect, name))
+                views = list(pool.map(lambda _: system.incidence, range(6), timeout=60))
+                for view in views:
+                    np.testing.assert_array_equal(view, expect.incidence)
     finally:
         sys.setswitchinterval(interval)
 
@@ -227,10 +204,9 @@ def test_export_import_round_trip(canon):
     doc = _system_document(system)
     back = from_document(canon, doc)
     assert _system_document(back) == doc     # parent arrays and constants included
-    for k in system.levels():
-        for a, c in enumerate(system.cubes[k]):
-            assert back.cubes[k][a].parent == c.parent
-            assert np.array_equal(back.cubes[k][a].members, c.members)
+    for c, b in zip(system.all_cubes(), back.all_cubes(), strict=True):
+        assert b.parent == c.parent
+        assert np.array_equal(b.members, c.members)
 
 
 def test_randomized_family_members_verify(line8):
@@ -249,7 +225,7 @@ def test_top_level_single_cube_on_exact_diameter():
     sp = line_space([0.0, 1.0])
     for delta in (0.5, 0.25):
         system = build_system(sp, delta)
-        assert len(system.cubes[system.k_min]) == 1
+        assert len(level_cubes(system, system.k_min)) == 1
 
 
 def test_reference_mode_default_delta(canon):
@@ -291,7 +267,7 @@ def test_verify_system_accepts_the_uncorrupted_system():
 
 def test_cube_records_are_read_only():
     system, k = corruptible_system()
-    cube = next(c for c in system.cubes[k] if len(c.members) >= 2)
+    cube = next(c for c in level_cubes(system, k) if len(c.members) >= 2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cube.members = cube.members[1:]
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -308,7 +284,7 @@ def test_verify_system_rejects_an_empty_cube(line8):
     doc = _system_document(build_system(line8, 0.25))
     doc["parents"]["0"] = [0] * len(doc["parents"]["0"])
     system = from_document(line8, doc)
-    assert system.cubes[-1][1].members.size == 0
+    assert level_cubes(system, -1)[1].members.size == 0
     with pytest.raises(AssertionError, match="level -1: cube 1 does not hold its center"):
         verify_system(system)
 

@@ -15,10 +15,9 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prodhardy import build_system, make_space, verify_system
-from prodhardy import dyadic as dyadic_mod
-from prodhardy.dyadic import (_build_net_by_point, _certificates_by_cube,
-                              _covering_constant_by_net, _tight_constants_by_cube)
+from prodhardy import build_system, make_space, oracles, verify_system
+from prodhardy.oracles import (_build_net_by_point, _certificates_by_cube,
+                               _covering_constant_by_net, _tight_constants_by_cube)
 
 from strategies import CHECK, spaces
 
@@ -89,7 +88,7 @@ def test_fast_path_never_calls_the_oracles(monkeypatch):
 
     for name in ("_certificates_by_cube", "_covering_constant_by_net",
                  "_tight_constants_by_cube"):
-        monkeypatch.setattr(dyadic_mod, name, refuse)
+        monkeypatch.setattr(oracles, name, refuse)
     rng = np.random.default_rng(4)
     pts = rng.uniform(0.0, 1.0, (70, 2))
     dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))

@@ -6,25 +6,25 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prodhardy import (build_system, ell_enlarge, enlarge, maximal_rectangles,
-                       strong_maximal, strong_maximal_exhaustive)
+from prodhardy import build_system, ell_enlarge, enlarge, maximal_rectangles, strong_maximal
 from prodhardy.dyadic import dilate_mask
 from prodhardy.journe import _covers
-from prodhardy.maximal import (ell_enlarge_exhaustive, realized_ball_masks, rectangles_inside,
-                               rectangles_inside_exhaustive)
+from prodhardy.maximal import realized_ball_masks, rectangles_inside
+from prodhardy.oracles import (ell_enlarge_exhaustive, rectangles_inside_exhaustive,
+                               strong_maximal_exhaustive)
 
+from conftest import flat, key
 from strategies import CHECK, instances, spaces
 from test_journe import maximal_oracle
-
-def keys(rects):
-    return [c1.id + c2.id for c1, c2 in rects]
 
 
 @CHECK
 @given(instances())
 def test_rectangles_inside_matches_oracle_in_order(inst):
     ps, om = inst
-    assert keys(rectangles_inside(ps, om)) == keys(rectangles_inside_exhaustive(ps, om))
+    s1, s2 = ps.systems
+    assert rectangles_inside(ps, om).tolist() == [
+        [flat(s1, c1), flat(s2, c2)] for c1, c2 in rectangles_inside_exhaustive(ps, om)]
 
 
 @CHECK
@@ -85,12 +85,11 @@ def test_geometry_rows_are_the_cubes(space, delta, lam):
     for a, c in enumerate(cubes):
         members = np.isin(np.arange(space.n), c.members)
         np.testing.assert_array_equal(system.incidence[a] == 1.0, members)
-        np.testing.assert_array_equal(system.member_mask(*c.id), members)
         np.testing.assert_array_equal(dil[a], dilate_mask(system, c, lam))
-        assert system.flat(*c.id) == a and system.measures[a] == c.measure
+        assert flat(system, c) == a and system.measures[a] == c.measure
         assert system.sizes[a] == len(c.members)
-        assert system.keys([a]) == [c.id]
-        par = cubes[system.parent[a]].id if system.parent[a] >= 0 else None
+        assert system.keys([a]) == [key(c)]
+        par = key(cubes[system.parent[a]]) if system.parent[a] >= 0 else None
         assert par == (None if c.level == system.k_min else (c.level - 1, c.parent))
         chain, up = {a}, a
         while system.parent[up] >= 0:

@@ -27,7 +27,7 @@ import pytest
 from prodhardy import (ProductSpace, building_blocks, cmo_p, generate_atom, make_space,
                        product_transform, verify_atom)
 from prodhardy import atoms, cli, product
-from prodhardy.dyadic import Cube
+from prodhardy.dyadic import Cube, DyadicSystem
 from prodhardy.cli import main
 
 from blocks import block_square_function
@@ -181,13 +181,11 @@ def test_certify_corpus_runs_in_stacked_passes(monkeypatch, tmp_path):
 
 def test_reports_need_no_rectangle_masks(monkeypatch, tmp_path):
     """Wavelet rectangles are flat cube indices of the systems' arrays: the
-    pipeline never asks the product space for a rectangle mask or a
-    wavelet's cube pair, and never builds a ``Cube`` record."""
+    pipeline never lists ``Cube`` records or builds one."""
     def refuse(*args, **kwargs):
         raise AssertionError("built a rectangle from cube objects")
 
-    monkeypatch.setattr(ProductSpace, "rectangle_mask", refuse)
-    monkeypatch.setattr(ProductSpace, "wavelet_rectangle", refuse)
+    monkeypatch.setattr(DyadicSystem, "all_cubes", refuse)
     monkeypatch.setattr(Cube, "__init__", refuse)
     for name in sorted(CASES):
         assert report_digest(name, tmp_path) == CASES[name][2]

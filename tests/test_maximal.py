@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from prodhardy import (OpenSet, ProductSpace, ell_enlarge, enlarge, epsilon0,
-                       level_sets, strong_maximal, strong_maximal_exhaustive)
+                       level_sets, strong_maximal)
 import prodhardy.maximal as maximal_mod
 from prodhardy.dyadic import dilate_mask
-from prodhardy.maximal import MAX_PAIRS, rectangles_inside, rectangles_inside_exhaustive
+from prodhardy.maximal import MAX_PAIRS, rectangles_inside
+from prodhardy.oracles import rectangles_inside_exhaustive, strong_maximal_exhaustive
 
-from conftest import layer_cake_ratio, line_space
+from conftest import cube, layer_cake_ratio, line_space, rectangle_mask
 
 
 def test_strong_maximal_of_constant(micro22):
@@ -224,9 +225,9 @@ def test_ell_enlarge_empty(pspace8):
 
 
 def test_ell_enlarge_one_rectangle_dilate_oracle(pspace8):
-    c1 = pspace8.systems[0].cube(-1, 0)
-    c2 = pspace8.systems[1].cube(0, 3)
-    om = OpenSet.from_mask(pspace8, pspace8.rectangle_mask(c1, c2))
+    c1 = cube(pspace8.systems[0], -1, 0)
+    c2 = cube(pspace8.systems[1], 0, 3)
+    om = OpenSet.from_mask(pspace8, rectangle_mask(pspace8, c1, c2))
     out = ell_enlarge(pspace8, om, 1, 0, 2.0, 1.0)
     # membership oracle for the widest contributing dilate
     s1, s2 = pspace8.systems

@@ -11,16 +11,15 @@ import numpy as np
 
 from prodhardy import build_haar, build_system
 
-from conftest import line_space
+from conftest import cube, line_space, member_mask
 
 
 def one_parameter_square_function(basis, system, f):
     c = basis.matrix @ (f * basis.space.weight)
     s2 = np.zeros(basis.space.n)
     for i, w in enumerate(basis.wavelets):
-        cube = system.cube(*w.cube)
-        mask = system.member_mask(*w.cube)
-        s2 += c[i] ** 2 / cube.measure * mask
+        q = cube(system, *w.cube)
+        s2 += c[i] ** 2 / q.measure * member_mask(system, q)
     return np.sqrt(s2)
 
 

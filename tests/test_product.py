@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from prodhardy import journe, product
 from prodhardy import (ProductCoefficients, ProductSpace, building_blocks, cmo_p,
-                       cmo_p_exhaustive, double_center, hp_seminorm,
-                       inverse_product_transform, product_transform,
+                       double_center, hp_seminorm, inverse_product_transform, product_transform,
                        square_function)
 from prodhardy.cli import _default_space
+from prodhardy.oracles import cmo_p_exhaustive
 
 import per_cube
 from blocks import block_square_function
-from conftest import layer_cake_ratio, line_space
+from conftest import layer_cake_ratio, line_space, rectangle_mask, wavelet_rectangle
 from strategies import CHECK, decade_spaces, inexact_spaces, instances, spaces
 
 
@@ -76,8 +76,8 @@ def test_square_function_single_pair(pspace8):
     f = product_pair(pspace8, 1, 2)
     co = product_transform(pspace8, f)
     sf = square_function(pspace8, co)
-    c1, c2 = pspace8.wavelet_rectangle(1, 2)
-    mask = pspace8.rectangle_mask(c1, c2)
+    c1, c2 = wavelet_rectangle(pspace8, 1, 2)
+    mask = rectangle_mask(pspace8, c1, c2)
     mu = c1.measure * c2.measure
     np.testing.assert_allclose(sf, mask / math.sqrt(mu), atol=1e-12)
     assert pspace8.lq_norm(sf, 2.0) == pytest.approx(1.0, abs=1e-12)
@@ -109,7 +109,7 @@ def test_square_function_monotone_under_coefficient_removal(pspace8):
 
 def test_hp_seminorm_single_pair(pspace8):
     f = product_pair(pspace8, 0, 0)
-    c1, c2 = pspace8.wavelet_rectangle(0, 0)
+    c1, c2 = wavelet_rectangle(pspace8, 0, 0)
     expect = math.sqrt(c1.measure * c2.measure)
     assert hp_seminorm(pspace8, f, 1.0) == pytest.approx(expect, rel=1e-12)
 
@@ -149,7 +149,7 @@ def test_lp_below_hp_measured_constant(pspace8):
 def test_cmo_single_pair(pspace8):
     f = product_pair(pspace8, 1, 2)
     co = product_transform(pspace8, f)
-    c1, c2 = pspace8.wavelet_rectangle(1, 2)
+    c1, c2 = wavelet_rectangle(pspace8, 1, 2)
     mu = c1.measure * c2.measure
     got = cmo_p(pspace8, co, 1.0)
     # the optimum is the rectangle itself: mu^(1-2) * 1 under the square root
@@ -164,10 +164,10 @@ def test_cmo_zero(pspace8):
 def rectangle_value(ps, co, c1, c2, p):
     """The candidate value of the single rectangle c1 x c2: (mu^(1-2/p) times
     the energy of the wavelet rectangles inside it)^(1/2), pair by pair."""
-    mask = ps.rectangle_mask(c1, c2)
+    mask = rectangle_mask(ps, c1, c2)
     energy = sum(float(co.ww[i, j]) ** 2
                  for i in range(co.n_wav[0]) for j in range(co.n_wav[1])
-                 if mask[ps.rectangle_mask(*ps.wavelet_rectangle(i, j))].all())
+                 if mask[rectangle_mask(ps, *wavelet_rectangle(ps, i, j))].all())
     return math.sqrt((c1.measure * c2.measure) ** (1.0 - 2.0 / p) * energy)
 
 
@@ -307,9 +307,9 @@ def test_block_square_function_single_block_reduction(micro22):
     # phi_0 = cbar^gamma psi/kappa, so the values are the ordinary square
     # function of the kappa-normalized coefficients scaled by cbar^(g1+g2)
     co = product_transform(micro22, g)
-    c1, c2 = micro22.wavelet_rectangle(0, 0)
+    c1, c2 = wavelet_rectangle(micro22, 0, 0)
     s2 = ((co.ww[0, 0] / (kappa1 * kappa2)) ** 2 / (c1.measure * c2.measure)
-          * micro22.rectangle_mask(c1, c2))
+          * rectangle_mask(micro22, c1, c2))
     expect = cb ** g1 * cb ** g2 * np.sqrt(s2)
     np.testing.assert_allclose(vals, expect, rtol=1e-10)
     assert math.isfinite(rep["ratio"])

@@ -20,11 +20,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prodhardy import make_space
-from prodhardy import dyadic as dyadic_mod
+from prodhardy import oracles
 from prodhardy import space as space_mod
 from prodhardy.cli import main
-from prodhardy.space import (_ball_radius_candidates, _doubling_constant_exhaustive,
-                             _quasi_triangle_constant_exhaustive)
+from prodhardy.oracles import _doubling_constant_exhaustive, _quasi_triangle_constant_exhaustive
+from prodhardy.space import _ball_radius_candidates
 
 from strategies import CHECK
 
@@ -144,9 +144,9 @@ def test_fast_path_never_calls_the_oracles(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("fast path called an exhaustive oracle")
 
-    monkeypatch.setattr(space_mod, "_quasi_triangle_constant_exhaustive", refuse)
-    monkeypatch.setattr(space_mod, "_doubling_constant_exhaustive", refuse)
-    monkeypatch.setattr(dyadic_mod, "_build_net_by_point", refuse)
+    for name in ("_quasi_triangle_constant_exhaustive", "_doubling_constant_exhaustive",
+                 "_build_net_by_point"):
+        monkeypatch.setattr(oracles, name, refuse)
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.0, 1.0, (70, 2))
     dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1)) ** 1.5

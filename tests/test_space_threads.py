@@ -21,7 +21,7 @@ from hypothesis import given
 from prodhardy import build_system, make_space
 from prodhardy import space as space_mod
 from prodhardy.cli import main
-from prodhardy.space import _doubling_constant_exhaustive, _quasi_triangle_constant_exhaustive
+from prodhardy.oracles import _doubling_constant_exhaustive, _quasi_triangle_constant_exhaustive
 
 from strategies import CHECK, instances
 

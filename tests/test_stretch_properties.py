@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from prodhardy import (OpenSet, ProductSpace, generate_atom, journe_check, make_space,
                        maximal_rectangles, verify_atom)
-from prodhardy import dyadic, journe, maximal
-from prodhardy.journe import _majority, _measure_in, stretch_exhaustive, tau
+from prodhardy import dyadic, journe
+from prodhardy.journe import _majority, _measure_in, tau
 from prodhardy.maximal import _inside, rectangles_inside
+from prodhardy.oracles import stretch_exhaustive
 
 import per_cube
 from strategies import CHECK, instances, weighted_spaces
@@ -105,24 +106,25 @@ def test_majority_on_some_rows_is_the_full_matrix_at_those_rows(inst, data):
 def test_stretches_match_oracle(inst):
     ps, om = inst
     fam = maximal_rectangles(ps, om, "both")
-    cubes1, cubes2 = (list(s.all_cubes()) for s in ps.systems)
+    s1, s2 = ps.systems
     assert len(fam.m_all) == len(fam.rows) == len(fam.cols) == len(fam.hat1) == len(fam.hat2)
     for i, key in enumerate(fam.m_all):
-        assert key == cubes1[fam.rows[i]].id + cubes2[fam.cols[i]].id
-        assert cubes2[fam.hat2[i]].id == stretch_exhaustive(ps, om, key, 1).id
-        assert cubes1[fam.hat1[i]].id == stretch_exhaustive(ps, om, key, 2).id
+        rect = (fam.rows[i], fam.cols[i])
+        assert key == s1.keys([rect[0]])[0] + s2.keys([rect[1]])[0]
+        assert fam.hat2[i] == stretch_exhaustive(ps, om, rect, 1)
+        assert fam.hat1[i] == stretch_exhaustive(ps, om, rect, 2)
 
 
-def tau_scan(pspace, family, key):
-    """The member-mask scan tau ran before: the smallest maximal rectangle,
-    in key order, whose factors contain the key's factors as point sets."""
-    s1, s2 = pspace.systems
-    q1m, q2m = s1.member_mask(*key[:2]), s2.member_mask(*key[2:])
-    for cand in sorted(family.m_all):
-        if (not (q1m & ~s1.member_mask(*cand[:2])).any()
-                and not (q2m & ~s2.member_mask(*cand[2:])).any()):
+def tau_scan(pspace, family, rect):
+    """The member-set scan tau ran before: the smallest maximal rectangle,
+    in key order, whose factors contain the factors of ``rect`` (flat rows)
+    as point sets."""
+    cubes1, cubes2 = (list(s.all_cubes()) for s in pspace.systems)
+    q1, q2 = set(cubes1[rect[0]].members.tolist()), set(cubes2[rect[1]].members.tolist())
+    for cand, a, b in sorted(zip(family.m_all, family.rows, family.cols)):
+        if q1 <= set(cubes1[a].members.tolist()) and q2 <= set(cubes2[b].members.tolist()):
             return cand
-    raise AssertionError(f"no maximal rectangle contains {key}")
+    raise AssertionError(f"no maximal rectangle contains {rect}")
 
 
 @CHECK
@@ -130,16 +132,14 @@ def tau_scan(pspace, family, key):
 def test_tau_matches_member_scan(inst, seed):
     ps, om = inst
     fam = maximal_rectangles(ps, om, "both")
-    s1, s2 = ps.systems
-    cubes1, cubes2 = list(s1.all_cubes()), list(s2.all_cubes())
-    inside = [(s1.flat(*c1.id), s2.flat(*c2.id)) for c1, c2 in rectangles_inside(ps, om)]
+    inside = rectangles_inside(ps, om).tolist()
     rng = np.random.default_rng(seed)
     # distinct pairs in random order, then repeats of some of them
     picks = rng.permutation(len(inside))[:6]
     picks = np.concatenate([picks, rng.choice(picks, size=min(4, len(picks)))])
     rows, cols = (np.array([inside[int(i)][f] for i in picks], dtype=int) for f in (0, 1))
-    keys = [cubes1[a].id + cubes2[b].id for a, b in zip(rows, cols)]
-    assert [fam.m_all[h] for h in tau(ps, fam, rows, cols)] == [tau_scan(ps, fam, k) for k in keys]
+    assert ([fam.m_all[h] for h in tau(ps, fam, rows, cols)]
+            == [tau_scan(ps, fam, rect) for rect in zip(rows, cols)])
 
 
 
@@ -165,9 +165,7 @@ def test_fast_paths_never_call_the_oracles(monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("fast path called an oracle")
 
-    monkeypatch.setattr(journe, "stretch_exhaustive", refuse)
     monkeypatch.setattr(dyadic, "dilate_mask", refuse)
-    monkeypatch.setattr(maximal, "dilate_mask", refuse)
     for name in ("decompose-deep-pair", "decompose-snowflake-pair"):   # q = 1.5
         assert report_digest(name, tmp_path) == CASES[name][2]
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from prodhardy import OpenSet, ProductSpace, ell_enlarge, maximal_rectangles
 from prodhardy import journe
 from prodhardy.journe import _families, tau
-from prodhardy.maximal import ell_enlarge_exhaustive
+from prodhardy.oracles import ell_enlarge_exhaustive
 
 import per_cube
 from strategies import CHECK, inexact_spaces, instances

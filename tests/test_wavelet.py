@@ -7,7 +7,7 @@ from prodhardy import build_haar, build_system, building_blocks
 from prodhardy.wavelet import _ramp
 
 from blocks import block_certificates, recombine
-from conftest import line_space
+from conftest import cube, flat, key, line_space
 
 
 def test_two_point_haar_values(two_pt):
@@ -40,7 +40,7 @@ def test_counts_match_children_cube_by_cube(canon):
     # each cube's children, read off the parent array
     kids = np.bincount(system.parent[system.parent >= 0], minlength=system.n_cubes())
     for c in system.all_cubes():
-        assert per_cube.get(c.id, 0) == max(kids[system.flat(*c.id)] - 1, 0)
+        assert per_cube.get(key(c), 0) == max(kids[flat(system, c)] - 1, 0)
 
 
 def test_wavelets_mean_zero_unit_norm_supported(canon):
@@ -51,7 +51,7 @@ def test_wavelets_mean_zero_unit_norm_supported(canon):
         assert abs(float((w.values * canon.weight).sum())) <= 1e-12 * math.sqrt(norm)
         assert norm == pytest.approx(1.0, abs=1e-12)
         outside = np.ones(canon.n, dtype=bool)
-        outside[system.cube(*w.cube).members] = False
+        outside[cube(system, *w.cube).members] = False
         assert not w.values[outside].any()
 
 
