@@ -146,10 +146,36 @@ def _budget_measure(view: ProductSpace, omega_t: OpenSet, ell1: int, ell2: int) 
             * omega_t.measure)
 
 
+def _budget_power(view: ProductSpace, omega_t: OpenSet, ell1: int, ell2: int,
+                  exponent: float, p: float) -> float:
+    """The (l1, l2) atom budget's measure to ``exponent``, a power of 1/p, or
+    a ValueError naming p when that is no positive finite float."""
+    measure = _budget_measure(view, omega_t, ell1, ell2)
+    try:
+        power = measure ** exponent
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise ValueError(f"the ({ell1}, {ell2}) atom budget's measure {measure!r} to the power "
+                         f"{exponent!r} leaves the floats at p = {p!r}")
+    return power
+
+
 def _size_budget(view: ProductSpace, omega_t: OpenSet, ell1: int, ell2: int,
                  p: float, q: float) -> float:
     """The condition-(2) size budget of an (l1, l2) atom."""
-    return _budget_measure(view, omega_t, ell1, ell2) ** (1.0 / q - 1.0 / p)
+    return _budget_power(view, omega_t, ell1, ell2, 1.0 / q - 1.0 / p, p)
+
+
+def _nonzero_norms(view: ProductSpace, f: np.ndarray, q: float) -> float | np.ndarray:
+    """``view.lq_norm(f, q)``, or a ValueError naming q when a grid that is
+    not 0 gets norm 0: each |f|^q underflows."""
+    norms = view.lq_norm(f, q)
+    zero = np.asarray(norms) == 0.0
+    if zero.any() and (zero & (f != 0.0).any(axis=(-2, -1))).any():
+        raise ValueError(f"the L^q norm at q = {q!r} of a nonzero grid underflows to 0: every "
+                         f"|f|^{q!r} is below the smallest float")
+    return norms
 
 
 def _lams(view: ProductSpace, ell1: int, ell2: int) -> tuple[float, float]:
@@ -270,19 +296,24 @@ def _decompose_stack(pspace: ProductSpace, fs: np.ndarray, p: float, q: float,
     sfb2 = _outer_sum(sq / (s1.measures[rows] * s2.measures[cols]), s1.incidence, rows,
                       s2.incidence, cols, np.bincount(shell))
     r = q if q >= 2 else 2.0
-    sfb_norm = pspace.lq_norm(np.sqrt(sfb2), r)
+    sfb_norm = _nonzero_norms(pspace, np.sqrt(sfb2), r)
 
     (nb1, kphi1), (nb2, kphi2) = blocks
     (pair, ell1, ell2, cell), cells, (unit_sizes, unit_cell, unit_rect) = _cell_units(
         shell, group, np.where(sfb_norm[shell] != 0.0, nb1[ii] * nb2[jw], 0), nb2[jw])
     sfb_norm = sfb_norm.tolist()
     lam_raw = [cell_scale(pspace, l1, l2) * sfb_norm[t]
-               * _budget_measure(pspace, pools[t][1], l1, l2) ** (1.0 / p - 1.0 / r)
+               * _budget_power(pspace, pools[t][1], l1, l2, 1.0 / p - 1.0 / r, p)
                for t, l1, l2 in cells]
-    vals = _outer_sum(cs[pair] / np.array(lam_raw)[cell],
-                      kphi1.reshape(-1, pspace.x1.n), ii[pair] * kphi1.shape[1] + ell1,
-                      kphi2.reshape(-1, pspace.x2.n), jw[pair] * kphi2.shape[1] + ell2,
-                      unit_sizes)
+    with np.errstate(over="ignore", invalid="ignore"):     # inf, and inf - inf
+        vals = _outer_sum(cs[pair] / np.array(lam_raw)[cell],
+                          kphi1.reshape(-1, pspace.x1.n), ii[pair] * kphi1.shape[1] + ell1,
+                          kphi2.reshape(-1, pspace.x2.n), jw[pair] * kphi2.shape[1] + ell2,
+                          unit_sizes)
+    if not np.isfinite(vals).all():
+        raise ValueError("a rectangle atom, c / lambda_raw times building blocks that carry "
+                         f"(2^l1)^gamma1 (2^l2)^gamma2, overflows at gamma1 = {gamma1!r} and "
+                         f"gamma2 = {gamma2!r}")
     for u in np.flatnonzero(~_cancels(pspace.x1.weight, pspace.x2.weight, vals, 1e-12)):
         vals[u] = _recancelled(pspace, vals[u])
     rects = np.bincount(unit_cell, minlength=len(cells))
@@ -462,8 +493,8 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom) -> dict:
         failures.append("condition (1): support escapes the enlarged open set")
 
     budget = _size_budget(view, omega_t, atom.ell1, atom.ell2, p, q)
-    a_q = view.lq_norm(atom.values, q)
-    c_q_size = a_q / budget if budget > 0 else math.inf
+    a_q = _nonzero_norms(view, atom.values, q)
+    c_q_size = a_q / budget
 
     at = {key: i for i, key in enumerate(family.m_all)}      # key -> family position
     w1, w2 = view.x1.weight, view.x2.weight
@@ -499,7 +530,7 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom) -> dict:
     # each rectangle atom's ||a_R||_q^q, in key order
     norms_q = [view.lq_norm(vals, q) ** q for vals in atom.rectangle_atoms.values()]
     if q >= 2:
-        cert["C_q_iii_a"] = (_left_sum(norms_q) ** (1.0 / q)) / budget if budget > 0 else math.inf
+        cert["C_q_iii_a"] = (_left_sum(norms_q) ** (1.0 / q)) / budget
     else:
         ratios = {}
         delta_default = q / (2.0 * p)
@@ -510,7 +541,7 @@ def verify_atom(pspace: ProductSpace, atom: ProductAtom) -> dict:
                    if key in at]
         for d in sorted(set(STRETCH_DELTAS) | {delta_default}):
             s = _left_sum(rho ** d * n for rho, n in weighed)
-            ratios[d] = (s ** (1.0 / q)) / budget if budget > 0 else math.inf
+            ratios[d] = (s ** (1.0 / q)) / budget
         cert["C_q_delta_iii_b"] = ratios
         cert["delta_default"] = delta_default
     return cert

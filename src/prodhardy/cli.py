@@ -61,41 +61,21 @@ def _nonzero_entries(values: np.ndarray) -> _Entries:
     return _Entries(idx, values[idx])
 
 
-def _entry_rows(entries: _Entries) -> list[list]:
-    """The entries as the [[*index, value], ...] list that JSON writes."""
-    return [[*ix, v] for ix, v in zip(zip(*[i.tolist() for i in entries.index]),
-                                      entries.values.tolist())]
-
-
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer, np.bool_)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, _Entries):
-        return _entry_rows(o)
-    raise TypeError(f"not serializable: {type(o)}")
-
-
-# json.dumps runs its C encoder only without indent.  Entry tables are
-# formatted straight from their arrays (_entries_text); any other list of
-# numbers is written compactly by this encoder, and _encode re-indents the text
-_COMPACT = json.JSONEncoder(separators=(",", ":"), default=_json_default)
-_string = json.encoder.encode_basestring_ascii
-
-
 def _entries_text(entries: _Entries, pad: str) -> str:
-    """``_encode(_entry_rows(entries), pad)``, by one %-format over a repeated
-    row template: %d and %r write an int's and a float's repr, as JSON does."""
+    """The entries as ``json.dumps`` writes their [[*index, value], ...]
+    rows at indent 1 on a line indented by ``pad``, by one %-format over a
+    repeated row template: %d writes an index, %r a finite float's repr, and
+    any other value goes through json.dumps (NaN, Infinity, true, ...)."""
     values = entries.values.tolist()
     if not values:
         return "[]"
+    value = "%r"
     if type(values[0]) is not float or not np.isfinite(entries.values).all():
-        return _encode(_entry_rows(entries), pad)     # NaN, Infinity, true, ...
+        values, value = [json.dumps(v) for v in values], "%s"
     inner = pad + " "
     cell = inner + " "
     step = len(entries.index) + 1
-    row = "[\n" + cell + ("%d,\n" + cell) * (step - 1) + "%r\n" + inner + "]"
+    row = "[\n" + cell + ("%d,\n" + cell) * (step - 1) + value + "\n" + inner + "]"
     flat = [None] * (step * len(values))
     for axis, column in enumerate(entries.index):
         flat[axis::step] = column.tolist()
@@ -104,63 +84,32 @@ def _entries_text(entries: _Entries, pad: str) -> str:
     return "[\n" + inner + body + "\n" + pad + "]"
 
 
-def _key(k) -> str:
-    if isinstance(k, str):
-        return k
-    if k is None or isinstance(k, (int, float)):
-        return _encode(k, "")
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def _encode(o, pad: str) -> str:
-    """``json.dumps(o, sort_keys=True, indent=1, default=_json_default)``
-    for a value whose lines are indented by ``pad``, byte for byte."""
-    if isinstance(o, str):
-        return _string(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    inner = pad + " "
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = [_string(_key(k)) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if not isinstance(o, (list, tuple)):
-        if isinstance(o, _Entries):
-            return _entries_text(o, pad)
-        return _encode(_json_default(o), pad)
-    if not o:
-        return "[]"
-    if type(o) in (list, tuple) and not isinstance(o[0], (dict, str, list, tuple)):
-        # the compact text of a list of numbers has one pair of brackets and
-        # its commas separate the items, so it re-indents by replacement
-        text = _COMPACT.encode(o)
-        if '"' not in text and text.count("[") == 1:
-            return "[\n" + inner + text[1:-1].replace(",", ",\n" + inner) + "\n" + pad + "]"
-    return "[\n" + inner + (",\n" + inner).join([_encode(v, inner) for v in o]) + "\n" + pad + "]"
-
-
 def emit(report: dict, out: str | None):
-    """Write ``report`` as JSON with sorted keys and one space of indent per level."""
-    text = _encode(report, "")
+    """Write ``report`` as ``json.dumps(report, sort_keys=True, indent=1)``
+    writes it with each entry table as its rows: json.dumps writes a
+    placeholder string for each table, and the table's text, formatted
+    straight from its arrays, replaces it on its line."""
+    tables = []
+
+    def hold(o):
+        if type(o) is not _Entries:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        tables.append(o)
+        return "\0"
+
+    parts = json.dumps(report, sort_keys=True, indent=1, default=hold).split('"\\u0000"')
+    if len(parts) != len(tables) + 1:
+        raise ValueError("a report string or key reads as an entry table's placeholder")
+    pieces = [parts[0]]
+    for before, table, after in zip(parts, tables, parts[1:]):
+        line = before[before.rfind("\n") + 1:]
+        pieces += [_entries_text(table, " " * (len(line) - len(line.lstrip(" ")))), after]
+    pieces.append("\n")
     if out:
-        Path(out).write_text(text + "\n")
+        with open(out, "w") as stream:
+            stream.writelines(pieces)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.writelines(pieces)
 
 
 def _default_space() -> FiniteSpace:

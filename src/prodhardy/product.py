@@ -73,11 +73,15 @@ class ProductSpace:
         return float(self.weights[mask].sum())
 
     def lq_norm(self, f: np.ndarray, q: float) -> float | np.ndarray:
-        """||f||_{L^q} of a grid, or of each grid of a stack."""
-        sums = ((np.abs(f) ** q) * self.weights).sum(axis=(-2, -1))
-        if sums.ndim == 0:
-            return float(sums ** (1.0 / q))
-        return np.array([s ** (1.0 / q) for s in sums.ravel()]).reshape(sums.shape)
+        """||f||_{L^q} of a grid, or of each grid of a stack; a ValueError
+        naming q when a power on the way overflows."""
+        with np.errstate(over="ignore"):
+            sums = ((np.abs(f) ** q) * self.weights).sum(axis=(-2, -1))
+            norms = [s ** (1.0 / q) for s in np.ravel(sums)]
+        if not all(map(math.isfinite, norms)):
+            raise ValueError(f"the L^q norm at q = {q!r} leaves the floats: |f|^{q!r}, its "
+                             f"weighted sum or the sum's 1/{q!r}-th power overflows")
+        return float(norms[0]) if sums.ndim == 0 else np.array(norms).reshape(sums.shape)
 
     def random_function(self, rng) -> np.ndarray:
         return double_center(self, rng.standard_normal(self.shape))

@@ -168,6 +168,12 @@ def building_blocks(space: FiniteSpace, wavelet: Wavelet, gamma: float,
         hs[1:] / (hs[1:] * space.weight).sum(axis=1)[:, None])  # s_l xi_{l+1}, l < L
     blocks[1:] += carry
     blocks[:-1] -= carry
-    blocks *= np.array([(cbar * 2.0 ** ell) ** gamma for ell in range(len(hs))])[:, None]
+    try:
+        scales = [(cbar * 2.0 ** ell) ** gamma for ell in range(len(hs))]
+    except OverflowError:
+        raise ValueError(f"gamma = {gamma!r} is too large: the block scale (cbar 2^l)^gamma of "
+                         f"the wavelet on cube {wavelet.cube} of the {space.n}-point factor "
+                         f"overflows for some l < {len(hs)}") from None
+    blocks *= np.array(scales)[:, None]
     blocks.flags.writeable = False
     return kappa, blocks

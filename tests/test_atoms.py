@@ -532,3 +532,11 @@ def test_atoms_on_alternate_grid_verify_against_their_own_grids(pspace8):
     cert = verify_atom(pspace8, atom)
     assert cert["passed"], cert["failures"]
     assert math.isfinite(hp_seminorm(pspace8, atom.values, 1.0))
+
+
+def test_a_square_function_whose_q_norm_underflows_is_named(pspace8):
+    # the restricted square functions of this f are of the order 1e-3, so each
+    # |S|^300 underflows: a norm of 0 would drop the set's terms
+    f = 1e-3 * pspace8.random_function(np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"at q = 300.0 of a nonzero grid underflows"):
+        atomic_decompose(pspace8, f, 1.0, 300.0)

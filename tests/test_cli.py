@@ -349,6 +349,24 @@ BOUNDARY_DOCS = {
 PASS_FLAG = {"build": None, "decompose": "all_certificates_pass", "certify": "all_exact_pass"}
 
 
+def passes_or_names_the_error(argv, capsys, out) -> dict | None:
+    """Run argv with every warning an error: exit 0 with the command's pass
+    flag (and its report returned), or exit 2 with a named error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 2:
+        # every command centres the functions it draws, so a channel error
+        # would name no fault of the input
+        assert err.startswith("error: ") and "channels" not in err
+        return None
+    assert code == 0, err
+    doc = json.loads(out.read_text())
+    assert PASS_FLAG[argv[0]] is None or doc[PASS_FLAG[argv[0]]]
+    return doc
+
+
 @pytest.mark.parametrize("command", sorted(PASS_FLAG))
 @pytest.mark.parametrize("delta", [None, "0.5"])
 @pytest.mark.parametrize("name", sorted(BOUNDARY_DOCS))
@@ -361,19 +379,28 @@ def test_accepted_input_boundary_passes_or_names_the_error(name, delta, command,
     # wide weights leave one centring pass short of cancelling)
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(BOUNDARY_DOCS[name]))
-    out = tmp_path / "out.json"
-    argv = [command, "--space", str(path), "--out", str(out)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = run(argv + (["--delta", delta] if delta else []))
-    err = capsys.readouterr().err
-    if code == 2:
-        # every command centres the functions it draws, so a channel error
-        # would name no fault of the input
-        assert err.startswith("error: ") and "channels" not in err
-    else:
-        assert code == 0, err
-        assert PASS_FLAG[command] is None or json.loads(out.read_text())[PASS_FLAG[command]]
+    argv = [command, "--space", str(path)] + (["--delta", delta] if delta else [])
+    passes_or_names_the_error(argv, capsys, tmp_path / "out.json")
+
+
+@pytest.mark.parametrize("argv", [
+    "decompose --p 0.002",                    # the budget measure^(1/p - 1/q') overflows
+    "certify --corpus 2 --p 0.002",           # the H^p root overflows
+    "decompose --delta 0.25 --gamma1 1000",   # (2^l)^gamma overflows
+    "decompose --delta 0.5 --gamma2 1000",
+    "decompose --delta 0.25 --gamma1 300 --gamma2 300",   # (2^l1)^300 (2^l2)^300 does
+    "decompose --delta 0.5 --gamma1 400",     # an atom's |a|^2 overflows
+    "decompose --q 1e6",                      # |f|^q overflows
+    "certify --corpus 2 --q 1e6",
+    "decompose --q 300",                      # an atom's |a|^q all underflow
+    "decompose --delta 0.5 --q 500",          # a restricted square function's do
+    "decompose --q 1000",
+], ids=str)
+def test_accepted_flag_boundary_passes_or_names_the_error(argv, tmp_path, capsys):
+    # flags of the built-in line whose powers leave the floats: a named
+    # error, never a traceback, a NaN or a norm of 0 for a nonzero grid
+    doc = passes_or_names_the_error(argv.split(), capsys, tmp_path / "out.json") or {}
+    assert all(term["certificate"]["C_q_size"] > 0 for term in doc.get("terms", []))
 
 
 def test_flags_a_subcommand_does_not_read_are_usage_errors(space_file, capsys):

@@ -46,10 +46,6 @@ NAMED = {
     "atoms.generate_atom": "the random atoms of the converse bound (criterion 8)",
     "atoms.ChannelError.__init__": "names a function with mixed or scaling channels; every "
                                    "command centres its functions first",
-    "cli._json_default": "writes NumPy values, which no report holds; test_emit checks it "
-                         "against json.dumps",
-    "cli._entry_rows": "writes entry tables with NaN, infinities or non-floats, which no "
-                       "report holds",
     "cli.make_parser": "runs once, when prodhardy.cli is imported",
 }
 
